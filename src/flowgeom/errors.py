@@ -21,10 +21,6 @@ class ConfigError(UsageError):
 # ---------------------------------------------------------------- numerics
 
 
-class NotSPD(FlowgeomError):
-    """Matrix passed to an SPD solve is not symmetric positive definite."""
-
-
 class EvalFailure(FlowgeomError):
     """A user-supplied field raised or returned non-finite values at a probe."""
 
@@ -80,10 +76,6 @@ class ZeroVector(UsageError):
 
 
 # -------------------------------------------------------------- stochastic
-
-
-class ChartExit(FlowgeomError):
-    """A path left the guarded region before the requested horizon."""
 
 
 class TooFewAlivePaths(FlowgeomError):

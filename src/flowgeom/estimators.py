@@ -36,7 +36,7 @@ from .geometry import (
     tss_check,
 )
 from .model import SdeSystem
-from .stochastic import SimResult, simulate
+from .stochastic import SimResult, _block_noise, _bundle_grouped, simulate
 
 __all__ = [
     "McConfig",
@@ -810,12 +810,6 @@ def _pair_sum(noise: np.ndarray) -> np.ndarray:
     return noise.reshape(p, steps // 2, 2, m).sum(axis=2)
 
 
-def _path_noise(seed: int, n_paths: int, steps: int, dt: float, m: int) -> np.ndarray:
-    from .stochastic import sample_noise
-    return np.stack([sample_noise(seed, i, steps, dt, m).increments
-                     for i in range(n_paths)], axis=0)
-
-
 def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McReport:
     """Discrete Ito identity for |Txi_t v|^p, tested by step refinement.
 
@@ -832,7 +826,7 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
     cid, x0 = cfg.start()
     steps = round(cfg.t / cfg.dt)
     m = system.m
-    fine = _path_noise(cfg.seed, n_paths, 4 * steps, cfg.dt / 4.0, m)
+    fine = _block_noise(cfg.seed, np.arange(n_paths), 4 * steps, cfg.dt / 4.0, m)
     mid = _pair_sum(fine)
     coarse = _pair_sum(mid)
 
@@ -844,7 +838,8 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
         v0 = _resolve_v0(cfg, res)
         acc = np.zeros(noise.shape[0])
         for kk in range(n_steps):
-            pd = _grouped_full(system, res.chart_names, path.cid_idx[kk], path.x[kk])
+            pd = _bundle_grouped(system, res.chart_names, path.cid_idx[kk], path.x[kk],
+                                 light=False)
             v = path.J[kk] @ v0
             vv = np.einsum("pi,pij,pj->p", v, pd.g, v)
             # s_i = <nab X^i (v), v>_g / |v|^2 drives the log-norm martingale
@@ -853,8 +848,8 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
             half_qv = 0.5 * p * p * np.einsum("pi,pi->p", s, s) * dt
             drift = 0.5 * p * moment_form(pd, v, p) / vv * dt
             acc += mart - half_qv + drift
-        pd_end = _grouped_full(system, res.chart_names,
-                               path.cid_idx[n_steps], path.x[n_steps])
+        pd_end = _bundle_grouped(system, res.chart_names, path.cid_idx[n_steps],
+                                 path.x[n_steps], light=False)
         v_end = path.J[n_steps] @ v0
         vv_end = np.einsum("pi,pij,pj->p", v_end, pd_end.g, v_end)
         vv0 = float(v0 @ res.g0 @ v0)
@@ -889,11 +884,6 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
                    n_paths=n_paths)
 
 
-def _grouped_full(system: SdeSystem, chart_names, cid_idx, x):
-    from .stochastic import _bundle_grouped
-    return _bundle_grouped(system, chart_names, cid_idx, x, light=False)
-
-
 def weak_order_check(cfg: McConfig, f_sources: list[str] | None = None) -> McReport:
     """First weak order under dt refinement on coupled Brownian paths.
 
@@ -908,7 +898,7 @@ def weak_order_check(cfg: McConfig, f_sources: list[str] | None = None) -> McRep
     steps = round(cfg.t / cfg.dt)
     m = cfg.system.m
     n_paths = min(cfg.n_paths, 2048)
-    fine = _path_noise(cfg.seed, n_paths, 4 * steps, cfg.dt / 4.0, m)
+    fine = _block_noise(cfg.seed, np.arange(n_paths), 4 * steps, cfg.dt / 4.0, m)
     mid = _pair_sum(fine)
     coarse = _pair_sum(mid)
 

@@ -16,12 +16,12 @@ Evaluation is plain IEEE double arithmetic and accepts scalar points or
 batches (each variable an array); it is deterministic bit-for-bit for a
 given input.
 
->>> evaluate(parse("-x1^2"), [2.0])
+>>> float(evaluate(parse("-x1^2"), [2.0]))
 -4.0
->>> evaluate(parse("2*x1 + x2^3"), [1.5, 2.0])
+>>> float(evaluate(parse("2*x1 + x2^3"), [1.5, 2.0]))
 11.0
 >>> to_source(parse("-(x1 + 1) * x2"))
-'-(x1 + 1) * x2'
+'-(x1 + 1.0) * x2'
 """
 
 from __future__ import annotations

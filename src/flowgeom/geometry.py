@@ -30,7 +30,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import BadParams, DegenerateX, ZeroVector
-from .linalg import DerivOracle, gram_schmidt_frame, solve_spd, sym
+from .linalg import DerivOracle, sym
 from .model import SdeSystem
 
 __all__ = [
@@ -92,6 +92,16 @@ def induced_metric(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     return g, ginv, Y, PT, PN
 
 
+def _induced_gamma(DX: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Christoffels of the induced connection, G(v, w) = -DX(v)(Y w)."""
+    return -np.einsum("...irj,...rk->...ijk", DX, Y)
+
+
+def _grad_x(DX: np.ndarray, gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Covariant derivatives nab X^i of the coefficient fields, direction last."""
+    return DX + np.einsum("...ajk,...ki->...aij", gamma, X)
+
+
 def point_data(system: SdeSystem, cid: str, x: np.ndarray, *, light: bool = False,
                oracle: DerivOracle | None = None) -> PointData:
     """Assemble coefficients and induced tensors at ``x`` (batched)."""
@@ -105,9 +115,9 @@ def point_data(system: SdeSystem, cid: str, x: np.ndarray, *, light: bool = Fals
     if light:
         return pd
     pd.g, pd.ginv, pd.Y, pd.PT, pd.PN = induced_metric(X)
-    pd.gamma = -np.einsum("...irj,...rk->...ijk", DX, pd.Y)
+    pd.gamma = _induced_gamma(DX, pd.Y)
     pd.gamma_adj = np.swapaxes(pd.gamma, -1, -2)
-    pd.gradX = DX + np.einsum("...ajk,...ki->...aij", pd.gamma, X)
+    pd.gradX = _grad_x(DX, pd.gamma, X)
     tr = np.einsum("...aia->...i", pd.gradX)
     pd.ric_sharp = (np.einsum("...i,...aib->...ab", tr, pd.gradX)
                     - np.einsum("...aib,...bic->...ac", pd.gradX, pd.gradX))
@@ -131,7 +141,7 @@ def lw_christoffel(system: SdeSystem, cid: str, x: np.ndarray,
     X = system.coeff_x(cid, x)
     _, _, Y, _, _ = induced_metric(X)
     DX = oracle.jacobian(lambda y: system.coeff_x(cid, y), x)
-    return -np.einsum("...irj,...rk->...ijk", DX, Y)
+    return _induced_gamma(DX, Y)
 
 
 def adjoint_christoffel(gamma: np.ndarray) -> np.ndarray:
@@ -335,7 +345,7 @@ def pairing_derivative_residual(system: SdeSystem, cid: str, x: np.ndarray,
     oracle = oracle or system.oracle
     pd = point_data(system, cid, x, oracle=oracle)
     gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind, oracle)
-    gradX = pd.DX + np.einsum("...ajk,...ki->...aij", gamma, pd.X)
+    gradX = _grad_x(pd.DX, gamma, pd.X)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
@@ -437,7 +447,7 @@ def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
         res = lc - (lw - half_t)
         worst = max(worst, float(np.sqrt(res @ pd.g @ res)))
     # summed autoparallel form: sum_i nab_{X^i} X^i vanishes (Levi-Civita)
-    gradX_lc = pd.DX + np.einsum("...ajk,...ki->...aij", gamma_lc, pd.X)
+    gradX_lc = _grad_x(pd.DX, gamma_lc, pd.X)
     summed = np.einsum("...aij,...ji->...a", gradX_lc, pd.X)
     norm = np.sqrt(np.einsum("...a,...ab,...b->...", summed, pd.g, summed))
     return worst, float(np.max(norm))
@@ -450,7 +460,7 @@ def stratonovich_term(system: SdeSystem, cid: str, x: np.ndarray, kind: str = "l
     oracle = oracle or system.oracle
     pd = point_data(system, cid, x, oracle=oracle)
     gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind, oracle)
-    gradX = pd.DX + np.einsum("...ajk,...ki->...aij", gamma, pd.X)
+    gradX = _grad_x(pd.DX, gamma, pd.X)
     return np.einsum("...aij,...ji->...a", gradX, pd.X)
 
 

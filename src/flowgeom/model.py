@@ -32,21 +32,14 @@ from . import quat
 from .errors import BadParams, DegenerateX, OutOfOverlap, UnknownScenario
 from .linalg import DerivOracle
 
-__all__ = ["Chart", "SdeSystem", "Scenario", "build_scenario", "transition",
-           "transition_jacobian", "scenario_names"]
+__all__ = ["Chart", "SdeSystem", "Scenario", "build_scenario", "scenario_names"]
 
 
 @dataclass(frozen=True)
 class Chart:
-    """A coordinate chart: identifier, dimension, and validity radius."""
+    """A coordinate chart, named by its identifier."""
 
     cid: str
-    dim: int
-    radius: float = np.inf  # coordinates are valid for |u| < radius
-    center: tuple[float, ...] | None = None  # group charts: center quaternion
-
-    def contains(self, x: np.ndarray) -> bool:
-        return bool(np.linalg.norm(np.asarray(x, dtype=float)) < self.radius)
 
 
 class SdeSystem:
@@ -56,7 +49,6 @@ class SdeSystem:
     n: int = 0          # manifold dimension
     m: int = 0          # noise dimension
     embed_dim: int = 0  # dimension of the diagnostic embedding
-    compact: bool = False
     dim_one: bool = False
     is_group: bool = False
     has_drift: bool = False
@@ -69,12 +61,6 @@ class SdeSystem:
     @property
     def charts(self) -> tuple[Chart, ...]:
         raise NotImplementedError
-
-    def chart(self, cid: str) -> Chart:
-        for c in self.charts:
-            if c.cid == cid:
-                return c
-        raise BadParams(f"unknown chart {cid!r} for scenario {self.name!r}")
 
     def start(self) -> tuple[str, np.ndarray]:
         """Default start point (chart id, coordinates)."""
@@ -94,13 +80,6 @@ class SdeSystem:
 
     def switch_target(self, cid: str) -> str:
         raise OutOfOverlap(f"scenario {self.name!r} has a single chart")
-
-    def transition(self, cid_from: str, cid_to: str, x: np.ndarray) -> np.ndarray:
-        raise OutOfOverlap(f"no transition {cid_from!r} -> {cid_to!r}")
-
-    def transition_jacobian(self, cid_from: str, cid_to: str, x: np.ndarray) -> np.ndarray:
-        """Derivative of the transition map; generic finite-difference fallback."""
-        return self.oracle.jacobian(lambda y: self.transition(cid_from, cid_to, y), x)
 
     # -- diagnostics ---------------------------------------------------------
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
@@ -133,7 +112,7 @@ class FlatSystem(SdeSystem):
         self.name = "flat"
         self.n = self.m = self.embed_dim = n
         self.guard_radius = guard_radius
-        self._charts = (Chart("u", n),)
+        self._charts = (Chart("u"),)
         self._drift = [ex.parse(s) for s in drift] if drift else None
         if self._drift is not None:
             if len(self._drift) != n:
@@ -176,14 +155,12 @@ class SphereSystem(SdeSystem):
     south pole at u = 0), 's' from the south pole.  The induced metric is the
     round one, conformal factor 4 / (1 + |u|^2)^2."""
 
-    compact = True
-
     def __init__(self, n: int, oracle: DerivOracle | None = None):
         super().__init__(oracle)
         self.name = "sphere-gradient"
         self.n = n
         self.m = self.embed_dim = n + 1
-        self._charts = (Chart("n", n), Chart("s", n))
+        self._charts = (Chart("n"), Chart("s"))
 
     @property
     def charts(self) -> tuple[Chart, ...]:
@@ -200,11 +177,6 @@ class SphereSystem(SdeSystem):
         top = 2.0 * u / s
         last = self._sign(cid) * (1.0 - np.sum(u * u, axis=-1, keepdims=True)) / s
         return np.concatenate([top, last], axis=-1)
-
-    def unembed(self, cid: str, p: np.ndarray) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        denom = 1.0 + self._sign(cid) * p[..., -1:]
-        return p[..., :-1] / denom
 
     def embed_jacobian(self, cid: str, x: np.ndarray) -> np.ndarray:
         """D(embed): (..., n+1, n)."""
@@ -267,7 +239,6 @@ class So3System(SdeSystem):
     ``q0`` with ``point(u) = q0 * qexp(u)``.  Left-invariant fields pull back
     to the inverse right Jacobian, independent of the center."""
 
-    compact = True
     is_group = True
 
     def __init__(self, oracle: DerivOracle | None = None):
@@ -279,10 +250,7 @@ class So3System(SdeSystem):
 
     @property
     def charts(self) -> tuple[Chart, ...]:
-        return (Chart("exp", 3, radius=np.pi, center=self._identity),)
-
-    def chart_at(self, center: np.ndarray) -> Chart:
-        return Chart("exp", 3, radius=np.pi, center=tuple(float(c) for c in center))
+        return (Chart("exp"),)
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         return quat.right_jacobian_inv(x)
@@ -303,12 +271,6 @@ class So3System(SdeSystem):
         """Frame change from the old exponential chart at the step's start to
         the fresh chart centered at the step's endpoint."""
         return quat.right_jacobian(u)
-
-    def transition(self, cid_from: str, cid_to: str, x: np.ndarray, *,
-                   center_from=None, center_to=None) -> np.ndarray:
-        cf = np.asarray(center_from if center_from is not None else self._identity, dtype=float)
-        ct = np.asarray(center_to if center_to is not None else self._identity, dtype=float)
-        return quat.qlog(quat.qmul(quat.qmul(quat.qconj(ct), cf), quat.qexp(np.asarray(x, dtype=float))))
 
     def sample_points(self, rng, k):
         pts = []
@@ -332,7 +294,7 @@ class TwistedPlaneSystem(SdeSystem):
         self.alpha = float(alpha)
         self.n = self.m = self.embed_dim = 2
         self.guard_radius = guard_radius
-        self._charts = (Chart("u", 2),)
+        self._charts = (Chart("u"),)
 
     @property
     def charts(self) -> tuple[Chart, ...]:
@@ -362,7 +324,6 @@ class TwistedPlaneSystem(SdeSystem):
 
 
 class CircleSystem(SdeSystem):
-    compact = True
     dim_one = True
 
     def __init__(self, oracle: DerivOracle | None = None):
@@ -370,7 +331,7 @@ class CircleSystem(SdeSystem):
         self.name = "circle"
         self.n = self.m = 1
         self.embed_dim = 2
-        self._charts = (Chart("theta", 1),)
+        self._charts = (Chart("theta"),)
 
     @property
     def charts(self) -> tuple[Chart, ...]:
@@ -404,7 +365,7 @@ class CustomSystem(SdeSystem):
         self.name = "custom"
         self.n, self.m, self.embed_dim = n, m, n
         self.guard_radius = guard_radius
-        self._charts = (Chart("u", n),)
+        self._charts = (Chart("u"),)
         if len(x_entries) != n or any(len(row) != m for row in x_entries):
             raise BadParams(f"x_entries must be {n} rows of {m} expressions")
         self._x = [[ex.parse(s) for s in row] for row in x_entries]
@@ -536,12 +497,3 @@ def build_scenario(name: str, params: dict[str, Any] | None = None) -> Scenario:
         raise UnknownScenario(
             f"unknown scenario {name!r}; available: {', '.join(scenario_names())}")
     return _REGISTRY[name](dict(params or {}))
-
-
-def transition(system: SdeSystem, chart_from: str, chart_to: str, x: np.ndarray) -> np.ndarray:
-    """Express the point ``x`` (coordinates of ``chart_from``) in ``chart_to``."""
-    return system.transition(chart_from, chart_to, x)
-
-
-def transition_jacobian(system: SdeSystem, chart_from: str, chart_to: str, x: np.ndarray) -> np.ndarray:
-    return system.transition_jacobian(chart_from, chart_to, x)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "hat", "qmul", "qconj", "qexp", "qlog", "qrotmat",
+    "hat", "qmul", "qexp", "qrotmat",
     "right_jacobian", "right_jacobian_inv",
 ]
 
@@ -52,11 +52,6 @@ def qmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-def qconj(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
 def qexp(u: np.ndarray) -> np.ndarray:
     """Rotation vector to unit quaternion."""
     u = np.asarray(u, dtype=float)
@@ -68,19 +63,6 @@ def qexp(u: np.ndarray) -> np.ndarray:
         s = np.where(small, 0.5 - theta**2 / 48.0, np.sin(half) / np.where(small, 1.0, theta))
     w = np.cos(half)
     return np.concatenate([w[..., None], s[..., None] * u], axis=-1)
-
-
-def qlog(q: np.ndarray) -> np.ndarray:
-    """Unit quaternion to rotation vector (principal branch, |result| <= pi)."""
-    q = np.asarray(q, dtype=float)
-    q = np.where(q[..., :1] < 0.0, -q, q)  # w >= 0 branch
-    vec = q[..., 1:]
-    vn = np.linalg.norm(vec, axis=-1)
-    theta = 2.0 * np.arctan2(vn, q[..., 0])
-    small = vn < _EPS
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = np.where(small, 2.0 / np.maximum(q[..., 0], 0.5), theta / np.where(small, 1.0, vn))
-    return scale[..., None] * vec
 
 
 def qrotmat(q: np.ndarray) -> np.ndarray:

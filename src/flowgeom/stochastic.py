@@ -21,20 +21,18 @@ left-point Euler on the same grid.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from math import sqrt
 
 import numpy as np
 
 from .errors import BadParams
-from .geometry import PointData, point_data, tss_check
+from .geometry import PointData, _induced_gamma, point_data, tss_check
 from .model import SdeSystem
 
 __all__ = [
     "NoiseGrid", "sample_noise", "FlowPath", "SimResult", "simulate",
-    "integrate_flow", "derivative_flow", "parallel_transport",
-    "covariant_derivative_flow", "filtered_flow", "noise_decompose",
-    "reconstruction_error", "transport_along",
+    "integrate_flow", "reconstruction_error", "transport_along",
 ]
 
 BLOCK = 2048  # paths per worker block; fixed so thread count cannot matter
@@ -168,6 +166,9 @@ class SimResult:
 # ---------------------------------------------------------------------------
 
 
+_FIELDS = tuple(f.name for f in fields(PointData))
+
+
 def _bundle_grouped(system: SdeSystem, chart_names, cid_idx: np.ndarray,
                     x: np.ndarray, light: bool) -> PointData:
     if len(chart_names) == 1:
@@ -179,29 +180,18 @@ def _bundle_grouped(system: SdeSystem, chart_names, cid_idx: np.ndarray,
             continue
         pd = point_data(system, cid, x[mask], light=light)
         if out is None:
-            out = PointData(
-                X=np.empty(x.shape[:-1] + pd.X.shape[-2:]),
-                A=np.empty_like(x),
-                DX=np.empty(x.shape[:-1] + pd.DX.shape[-3:]),
-                DA=None if pd.DA is None else np.empty(x.shape[:-1] + pd.DA.shape[-2:]),
-            )
-            if not light:
-                for name in ("g", "ginv", "Y", "PT", "PN", "gamma", "gamma_adj",
-                             "gradX", "ric_sharp", "nabla_a"):
-                    val = getattr(pd, name)
-                    setattr(out, name, np.empty(x.shape[:-1] + val.shape[len(pd.X.shape[:-2]):]))
-        for name in ("X", "A", "DX", "DA", "g", "ginv", "Y", "PT", "PN",
-                     "gamma", "gamma_adj", "gradX", "ric_sharp", "nabla_a"):
-            dst = getattr(out, name)
-            src = getattr(pd, name)
-            if dst is not None and src is not None:
-                dst[mask] = src
+            lead = pd.X.ndim - 2  # batch axes of pd, replaced by those of x
+            blank = {}
+            for name in _FIELDS:
+                val = getattr(pd, name)
+                blank[name] = None if val is None else np.empty(x.shape[:-1] + val.shape[lead:])
+            out = PointData(**blank)
+        _scatter_rows(out, pd, mask)
     return out
 
 
 def _scatter_rows(dst: PointData, src: PointData, mask: np.ndarray) -> None:
-    for name in ("X", "A", "DX", "DA", "g", "ginv", "Y", "PT", "PN",
-                 "gamma", "gamma_adj", "gradX", "ric_sharp", "nabla_a"):
+    for name in _FIELDS:
         d = getattr(dst, name)
         s = getattr(src, name)
         if d is not None and s is not None:
@@ -214,7 +204,18 @@ def _gamma_light(system: SdeSystem, chart_names, cid_idx: np.ndarray,
     pd = _bundle_grouped(system, chart_names, cid_idx, x, light=True)
     Xt = np.swapaxes(pd.X, -1, -2)
     Y = Xt @ np.linalg.inv(pd.X @ Xt)
-    return -np.einsum("...irj,...rk->...ijk", pd.DX, Y)
+    return _induced_gamma(pd.DX, Y)
+
+
+def _rk4_transport(Fk: np.ndarray, Fm: np.ndarray, Fp: np.ndarray,
+                   par: np.ndarray) -> np.ndarray:
+    """One RK4 step of dv/ds = F(s) v on frames, with F at the start,
+    midpoint and end of the segment."""
+    k1 = Fk @ par
+    k2 = Fm @ (par + 0.5 * k1)
+    k3 = Fm @ (par + 0.5 * k2)
+    k4 = Fp @ (par + k3)
+    return par + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
 
 
 def _isometrize(par: np.ndarray, g: np.ndarray, L0invT: np.ndarray,
@@ -390,15 +391,8 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             return tuple(-np.einsum(spec, gam, dx)
                          for gam in (Bk.gamma, gamma_mid, Bp.gamma))
 
-        def _step_transport(Fk, Fm, Fp, par):
-            k1 = Fk @ par
-            k2 = Fm @ (par + 0.5 * k1)
-            k3 = Fm @ (par + 0.5 * k2)
-            k4 = Fp @ (par + k3)
-            return par + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-
-        par_lw_new = _step_transport(*_seg_mats("...ijk,...j->...ik"), par_lw)
-        par_adj_new = _step_transport(*_seg_mats("...ikj,...j->...ik"), par_adj)
+        par_lw_new = _rk4_transport(*_seg_mats("...ijk,...j->...ik"), par_lw)
+        par_adj_new = _rk4_transport(*_seg_mats("...ikj,...j->...ik"), par_adj)
         par_lw_new = _isometrize(par_lw_new, Bp.g, L0invT, L0.T)
         if adj_metric:
             par_adj_new = _isometrize(par_adj_new, Bp.g, L0invT, L0.T)
@@ -644,41 +638,6 @@ def integrate_flow(system: SdeSystem, x0: np.ndarray | None, noise: NoiseGrid,
     return res.path
 
 
-def derivative_flow(system: SdeSystem, path: FlowPath) -> np.ndarray:
-    """Variational-equation Jacobians along the recorded path: (K+1, P, n, n)."""
-    return path.J
-
-
-def parallel_transport(system: SdeSystem, path: FlowPath, kind: str,
-                       v0: np.ndarray | None = None) -> np.ndarray:
-    """Transport frames (or a vector) along a recorded path.
-
-    kind 'lw' uses the induced connection, 'adjoint' its adjoint.
-    """
-    frames = {"lw": path.par_lw, "adjoint": path.par_adj}.get(kind)
-    if frames is None:
-        raise BadParams(f"unknown transport kind {kind!r}")
-    if v0 is None:
-        return frames
-    return frames @ np.asarray(v0, dtype=float)
-
-
-def covariant_derivative_flow(system: SdeSystem, path: FlowPath,
-                              v0: np.ndarray) -> np.ndarray:
-    """Ito-form derivative flow applied to v0: (K+1, P, n)."""
-    return (path.par_adj @ path.Vhat) @ np.asarray(v0, dtype=float)
-
-
-def filtered_flow(system: SdeSystem, path: FlowPath, v0: np.ndarray) -> np.ndarray:
-    """Filtered (damped) flow applied to v0: (K+1, P, n)."""
-    return (path.par_adj @ path.What) @ np.asarray(v0, dtype=float)
-
-
-def noise_decompose(system: SdeSystem, path: FlowPath) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Cumulative (B_breve, beta, B_tilde, B_bar) series from a recorded path."""
-    return path.b_breve, path.beta, path.b_tilde, path.b_bar
-
-
 def reconstruction_error(path: FlowPath) -> np.ndarray:
     """Pathwise max-abs defect of B = sum //~ dB_bar, per path."""
     return np.max(np.abs(path.recon - path.b_raw), axis=(0, -1))
@@ -701,12 +660,7 @@ def transport_along(system: SdeSystem, cid: str, xs: np.ndarray, kind: str,
     frames[0] = np.eye(n)
     for k in range(K):
         dx = xs[k + 1] - xs[k]
-        par = frames[k]
         Fk, Fm, Fp = (-np.einsum("ijk,j->ik", gam, dx)
                       for gam in (gammas[k], mids[k], gammas[k + 1]))
-        k1 = Fk @ par
-        k2 = Fm @ (par + 0.5 * k1)
-        k3 = Fm @ (par + 0.5 * k2)
-        k4 = Fp @ (par + k3)
-        frames[k + 1] = par + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        frames[k + 1] = _rk4_transport(Fk, Fm, Fp, frames[k])
     return frames

@@ -1,15 +1,8 @@
 """Dense helpers and the finite-difference derivative oracle."""
 
 import numpy as np
-import pytest
 
-from flowgeom.errors import NotSPD
-from flowgeom.linalg import (
-    DerivOracle,
-    gram_schmidt_frame,
-    solve_spd,
-    sym,
-)
+from flowgeom.linalg import DerivOracle, sym
 
 rng = np.random.default_rng(42)
 
@@ -25,47 +18,6 @@ def test_sym_batched():
     a = rng.normal(size=(4, 3, 3))
     s = sym(a)
     np.testing.assert_allclose(s, np.swapaxes(s, -1, -2))
-
-
-def test_solve_spd_matches_general_solver():
-    m = rng.normal(size=(5, 5))
-    a = m @ m.T + 5 * np.eye(5)
-    b = rng.normal(size=(5, 2))
-    np.testing.assert_allclose(solve_spd(a, b), np.linalg.solve(a, b),
-                               rtol=1e-10, atol=1e-12)
-
-
-def test_solve_spd_rejects_asymmetric():
-    a = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(NotSPD):
-        solve_spd(a, np.ones(2))
-
-
-def test_solve_spd_rejects_indefinite():
-    a = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(NotSPD):
-        solve_spd(a, np.ones(2))
-
-
-def test_gram_schmidt_frame_orthonormalizes():
-    m = rng.normal(size=(4, 4))
-    g = m @ m.T + 4 * np.eye(4)
-    f = gram_schmidt_frame(g)
-    np.testing.assert_allclose(f.T @ g @ f, np.eye(4), atol=1e-12)
-    # first column is the normalized first basis vector, so the frame is
-    # reproducible rather than an arbitrary orthogonal rotation
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    np.testing.assert_allclose(f[:, 0], e1 / np.sqrt(g[0, 0]), atol=1e-13)
-
-
-def test_gram_schmidt_frame_batched():
-    ms = rng.normal(size=(6, 3, 3))
-    gs = ms @ np.swapaxes(ms, -1, -2) + 3 * np.eye(3)
-    fs = gram_schmidt_frame(gs)
-    prods = np.einsum("bij,bjk,bkl->bil", np.swapaxes(fs, -1, -2), gs, fs)
-    np.testing.assert_allclose(prods, np.broadcast_to(np.eye(3), (6, 3, 3)),
-                               atol=1e-11)
 
 
 # ------------------------------------------------------- derivative oracle
@@ -110,22 +62,6 @@ def test_jacobian_shape_and_values():
     assert jac.shape == (3, 2)
     want = np.array([[4.0, 0.0], [3.0, 2.0], [0.0, 1.0]])
     np.testing.assert_allclose(jac, want, rtol=1e-9, atol=1e-10)
-
-
-def test_second_derivative_is_hessian_bilinear_form():
-    oracle = DerivOracle()
-    h = np.array([[2.0, 0.5], [0.5, 1.0]])
-
-    def f(x):
-        return np.array([0.5 * x @ h @ x])
-
-    x = np.array([0.3, -0.8])
-    u = np.array([1.0, 2.0])
-    v = np.array([-1.0, 0.5])
-    got = oracle.second(f, x, u, v)
-    np.testing.assert_allclose(got, [u @ h @ v], rtol=1e-7, atol=1e-9)
-    got_t = oracle.second(f, x, v, u)
-    np.testing.assert_allclose(got, got_t, atol=1e-8)
 
 
 def test_richardson_levels_tighten_truncation():

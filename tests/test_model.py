@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from flowgeom.errors import BadParams, OutOfOverlap, UnknownScenario
-from flowgeom.model import (
-    build_scenario,
-    scenario_names,
-    transition,
-    transition_jacobian,
-)
+from flowgeom.model import build_scenario, scenario_names
 
 rng = np.random.default_rng(0)
 
@@ -89,25 +84,25 @@ def test_sphere_coefficient_is_tangent_projection():
 def test_sphere_chart_transition_consistency():
     sys = build_scenario("sphere-gradient", {"n": 2}).system
     x = np.array([0.8, -0.6])
-    y = transition(sys, "n", "s", x)
-    np.testing.assert_allclose(x, transition(sys, "s", "n", y), atol=1e-14)
+    y = sys.transition("n", "s", x)
+    np.testing.assert_allclose(x, sys.transition("s", "n", y), atol=1e-14)
     # same embedded point in both charts
     np.testing.assert_allclose(sys.embed("n", x), sys.embed("s", y), atol=1e-14)
     # jacobian matches finite differences
-    jac = transition_jacobian(sys, "n", "s", x)
+    jac = sys.transition_jacobian("n", "s", x)
     h = 1e-6
     for j in range(2):
         dx = np.zeros(2)
         dx[j] = h
-        fd = (transition(sys, "n", "s", x + dx)
-              - transition(sys, "n", "s", x - dx)) / (2 * h)
+        fd = (sys.transition("n", "s", x + dx)
+              - sys.transition("n", "s", x - dx)) / (2 * h)
         np.testing.assert_allclose(jac[:, j], fd, atol=1e-8)
 
 
 def test_sphere_transition_rejects_chart_center():
     sys = build_scenario("sphere-gradient", {"n": 2}).system
     with pytest.raises(OutOfOverlap):
-        transition(sys, "n", "s", np.zeros(2))
+        sys.transition("n", "s", np.zeros(2))
 
 
 def test_so3_coefficients_at_identity():

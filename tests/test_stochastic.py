@@ -16,8 +16,6 @@ from flowgeom.errors import BadParams
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
     integrate_flow,
-    noise_decompose,
-    parallel_transport,
     reconstruction_error,
     sample_noise,
     simulate,
@@ -263,13 +261,12 @@ def test_recorded_series_shapes(sphere):
 def test_flow_helpers_expose_recorded_processes(sphere):
     grids = [sample_noise(3, i, 10, 1e-2, 3) for i in range(6)]
     path = integrate_flow(sphere, None, grids)
-    v0 = np.array([0.5, -0.25])
-    par = parallel_transport(sphere, path, "lw")
-    assert par.shape == path.J.shape
-    w = parallel_transport(sphere, path, "lw", v0)
-    np.testing.assert_allclose(w, par @ v0, atol=1e-14)
-    with pytest.raises(BadParams):
-        parallel_transport(sphere, path, "unknown")
-    b_breve, beta, b_tilde, b_bar = noise_decompose(sphere, path)
-    assert b_breve.shape[0] == 11
+    assert path.par_lw.shape == path.J.shape == (11, 6, 2, 2)
+    assert path.par_adj.shape == path.J.shape
+    assert path.b_breve.shape == (11, 6, 2)
+    for series in (path.beta, path.b_tilde, path.b_bar, path.recon):
+        assert series.shape == (11, 6, 3)
+    # the decomposed noise adds up: B_bar = B_tilde + beta along the path
+    np.testing.assert_allclose(path.b_bar, path.b_tilde + path.beta, atol=1e-14)
+    assert reconstruction_error(path).shape == (6,)
     assert np.max(reconstruction_error(path)) < 1e-10
