@@ -350,6 +350,10 @@ def cmd_simulate(cfg: dict):
     return report, res, v0
 
 
+# what _dump_paths_csv reads of an unrecorded run besides the state
+_DUMP_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
+
+
 def _dump_paths_csv(path: str, system, res, v0: np.ndarray) -> None:
     """Terminal per-path rows; with a recorded run, one row per snapshot."""
     with open(path, "w", newline="") as fh:
@@ -528,7 +532,8 @@ def main(argv=None) -> int:
                 mc = _mc_config(cfg, cfg["check"])
                 cid, x0 = mc.start()
                 res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths,
-                               seed=mc.seed, x0=x0, cid=cid, threads=mc.threads)
+                               seed=mc.seed, x0=x0, cid=cid, threads=mc.threads,
+                               need=_DUMP_NEEDS)
                 _dump_paths_csv(dump, mc.system, res,
                                 np.linalg.inv(res.L0).T[:, 0])
     except (ConfigError, BadParams, UnknownScenario, ExprError) as exc:

@@ -56,6 +56,9 @@ __all__ = [
 
 ALIVE_FRACTION = 0.9
 
+# what the filtered check reads: J, W = //^ What and the terminal metric
+_FILTERED_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
+
 
 # ---------------------------------------------------------------------------
 # configuration and report containers
@@ -85,10 +88,16 @@ class McConfig:
         steps = round(self.t / self.dt)
         if steps <= 0 or abs(steps * self.dt - self.t) > 1e-9 * max(1.0, self.t):
             raise BadParams(f"t={self.t} is not an integer multiple of dt={self.dt}")
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float)
-        if self.v0 is not None:
-            self.v0 = np.asarray(self.v0, dtype=float)
+        n = self.system.n
+        for name in ("x0", "v0"):
+            val = getattr(self, name)
+            if val is None:
+                continue
+            val = np.asarray(val, dtype=float)
+            if val.shape != (n,):
+                raise BadParams(f"{name} has shape {val.shape} but {self.system.name} "
+                                f"has dimension {n}")
+            setattr(self, name, val)
 
     def start(self) -> tuple[str, np.ndarray]:
         cid_d, x0_d = self.system.start()
@@ -203,10 +212,12 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
     return float(samples.mean()), float(samples.std(ddof=1) / sqrt(n))
 
 
-def _simulate(cfg: McConfig, *, t: float | None = None, dt: float | None = None,
-              n_paths: int | None = None, seed: int | None = None,
-              x0: np.ndarray | None = None, hp_p: float | None = None,
-              record: bool = False, noise: np.ndarray | None = None) -> SimResult:
+def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
+              dt: float | None = None, n_paths: int | None = None,
+              seed: int | None = None, x0: np.ndarray | None = None,
+              hp_p: float | None = None, record: bool = False,
+              noise: np.ndarray | None = None) -> SimResult:
+    """One engine run for a check; ``need`` names the companions it reads."""
     cid, x0_d = cfg.start()
     return simulate(
         cfg.system,
@@ -220,6 +231,7 @@ def _simulate(cfg: McConfig, *, t: float | None = None, dt: float | None = None,
         threads=cfg.threads,
         record=record,
         noise=noise,
+        need=need,
     )
 
 
@@ -328,7 +340,7 @@ def filtered_expectation_check(cfg: McConfig,
     the report adds pathwise rows with a step-halving convergence bound.
     """
     t0 = time.perf_counter()
-    res = _simulate(cfg)
+    res = _simulate(cfg, _FILTERED_NEEDS)
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -376,7 +388,8 @@ def filtered_expectation_check(cfg: McConfig,
             tolerance=max(10.0 * cfg.dt, 1e-9),
             note="parallel coefficients force a pathwise identity"))
         if pmax > 1e-12:
-            half = _simulate(cfg, dt=cfg.dt / 2.0, n_paths=min(cfg.n_paths, 256))
+            half = _simulate(cfg, _FILTERED_NEEDS, dt=cfg.dt / 2.0,
+                             n_paths=min(cfg.n_paths, 256))
             ah = half.alive
             dvh = ((half.J - half.W()) @ v0)[ah]
             hfr = half.par_adj[ah] @ frame
@@ -423,7 +436,7 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4,
     circle, against the wrapped-Gaussian kernel series).
     """
     t0 = time.perf_counter()
-    res = _simulate(cfg)
+    res = _simulate(cfg, {"bismut_vec"})
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -434,14 +447,14 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4,
 
     bias_allow = 0.0
     if bias_halving:
-        half = _simulate(cfg, dt=cfg.dt / 2.0)
+        half = _simulate(cfg, {"bismut_vec"}, dt=cfg.dt / 2.0)
         ah = half.alive
         sh = (_terminal_scalar(half, f_source) * (half.bismut_vec @ v0))[ah] / cfg.t
         est_h = float(np.mean(sh))
         bias_allow = 2.0 * abs(est - est_h)
 
-    res_p = _simulate(cfg, x0=x0 + eps * v0)
-    res_m = _simulate(cfg, x0=x0 - eps * v0)
+    res_p = _simulate(cfg, set(), x0=x0 + eps * v0)
+    res_m = _simulate(cfg, set(), x0=x0 - eps * v0)
     both = res_p.alive & res_m.alive
     fd_samples = (_terminal_scalar(res_p, f_source)[both]
                   - _terminal_scalar(res_m, f_source)[both]) / (2.0 * eps)
@@ -487,7 +500,7 @@ def moment_sandwich(cfg: McConfig, p: float = 2.0) -> McReport:
         raise NotApplicable(
             f"adjoint connection is not metric here (torsion skew residual {resid:.3g})")
 
-    res = _simulate(cfg, hp_p=p)
+    res = _simulate(cfg, {"J", "g_T", "hp_lo", "hp_hi"}, hp_p=p)
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -559,7 +572,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
         estimate=lw_val - lc_val, se=0.0, reference=0.0,
         provenance="analytic", tolerance=1e-6)]
 
-    res = _simulate(cfg)
+    res = _simulate(cfg, set())
     alive = _alive_gate(res)
     k = cfg.k_se
     f0 = _scalar_at_start(cfg, f_source)
@@ -568,7 +581,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
 
     steps = round(cfg.t / cfg.dt)
     t_half = max(1, steps // 2) * cfg.dt
-    res_h = _simulate(cfg, t=t_half)
+    res_h = _simulate(cfg, set(), t=t_half)
     fT_h = _terminal_scalar(res_h, f_source)[res_h.alive]
     est_h = float(np.mean((fT_h - f0) / t_half))
     bias_allow = 2.0 * abs(est - est_h)
@@ -618,7 +631,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
     oracle = system.oracle
     phi0 = one_form_from_spec(system, cid, phi_spec)
 
-    res = _simulate(cfg)
+    res = _simulate(cfg, {"J"})
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -654,7 +667,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
 
     steps = round(cfg.t / cfg.dt)
     t_half = max(1, steps // 2) * cfg.dt
-    res_h = _simulate(cfg, t=t_half)
+    res_h = _simulate(cfg, {"J"}, t=t_half)
     pair_h = _terminal_one_form_pairing(cfg, res_h, phi_spec, res_h.J @ v0)[res_h.alive]
     est_h = float(np.mean((pair_h - phi0_v0) / t_half))
     bias_allow = 2.0 * abs(est - est_h)
@@ -701,7 +714,7 @@ def bochner_decay_check(cfg: McConfig, n_probes: int = 12,
             f"curvature-drift gap {lam:.4g} is not positive; no decay is implied")
 
     n_rec = min(cfg.n_paths, 1024)
-    res = _simulate(cfg, n_paths=n_rec, record=True)
+    res = _simulate(cfg, {"par_adj", "What"}, n_paths=n_rec, record=True)
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -750,7 +763,7 @@ def decomposition_check(cfg: McConfig) -> McReport:
     CLT band.
     """
     t0 = time.perf_counter()
-    res = _simulate(cfg)
+    res = _simulate(cfg, {"b_raw", "recon_err", "qv", "cross"})
     alive = _alive_gate(res)
     m = res.b_raw.shape[-1]
 
@@ -791,8 +804,8 @@ def decomposition_check(cfg: McConfig) -> McReport:
 def se_scaling_check(cfg: McConfig, f_source: str = "x1") -> McReport:
     """Doubling the path count shrinks the standard error by sqrt(2) +- 10%."""
     t0 = time.perf_counter()
-    res1 = _simulate(cfg)
-    res2 = _simulate(cfg, n_paths=2 * cfg.n_paths)
+    res1 = _simulate(cfg, set())
+    res2 = _simulate(cfg, set(), n_paths=2 * cfg.n_paths)
     _, se1 = _mean_se(_terminal_scalar(res1, f_source)[res1.alive])
     _, se2 = _mean_se(_terminal_scalar(res2, f_source)[res2.alive])
     ratio = se1 / se2 if se2 > 0 else float("inf")
@@ -832,14 +845,14 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
 
     def residuals(noise: np.ndarray, dt: float) -> np.ndarray:
         n_steps = noise.shape[1]
-        res = _simulate(cfg, t=n_steps * dt, dt=dt, n_paths=noise.shape[0],
+        res = _simulate(cfg, {"J"}, t=n_steps * dt, dt=dt, n_paths=noise.shape[0],
                         record=True, noise=noise)
         path = res.path
         v0 = _resolve_v0(cfg, res)
         acc = np.zeros(noise.shape[0])
         for kk in range(n_steps):
             pd = _bundle_grouped(system, res.chart_names, path.cid_idx[kk], path.x[kk],
-                                 light=False)
+                                 "full")
             v = path.J[kk] @ v0
             vv = np.einsum("pi,pij,pj->p", v, pd.g, v)
             # s_i = <nab X^i (v), v>_g / |v|^2 drives the log-norm martingale
@@ -849,7 +862,7 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
             drift = 0.5 * p * moment_form(pd, v, p) / vv * dt
             acc += mart - half_qv + drift
         pd_end = _bundle_grouped(system, res.chart_names, path.cid_idx[n_steps],
-                                 path.x[n_steps], light=False)
+                                 path.x[n_steps], "full")
         v_end = path.J[n_steps] @ v0
         vv_end = np.einsum("pi,pij,pj->p", v_end, pd_end.g, v_end)
         vv0 = float(v0 @ res.g0 @ v0)
@@ -902,9 +915,9 @@ def weak_order_check(cfg: McConfig, f_sources: list[str] | None = None) -> McRep
     mid = _pair_sum(fine)
     coarse = _pair_sum(mid)
 
-    res1 = _simulate(cfg, n_paths=n_paths, noise=coarse)
-    res2 = _simulate(cfg, dt=cfg.dt / 2.0, n_paths=n_paths, noise=mid)
-    res4 = _simulate(cfg, dt=cfg.dt / 4.0, n_paths=n_paths, noise=fine)
+    res1 = _simulate(cfg, set(), n_paths=n_paths, noise=coarse)
+    res2 = _simulate(cfg, set(), dt=cfg.dt / 2.0, n_paths=n_paths, noise=mid)
+    res4 = _simulate(cfg, set(), dt=cfg.dt / 4.0, n_paths=n_paths, noise=fine)
     ok = res1.alive & res2.alive & res4.alive
 
     rows = []

@@ -8,10 +8,28 @@ reconstruction.  Paths are independent given (seed, path index); worker
 threads split the index range into fixed blocks and results are merged in
 block order, so reports are identical for any thread count.
 
+Demand-driven companions: ``simulate(..., need=...)`` names the result
+fields the caller reads, and the engine integrates only what they depend on.
+The state, alive mask, chart switches and group re-centring always run.
+The dependency table (``_NEEDS``), requested field -> what it forces on:
+
+    (always)            state and start data; coefficient-level bundles (X, A)
+    J                   light bundles (adds DX, DA)
+    par_lw, par_adj     full bundles, midpoint Christoffels, the isometry snap
+    What, Vhat          par_adj
+    bismut_vec          par_lw, par_adj, What
+    b_raw, b_breve, beta, b_bar, recon_err, qv, cross, F (and the recorded
+    b_tilde, recon)     one noise-decomposition companion: par_lw and the
+                        normal frame
+    g_T, hp_lo, hp_hi   full bundles (hp_lo/hp_hi only with hp_p)
+
+A requested field holds exactly the values of a run with ``need=None``; a
+field not requested is None.
+
 Noise: path ``i`` of a run seeded ``s`` draws from
-``np.random.Generator(np.random.Philox(key=[s, i]))``; increments are
-``standard_normal((steps, m)) * sqrt(dt)``.  Philox is counter-based, so the
-stream depends only on ``(s, i)``.
+``np.random.Generator(np.random.Philox(key=[s, i]))`` with the key as uint64;
+increments are ``standard_normal((steps, m)) * sqrt(dt)``.  Philox is
+counter-based, so the stream depends only on ``(s, i)``.
 
 Conventions: "∘dB" equations step with Heun (predictor-corrector); explicit
 Ito sums (anti-developments, the covariant derivative-flow equation) use
@@ -23,6 +41,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from math import sqrt
+from typing import Iterable
 
 import numpy as np
 
@@ -64,7 +83,10 @@ def sample_noise(seed: int, path_index: int, steps: int, dt: float, m: int) -> N
     """
     if dt <= 0:
         raise BadParams("dt must be positive")
-    rng = np.random.Generator(np.random.Philox(key=[seed, path_index]))
+    # an explicit uint64 key: a plain list would pass seeds >= 2**63 through
+    # float64, so neighbouring seeds would share a stream
+    key = np.array([seed, path_index], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     inc = rng.standard_normal((steps, m)) * sqrt(dt)
     return NoiseGrid(seed=seed, path_index=path_index, steps=steps, dt=dt, m=m,
                      increments=inc)
@@ -84,23 +106,26 @@ def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int) 
 
 @dataclass
 class FlowPath:
-    """Full time series for a (small) batch of paths, axes (step, path, ...)."""
+    """Full time series for a (small) batch of paths, axes (step, path, ...).
+
+    Companion series the run did not request are None.
+    """
 
     times: np.ndarray                 # (K+1,)
     cid_idx: np.ndarray               # (K+1, P)
     x: np.ndarray                     # (K+1, P, n)
     alive: np.ndarray                 # (K+1, P)
-    J: np.ndarray                     # (K+1, P, n, n)
-    par_lw: np.ndarray
-    par_adj: np.ndarray
-    What: np.ndarray                  # filtered flow in the x0 frame
-    Vhat: np.ndarray                  # covariant Ito flow in the x0 frame
-    b_raw: np.ndarray                 # (K+1, P, m) cumulative driving noise
-    b_breve: np.ndarray               # (K+1, P, n) anti-development
-    beta: np.ndarray                  # (K+1, P, m) normal-frame part
-    b_tilde: np.ndarray               # (K+1, P, m)
-    b_bar: np.ndarray                 # (K+1, P, m)
-    recon: np.ndarray                 # (K+1, P, m): cumulative sum of //~ dB_bar
+    J: np.ndarray | None              # (K+1, P, n, n)
+    par_lw: np.ndarray | None
+    par_adj: np.ndarray | None
+    What: np.ndarray | None           # filtered flow in the x0 frame
+    Vhat: np.ndarray | None           # covariant Ito flow in the x0 frame
+    b_raw: np.ndarray | None          # (K+1, P, m) cumulative driving noise
+    b_breve: np.ndarray | None        # (K+1, P, n) anti-development
+    beta: np.ndarray | None           # (K+1, P, m) normal-frame part
+    b_tilde: np.ndarray | None        # (K+1, P, m)
+    b_bar: np.ndarray | None          # (K+1, P, m)
+    recon: np.ndarray | None          # (K+1, P, m): cumulative sum of //~ dB_bar
     centers: np.ndarray | None        # (K+1, P, 4) for group scenarios
     increments: np.ndarray            # (P, K, m)
     chart_names: tuple[str, ...]
@@ -132,21 +157,22 @@ class SimResult:
     centers: np.ndarray | None
     embedded: np.ndarray              # (N, embed_dim)
     alive: np.ndarray                 # (N,)
-    g_T: np.ndarray                   # (N, n, n)
-    J: np.ndarray                     # (N, n, n)
-    par_lw: np.ndarray
-    par_adj: np.ndarray
-    What: np.ndarray
-    Vhat: np.ndarray
+    # companion processes: None unless requested (see ``simulate``)
+    g_T: np.ndarray | None            # (N, n, n)
+    J: np.ndarray | None              # (N, n, n)
+    par_lw: np.ndarray | None
+    par_adj: np.ndarray | None
+    What: np.ndarray | None
+    Vhat: np.ndarray | None
     F: np.ndarray | None
-    b_raw: np.ndarray
-    b_breve: np.ndarray
-    beta: np.ndarray
-    b_bar: np.ndarray
-    recon_err: np.ndarray             # (N,) max-abs reconstruction defect
-    qv: np.ndarray                    # (N, m, m) quadratic variation of b_bar
-    cross: np.ndarray                 # (N, m, m) sum of dB_tilde x dbeta
-    bismut_vec: np.ndarray            # (N, n): S(v0) = bismut_vec . v0
+    b_raw: np.ndarray | None
+    b_breve: np.ndarray | None
+    beta: np.ndarray | None
+    b_bar: np.ndarray | None
+    recon_err: np.ndarray | None      # (N,) max-abs reconstruction defect
+    qv: np.ndarray | None             # (N, m, m) quadratic variation of b_bar
+    cross: np.ndarray | None          # (N, m, m) sum of dB_tilde x dbeta
+    bismut_vec: np.ndarray | None     # (N, n): S(v0) = bismut_vec . v0
     hp_lo: np.ndarray | None          # (N,) integral of the lower moment form
     hp_hi: np.ndarray | None
     n_dropped: int
@@ -169,16 +195,25 @@ class SimResult:
 _FIELDS = tuple(f.name for f in fields(PointData))
 
 
+def _bundle(system: SdeSystem, cid: str, x: np.ndarray, level: str) -> PointData:
+    """Bundle at one of three levels: "coeff" (X, A), "light" (+ DX, DA) or
+    "full" (all of ``point_data``)."""
+    if level == "coeff":
+        return PointData(X=system.coeff_x(cid, x), A=system.coeff_a(cid, x),
+                         DX=None, DA=None)
+    return point_data(system, cid, x, light=level == "light")
+
+
 def _bundle_grouped(system: SdeSystem, chart_names, cid_idx: np.ndarray,
-                    x: np.ndarray, light: bool) -> PointData:
+                    x: np.ndarray, level: str) -> PointData:
     if len(chart_names) == 1:
-        return point_data(system, chart_names[0], x, light=light)
+        return _bundle(system, chart_names[0], x, level)
     out: PointData | None = None
     for k, cid in enumerate(chart_names):
         mask = cid_idx == k
         if not mask.any():
             continue
-        pd = point_data(system, cid, x[mask], light=light)
+        pd = _bundle(system, cid, x[mask], level)
         if out is None:
             lead = pd.X.ndim - 2  # batch axes of pd, replaced by those of x
             blank = {}
@@ -201,7 +236,7 @@ def _scatter_rows(dst: PointData, src: PointData, mask: np.ndarray) -> None:
 def _gamma_light(system: SdeSystem, chart_names, cid_idx: np.ndarray,
                  x: np.ndarray) -> np.ndarray:
     """Induced-connection Christoffels from a light bundle evaluation."""
-    pd = _bundle_grouped(system, chart_names, cid_idx, x, light=True)
+    pd = _bundle_grouped(system, chart_names, cid_idx, x, "light")
     Xt = np.swapaxes(pd.X, -1, -2)
     Y = Xt @ np.linalg.inv(pd.X @ Xt)
     return _induced_gamma(pd.DX, Y)
@@ -277,78 +312,131 @@ def _hp_extremes(bundle: PointData, p: float) -> tuple[np.ndarray, np.ndarray]:
     return moment_form_extremes(bundle, p, grid=128)
 
 
+# Fields every run fills, whatever it requests: the state, the alive mask,
+# the charts, the group centres and the start data.
+_CORE = frozenset((
+    "t", "dt", "steps", "seed", "n_paths", "chart_names", "cid0", "x0", "g0",
+    "ginv0", "X0", "Y0", "L0", "F0", "cid_idx", "x", "centers", "embedded",
+    "alive", "n_dropped", "path", "times", "increments"))
+_SIM_COMPANIONS = tuple(f.name for f in fields(SimResult) if f.name not in _CORE)
+_PATH_FIELDS = tuple(f.name for f in fields(FlowPath))
+_ALL = _CORE | frozenset(_SIM_COMPANIONS) | frozenset(_PATH_FIELDS)
+
+# the noise decomposition: one companion, whichever of its fields is read
+_DECOMPOSITION = ("F", "b_raw", "b_breve", "beta", "b_tilde", "b_bar", "recon",
+                  "recon_err", "qv", "cross")
+# frames of tangent vectors at the current point, pushed through chart changes
+_TANGENT_FRAMES = ("J", "par_lw", "par_adj")
+
+# The dependency table: what a requested field forces on, as other fields and
+# bundle levels.  The state alone evaluates coefficients only (X, A); "light"
+# bundles add DX and DA, "full" ones are all of point_data.
+_NEEDS = {
+    "J": ("light",),
+    "par_lw": ("full",),
+    "par_adj": ("full",),
+    "What": ("par_adj",),
+    "Vhat": ("par_adj",),
+    "bismut_vec": ("par_lw", "par_adj", "What"),
+    "g_T": ("full",),
+    "hp_lo": ("full",),
+    "hp_hi": ("full",),
+    "full": ("light",),
+    **dict.fromkeys(_DECOMPOSITION, ("par_lw",)),
+}
+
+
+def _requested(need: Iterable[str] | None, hp_p: float | None) -> frozenset:
+    """The fields a run fills: the core plus ``need`` (everything if None)."""
+    need = _ALL if need is None else frozenset(need)
+    unknown = need - _ALL
+    if unknown:
+        raise BadParams(f"unknown result fields requested: {sorted(unknown)}")
+    if hp_p is None:
+        need = need - {"hp_lo", "hp_hi"}
+    return _CORE | need
+
+
+def _closure(need: frozenset) -> set:
+    """``need`` with everything the dependency table forces on."""
+    on: set = set()
+    todo = list(need)
+    while todo:
+        name = todo.pop()
+        if name not in on:
+            on.add(name)
+            todo.extend(_NEEDS.get(name, ()))
+    return on
+
+
 def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                dt: float, cid0: str, x0: np.ndarray, hp_p: float | None,
-               record: bool, noise: np.ndarray | None = None) -> dict:
+               record: bool, need: frozenset,
+               noise: np.ndarray | None = None) -> dict:
+    """Integrate one block of paths; ``need`` is what ``_requested`` returns."""
     n, m = system.n, system.m
     P = len(indices)
     chart_names = tuple(c.cid for c in system.charts)
     cid0_idx = chart_names.index(cid0)
     if noise is None:
         noise = _block_noise(seed, indices, steps, dt, m)
+    on = _closure(need)
+    level = "full" if "full" in on else "light" if "light" in on else "coeff"
+    level_s = "light" if "light" in on else "coeff"  # predictor bundle: J only
+    decompose = not on.isdisjoint(_DECOMPOSITION)
+    transport = "par_lw" in on or "par_adj" in on
 
     x = np.broadcast_to(x0, (P, n)).copy()
     cid_idx = np.full(P, cid0_idx, dtype=np.int64)
     centers = None
     if system.is_group:
         centers = np.broadcast_to(system.group_identity(), (P, 4)).copy()
-    eye = np.broadcast_to(np.eye(n), (P, n, n))
-    J = eye.copy()
-    par_lw = eye.copy()
-    par_adj = eye.copy()
-    Vhat = eye.copy()
-    What = eye.copy()
     alive = np.ones(P, dtype=bool)
+    # companion processes by field name: frames, then per-path accumulators
+    eye = np.broadcast_to(np.eye(n), (P, n, n))
+    st = {name: eye.copy() for name in ("J", "par_lw", "par_adj", "What", "Vhat")
+          if name in on}
 
-    bundle = _bundle_grouped(system, chart_names, cid_idx, x, light=False)
+    bundle = _bundle_grouped(system, chart_names, cid_idx, x, level)
     origin_bundle = bundle if system.is_group else None
-    g0 = bundle.g[0].copy()
-    ginv0 = bundle.ginv[0].copy()
-    X0 = bundle.X[0].copy()
-    Y0 = bundle.Y[0].copy()
+    start = point_data(system, cid0, x[:1])
+    g0 = start.g[0].copy()
+    ginv0 = start.ginv[0].copy()
+    X0 = start.X[0].copy()
+    Y0 = start.Y[0].copy()
     L0 = np.linalg.cholesky(g0)
     L0invT = np.linalg.inv(L0).T
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
-    adj_metric = tss_check(system, cid0, np.asarray(x0, dtype=float))[0]
+    adj_metric = ("par_adj" in on
+                  and tss_check(system, cid0, np.asarray(x0, dtype=float))[0])
     F0 = _null_frame(X0)
-    F = None if F0 is None else np.broadcast_to(F0, (P,) + F0.shape).copy()
+    F = None
+    if decompose:
+        if F0 is not None:
+            F = np.broadcast_to(F0, (P,) + F0.shape).copy()
+        st.update(b_raw=np.zeros((P, m)), b_breve=np.zeros((P, n)),
+                  beta=np.zeros((P, m)), b_bar=np.zeros((P, m)),
+                  recon=np.zeros((P, m)), qv=np.zeros((P, m, m)),
+                  cross=np.zeros((P, m, m)))
+    if "bismut_vec" in on:
+        st["bismut_vec"] = np.zeros((P, n))
+    hp = "hp_lo" in on or "hp_hi" in on
+    if hp:
+        st.update(hp_lo=np.zeros(P), hp_hi=np.zeros(P))
 
-    b_raw = np.zeros((P, m))
-    b_breve = np.zeros((P, n))
-    beta = np.zeros((P, m))
-    b_bar = np.zeros((P, m))
-    recon = np.zeros((P, m))
-    qv = np.zeros((P, m, m))
-    cross = np.zeros((P, m, m))
-    bis_vec = np.zeros((P, n))
-    hp_lo = np.zeros(P) if hp_p is not None else None
-    hp_hi = np.zeros(P) if hp_p is not None else None
+    rec: dict[str, list] = {}  # recorded series: FlowPath fields requested
 
-    rec: dict[str, list] = {}
+    def snapshot():
+        vals = dict(st, cid_idx=cid_idx, x=x, alive=alive, centers=centers)
+        if "b_tilde" in need:
+            vals["b_tilde"] = st["b_breve"] @ Y0.T
+        for key in _PATH_FIELDS:
+            if key in need and key in vals:
+                val = vals[key]
+                rec.setdefault(key, []).append(None if val is None else val.copy())
+
     if record:
-        for key in ("cid_idx", "x", "alive", "J", "par_lw", "par_adj", "What",
-                    "Vhat", "b_raw", "b_breve", "beta", "b_tilde", "b_bar",
-                    "recon", "centers"):
-            rec[key] = []
-
-        def snapshot():
-            rec["cid_idx"].append(cid_idx.copy())
-            rec["x"].append(x.copy())
-            rec["alive"].append(alive.copy())
-            rec["J"].append(J.copy())
-            rec["par_lw"].append(par_lw.copy())
-            rec["par_adj"].append(par_adj.copy())
-            rec["What"].append(What.copy())
-            rec["Vhat"].append(Vhat.copy())
-            rec["b_raw"].append(b_raw.copy())
-            rec["b_breve"].append(b_breve.copy())
-            rec["beta"].append(beta.copy())
-            rec["b_tilde"].append((b_breve @ Y0.T).copy())
-            rec["b_bar"].append(b_bar.copy())
-            rec["recon"].append(recon.copy())
-            rec["centers"].append(None if centers is None else centers.copy())
-
         snapshot()
 
     guard = system.guard_radius if system.guard_radius is not None else np.inf
@@ -361,7 +449,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # predictor / corrector for the state
         drift_k = Bk.A * dt
         x_star = x + np.einsum("...ij,...j->...i", Bk.X, dB) + drift_k
-        Bs = _bundle_grouped(system, chart_names, cid_idx, x_star, light=True)
+        Bs = _bundle_grouped(system, chart_names, cid_idx, x_star, level_s)
         x_plus = (x + 0.5 * np.einsum("...ij,...j->...i", Bk.X + Bs.X, dB)
                   + 0.5 * (Bk.A + Bs.A) * dt)
 
@@ -371,101 +459,110 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         upd = alive & ~bad
         alive = upd.copy()
         x_plus = _mwhere(upd, x_plus, x)
+        new: dict[str, np.ndarray] = {}  # frames after the step
+        inc: dict[str, np.ndarray] = {}  # accumulator increments
 
         # variational Jacobian, Heun on dJ = (DX(x) dB + DA(x) dt) J
-        DGk = np.einsum("...irj,...r->...ij", Bk.DX, dB)
-        DGs = np.einsum("...irj,...r->...ij", Bs.DX, dB)
-        if has_drift:
-            DGk = DGk + Bk.DA * dt
-            DGs = DGs + Bs.DA * dt
-        J_new = J + 0.5 * (DGk @ J + DGs @ (J + DGk @ J))
+        if "J" in st:
+            J = st["J"]
+            DGk = np.einsum("...irj,...r->...ij", Bk.DX, dB)
+            DGs = np.einsum("...irj,...r->...ij", Bs.DX, dB)
+            if has_drift:
+                DGk = DGk + Bk.DA * dt
+                DGs = DGs + Bs.DA * dt
+            new["J"] = J + 0.5 * (DGk @ J + DGs @ (J + DGk @ J))
 
-        # full bundle at the corrected point (pre chart switch)
-        Bp = _bundle_grouped(system, chart_names, cid_idx, x_plus, light=False)
-        dx = x_plus - x
+        # bundle at the corrected point (pre chart switch)
+        Bp = _bundle_grouped(system, chart_names, cid_idx, x_plus, level)
 
         # parallel transports, RK4 on dv/ds = -Gamma(x + s dx)(dx, v)
-        gamma_mid = _gamma_light(system, chart_names, cid_idx, x + 0.5 * dx)
+        if transport:
+            dx = x_plus - x
+            gamma_mid = _gamma_light(system, chart_names, cid_idx, x + 0.5 * dx)
 
-        def _seg_mats(spec):
-            return tuple(-np.einsum(spec, gam, dx)
-                         for gam in (Bk.gamma, gamma_mid, Bp.gamma))
+            def _seg_mats(spec):
+                return tuple(-np.einsum(spec, gam, dx)
+                             for gam in (Bk.gamma, gamma_mid, Bp.gamma))
 
-        par_lw_new = _rk4_transport(*_seg_mats("...ijk,...j->...ik"), par_lw)
-        par_adj_new = _rk4_transport(*_seg_mats("...ikj,...j->...ik"), par_adj)
-        par_lw_new = _isometrize(par_lw_new, Bp.g, L0invT, L0.T)
-        if adj_metric:
-            par_adj_new = _isometrize(par_adj_new, Bp.g, L0invT, L0.T)
+            if "par_lw" in st:
+                par_lw_new = _rk4_transport(*_seg_mats("...ijk,...j->...ik"), st["par_lw"])
+                new["par_lw"] = _isometrize(par_lw_new, Bp.g, L0invT, L0.T)
+            if "par_adj" in st:
+                par_adj_new = _rk4_transport(*_seg_mats("...ikj,...j->...ik"), st["par_adj"])
+                if adj_metric:
+                    par_adj_new = _isometrize(par_adj_new, Bp.g, L0invT, L0.T)
+                new["par_adj"] = par_adj_new
 
         # Ito sums at the left point
-        inv_lw = np.linalg.inv(par_lw)
-        inv_adj = np.linalg.inv(par_adj)
-        dBbreve = np.einsum("...ij,...jk,...k->...i", inv_lw, Bk.X, dB)
-        dBtilde = dBbreve @ Y0.T
-        if F0 is not None:
-            dbeta = np.einsum("ij,...kj,...k->...i", F0, F, dB)
-        else:
-            dbeta = np.zeros_like(dBtilde)
-        dBbar = dBtilde + dbeta
-        # reconstruction through the full transport, kept honest term by term
-        tan = np.einsum("...ij,...jk,kl,...l->...i", Bk.Y, par_lw, X0, dBbar)
-        if F0 is not None:
-            nor = np.einsum("...ij,kj,...k->...i", F, F0, dBbar)
-        else:
-            nor = 0.0
-        recon_inc = tan + nor
+        if "par_lw" in st:
+            inv_lw = np.linalg.inv(st["par_lw"])
+            dBbreve = np.einsum("...ij,...jk,...k->...i", inv_lw, Bk.X, dB)
+        if "What" in st or "Vhat" in st:
+            inv_adj = np.linalg.inv(st["par_adj"])
+        if decompose:
+            dBtilde = dBbreve @ Y0.T
+            if F0 is not None:
+                dbeta = np.einsum("ij,...kj,...k->...i", F0, F, dB)
+            else:
+                dbeta = np.zeros_like(dBtilde)
+            dBbar = dBtilde + dbeta
+            # reconstruction through the full transport, kept honest term by term
+            tan = np.einsum("...ij,...jk,kl,...l->...i", Bk.Y, st["par_lw"], X0, dBbar)
+            if F0 is not None:
+                nor = np.einsum("...ij,kj,...k->...i", F, F0, dBbar)
+            else:
+                nor = 0.0
+            inc.update(b_raw=dB, b_breve=dBbreve, beta=dbeta, b_bar=dBbar,
+                       recon=tan + nor, qv=dBbar[..., :, None] * dBbar[..., None, :],
+                       cross=dBtilde[..., :, None] * dbeta[..., None, :])
 
         # covariant Ito derivative flow in the adjoint-transported frame
-        Vk = par_adj @ Vhat
-        G_noise = np.einsum("...aib,...i->...ab", Bk.gradX, dB)
-        M_ito = G_noise - 0.5 * dt * Bk.ric_sharp + dt * Bk.nabla_a
-        Vhat_new = Vhat + inv_adj @ (M_ito @ Vk)
+        if "Vhat" in st:
+            Vk = st["par_adj"] @ st["Vhat"]
+            G_noise = np.einsum("...aib,...i->...ab", Bk.gradX, dB)
+            M_ito = G_noise - 0.5 * dt * Bk.ric_sharp + dt * Bk.nabla_a
+            new["Vhat"] = st["Vhat"] + inv_adj @ (M_ito @ Vk)
 
         # Bismut integrand <//~^-1 W_s v0, dB_breve>_{g0}, linear in v0
-        Wk = par_adj @ What
-        bis_inc = np.einsum("...ba,bc,...c->...a", inv_lw @ Wk, g0, dBbreve)
+        if "bismut_vec" in st:
+            Wk = st["par_adj"] @ st["What"]
+            inc["bismut_vec"] = np.einsum("...ba,bc,...c->...a", inv_lw @ Wk, g0, dBbreve)
 
         # filtered flow, RK2 on What' = L(s) What
-        inv_adj_new = np.linalg.inv(par_adj_new)
-        damp_k = -0.5 * Bk.ric_sharp + Bk.nabla_a
-        damp_p = -0.5 * Bp.ric_sharp + Bp.nabla_a
-        Lk = inv_adj @ (damp_k @ par_adj)
-        Lp = inv_adj_new @ (damp_p @ par_adj_new)
-        What_new = What + 0.5 * dt * (Lk @ What + Lp @ (What + dt * (Lk @ What)))
+        if "What" in st:
+            What = st["What"]
+            inv_adj_new = np.linalg.inv(new["par_adj"])
+            damp_k = -0.5 * Bk.ric_sharp + Bk.nabla_a
+            damp_p = -0.5 * Bp.ric_sharp + Bp.nabla_a
+            Lk = inv_adj @ (damp_k @ st["par_adj"])
+            Lp = inv_adj_new @ (damp_p @ new["par_adj"])
+            new["What"] = What + 0.5 * dt * (Lk @ What + Lp @ (What + dt * (Lk @ What)))
 
         # moment-form integrals at the left point
-        if hp_p is not None:
+        if hp:
             lo, hi = _hp_extremes(Bk, hp_p)
-            hp_lo = hp_lo + np.where(upd, lo * dt, 0.0)
-            hp_hi = hp_hi + np.where(upd, hi * dt, 0.0)
+            st["hp_lo"] = st["hp_lo"] + np.where(upd, lo * dt, 0.0)
+            st["hp_hi"] = st["hp_hi"] + np.where(upd, hi * dt, 0.0)
 
         # commit masked updates
-        J = _mwhere(upd, J_new, J)
-        par_lw = _mwhere(upd, par_lw_new, par_lw)
-        par_adj = _mwhere(upd, par_adj_new, par_adj)
-        Vhat = _mwhere(upd, Vhat_new, Vhat)
-        What = _mwhere(upd, What_new, What)
-        b_raw = b_raw + _mwhere(upd, dB, np.zeros_like(dB))
-        b_breve = b_breve + _mwhere(upd, dBbreve, np.zeros_like(dBbreve))
-        beta = beta + _mwhere(upd, dbeta, np.zeros_like(dbeta))
-        b_bar = b_bar + _mwhere(upd, dBbar, np.zeros_like(dBbar))
-        recon = recon + _mwhere(upd, recon_inc, np.zeros_like(recon))
-        qv = qv + _mwhere(upd, dBbar[..., :, None] * dBbar[..., None, :], np.zeros_like(qv))
-        cross = cross + _mwhere(upd, dBtilde[..., :, None] * dbeta[..., None, :], np.zeros_like(cross))
-        bis_vec = bis_vec + _mwhere(upd, bis_inc, np.zeros_like(bis_inc))
+        for name, val in new.items():
+            st[name] = _mwhere(upd, val, st[name])
+        for name, val in inc.items():
+            st[name] = st[name] + _mwhere(upd, val, np.zeros_like(val))
 
         # normal frame: project forward, renormalize by the polar factor
-        if F0 is not None:
+        if F is not None:
             F = _mwhere(upd, _polar_columns(Bp.PN @ F), F)
 
-        # chart switches / group recentering
+        # chart switches / group recentering carry the tangent frames along
+        tangent = [name for name in _TANGENT_FRAMES if name in st]
         if system.is_group:
             new_centers = system.group_compose(centers, x_plus)
-            M = system.group_recenter_jacobian(x_plus)
             centers = _mwhere(upd, new_centers, centers)
-            J = _mwhere(upd, M @ J, J)
-            par_lw = _mwhere(upd, M @ par_lw, par_lw)
-            par_adj = _mwhere(upd, M @ par_adj, par_adj)
+            if tangent:
+                M = system.group_recenter_jacobian(x_plus)
+                for name in tangent:
+                    st[name] = _mwhere(upd, M @ st[name], st[name])
             x = _mwhere(upd, np.zeros_like(x), x_plus)
             bundle = origin_bundle
         else:
@@ -484,39 +581,31 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                     target = system.switch_target(cid)
                     ti = chart_names.index(target)
                     xn = system.transition(cid, target, x[sw])
-                    M = system.transition_jacobian(cid, target, x[sw])
+                    if tangent:
+                        M = system.transition_jacobian(cid, target, x[sw])
+                        for name in tangent:
+                            st[name][sw] = M @ st[name][sw]
                     x[sw] = xn
                     cid_idx[sw] = ti
-                    J[sw] = M @ J[sw]
-                    par_lw[sw] = M @ par_lw[sw]
-                    par_adj[sw] = M @ par_adj[sw]
                     switched |= sw
                 if switched.any():
                     pd_new = _bundle_grouped(system, chart_names, cid_idx[switched],
-                                             x[switched], light=False)
+                                             x[switched], level)
                     _scatter_rows(bundle, pd_new, switched)
         if record:
             snapshot()
 
-    recon_err = np.max(np.abs(recon - b_raw), axis=-1)
-    out = {
-        "chart_names": chart_names, "cid0": cid0, "x0": x0,
-        "g0": g0, "ginv0": ginv0, "X0": X0, "Y0": Y0, "L0": L0, "F0": F0,
-        "cid_idx": cid_idx, "x": x, "centers": centers, "alive": alive,
-        "g_T": bundle.g.copy() if bundle.g.ndim == 3 else np.broadcast_to(bundle.g, (P, n, n)).copy(),
-        "J": J, "par_lw": par_lw, "par_adj": par_adj, "What": What, "Vhat": Vhat,
-        "F": F, "b_raw": b_raw, "b_breve": b_breve, "beta": beta, "b_bar": b_bar,
-        "recon_err": recon_err, "qv": qv, "cross": cross, "bismut_vec": bis_vec,
-        "hp_lo": hp_lo, "hp_hi": hp_hi,
-    }
+    out = dict(st, chart_names=chart_names, cid0=cid0, x0=x0, g0=g0, ginv0=ginv0,
+               X0=X0, Y0=Y0, L0=L0, F0=F0, cid_idx=cid_idx, x=x, centers=centers,
+               alive=alive, F=F)
+    if decompose:
+        out["recon_err"] = np.max(np.abs(st["recon"] - st["b_raw"]), axis=-1)
+    if "g_T" in on:
+        out["g_T"] = (bundle.g.copy() if bundle.g.ndim == 3
+                      else np.broadcast_to(bundle.g, (P, n, n)).copy())
     if record:
-        series = {}
-        for key, frames in rec.items():
-            if frames[0] is None:
-                series[key] = None
-            else:
-                series[key] = np.stack(frames, axis=0)
-        out["record"] = series
+        out["record"] = {key: None if frames[0] is None else np.stack(frames, axis=0)
+                         for key, frames in rec.items()}
         out["increments"] = noise
     return out
 
@@ -524,12 +613,22 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
              x0: np.ndarray | None = None, cid: str | None = None,
              hp_p: float | None = None, threads: int = 1,
-             record: bool = False, noise: np.ndarray | None = None) -> SimResult:
+             record: bool = False, noise: np.ndarray | None = None,
+             need: Iterable[str] | None = None) -> SimResult:
     """Run ``n_paths`` independent paths to time ``t`` and gather terminals.
 
     ``record=True`` additionally stores the full time series (meant for small
     batches).  ``noise`` optionally supplies the increments (n_paths, steps, m)
     directly, bypassing the seeded streams.
+
+    ``need`` names the ``SimResult`` (and, with ``record``, ``FlowPath``)
+    fields the caller will read; ``None`` means all of them.  The state, the
+    alive mask, the charts, the group centres and the start data (``g0``,
+    ``ginv0``, ``X0``, ``Y0``, ``L0``, ``F0``) are always filled.  Only the
+    companion processes the requested fields depend on are integrated (see
+    ``_NEEDS``), and every field not requested is ``None``; ``hp_lo`` and
+    ``hp_hi`` also need ``hp_p``.  A requested field holds exactly the values
+    a run with ``need=None`` gives.
     """
     steps = int(round(t / dt))
     if steps <= 0 or abs(steps * dt - t) > 1e-9 * max(1.0, t):
@@ -539,6 +638,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         cid = cid if cid is not None else cid_d
         x0 = x0 if x0 is not None else x0_d
     x0 = np.asarray(x0, dtype=float)
+    need = _requested(need, hp_p)
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]
@@ -547,7 +647,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     def work(idx_block):
         return _run_block(system, seed, idx_block, steps, dt, cid, x0, hp_p,
-                          record, noise=noise)
+                          record, need, noise=noise)
 
     if threads <= 1 or len(blocks) == 1:
         results = [work(b) for b in blocks]
@@ -556,7 +656,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
             results = list(pool.map(work, blocks))
 
     def cat(key):
-        vals = [r[key] for r in results]
+        vals = [r.get(key) for r in results]
         if vals[0] is None:
             return None
         return np.concatenate(vals, axis=0)
@@ -580,31 +680,19 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     path = None
     if record:
-        series = first["record"]
-        path = FlowPath(
-            times=np.arange(steps + 1) * dt,
-            cid_idx=series["cid_idx"], x=series["x"], alive=series["alive"],
-            J=series["J"], par_lw=series["par_lw"], par_adj=series["par_adj"],
-            What=series["What"], Vhat=series["Vhat"], b_raw=series["b_raw"],
-            b_breve=series["b_breve"], beta=series["beta"],
-            b_tilde=series["b_tilde"], b_bar=series["b_bar"],
-            recon=series["recon"],
-            centers=series["centers"], increments=first["increments"],
-            chart_names=chart_names, g0=first["g0"], x0=first["x0"], cid0=cid,
-        )
+        series = dict.fromkeys(_PATH_FIELDS, None)
+        series.update(first["record"])
+        series.update(times=np.arange(steps + 1) * dt, increments=first["increments"],
+                      chart_names=chart_names, g0=first["g0"], x0=first["x0"], cid0=cid)
+        path = FlowPath(**series)
 
+    companions = {name: cat(name) if name in need else None for name in _SIM_COMPANIONS}
     return SimResult(
         t=t, dt=dt, steps=steps, seed=seed, n_paths=n_paths,
         chart_names=chart_names, cid0=cid, x0=first["x0"], g0=first["g0"],
         ginv0=first["ginv0"], X0=first["X0"], Y0=first["Y0"], L0=first["L0"],
         F0=first["F0"], cid_idx=cid_idx, x=x, centers=centers, embedded=emb,
-        alive=alive, g_T=cat("g_T"), J=cat("J"), par_lw=cat("par_lw"),
-        par_adj=cat("par_adj"), What=cat("What"), Vhat=cat("Vhat"), F=cat("F"),
-        b_raw=cat("b_raw"), b_breve=cat("b_breve"), beta=cat("beta"),
-        b_bar=cat("b_bar"), recon_err=cat("recon_err"), qv=cat("qv"),
-        cross=cat("cross"), bismut_vec=cat("bismut_vec"),
-        hp_lo=cat("hp_lo"), hp_hi=cat("hp_hi"),
-        n_dropped=int(n_paths - alive.sum()), path=path,
+        alive=alive, n_dropped=int(n_paths - alive.sum()), path=path, **companions,
     )
 
 

@@ -79,6 +79,35 @@ def test_flag_override_is_validated(tmp_path):
     assert code == 2
 
 
+def test_seed_beyond_64_bits_rejected(tmp_path, capsys):
+    cfg = {"command": "estimate", "check": "generator",
+           "scenario": {"name": "flat"}, "n_paths": 200, "seed": 2**64}
+    code, _ = run(tmp_path, cfg)
+    assert code == 2
+    assert "$.seed" in capsys.readouterr().err
+    # the command-line override goes through the same schema gate
+    code, _ = run(tmp_path, dict(cfg, seed=0), "--seed", str(2**64))
+    assert code == 2
+    assert "$.seed" in capsys.readouterr().err
+
+
+def test_x0_of_wrong_length_rejected(tmp_path, capsys):
+    code, _ = run(tmp_path, {"command": "estimate", "check": "generator",
+                             "scenario": {"name": "flat", "params": {"n": 2}},
+                             "n_paths": 200, "x0": [0.0, 0.0, 0.0]})
+    assert code == 2
+    assert "x0 has shape (3,)" in capsys.readouterr().err
+
+
+def test_v0_of_wrong_length_rejected(tmp_path, capsys):
+    # generator never reads v0; a wrong one must still be refused up front
+    code, _ = run(tmp_path, {"command": "estimate", "check": "generator",
+                             "scenario": {"name": "flat", "params": {"n": 2}},
+                             "n_paths": 200, "v0": [1.0, 0.0, 0.0]})
+    assert code == 2
+    assert "v0 has shape (3,)" in capsys.readouterr().err
+
+
 def test_subcommand_must_match_config(tmp_path):
     code, _ = run(tmp_path, {"command": "verify",
                              "scenario": {"name": "flat"}}, sub="tensors")
@@ -216,6 +245,28 @@ def test_estimate_decompose(tmp_path):
     assert code == 0
     assert rep["status"] == "passed"
     assert all("tolerance" in r and "provenance" in r for r in rep["rows"])
+
+
+def test_estimate_dump_matches_full_run(tmp_path):
+    # the dump after a check requests only what it writes; the CSV must be
+    # the one a run with every companion process gives
+    from flowgeom.cli import _dump_paths_csv, _mc_config
+    from flowgeom.stochastic import simulate
+
+    cfg = {"command": "estimate", "check": "oneform",
+           "scenario": {"name": "sphere-gradient", "params": {"n": 2}},
+           "x0": [1.9, 0.2], "t": 0.3, "dt": 1e-2, "n_paths": 120, "seed": 4,
+           "threads": 1}
+    dump = tmp_path / "paths.csv"
+    run(tmp_path, cfg, "--dump-paths", str(dump))
+    mc = _mc_config(cfg, "oneform")
+    cid, x0 = mc.start()
+    res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
+                   x0=x0, cid=cid)
+    assert set(res.cid_idx.tolist()) == {0, 1}  # some paths switched charts
+    full = tmp_path / "full.csv"
+    _dump_paths_csv(str(full), mc.system, res, np.linalg.inv(res.L0).T[:, 0])
+    assert dump.read_bytes() == full.read_bytes()
 
 
 def test_estimate_not_applicable_exits_zero(tmp_path):

@@ -9,12 +9,16 @@ Frozen references:
   so(3):               J equals the adjoint-transport at integrator order
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from flowgeom.errors import BadParams
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
+    FlowPath,
+    SimResult,
     integrate_flow,
     reconstruction_error,
     sample_noise,
@@ -64,6 +68,15 @@ def test_noise_moments_match_brownian_scaling():
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
     assert abs(z.var() - 1.0) < 4.0 * np.sqrt(2.0 / n)
+
+
+def test_noise_keys_use_all_64_bits():
+    # seeds past 2**63 must neither collide with a neighbour nor overflow
+    a = sample_noise(2**63, 0, 4, 0.1, 2)
+    b = sample_noise(2**63 + 1, 0, 4, 0.1, 2)
+    top = sample_noise(2**64 - 1, 0, 4, 0.1, 2)
+    assert not np.array_equal(a.increments, b.increments)
+    assert np.all(np.isfinite(top.increments))
 
 
 def test_noise_rejects_bad_dt():
@@ -270,3 +283,80 @@ def test_flow_helpers_expose_recorded_processes(sphere):
     np.testing.assert_allclose(path.b_bar, path.b_tilde + path.beta, atol=1e-14)
     assert reconstruction_error(path).shape == (6,)
     assert np.max(reconstruction_error(path)) < 1e-10
+
+
+# ------------------------------------------------------- requested fields
+
+# the request set of each caller of the engine
+REQUESTS = {
+    "state only (generator, se_scaling, weak_order, bismut fd runs)": set(),
+    "oneform, ito_pathwise": {"J"},
+    "filtered, estimate dump": {"J", "par_adj", "What", "g_T"},
+    "bismut": {"bismut_vec"},
+    "moments": {"J", "g_T", "hp_lo", "hp_hi"},
+    "bochner": {"par_adj", "What"},
+    "decompose": {"b_raw", "recon_err", "qv", "cross"},
+}
+
+# filled by every run, whatever it requests
+SIM_CORE = {"t", "dt", "steps", "seed", "n_paths", "chart_names", "cid0", "x0",
+            "g0", "ginv0", "X0", "Y0", "L0", "F0", "cid_idx", "x", "centers",
+            "embedded", "alive", "n_dropped", "path"}
+PATH_CORE = {"times", "cid_idx", "x", "alive", "centers", "increments",
+             "chart_names", "g0", "x0", "cid0"}
+
+SCENARIOS = {
+    # started next to the chart boundary |u| = 2, so paths switch charts
+    "sphere-gradient": ({"n": 2}, [1.95, 0.1]),
+    "so3-left-invariant": ({}, None),
+    # its adjoint connection is not metric, so //^ is never isometrized
+    "twisted-plane": ({"alpha": 0.5}, None),
+    "flat": ({"n": 2, "drift": ["-x1", "-x2"]}, None),
+    "circle": ({}, None),
+    "custom": ({"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}, None),
+}
+
+
+def _same_or_absent(full, part, core, need, where):
+    for f in fields(full):
+        if f.name == "path":
+            continue
+        a, b = getattr(full, f.name), getattr(part, f.name)
+        if f.name not in core and f.name not in need:
+            assert b is None, f"{where}: {f.name} was not requested"
+        elif isinstance(a, np.ndarray):
+            assert isinstance(b, np.ndarray) and np.array_equal(a, b), \
+                f"{where}: {f.name} differs from the full run"
+        else:
+            assert a == b or (a is None and b is None), f"{where}: {f.name}"
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+@pytest.mark.parametrize("hp_p, threads, n_paths, t, record", [
+    (None, 2, 2100, 0.04, False),  # two blocks on two threads
+    (2.0, 1, 24, 0.2, True),
+])
+def test_requested_fields_match_full_run(name, hp_p, threads, n_paths, t, record):
+    params, x0 = SCENARIOS[name]
+    sys = system_of(name, params)
+    kw = dict(t=t, dt=1e-2, n_paths=n_paths, seed=17, hp_p=hp_p, threads=threads,
+              record=record, x0=None if x0 is None else np.asarray(x0))
+    full = simulate(sys, **kw)
+    if name == "sphere-gradient":
+        assert set(full.cid_idx.tolist()) == {0, 1}  # chart switches happened
+    for label, need in REQUESTS.items():
+        part = simulate(sys, need=need, **kw)
+        where = f"{name}, {label}"
+        _same_or_absent(full, part, SIM_CORE, need, where)
+        if record:
+            _same_or_absent(full.path, part.path, PATH_CORE, need, where + ", path")
+        else:
+            assert part.path is None
+
+
+def test_unknown_requested_field_rejected(sphere):
+    with pytest.raises(BadParams):
+        simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, need={"Jacobian"})

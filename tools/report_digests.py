@@ -1,0 +1,162 @@
+"""Print one sha256 per report under fixed seeds: the refactor gate.
+
+Usage, from the root of a flowgeom checkout:
+
+    python3 tools/report_digests.py [--root DIR]
+
+Imports ``flowgeom`` from ``DIR/src`` (default: this checkout) and prints one
+line ``<sha256>  <label>`` per report.  A report's digest is
+``flowbench/child.digest``: the sha256 of its JSON with every ``wall_time``
+removed.  Run it on two checkouts and diff the outputs; a change that keeps
+every result bit for bit gives an empty diff.
+
+Covered: the benchmark's workload configs at seeds 0 and 1, CLI ``estimate``
+of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
+twisted-plane, CLI ``simulate`` plain and recorded, the API-only checks
+``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, and
+every array of a default ``simulate`` on each scenario.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+REPO = os.path.dirname(HERE)
+
+SPHERE = {"name": "sphere-gradient", "params": {"n": 2}}
+MC = {"seed": 7, "threads": 2}
+
+# check -> overrides; horizons kept short so the whole sweep stays quick
+ESTIMATES = {
+    "filtered": {"n_paths": 400},
+    "bismut": {"n_paths": 400, "t": 0.2},
+    "moments": {"n_paths": 300, "t": 0.3},
+    "generator": {"n_paths": 2000},
+    "oneform": {"n_paths": 2000},
+    "bochner": {"n_paths": 200, "t": 0.5},
+    "decompose": {"n_paths": 200, "t": 0.1},
+}
+
+SCENARIOS = (
+    ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
+    ("sphere-gradient", {"n": 2}),
+    ("sphere-gradient", {"n": 3}),
+    ("so3-left-invariant", {}),
+    ("twisted-plane", {"alpha": 0.5}),
+    ("circle", {}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
+)
+
+
+def configs() -> list[tuple[str, dict]]:
+    """(label, CLI config) for every config-driven report."""
+    from workloads import WORKLOADS, configs as workload_configs
+
+    out = []
+    for workload in WORKLOADS:
+        for seed in (0, 1):
+            for k, cfg in enumerate(workload_configs(workload, seed)):
+                out.append((f"workload {workload} seed {seed} op {k}", cfg))
+    for check, extra in ESTIMATES.items():
+        out.append((f"estimate {check} sphere-gradient",
+                    {"command": "estimate", "check": check, "scenario": SPHERE,
+                     **MC, **extra}))
+    for name, params in (("so3-left-invariant", {}), ("twisted-plane", {"alpha": 0.5})):
+        out.append((f"estimate filtered {name}",
+                    {"command": "estimate", "check": "filtered",
+                     "scenario": {"name": name, "params": params},
+                     "n_paths": 400, **MC}))
+    for record in (False, True):
+        out.append((f"simulate sphere-gradient record={record}",
+                    {"command": "simulate", "scenario": SPHERE, "n_paths": 300,
+                     "t": 0.3, "record": record, **MC}))
+    return out
+
+
+def api_reports() -> list[tuple[str, dict]]:
+    """(label, report dict) for the checks only the Python API reaches."""
+    from flowgeom.estimators import (
+        McConfig, ito_pathwise_check, se_scaling_check, weak_order_check)
+    from flowgeom.model import build_scenario
+
+    def cfg(name, params, **kw):
+        return McConfig(system=build_scenario(name, params).system, **kw)
+
+    out = []
+    for name, params in (("sphere-gradient", {"n": 2}), SCENARIOS[-1]):
+        rep = ito_pathwise_check(cfg(name, params, t=0.2, dt=1e-2, seed=3), n_paths=12)
+        out.append((f"ito_pathwise_check {name}", rep.to_dict()))
+    rep = weak_order_check(cfg("sphere-gradient", {"n": 2}, t=0.2, dt=2e-2,
+                               n_paths=400, seed=4))
+    out.append(("weak_order_check sphere-gradient", rep.to_dict()))
+    rep = se_scaling_check(cfg("sphere-gradient", {"n": 2}, t=0.2, dt=2e-2,
+                               n_paths=400, seed=5))
+    out.append(("se_scaling_check sphere-gradient", rep.to_dict()))
+    return out
+
+
+def engine_arrays() -> list[tuple[str, dict]]:
+    """(label, {field: sha256 of its bytes}) of default ``simulate`` runs."""
+    from dataclasses import fields
+
+    import numpy as np
+
+    from flowgeom.model import build_scenario
+    from flowgeom.stochastic import simulate
+
+    def hashes(obj) -> dict:
+        out = {}
+        for f in fields(obj):
+            val = getattr(obj, f.name)
+            if isinstance(val, np.ndarray):
+                out[f.name] = hashlib.sha256(np.ascontiguousarray(val).tobytes()).hexdigest()
+        return out
+
+    out = []
+    for name, params in SCENARIOS:
+        system = build_scenario(name, params).system
+        for hp_p in (None, 2.0):
+            res = simulate(system, t=0.3, dt=1e-2, n_paths=2100, seed=9, hp_p=hp_p,
+                           threads=2)
+            out.append((f"simulate arrays {name} {params} hp_p={hp_p}", hashes(res)))
+        res = simulate(system, t=0.1, dt=1e-2, n_paths=16, seed=9, record=True)
+        out.append((f"simulate arrays {name} {params} record",
+                    dict(hashes(res), **{f"path.{k}": v
+                                         for k, v in hashes(res.path).items()})))
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--root", default=REPO,
+                   help="flowgeom checkout whose src/ is imported (default: this one)")
+    args = p.parse_args(argv)
+    src = os.path.join(os.path.abspath(args.root), "src")
+    if not os.path.isfile(os.path.join(src, "flowgeom", "__init__.py")):
+        print(f"no flowgeom source under {src}", file=sys.stderr)
+        return 2
+    sys.path[:0] = [src, os.path.join(REPO, "flowbench")]
+    from child import digest
+
+    import flowgeom.cli as cli
+
+    for label, cfg in configs():
+        try:
+            report = cli.run_config(cfg)
+        except Exception as exc:  # a raising config is compared by its error
+            report = {"error": f"{type(exc).__name__}: {exc}"}
+        print(f"{digest(report)}  {label}", flush=True)
+    for label, report in api_reports() + engine_arrays():
+        print(f"{digest(report)}  {label}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
