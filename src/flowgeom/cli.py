@@ -9,7 +9,8 @@ per-path data goes to --dump-paths as CSV.
 
 Exit codes: 0 when every requested check passes (a check whose
 preconditions fail reports not_applicable and still exits 0), 1 on a
-check failure, 2 on a config error, 3 on a runtime or numeric error.
+check failure, 2 on a config error, 3 on a runtime or numeric error or on
+any other exception (reported as an internal error, without a traceback).
 """
 
 from __future__ import annotations
@@ -512,6 +513,16 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # a fault of the program, not a failed check: exit 3
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+
+
+def _run(args) -> int:
+    """The body of ``main``: run the config and return its exit code; an
+    exception no handler here maps to a code reaches ``main``."""
     overrides = {k: getattr(args, k) for k in ("seed", "n_paths", "dt", "t", "threads")}
     try:
         cfg = load_config(args.config, overrides)

@@ -216,7 +216,8 @@ def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
               dt: float | None = None, n_paths: int | None = None,
               seed: int | None = None, x0: np.ndarray | None = None,
               hp_p: float | None = None, record: bool = False,
-              noise: np.ndarray | None = None) -> SimResult:
+              noise: np.ndarray | None = None,
+              also_at: int | None = None) -> SimResult:
     """One engine run for a check; ``need`` names the companions it reads."""
     cid, x0_d = cfg.start()
     return simulate(
@@ -232,6 +233,7 @@ def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
         record=record,
         noise=noise,
         need=need,
+        also_at=also_at,
     )
 
 
@@ -572,16 +574,17 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
         estimate=lw_val - lc_val, se=0.0, reference=0.0,
         provenance="analytic", tolerance=1e-6)]
 
-    res = _simulate(cfg, set())
+    half_steps = max(1, round(cfg.t / cfg.dt) // 2)
+    res = _simulate(cfg, set(), also_at=half_steps)
     alive = _alive_gate(res)
     k = cfg.k_se
     f0 = _scalar_at_start(cfg, f_source)
     fT = _terminal_scalar(res, f_source)[alive]
     est, se = _mean_se((fT - f0) / cfg.t)
 
-    steps = round(cfg.t / cfg.dt)
-    t_half = max(1, steps // 2) * cfg.dt
-    res_h = _simulate(cfg, set(), t=t_half)
+    # the t/2 run is the first half of the t-run
+    t_half = half_steps * cfg.dt
+    res_h = res.earlier
     fT_h = _terminal_scalar(res_h, f_source)[res_h.alive]
     est_h = float(np.mean((fT_h - f0) / t_half))
     bias_allow = 2.0 * abs(est - est_h)
@@ -631,7 +634,8 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
     oracle = system.oracle
     phi0 = one_form_from_spec(system, cid, phi_spec)
 
-    res = _simulate(cfg, {"J"})
+    half_steps = max(1, round(cfg.t / cfg.dt) // 2)
+    res = _simulate(cfg, {"J"}, also_at=half_steps)
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -665,9 +669,9 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
     phi0_v0 = float(phi0(x0) @ v0)
     est, se = _mean_se((pair - phi0_v0) / cfg.t)
 
-    steps = round(cfg.t / cfg.dt)
-    t_half = max(1, steps // 2) * cfg.dt
-    res_h = _simulate(cfg, {"J"}, t=t_half)
+    # the t/2 run is the first half of the t-run
+    t_half = half_steps * cfg.dt
+    res_h = res.earlier
     pair_h = _terminal_one_form_pairing(cfg, res_h, phi_spec, res_h.J @ v0)[res_h.alive]
     est_h = float(np.mean((pair_h - phi0_v0) / t_half))
     bias_allow = 2.0 * abs(est - est_h)

@@ -24,12 +24,16 @@ The dependency table (``_NEEDS``), requested field -> what it forces on:
     g_T, hp_lo, hp_hi   full bundles (hp_lo/hp_hi only with hp_p)
 
 A requested field holds exactly the values of a run with ``need=None``; a
-field not requested is None.
+field not requested is None.  ``simulate(..., also_at=k)`` also returns the
+requested fields after ``k`` steps of the same run (``SimResult.earlier``),
+equal to a separate run to ``k * dt``.
 
 Noise: path ``i`` of a run seeded ``s`` draws from
 ``np.random.Generator(np.random.Philox(key=[s, i]))`` with the key as uint64;
 increments are ``standard_normal((steps, m)) * sqrt(dt)``.  Philox is
-counter-based, so the stream depends only on ``(s, i)``.
+counter-based, so the stream depends only on ``(s, i)``, and its first steps
+do not depend on ``steps``.  A block builds one Philox and re-keys it to each
+of its paths in turn.
 
 Conventions: "∘dB" equations step with Heun (predictor-corrector); explicit
 Ito sums (anti-developments, the covariant derivative-flow equation) use
@@ -79,23 +83,38 @@ def sample_noise(seed: int, path_index: int, steps: int, dt: float, m: int) -> N
 
     The stream is a pure function of (seed, path_index): a Philox
     counter-based generator keyed by the pair, drawing standard normals via
-    numpy's ziggurat and scaling by sqrt(dt).
+    numpy's ziggurat and scaling by sqrt(dt).  It is row ``0`` of
+    ``_block_noise(seed, [path_index], ...)``, the engine's own draw.
     """
     if dt <= 0:
         raise BadParams("dt must be positive")
-    # an explicit uint64 key: a plain list would pass seeds >= 2**63 through
-    # float64, so neighbouring seeds would share a stream
-    key = np.array([seed, path_index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    inc = rng.standard_normal((steps, m)) * sqrt(dt)
+    inc = _block_noise(seed, np.array([path_index]), steps, dt, m)[0]
     return NoiseGrid(seed=seed, path_index=path_index, steps=steps, dt=dt, m=m,
                      increments=inc)
 
 
 def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int) -> np.ndarray:
+    """Increments (len(indices), steps, m) of the listed paths.
+
+    One Philox serves the block: before each row it is re-keyed to
+    (seed, index) with a zero counter and an empty buffer, the state a fresh
+    ``Philox(key=[seed, index])`` starts in, so a row depends on its index
+    alone.
+    """
+    bits = np.random.Philox()
+    rng = np.random.Generator(bits)
     out = np.empty((len(indices), steps, m))
     for row, idx in enumerate(indices):
-        out[row] = sample_noise(seed, int(idx), steps, dt, m).increments
+        # an explicit uint64 key: a plain list would pass seeds >= 2**63
+        # through float64, so neighbouring seeds would share a stream
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64),
+                      "key": np.array([seed, idx], dtype=np.uint64)},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        rng.standard_normal((steps, m), out=out[row])
+    out *= sqrt(dt)
     return out
 
 
@@ -177,6 +196,7 @@ class SimResult:
     hp_hi: np.ndarray | None
     n_dropped: int
     path: FlowPath | None = None
+    earlier: SimResult | None = None  # the same run at an earlier step (``also_at``)
 
     def W(self) -> np.ndarray:
         """Filtered flow matrices W_T = //^_T What_T."""
@@ -208,6 +228,13 @@ def _bundle_grouped(system: SdeSystem, chart_names, cid_idx: np.ndarray,
                     x: np.ndarray, level: str) -> PointData:
     if len(chart_names) == 1:
         return _bundle(system, chart_names[0], x, level)
+    if (cid_idx == cid_idx[0]).all():
+        # one chart occupied: no masks and no scatter, but C-ordered fields
+        # as the scatter gives them, since the memory layout of an operand
+        # can move the last bit of later sums
+        pd = _bundle(system, chart_names[cid_idx[0]], x, level)
+        return PointData(**{name: None if (val := getattr(pd, name)) is None
+                            else np.ascontiguousarray(val) for name in _FIELDS})
     out: PointData | None = None
     for k, cid in enumerate(chart_names):
         mask = cid_idx == k
@@ -317,7 +344,7 @@ def _hp_extremes(bundle: PointData, p: float) -> tuple[np.ndarray, np.ndarray]:
 _CORE = frozenset((
     "t", "dt", "steps", "seed", "n_paths", "chart_names", "cid0", "x0", "g0",
     "ginv0", "X0", "Y0", "L0", "F0", "cid_idx", "x", "centers", "embedded",
-    "alive", "n_dropped", "path", "times", "increments"))
+    "alive", "n_dropped", "path", "earlier", "times", "increments"))
 _SIM_COMPANIONS = tuple(f.name for f in fields(SimResult) if f.name not in _CORE)
 _PATH_FIELDS = tuple(f.name for f in fields(FlowPath))
 _ALL = _CORE | frozenset(_SIM_COMPANIONS) | frozenset(_PATH_FIELDS)
@@ -372,8 +399,12 @@ def _closure(need: frozenset) -> set:
 def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                dt: float, cid0: str, x0: np.ndarray, hp_p: float | None,
                record: bool, need: frozenset,
-               noise: np.ndarray | None = None) -> dict:
-    """Integrate one block of paths; ``need`` is what ``_requested`` returns."""
+               noise: np.ndarray | None = None, also_at: int | None = None) -> dict:
+    """Integrate one block of paths; ``need`` is what ``_requested`` returns.
+
+    With ``also_at``, ``out["earlier"]`` holds the same fields after that
+    many steps, copied since the engine updates some arrays in place.
+    """
     n, m = system.n, system.m
     P = len(indices)
     chart_names = tuple(c.cid for c in system.charts)
@@ -438,6 +469,18 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
     if record:
         snapshot()
+
+    def fields_now() -> dict:
+        """The block's result fields at the current step."""
+        out = dict(st, chart_names=chart_names, cid0=cid0, x0=x0, g0=g0,
+                   ginv0=ginv0, X0=X0, Y0=Y0, L0=L0, F0=F0, cid_idx=cid_idx, x=x,
+                   centers=centers, alive=alive, F=F)
+        if decompose:
+            out["recon_err"] = np.max(np.abs(st["recon"] - st["b_raw"]), axis=-1)
+        if "g_T" in on:
+            out["g_T"] = (bundle.g.copy() if bundle.g.ndim == 3
+                          else np.broadcast_to(bundle.g, (P, n, n)).copy())
+        return out
 
     guard = system.guard_radius if system.guard_radius is not None else np.inf
     has_drift = system.has_drift
@@ -594,15 +637,13 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                     _scatter_rows(bundle, pd_new, switched)
         if record:
             snapshot()
+        if k + 1 == also_at:
+            earlier = {key: val.copy() if isinstance(val, np.ndarray) else val
+                       for key, val in fields_now().items()}
 
-    out = dict(st, chart_names=chart_names, cid0=cid0, x0=x0, g0=g0, ginv0=ginv0,
-               X0=X0, Y0=Y0, L0=L0, F0=F0, cid_idx=cid_idx, x=x, centers=centers,
-               alive=alive, F=F)
-    if decompose:
-        out["recon_err"] = np.max(np.abs(st["recon"] - st["b_raw"]), axis=-1)
-    if "g_T" in on:
-        out["g_T"] = (bundle.g.copy() if bundle.g.ndim == 3
-                      else np.broadcast_to(bundle.g, (P, n, n)).copy())
+    out = fields_now()
+    if also_at is not None:
+        out["earlier"] = earlier
     if record:
         out["record"] = {key: None if frames[0] is None else np.stack(frames, axis=0)
                          for key, frames in rec.items()}
@@ -610,16 +651,56 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     return out
 
 
+def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
+              path: FlowPath | None = None, **run) -> SimResult:
+    """One ``SimResult`` from per-block field dicts, merged in block order;
+    ``run`` holds ``t``, ``dt``, ``steps``, ``seed``, ``n_paths`` and ``cid0``."""
+
+    def cat(key):
+        vals = [b.get(key) for b in blocks]
+        if vals[0] is None:
+            return None
+        return np.concatenate(vals, axis=0)
+
+    first = blocks[0]
+    alive = cat("alive")
+    cid_idx = cat("cid_idx")
+    x = cat("x")
+    centers = cat("centers")
+    # terminal embedding, chart by chart
+    emb = np.empty((run["n_paths"], system.embed_dim))
+    chart_names = first["chart_names"]
+    for ci, c in enumerate(chart_names):
+        sel = cid_idx == ci
+        if not sel.any():
+            continue
+        if system.is_group:
+            emb[sel] = system.embed(c, x[sel], center=centers[sel])
+        else:
+            emb[sel] = system.embed(c, x[sel])
+
+    companions = {name: cat(name) if name in need else None for name in _SIM_COMPANIONS}
+    return SimResult(
+        **run, chart_names=chart_names, x0=first["x0"], g0=first["g0"],
+        ginv0=first["ginv0"], X0=first["X0"], Y0=first["Y0"], L0=first["L0"],
+        F0=first["F0"], cid_idx=cid_idx, x=x, centers=centers, embedded=emb,
+        alive=alive, n_dropped=int(run["n_paths"] - alive.sum()), path=path,
+        **companions,
+    )
+
+
 def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
              x0: np.ndarray | None = None, cid: str | None = None,
              hp_p: float | None = None, threads: int = 1,
              record: bool = False, noise: np.ndarray | None = None,
-             need: Iterable[str] | None = None) -> SimResult:
+             need: Iterable[str] | None = None,
+             also_at: int | None = None) -> SimResult:
     """Run ``n_paths`` independent paths to time ``t`` and gather terminals.
 
     ``record=True`` additionally stores the full time series (meant for small
     batches).  ``noise`` optionally supplies the increments (n_paths, steps, m)
-    directly, bypassing the seeded streams.
+    directly, bypassing the seeded streams; otherwise each block draws its
+    paths' streams with one re-keyed Philox (see ``_block_noise``).
 
     ``need`` names the ``SimResult`` (and, with ``record``, ``FlowPath``)
     fields the caller will read; ``None`` means all of them.  The state, the
@@ -629,10 +710,18 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     ``_NEEDS``), and every field not requested is ``None``; ``hp_lo`` and
     ``hp_hi`` also need ``hp_p``.  A requested field holds exactly the values
     a run with ``need=None`` gives.
+
+    ``also_at`` (a step count, 1 to ``t/dt``) also returns the result after
+    that many steps of the same run as ``earlier``: a ``SimResult`` with
+    ``t = also_at * dt`` and no ``path``, equal field by field to a separate
+    run to that time, since a stream's first steps do not depend on its
+    length.
     """
     steps = int(round(t / dt))
     if steps <= 0 or abs(steps * dt - t) > 1e-9 * max(1.0, t):
         raise BadParams(f"t={t} is not an integer multiple of dt={dt}")
+    if also_at is not None and not 1 <= also_at <= steps:
+        raise BadParams(f"also_at={also_at} is not a step count in 1..{steps}")
     if cid is None or x0 is None:
         cid_d, x0_d = system.start()
         cid = cid if cid is not None else cid_d
@@ -647,7 +736,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     def work(idx_block):
         return _run_block(system, seed, idx_block, steps, dt, cid, x0, hp_p,
-                          record, need, noise=noise)
+                          record, need, noise=noise, also_at=also_at)
 
     if threads <= 1 or len(blocks) == 1:
         results = [work(b) for b in blocks]
@@ -655,45 +744,22 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, blocks))
 
-    def cat(key):
-        vals = [r.get(key) for r in results]
-        if vals[0] is None:
-            return None
-        return np.concatenate(vals, axis=0)
-
-    first = results[0]
-    alive = cat("alive")
-    cid_idx = cat("cid_idx")
-    x = cat("x")
-    centers = cat("centers")
-    # terminal embedding, chart by chart
-    emb = np.empty((n_paths, system.embed_dim))
-    chart_names = first["chart_names"]
-    for ci, c in enumerate(chart_names):
-        sel = cid_idx == ci
-        if not sel.any():
-            continue
-        if system.is_group:
-            emb[sel] = system.embed(c, x[sel], center=centers[sel])
-        else:
-            emb[sel] = system.embed(c, x[sel])
-
     path = None
     if record:
+        first = results[0]
         series = dict.fromkeys(_PATH_FIELDS, None)
         series.update(first["record"])
         series.update(times=np.arange(steps + 1) * dt, increments=first["increments"],
-                      chart_names=chart_names, g0=first["g0"], x0=first["x0"], cid0=cid)
+                      chart_names=first["chart_names"], g0=first["g0"],
+                      x0=first["x0"], cid0=cid)
         path = FlowPath(**series)
 
-    companions = {name: cat(name) if name in need else None for name in _SIM_COMPANIONS}
-    return SimResult(
-        t=t, dt=dt, steps=steps, seed=seed, n_paths=n_paths,
-        chart_names=chart_names, cid0=cid, x0=first["x0"], g0=first["g0"],
-        ginv0=first["ginv0"], X0=first["X0"], Y0=first["Y0"], L0=first["L0"],
-        F0=first["F0"], cid_idx=cid_idx, x=x, centers=centers, embedded=emb,
-        alive=alive, n_dropped=int(n_paths - alive.sum()), path=path, **companions,
-    )
+    run = dict(dt=dt, seed=seed, n_paths=n_paths, cid0=cid)
+    res = _assemble(system, results, need, path, t=t, steps=steps, **run)
+    if also_at is not None:
+        res.earlier = _assemble(system, [r["earlier"] for r in results], need,
+                                t=also_at * dt, steps=also_at, **run)
+    return res
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import flowgeom.cli as cli
 from flowgeom.cli import main
 
 
@@ -302,6 +303,28 @@ def test_reports_reproducible_across_thread_counts(tmp_path):
         rep.pop("wall_time")
         reports.append(rep)
     assert reports[0] == reports[1]
+
+
+def test_internal_error_exits_three_without_traceback(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise RuntimeError("engine fell over")
+
+    monkeypatch.setattr(cli, "run_config", broken)
+    code, rep = run(tmp_path, {"command": "verify", "scenario": {"name": "flat"}})
+    assert code == 3
+    assert rep is None
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: engine fell over" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_report_path_exits_three(tmp_path, capsys):
+    path = write_cfg(tmp_path, "cfg.json", {"command": "verify",
+                                            "scenario": {"name": "flat"},
+                                            "n_probes": 2})
+    code = main(["verify", path, "--out", str(tmp_path / "absent" / "report.json")])
+    assert code == 3
+    assert "internal error: FileNotFoundError" in capsys.readouterr().err
 
 
 def test_run_subcommand_dispatches(tmp_path, capsys):

@@ -14,11 +14,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import flowgeom.stochastic as stochastic
 from flowgeom.errors import BadParams
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
+    BLOCK,
     FlowPath,
     SimResult,
+    _block_noise,
     integrate_flow,
     reconstruction_error,
     sample_noise,
@@ -77,6 +80,25 @@ def test_noise_keys_use_all_64_bits():
     top = sample_noise(2**64 - 1, 0, 4, 0.1, 2)
     assert not np.array_equal(a.increments, b.increments)
     assert np.all(np.isfinite(top.increments))
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("steps, m", [(10, 3), (50, 2), (1, 1)])
+def test_block_noise_matches_a_fresh_generator_per_path(seed, steps, m):
+    # the re-keyed block generator against the independent route: one new
+    # Generator(Philox(key)) per path
+    idx = np.array([9, 2, 40, 0, 7])
+    got = _block_noise(seed, idx, steps, 0.04, m)
+    want = np.stack([
+        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+        .standard_normal((steps, m)) * np.sqrt(0.04) for i in idx])
+    assert np.array_equal(got, want)
+
+
+def test_block_noise_rows_do_not_depend_on_earlier_rows():
+    # 30 normals per row leave the Philox buffer part-used after each row
+    assert np.array_equal(_block_noise(11, np.array([7, 3]), 10, 0.01, 3)[1],
+                          _block_noise(11, np.array([3]), 10, 0.01, 3)[0])
 
 
 def test_noise_rejects_bad_dt():
@@ -360,3 +382,72 @@ def test_requested_fields_match_full_run(name, hp_p, threads, n_paths, t, record
 def test_unknown_requested_field_rejected(sphere):
     with pytest.raises(BadParams):
         simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, need={"Jacobian"})
+
+
+def _scattered_bundle(system, chart_names, cid_idx, x, level):
+    """Reference for ``_bundle_grouped``: every chart by mask, rows scattered
+    into C-ordered arrays, even when a single chart is occupied."""
+    out = None
+    for k, cid in enumerate(chart_names):
+        mask = cid_idx == k
+        if not mask.any():
+            continue
+        pd = stochastic._bundle(system, cid, x[mask], level)
+        if out is None:
+            out = type(pd)(**{
+                name: None if getattr(pd, name) is None
+                else np.empty(x.shape[:-1] + getattr(pd, name).shape[1:])
+                for name in stochastic._FIELDS})
+        for name in stochastic._FIELDS:
+            if getattr(out, name) is not None:
+                getattr(out, name)[mask] = getattr(pd, name)
+    return out
+
+
+@pytest.mark.parametrize("x0, charts", [
+    ([0.2, 0.1], {0}),      # every path stays in its start chart
+    ([1.95, 0.1], {0, 1}),  # next to |u| = 2: paths switch charts
+])
+def test_single_chart_bundles_match_scattered_bundles(sphere, monkeypatch, x0, charts):
+    kw = dict(t=0.1, dt=1e-2, n_paths=300, seed=23, hp_p=2.0, x0=np.asarray(x0))
+    fast = simulate(sphere, **kw)
+    assert set(fast.cid_idx.tolist()) == charts
+    monkeypatch.setattr(stochastic, "_bundle_grouped", _scattered_bundle)
+    ref = simulate(sphere, **kw)
+    for f in fields(SimResult):
+        a, b = getattr(fast, f.name), getattr(ref, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+
+
+@pytest.mark.parametrize("name, params, x0", [
+    ("sphere-gradient", {"n": 2}, [1.95, 0.1]),  # paths switch charts
+    ("so3-left-invariant", {}, None),             # the group is re-centred
+    ("custom", *SCENARIOS["custom"]),
+])
+@pytest.mark.parametrize("need, hp_p", [(None, 2.0), ({"J"}, None)])
+def test_earlier_result_matches_a_separate_run(name, params, x0, need, hp_p):
+    sys = system_of(name, params)
+    # three blocks, the last one partial, on two threads
+    kw = dict(dt=1e-2, n_paths=2 * BLOCK + 100, seed=29, hp_p=hp_p, threads=2,
+              need=need, x0=None if x0 is None else np.asarray(x0))
+    res = simulate(sys, t=0.06, also_at=3, **kw)
+    early = res.earlier
+    sep = simulate(sys, t=3 * 1e-2, **kw)
+    assert early.t == 3 * 1e-2 and early.steps == 3
+    assert early.path is None and early.earlier is None
+    if name == "sphere-gradient":
+        assert set(early.cid_idx.tolist()) == {0, 1}
+    for f in fields(SimResult):
+        a, b = getattr(early, f.name), getattr(sep, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+    assert not np.array_equal(early.embedded, res.embedded)  # the run went on
+
+
+def test_also_at_must_be_a_step_of_the_run(sphere):
+    for k in (0, 11):
+        with pytest.raises(BadParams):
+            simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, also_at=k)

@@ -12,7 +12,8 @@ every result bit for bit gives an empty diff.
 
 Covered: the benchmark's workload configs at seeds 0 and 1, CLI ``estimate``
 of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
-twisted-plane, CLI ``simulate`` plain and recorded, the API-only checks
+twisted-plane, ``generator`` and ``oneform`` on custom over three engine
+blocks, CLI ``simulate`` plain and recorded, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, and
 every array of a default ``simulate`` on each scenario.
 """
@@ -73,6 +74,13 @@ def configs() -> list[tuple[str, dict]]:
                     {"command": "estimate", "check": "filtered",
                      "scenario": {"name": name, "params": params},
                      "n_paths": 400, **MC}))
+    # three engine blocks, the last one partial: the t/2 quotient is read
+    # from each block of the t-run
+    for check in ("generator", "oneform"):
+        out.append((f"estimate {check} custom",
+                    {"command": "estimate", "check": check,
+                     "scenario": {"name": "custom", "params": SCENARIOS[-1][1]},
+                     "n_paths": 4500, **MC}))
     for record in (False, True):
         out.append((f"simulate sphere-gradient record={record}",
                     {"command": "simulate", "scenario": SPHERE, "n_paths": 300,
