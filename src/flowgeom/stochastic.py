@@ -96,23 +96,21 @@ def sample_noise(seed: int, path_index: int, steps: int, dt: float, m: int) -> N
 def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int) -> np.ndarray:
     """Increments (len(indices), steps, m) of the listed paths.
 
-    One Philox serves the block: before each row it is re-keyed to
-    (seed, index) with a zero counter and an empty buffer, the state a fresh
-    ``Philox(key=[seed, index])`` starts in, so a row depends on its index
-    alone.
+    One Philox serves the block: before each row it gets back the state it
+    was built in, with only the key replaced by (seed, index), the state a
+    fresh ``Philox(key=[seed, index])`` starts in, so a row depends on its
+    index alone.
     """
-    bits = np.random.Philox()
+    # an explicit uint64 key: a plain list would pass seeds >= 2**63 through
+    # float64, so neighbouring seeds would share a stream; a given key also
+    # spares the OS-entropy seed a keyless Philox draws
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    fresh = bits.state
     rng = np.random.Generator(bits)
     out = np.empty((len(indices), steps, m))
     for row, idx in enumerate(indices):
-        # an explicit uint64 key: a plain list would pass seeds >= 2**63
-        # through float64, so neighbouring seeds would share a stream
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64),
-                      "key": np.array([seed, idx], dtype=np.uint64)},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0}
+        fresh["state"]["key"] = np.array([seed, idx], dtype=np.uint64)
+        bits.state = fresh
         rng.standard_normal((steps, m), out=out[row])
     out *= sqrt(dt)
     return out
@@ -228,13 +226,6 @@ def _bundle_grouped(system: SdeSystem, chart_names, cid_idx: np.ndarray,
                     x: np.ndarray, level: str) -> PointData:
     if len(chart_names) == 1:
         return _bundle(system, chart_names[0], x, level)
-    if (cid_idx == cid_idx[0]).all():
-        # one chart occupied: no masks and no scatter, but C-ordered fields
-        # as the scatter gives them, since the memory layout of an operand
-        # can move the last bit of later sums
-        pd = _bundle(system, chart_names[cid_idx[0]], x, level)
-        return PointData(**{name: None if (val := getattr(pd, name)) is None
-                            else np.ascontiguousarray(val) for name in _FIELDS})
     out: PointData | None = None
     for k, cid in enumerate(chart_names):
         mask = cid_idx == k

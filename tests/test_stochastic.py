@@ -14,7 +14,6 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-import flowgeom.stochastic as stochastic
 from flowgeom.errors import BadParams
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
@@ -382,42 +381,6 @@ def test_requested_fields_match_full_run(name, hp_p, threads, n_paths, t, record
 def test_unknown_requested_field_rejected(sphere):
     with pytest.raises(BadParams):
         simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, need={"Jacobian"})
-
-
-def _scattered_bundle(system, chart_names, cid_idx, x, level):
-    """Reference for ``_bundle_grouped``: every chart by mask, rows scattered
-    into C-ordered arrays, even when a single chart is occupied."""
-    out = None
-    for k, cid in enumerate(chart_names):
-        mask = cid_idx == k
-        if not mask.any():
-            continue
-        pd = stochastic._bundle(system, cid, x[mask], level)
-        if out is None:
-            out = type(pd)(**{
-                name: None if getattr(pd, name) is None
-                else np.empty(x.shape[:-1] + getattr(pd, name).shape[1:])
-                for name in stochastic._FIELDS})
-        for name in stochastic._FIELDS:
-            if getattr(out, name) is not None:
-                getattr(out, name)[mask] = getattr(pd, name)
-    return out
-
-
-@pytest.mark.parametrize("x0, charts", [
-    ([0.2, 0.1], {0}),      # every path stays in its start chart
-    ([1.95, 0.1], {0, 1}),  # next to |u| = 2: paths switch charts
-])
-def test_single_chart_bundles_match_scattered_bundles(sphere, monkeypatch, x0, charts):
-    kw = dict(t=0.1, dt=1e-2, n_paths=300, seed=23, hp_p=2.0, x0=np.asarray(x0))
-    fast = simulate(sphere, **kw)
-    assert set(fast.cid_idx.tolist()) == charts
-    monkeypatch.setattr(stochastic, "_bundle_grouped", _scattered_bundle)
-    ref = simulate(sphere, **kw)
-    for f in fields(SimResult):
-        a, b = getattr(fast, f.name), getattr(ref, f.name)
-        if isinstance(a, np.ndarray):
-            assert np.array_equal(a, b), f.name
 
 
 @pytest.mark.parametrize("name, params, x0", [
