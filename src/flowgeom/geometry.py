@@ -720,14 +720,14 @@ def _hat_nabla_1form(system: SdeSystem, cid: str, phi: Callable,
 
 
 def codifferential_1form(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
-                         oracle: DerivOracle | None = None) -> float:
-    """delta-bar phi = -sum_i (nab^_{X^i} phi)(X^i) = -g^{jk} S_{jk}."""
+                         oracle: DerivOracle | None = None) -> np.ndarray:
+    """delta-bar phi = -sum_i (nab^_{X^i} phi)(X^i) = -g^{jk} S_{jk}, batched."""
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     S = _hat_nabla_1form(system, cid, phi, oracle)(x)
     X = system.coeff_x(cid, x)
     ginv = X @ np.swapaxes(X, -1, -2)
-    return float(-np.einsum("...jk,...jk->...", ginv, S))
+    return -np.einsum("...jk,...jk->...", ginv, S)
 
 
 def codifferential_1form_lie(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
@@ -788,10 +788,8 @@ def one_form_generator_hodge(system: SdeSystem, cid: str, x: np.ndarray, phi: Ca
     v = np.asarray(v, dtype=float)
     oracle = oracle or system.oracle
 
-    def dbar_scalar(y: np.ndarray) -> np.ndarray:
-        return np.asarray(codifferential_1form(system, cid, y, phi, oracle))
-
-    d_dbar = oracle.jacobian(dbar_scalar, x)
+    dbar = lambda y: codifferential_1form(system, cid, y, phi, oracle)
+    d_dbar = oracle.jacobian(dbar, x)
 
     # two-form psi = d phi, then delta-bar psi
     def psi(y: np.ndarray) -> np.ndarray:

@@ -393,9 +393,21 @@ def test_one_form_generator_routes_agree(sphere):
 def test_codifferential_routes_agree(sphere):
     cid, x = "n", np.array([-0.2, 0.4])
     phi = one_form_from_spec(sphere, cid, {"d_of": "x3"})
-    a = codifferential_1form(sphere, cid, x, phi)
+    a = float(codifferential_1form(sphere, cid, x, phi))
     b = codifferential_1form_lie(sphere, cid, x, phi)
     assert a == pytest.approx(b, abs=1e-6)
+
+
+def test_codifferential_is_batch_safe(sphere):
+    # a (k, n) batch gives exactly the per-row values, so the oracle can
+    # differentiate the codifferential on a stacked stencil
+    cid = "n"
+    xs = np.array([[-0.2, 0.4], [0.3, 0.1], [0.05, -0.6], [0.9, 0.2]])
+    phi = one_form_from_spec(sphere, cid, {"d_of": "x3"})
+    batch = codifferential_1form(sphere, cid, xs, phi)
+    rows = np.array([codifferential_1form(sphere, cid, x, phi) for x in xs])
+    assert batch.shape == (4,)
+    assert np.array_equal(batch, rows)
 
 
 def test_exterior_derivative_of_exact_form_vanishes(sphere):

@@ -1,8 +1,14 @@
 """Dense helpers and the finite-difference derivative oracle."""
 
-import numpy as np
+import re
 
-from flowgeom.linalg import DerivOracle, sym
+import numpy as np
+import pytest
+
+from flowgeom.errors import EvalFailure
+from flowgeom.geometry import _metric_field, lw_christoffel
+from flowgeom.linalg import DerivOracle, _richardson, sym
+from flowgeom.model import build_scenario
 
 rng = np.random.default_rng(42)
 
@@ -74,3 +80,150 @@ def test_richardson_levels_tighten_truncation():
     err_crude = abs(crude.directional(f, x, v)[0] - want)
     err_sharp = abs(sharp.directional(f, x, v)[0] - want)
     assert err_sharp < err_crude / 100
+
+
+# ------------------------------------------------- stacked-stencil Jacobian
+
+
+def _jacobian_by_column(oracle, f, x):
+    """Reference Jacobian: one call of ``f`` per stencil point."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
+    h = oracle._step(x)
+    hdiv = None
+    cols = []
+    for j in range(n):
+        ej = np.zeros(n)
+        ej[j] = 1.0
+        samples = []
+        for lvl in range(oracle.richardson_levels + 1):
+            hl = h / 2.0**lvl
+            step = np.asarray(hl)[..., None] * ej
+            diff = np.asarray(f(x + step), dtype=float) - np.asarray(f(x - step), dtype=float)
+            if hdiv is None:
+                hdiv = np.reshape(h, np.shape(h) + (1,) * (diff.ndim - np.ndim(h)))
+            samples.append(diff / (2.0 * hdiv / 2.0**lvl))
+        cols.append(_richardson(samples))
+    return np.stack(cols, axis=-1)
+
+
+SCENARIOS = (
+    ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
+    ("sphere-gradient", {"n": 2}),
+    ("sphere-gradient", {"n": 3}),
+    ("so3-left-invariant", {}),
+    ("twisted-plane", {"alpha": 0.5}),
+    ("circle", {}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
+)
+
+
+def _fields(system, cid):
+    return {
+        "coeff_x": lambda y: system.coeff_x(cid, y),
+        "coeff_a": lambda y: system.coeff_a(cid, y),
+        "metric": _metric_field(system, cid),
+        "lw": lambda y: lw_christoffel(system, cid, y),
+    }
+
+
+@pytest.mark.parametrize("name,params", SCENARIOS,
+                         ids=[s[0] + str(s[1].get("n", "")) for s in SCENARIOS])
+@pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+def test_jacobian_matches_column_at_a_time_reference(name, params, batched):
+    system = build_scenario(name, params).system
+    cid = system.charts[0].cid
+    pts = np.array([x for c, x in system.sample_points(np.random.default_rng(3), 6) if c == cid])
+    x = pts if batched else pts[0]
+    for label, f in _fields(system, cid).items():
+        got = system.oracle.jacobian(f, x)
+        want = _jacobian_by_column(system.oracle, f, x)
+        assert got.shape == want.shape, label
+        assert np.array_equal(got, want), label
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+def test_jacobian_calls_field_once_per_column_on_its_stencil(levels, shape):
+    oracle = DerivOracle(h0=1e-3, richardson_levels=levels)
+    x = rng.normal(size=shape)
+    seen = []
+
+    def f(y):
+        seen.append(y.copy())
+        return np.stack([np.sin(y[..., 0]) * y[..., 1], y[..., 2] ** 2], axis=-1)
+
+    oracle.jacobian(f, x)
+    n = shape[-1]
+    assert len(seen) == n
+    h = oracle._step(x)[..., None]
+    for j, y in enumerate(seen):
+        assert y.shape == (2 * (levels + 1),) + shape
+        ej = np.eye(n)[j]
+        for lvl in range(levels + 1):
+            step = h / 2.0**lvl * ej
+            assert np.array_equal(y[2 * lvl], x + step)
+            assert np.array_equal(y[2 * lvl + 1], x - step)
+
+
+def test_nested_jacobian_calls_inner_field_once_per_column():
+    # each outer column hands its whole stencil to the inner jacobian as one batch
+    oracle = DerivOracle()
+    calls = []
+
+    def inner(y):
+        calls.append(y.shape)
+        return np.stack([y[..., 0] ** 2 * y[..., 1], np.cos(y[..., 1])], axis=-1)
+
+    x = np.array([0.3, -0.8])
+    hess = oracle.jacobian(lambda y: oracle.jacobian(inner, y), x)
+    assert calls == [(4, 4, 2)] * 4
+    want = np.array([[[2 * x[1], 2 * x[0]], [2 * x[0], 0.0]],
+                     [[0.0, 0.0], [0.0, -np.cos(x[1])]]])
+    np.testing.assert_allclose(hess, want, atol=1e-6)
+
+
+def test_jacobian_rejects_a_per_point_field():
+    # a field indexing y[0] reads the stacked stencil's first row, not x1
+    oracle = DerivOracle()
+    f = lambda y: np.array([y[0] ** 2 + 3.0 * y[1]])
+    x = np.array([1.0, 2.0])
+    with pytest.raises(EvalFailure, match=re.escape("must map (..., n) arrays to (..., S)")):
+        oracle.jacobian(f, x)
+    # directional evaluates one point at a time, so the same field is fine
+    d = oracle.directional(f, x, np.array([0.0, 1.0]))
+    np.testing.assert_allclose(d, [3.0], rtol=1e-9)
+
+
+def test_jacobian_error_names_the_base_point_and_column():
+    oracle = DerivOracle()
+    x = np.array([0.25, -1.5, 3.0])
+
+    def f(y):
+        if np.any(y[..., 1] < -1.5):
+            raise ValueError("out of domain")
+        return y
+
+    with pytest.raises(EvalFailure) as err:
+        oracle.jacobian(f, x)
+    msg = str(err.value)
+    assert "[ 0.25 -1.5   3.  ]" in msg and "column 1" in msg and "out of domain" in msg
+    assert len(msg) < 120
+    with pytest.raises(EvalFailure, match="non-finite") as err:
+        oracle.jacobian(lambda y: np.where(y < -1.5, np.inf, y), x)
+    assert "[ 0.25 -1.5   3.  ]" in str(err.value) and len(str(err.value)) < 120
+
+
+def test_jacobian_error_on_a_batch_stays_short():
+    oracle = DerivOracle()
+    x = rng.normal(size=(500, 3))
+
+    def f(y):
+        raise ValueError("boom")
+
+    with pytest.raises(EvalFailure) as err:
+        oracle.jacobian(f, x)
+    assert "column 0" in str(err.value) and len(str(err.value)) < 200

@@ -14,8 +14,10 @@ Covered: the benchmark's workload configs at seeds 0 and 1, CLI ``estimate``
 of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
 twisted-plane, ``generator`` and ``oneform`` on custom over three engine
 blocks, CLI ``simulate`` plain and recorded, the API-only checks
-``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, and
-every array of a default ``simulate`` on each scenario.
+``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
+oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
+Christoffel field on each scenario at one point and at a batch, and every
+array of a default ``simulate`` on each scenario.
 """
 
 from __future__ import annotations
@@ -110,6 +112,38 @@ def api_reports() -> list[tuple[str, dict]]:
     return out
 
 
+def _sha(arr) -> str:
+    import numpy as np
+
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def oracle_arrays() -> list[tuple[str, dict]]:
+    """(label, {field: sha256}) of ``DerivOracle.jacobian`` on each scenario's
+    ``coeff_x``, metric field and induced Christoffel field, at one point and
+    at a batch of points of the first chart."""
+    import numpy as np
+
+    from flowgeom.geometry import _metric_field, lw_christoffel
+    from flowgeom.model import build_scenario
+
+    out = []
+    for name, params in SCENARIOS:
+        system = build_scenario(name, params).system
+        cid = system.charts[0].cid
+        pts = np.array([x for c, x in system.sample_points(np.random.default_rng(11), 8)
+                        if c == cid])
+        fields = {
+            "coeff_x": lambda y: system.coeff_x(cid, y),
+            "metric": _metric_field(system, cid),
+            "lw": lambda y: lw_christoffel(system, cid, y),
+        }
+        for where, x in (("single", pts[0]), ("batch", pts)):
+            out.append((f"jacobian {name} {params} {where}",
+                        {k: _sha(system.oracle.jacobian(f, x)) for k, f in fields.items()}))
+    return out
+
+
 def engine_arrays() -> list[tuple[str, dict]]:
     """(label, {field: sha256 of its bytes}) of default ``simulate`` runs."""
     from dataclasses import fields
@@ -120,12 +154,8 @@ def engine_arrays() -> list[tuple[str, dict]]:
     from flowgeom.stochastic import simulate
 
     def hashes(obj) -> dict:
-        out = {}
-        for f in fields(obj):
-            val = getattr(obj, f.name)
-            if isinstance(val, np.ndarray):
-                out[f.name] = hashlib.sha256(np.ascontiguousarray(val).tobytes()).hexdigest()
-        return out
+        return {f.name: _sha(getattr(obj, f.name)) for f in fields(obj)
+                if isinstance(getattr(obj, f.name), np.ndarray)}
 
     out = []
     for name, params in SCENARIOS:
@@ -161,7 +191,7 @@ def main(argv=None) -> int:
         except Exception as exc:  # a raising config is compared by its error
             report = {"error": f"{type(exc).__name__}: {exc}"}
         print(f"{digest(report)}  {label}", flush=True)
-    for label, report in api_reports() + engine_arrays():
+    for label, report in api_reports() + oracle_arrays() + engine_arrays():
         print(f"{digest(report)}  {label}", flush=True)
     return 0
 
