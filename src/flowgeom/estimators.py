@@ -653,10 +653,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
         f = scalar_from_expr(system, cid, phi_spec["d_of"])
 
         def a0(y: np.ndarray) -> np.ndarray:
-            y = np.asarray(y, dtype=float)
-            flat = y.reshape(-1, y.shape[-1])
-            vals = np.array([scalar_generator(system, cid, row, f)[0] for row in flat])
-            return vals.reshape(y.shape[:-1] + (1,))
+            return scalar_generator(system, cid, y, f)[0][..., None]
 
         da0_v = float(oracle.directional(a0, x0, v0)[0])
         rows.append(CheckRow(

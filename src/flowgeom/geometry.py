@@ -102,6 +102,11 @@ def _grad_x(DX: np.ndarray, gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
     return DX + np.einsum("...ajk,...ki->...aij", gamma, X)
 
 
+def _autoparallel_sum(pd: PointData, gamma: np.ndarray) -> np.ndarray:
+    """sum_i nab_{X^i} X^i for the connection with Christoffels ``gamma``."""
+    return np.einsum("...aij,...ji->...a", _grad_x(pd.DX, gamma, pd.X), pd.X)
+
+
 def point_data(system: SdeSystem, cid: str, x: np.ndarray, *, light: bool = False,
                oracle: DerivOracle | None = None) -> PointData:
     """Assemble coefficients and induced tensors at ``x`` (batched)."""
@@ -188,7 +193,11 @@ def covariant_derivative(system: SdeSystem, cid: str, x: np.ndarray,
                          z_field: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
                          kind: str = "lw", gamma: np.ndarray | None = None,
                          oracle: DerivOracle | None = None) -> np.ndarray:
-    """(nab_v Z)(x) = DZ(x)(v) + G(v, Z(x))."""
+    """(nab_v Z)(x) = DZ(x)(v) + G(v, Z(x)).
+
+    ``x`` and ``v`` broadcast over their leading axes, and ``z_field`` must
+    map ``(..., n)`` to ``(..., n)``: its derivative is one oracle call.
+    """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     oracle = oracle or system.oracle
@@ -227,20 +236,25 @@ def torsion_via_dy(system: SdeSystem, cid: str, x: np.ndarray,
 def torsion_via_bracket(system: SdeSystem, cid: str, x: np.ndarray,
                         v1: np.ndarray, v2: np.ndarray,
                         oracle: DerivOracle | None = None) -> np.ndarray:
-    """T(v1, v2) = -[Z1, Z2](x) for Z_i(y) = X(y) Y(x) v_i."""
+    """T(v1, v2) = -[Z1, Z2](x) for Z_i(y) = X(y) Y(x) v_i.
+
+    ``x``, ``v1`` and ``v2`` broadcast over their leading axes; the result
+    has their common shape ``(..., n)``.
+    """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     _, _, Y, _, _ = induced_metric(system.coeff_x(cid, x))
-    w1 = Y @ np.asarray(v1, dtype=float)
-    w2 = Y @ np.asarray(v2, dtype=float)
-    z1 = lambda y: system.coeff_x(cid, y) @ w1
-    z2 = lambda y: system.coeff_x(cid, y) @ w2
+    w1 = np.einsum("...rk,...k->...r", Y, np.asarray(v1, dtype=float))
+    w2 = np.einsum("...rk,...k->...r", Y, np.asarray(v2, dtype=float))
+    z1 = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), w1)
+    z2 = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), w2)
     return -lie_bracket(z1, z2, x, oracle)
 
 
 def lie_bracket(u_field: Callable, v_field: Callable, x: np.ndarray,
                 oracle: DerivOracle) -> np.ndarray:
-    """[U, V](x) = DV(x)(U(x)) - DU(x)(V(x))."""
+    """[U, V](x) = DV(x)(U(x)) - DU(x)(V(x)), batched over leading axes of
+    ``x``; both fields must map ``(..., n)`` to ``(..., n)``."""
     x = np.asarray(x, dtype=float)
     return (oracle.directional(v_field, x, u_field(x))
             - oracle.directional(u_field, x, v_field(x)))
@@ -308,38 +322,57 @@ def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def _probes(n_probes: int, draw: Callable[[], tuple]) -> tuple[np.ndarray, ...]:
+    """Call ``draw`` once per probe, in order, and stack each of its outputs
+    along a leading probe axis of length ``n_probes``."""
+    return tuple(np.array(col) for col in zip(*(draw() for _ in range(n_probes))))
+
+
+def _gnorm(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """|w|_g for probe vectors ``w[..., p, :]`` at the points of ``g[..., :, :]``."""
+    return np.sqrt(np.einsum("...pi,...ij,...pj->...p", w, g, w))
+
+
+# Probe-based identity checks take points ``x`` of shape ``(..., n)`` and
+# return one residual per point, an array over the leading axes of ``x`` (a
+# numpy scalar for a single point).  The probe vectors come from one seeded
+# stream shared by every point, drawn in the order a single point uses them;
+# they sit on a probe axis after the point axes, and every derivative over
+# all points and probes is one oracle call.
+
+
 def defining_property_residual(system: SdeSystem, cid: str, x: np.ndarray,
                                n_probes: int = 8, seed: int = 0,
-                               oracle: DerivOracle | None = None) -> float:
+                               oracle: DerivOracle | None = None) -> np.ndarray:
     """max |nab (X(.)e)(v)|_g over probes with e in the row space of X(x).
 
-    The induced connection is characterized by this vanishing.
+    The induced connection is characterized by this vanishing.  One residual
+    per point of ``x`` (shape ``(..., n)``); probes whose ``e`` vanishes at a
+    point are skipped there.
     """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     pd = point_data(system, cid, x, oracle=oracle)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
-        e = pd.PT @ _unit(rng, system.m)
-        nrm = np.linalg.norm(e)
-        if nrm < 1e-12:
-            continue
-        e = e / nrm
-        v = _unit(rng, system.n)
-        z_field = lambda y: system.coeff_x(cid, y) @ e
-        nab = covariant_derivative(system, cid, x, z_field, v, gamma=pd.gamma, oracle=oracle)
-        worst = max(worst, float(np.sqrt(nab @ pd.g @ nab)))
-    return worst
+    u, v = _probes(n_probes, lambda: (_unit(rng, system.m), _unit(rng, system.n)))
+    e = np.einsum("...rs,ps->...pr", pd.PT, u)                 # (..., K, m)
+    nrm = np.linalg.norm(e, axis=-1)
+    keep = nrm >= 1e-12
+    e = e / np.where(keep, nrm, 1.0)[..., None]
+    z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), e)
+    nab = covariant_derivative(system, cid, x[..., None, :], z_field, v,
+                               gamma=pd.gamma[..., None, :, :, :], oracle=oracle)
+    return np.max(np.where(keep, _gnorm(nab, pd.g), 0.0), axis=-1)
 
 
 def pairing_derivative_residual(system: SdeSystem, cid: str, x: np.ndarray,
                                 kind: str = "lw", n_probes: int = 8, seed: int = 1,
-                                oracle: DerivOracle | None = None) -> float:
+                                oracle: DerivOracle | None = None) -> np.ndarray:
     """Vector-form metric compatibility through the coefficient fields:
 
     sum_i X^i <Z, nab_v X^i>_g + sum_i nab_v X^i <Z, X^i>_g = 0
-    for metric connections; returns the max residual norm over probes.
+    for metric connections; returns the max residual norm over probes, per
+    point of ``x`` (shape ``(..., n)``).
     """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
@@ -347,22 +380,29 @@ def pairing_derivative_residual(system: SdeSystem, cid: str, x: np.ndarray,
     gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind, oracle)
     gradX = _grad_x(pd.DX, gamma, pd.X)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_probes):
-        z = _unit(rng, system.n)
-        v = _unit(rng, system.n)
-        nabv = np.einsum("...aij,...j->...ai", gradX, v)  # columns nab_v X^i
-        w1 = nabv.swapaxes(-1, -2) @ pd.g @ z             # <Z, nab_v X^i>_g
-        w2 = pd.X.swapaxes(-1, -2) @ pd.g @ z             # <Z, X^i>_g
-        res = pd.X @ w1 + nabv @ w2
-        worst = max(worst, float(np.linalg.norm(res)))
-    return worst
+    z, v = _probes(n_probes, lambda: (_unit(rng, system.n), _unit(rng, system.n)))
+    nabv = np.einsum("...aij,pj->...pai", gradX, v)           # columns nab_v X^i
+    gz = np.einsum("...ab,pb->...pa", pd.g, z)
+    w1 = np.einsum("...pai,...pa->...pi", nabv, gz)           # <Z, nab_v X^i>_g
+    w2 = np.einsum("...ai,...pa->...pi", pd.X, gz)            # <Z, X^i>_g
+    res = (np.einsum("...ai,...pi->...pa", pd.X, w1)
+           + np.einsum("...pai,...pi->...pa", nabv, w2))
+    return np.max(np.linalg.norm(res, axis=-1), axis=-1)
+
+
+def _linear_fields(x: np.ndarray, z0: np.ndarray, mat: np.ndarray) -> Callable:
+    """The probe fields ``y -> z0[p] + mat[p] (y - x)``, one per probe ``p``:
+    maps ``(..., K, n)`` arrays (the points of ``x``, then the probes) to
+    ``(..., K, n)``."""
+    xk = x[..., None, :]
+    return lambda y: z0 + np.einsum("...ij,...j->...i", mat, y - xk)
 
 
 def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
                        kind: str = "lw", n_probes: int = 8, seed: int = 2,
-                       oracle: DerivOracle | None = None) -> float:
-    """max over probe fields of |d<Z,Z>_g(v) - 2 <nab_v Z, Z>_g|."""
+                       oracle: DerivOracle | None = None) -> np.ndarray:
+    """max over probe fields of |d<Z,Z>_g(v) - 2 <nab_v Z, Z>_g|, per point
+    of ``x`` (shape ``(..., n)``)."""
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     gamma = christoffel(system, cid, x, kind, oracle)
@@ -370,28 +410,31 @@ def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
     g = g_of(x)
     rng = np.random.default_rng(seed)
     n = system.n
-    worst = 0.0
-    for _ in range(n_probes):
-        z0 = _unit(rng, n)
-        mat = rng.normal(size=(n, n))
-        v = _unit(rng, n)
-        z_field = lambda y: z0 + mat @ (y - x)
-        sq_field = lambda y: np.einsum("i,ij,j->", z_field(y), g_of(y), z_field(y))
-        lhs = float(oracle.directional(sq_field, x, v))
-        nab = oracle.directional(z_field, x, v) + np.einsum("ijk,j,k->i", gamma, v, z0)
-        rhs = 2.0 * float(nab @ g @ z0)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
+                                            _unit(rng, n)))
+    z_field = _linear_fields(x, z0, mat)
+
+    def sq_field(y: np.ndarray) -> np.ndarray:
+        z = z_field(y)
+        return np.einsum("...i,...ij,...j->...", z, g_of(y), z)
+
+    xk = x[..., None, :]
+    lhs = oracle.directional(sq_field, xk, v)
+    nab = (oracle.directional(z_field, xk, v)
+           + np.einsum("...ijk,pj,pk->...pi", gamma, v, z0))
+    rhs = 2.0 * np.einsum("...pi,...ij,pj->...p", nab, g, z0)
+    return np.max(np.abs(lhs - rhs), axis=-1)
 
 
 def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
               n_probes: int = 8, seed: int = 3, tol: float = 1e-6,
-              oracle: DerivOracle | None = None) -> tuple[bool, float, float]:
+              oracle: DerivOracle | None = None) -> tuple:
     """Is the torsion skew-symmetric: <T(u,v),w>_g = -<T(w,v),u>_g?
 
-    Returns (verdict, residual, alt_residual) where ``alt_residual`` comes
-    from the equivalent criterion that v |-> X(.)Y(x)v has Levi-Civita
-    covariant derivative with vanishing symmetric part.
+    Returns (verdict, residual, alt_residual), each over the leading axes of
+    ``x``, where ``alt_residual`` comes from the equivalent criterion that
+    v |-> X(.)Y(x)v has Levi-Civita covariant derivative with vanishing
+    symmetric part.
     """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
@@ -399,33 +442,35 @@ def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
     T = torsion_from_christoffel(pd.gamma)
     gamma_lc = levi_civita_christoffel(system, cid, x, oracle)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    worst_alt = 0.0
-    for _ in range(n_probes):
-        u, v, w = (_unit(rng, system.n) for _ in range(3))
-        tuvw = np.einsum("ijk,j,k->i", T, u, v) @ pd.g @ w
-        twvu = np.einsum("ijk,j,k->i", T, w, v) @ pd.g @ u
-        worst = max(worst, abs(tuvw + twvu))
-        # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
-        yv = pd.Y @ v
-        z_field = lambda y: system.coeff_x(cid, y) @ yv
-        nab_u = (oracle.directional(z_field, x, u)
-                 + np.einsum("ijk,j,k->i", gamma_lc, u, v))
-        nab_w = (oracle.directional(z_field, x, w)
-                 + np.einsum("ijk,j,k->i", gamma_lc, w, v))
-        worst_alt = max(worst_alt, abs(nab_u @ pd.g @ w + nab_w @ pd.g @ u))
-    return (worst < tol, worst, worst_alt)
+    u, v, w = _probes(n_probes, lambda: tuple(_unit(rng, system.n) for _ in range(3)))
+    tuv = np.einsum("...ijk,pj,pk->...pi", T, u, v)
+    twv = np.einsum("...ijk,pj,pk->...pi", T, w, v)
+    skew = (np.einsum("...pi,...ij,pj->...p", tuv, pd.g, w)
+            + np.einsum("...pi,...ij,pj->...p", twv, pd.g, u))
+    # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
+    yv = np.einsum("...ri,pi->...pr", pd.Y, v)
+    z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), yv)
+    xk = x[..., None, :]
+    nab_u = (oracle.directional(z_field, xk, u)
+             + np.einsum("...ijk,pj,pk->...pi", gamma_lc, u, v))
+    nab_w = (oracle.directional(z_field, xk, w)
+             + np.einsum("...ijk,pj,pk->...pi", gamma_lc, w, v))
+    alt = (np.einsum("...pi,...ij,pj->...p", nab_u, pd.g, w)
+           + np.einsum("...pi,...ij,pj->...p", nab_w, pd.g, u))
+    worst = np.max(np.abs(skew), axis=-1)
+    return (worst < tol, worst, np.max(np.abs(alt), axis=-1))
 
 
 def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
                          n_probes: int = 6, seed: int = 4,
-                         oracle: DerivOracle | None = None) -> tuple[float, float]:
+                         oracle: DerivOracle | None = None) -> tuple:
     """On torsion-skew-symmetric systems the Levi-Civita connection is the
     induced one minus half its torsion::
 
         nab_v Z = nab~_v Z - T(v, Z(x)) / 2
 
-    Returns (identity residual, max_i |nab X^i (X^i)|_g with nab Levi-Civita).
+    Returns (identity residual, max_i |nab X^i (X^i)|_g with nab Levi-Civita),
+    each over the leading axes of ``x``.
     """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
@@ -434,81 +479,73 @@ def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
     T = torsion_from_christoffel(pd.gamma)
     rng = np.random.default_rng(seed)
     n = system.n
-    worst = 0.0
-    for _ in range(n_probes):
-        z0 = _unit(rng, n)
-        mat = rng.normal(size=(n, n))
-        v = _unit(rng, n)
-        z_field = lambda y: z0 + mat @ (y - x)
-        dz = oracle.directional(z_field, x, v)
-        lc = dz + np.einsum("ijk,j,k->i", gamma_lc, v, z0)
-        lw = dz + np.einsum("ijk,j,k->i", pd.gamma, v, z0)
-        half_t = 0.5 * np.einsum("ijk,j,k->i", T, v, z0)
-        res = lc - (lw - half_t)
-        worst = max(worst, float(np.sqrt(res @ pd.g @ res)))
+    z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
+                                            _unit(rng, n)))
+    dz = oracle.directional(_linear_fields(x, z0, mat), x[..., None, :], v)
+    lc = dz + np.einsum("...ijk,pj,pk->...pi", gamma_lc, v, z0)
+    lw = dz + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0)
+    half_t = 0.5 * np.einsum("...ijk,pj,pk->...pi", T, v, z0)
+    worst = np.max(_gnorm(lc - (lw - half_t), pd.g), axis=-1)
     # summed autoparallel form: sum_i nab_{X^i} X^i vanishes (Levi-Civita)
-    gradX_lc = _grad_x(pd.DX, gamma_lc, pd.X)
-    summed = np.einsum("...aij,...ji->...a", gradX_lc, pd.X)
+    summed = _autoparallel_sum(pd, gamma_lc)
     norm = np.sqrt(np.einsum("...a,...ab,...b->...", summed, pd.g, summed))
-    return worst, float(np.max(norm))
+    return worst, norm
 
 
 def stratonovich_term(system: SdeSystem, cid: str, x: np.ndarray, kind: str = "lw",
                       oracle: DerivOracle | None = None) -> np.ndarray:
-    """sum_i nab_{X^i} X^i for the named connection."""
+    """sum_i nab_{X^i} X^i for the named connection, shape ``(..., n)``."""
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     pd = point_data(system, cid, x, oracle=oracle)
     gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind, oracle)
-    gradX = _grad_x(pd.DX, gamma, pd.X)
-    return np.einsum("...aij,...ji->...a", gradX, pd.X)
+    return _autoparallel_sum(pd, gamma)
 
 
 def connection_routes_residual(system: SdeSystem, cid: str, x: np.ndarray,
                                n_probes: int = 4, seed: int = 5,
-                               oracle: DerivOracle | None = None) -> float:
+                               oracle: DerivOracle | None = None) -> np.ndarray:
     """Cross-check the Christoffel formula against two equivalent routes:
 
     (a) nab_v Z = X(x) d/dt [ Y(c(t)) Z(c(t)) ] at t=0 along c(t) = x + t v;
     (b) nab_v Z = sum_i [X^i, V](x) <X^i, Z>_g + [V, Z](x) for any extension
         V of v (tested with a random linear extension).
+
+    Returns the max over probes and both routes, per point of ``x`` (shape
+    ``(..., n)``).
     """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     pd = point_data(system, cid, x, oracle=oracle)
     rng = np.random.default_rng(seed)
     n = system.n
-    worst = 0.0
-    for _ in range(n_probes):
-        z0 = _unit(rng, n)
-        mat = rng.normal(size=(n, n))
-        vmat = rng.normal(size=(n, n))
-        v = _unit(rng, n)
-        z_field = lambda y: z0 + mat @ (y - x)
-        ref = (oracle.directional(z_field, x, v)
-               + np.einsum("ijk,j,k->i", pd.gamma, v, z0))
+    z0, mat, vmat, v = _probes(n_probes, lambda: (
+        _unit(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n)), _unit(rng, n)))
+    xk = np.broadcast_to(x[..., None, :], x.shape[:-1] + (n_probes, n))
+    z_field = _linear_fields(x, z0, mat)
+    ref = (oracle.directional(z_field, xk, v)
+           + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0))
 
-        def curve_pairing(t: np.ndarray) -> np.ndarray:
-            y = x + t[0] * v
-            Xy = system.coeff_x(cid, y)
-            gy = np.linalg.inv(Xy @ Xy.T)
-            return Xy.T @ gy @ z_field(y)
+    def curve_pairing(t: np.ndarray) -> np.ndarray:
+        y = xk + t * v
+        Xy = system.coeff_x(cid, y)
+        Xt = np.swapaxes(Xy, -1, -2)
+        gy = np.linalg.inv(Xy @ Xt)
+        return np.einsum("...ri,...ij,...j->...r", Xt, gy, z_field(y))
 
-        d_pair = oracle.directional(curve_pairing, np.zeros(1), np.ones(1))
-        route_a = pd.X @ d_pair
-        worst = max(worst, float(np.linalg.norm(route_a - ref)))
+    t0 = np.zeros(ref.shape[:-1] + (1,))
+    d_pair = oracle.directional(curve_pairing, t0, np.ones_like(t0))
+    route_a = np.einsum("...ir,...pr->...pi", pd.X, d_pair)
 
-        v_field = lambda y: v + vmat @ (y - x)
-        acc = np.zeros(n)
-        yz = pd.Y @ z0  # <X^i, Z>_g
-        for i in range(system.m):
-            ei = np.zeros(system.m)
-            ei[i] = 1.0
-            xi_field = lambda y, ei=ei: system.coeff_x(cid, y) @ ei
-            acc = acc + lie_bracket(xi_field, v_field, x, oracle) * yz[i]
-        route_b = acc + lie_bracket(v_field, z_field, x, oracle)
-        worst = max(worst, float(np.linalg.norm(route_b - ref)))
-    return worst
+    v_field = _linear_fields(x, v, vmat)
+    yz = np.einsum("...ri,pi->...pr", pd.Y, z0)  # <X^i, Z>_g
+    acc = np.zeros_like(ref)
+    for i in range(system.m):
+        xi_field = lambda y, i=i: system.coeff_x(cid, y)[..., i]
+        acc = acc + lie_bracket(xi_field, v_field, xk, oracle) * yz[..., i, None]
+    route_b = acc + lie_bracket(v_field, z_field, xk, oracle)
+    return np.maximum(np.max(np.linalg.norm(route_a - ref, axis=-1), axis=-1),
+                      np.max(np.linalg.norm(route_b - ref, axis=-1), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +685,22 @@ def scalar_from_expr(system: SdeSystem, cid: str, source: str) -> Callable[[np.n
     return f
 
 
+def _pairing(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b>_g over leading axes, with the single-point ``a @ g @ b`` products."""
+    return (a[..., None, :] @ g @ b[..., None])[..., 0, 0]
+
+
 def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
                      f: Callable[[np.ndarray], np.ndarray],
-                     oracle: DerivOracle | None = None) -> tuple[float, float]:
+                     oracle: DerivOracle | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Generator of the diffusion applied to a scalar, by two routes:
 
     - induced-connection form: trace nab~(grad f)/2 + <A, grad f>_g
       (the Stratonovich correction vanishes for the induced connection);
     - Levi-Civita form: Laplace-Beltrami/2 + <sum_i nab X^i(X^i)/2 + A, grad f>_g.
 
-    Returns (induced_value, levi_civita_value).
+    Returns (induced_value, levi_civita_value), each over the leading axes of
+    ``x`` (shape ``(..., n)``); ``f`` must map ``(..., n)`` to ``(...)``.
     """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
@@ -671,13 +714,13 @@ def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
     gf = gradf(x)
     dgf = oracle.jacobian(gradf, x)
     gamma_lc = levi_civita_christoffel(system, cid, x, oracle)
-    tr_lw = np.trace(dgf) + np.einsum("iik,k->", pd.gamma, gf)
-    tr_lc = np.trace(dgf) + np.einsum("iik,k->", gamma_lc, gf)
-    drift_lw = pd.A
-    strat_lc = stratonovich_term(system, cid, x, kind="lc", oracle=oracle)
-    lw_val = 0.5 * tr_lw + float(drift_lw @ pd.g @ gf)
-    lc_val = 0.5 * tr_lc + float((0.5 * strat_lc + pd.A) @ pd.g @ gf)
-    return float(lw_val), float(lc_val)
+    trace = np.trace(dgf, axis1=-2, axis2=-1)
+    tr_lw = trace + np.einsum("...iik,...k->...", pd.gamma, gf)
+    tr_lc = trace + np.einsum("...iik,...k->...", gamma_lc, gf)
+    strat_lc = _autoparallel_sum(pd, gamma_lc)
+    lw_val = 0.5 * tr_lw + _pairing(pd.A, pd.g, gf)
+    lc_val = 0.5 * tr_lc + _pairing(0.5 * strat_lc + pd.A, pd.g, gf)
+    return lw_val, lc_val
 
 
 def one_form_from_spec(system: SdeSystem, cid: str, spec,
@@ -842,11 +885,19 @@ class GeometryPoint:
 
 def geometry_point(system: SdeSystem, cid: str, x: np.ndarray,
                    oracle: DerivOracle | None = None) -> GeometryPoint:
+    """The tensor report's arrays at ``x``, batched over its leading axes.
+
+    Raises ``DegenerateX`` naming the first point (in row-major order) where
+    X loses rank.
+    """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
-    sv = np.linalg.svd(system.coeff_x(cid, x), compute_uv=False)
-    if float(sv.min()) <= 1e-8:
-        raise DegenerateX(f"X loses rank at {cid}:{x} (min sv {sv.min():.2e})")
+    sv_min = np.linalg.svd(system.coeff_x(cid, x), compute_uv=False).min(axis=-1).reshape(-1)
+    bad = np.flatnonzero(sv_min <= 1e-8)
+    if bad.size:
+        k = bad[0]
+        raise DegenerateX(f"X loses rank at {cid}:{x.reshape(-1, x.shape[-1])[k]} "
+                          f"(min sv {sv_min[k]:.2e})")
     pd = point_data(system, cid, x, oracle=oracle)
     gamma_lc = levi_civita_christoffel(system, cid, x, oracle)
     R = curvature_lw_direct(pd.gradX, pd.g)

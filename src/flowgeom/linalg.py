@@ -13,17 +13,18 @@ extrapolation::
 
 Steps are relative: the base step is ``h0 * max(1, |x|)``.
 
-``DerivOracle.jacobian`` evaluates one coordinate column per field call: the
-whole stencil of column ``j`` (the +/- pair at each of the ``L + 1``
-Richardson levels) is stacked along a new leading axis of length
-``2 (L + 1)``, ordered ``x + h e_j, x - h e_j, x + h/2 e_j, x - h/2 e_j, ...``,
-so a field handed to ``jacobian`` must accept extra leading axes and keep
-them in its output.  ``DerivOracle.directional`` calls its field on one
-point at a time, so its fields may be per-point.
+Both derivatives make one field call per stencil: the +/- pair at each of the
+``L + 1`` Richardson levels is stacked along a new leading axis of length
+``2 (L + 1)``, ordered ``x + h d, x - h d, x + h/2 d, x - h/2 d, ...``.
+``DerivOracle.jacobian`` makes one such call per coordinate column
+(``d = e_j``); ``DerivOracle.directional`` makes a single call with
+``d = v / |v|``, over every point and direction of its batch at once.  A
+field handed to either must therefore accept extra leading axes and keep
+them in its output.
 
 >>> import numpy as np
 >>> oracle = DerivOracle()
->>> f = lambda x: np.array([x[0] ** 2 + 3.0 * x[1]])
+>>> f = lambda x: x[..., :1] ** 2 + 3.0 * x[..., 1:]
 >>> d = float(oracle.directional(f, np.array([1.0, 2.0]), np.array([1.0, 0.0]))[0])
 >>> round(d, 9)
 2.0
@@ -65,8 +66,8 @@ def _call(f: Callable, y: np.ndarray, x: np.ndarray, col: int | None = None) -> 
     if out.shape[:y.ndim - 1] != y.shape[:-1]:
         raise EvalFailure(
             f"field output of shape {out.shape} does not keep the leading axes {y.shape[:-1]} "
-            f"of its input near {_where(x, col)}; a field handed to jacobian must "
-            f"map (..., n) arrays to (..., S) arrays")
+            f"of its input near {_where(x, col)}; a field handed to jacobian or "
+            f"directional must map (..., n) arrays to (..., S) arrays")
     if not np.all(np.isfinite(out)):
         raise EvalFailure(f"field returned non-finite values near {_where(x, col)}")
     return out
@@ -94,12 +95,11 @@ class DerivOracle:
     richardson_levels: number of extrapolation levels (0 = plain central
         difference).
 
-    ``jacobian`` calls its field once per coordinate column, on the column's
-    stencil stacked along a new leading axis (``x + h_l e_j`` then
-    ``x - h_l e_j`` for ``h_l = h / 2**l``, ``l = 0..richardson_levels``), so
-    its fields must map ``(..., n)`` to ``(..., S)`` for any leading axes.
-    ``directional`` calls its field on one point at a time: its fields may be
-    per-point.
+    Both derivatives call their field on a stencil stacked along a new
+    leading axis (``x + h_l d`` then ``x - h_l d`` for ``h_l = h / 2**l``,
+    ``l = 0..richardson_levels``): ``jacobian`` once per coordinate column
+    (``d = e_j``), ``directional`` once in all (``d = v / |v|``).  Their
+    fields must map ``(..., n)`` to ``(..., S)`` for any leading axes.
     """
 
     h0: float = 1e-4
@@ -110,20 +110,26 @@ class DerivOracle:
         return self.h0 * np.maximum(1.0, nrm)
 
     def directional(self, f: Callable, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Directional derivative ``D f(x)(v)``; linear in ``v``."""
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            return np.zeros_like(_call(f, x, x))
-        vhat = v / vnorm
-        h = float(self._step(x))
-        samples = []
-        for lvl in range(self.richardson_levels + 1):
-            hl = h / 2.0**lvl
-            samples.append((_call(f, x + hl * vhat, x) - _call(f, x - hl * vhat, x))
-                           / (2.0 * hl))
-        return vnorm * _richardson(samples)
+        """Directional derivative ``D f(x)(v)``; linear in ``v``, batched.
+
+        ``x`` and ``v`` broadcast against each other over their leading axes;
+        the result has shape ``(..., S)``.  The whole stencil is one call of
+        ``f`` on a ``(2 (L + 1), ..., n)`` array.  Rows with ``v = 0`` give
+        zeros.
+        """
+        x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+        levels = self.richardson_levels + 1
+        vnorm = np.linalg.norm(v, axis=-1)
+        vhat = v / np.where(vnorm == 0.0, 1.0, vnorm)[..., None]
+        h = self._step(x)
+        step = np.stack([h / 2.0**lvl for lvl in range(levels)])[..., None] * vhat
+        stencil = np.stack([x + step, x - step], axis=1)  # (levels, 2, ..., n)
+        out = _call(f, stencil.reshape((2 * levels,) + x.shape), x)
+        out = out.reshape((levels, 2) + out.shape[1:])
+        trail = (1,) * (out.ndim - 2 - np.ndim(h))
+        hdiv = np.reshape(h, np.shape(h) + trail)
+        return np.reshape(vnorm, np.shape(vnorm) + trail) * _richardson(
+            [(out[lvl, 0] - out[lvl, 1]) / (2.0 * hdiv / 2.0**lvl) for lvl in range(levels)])
 
     def jacobian(self, f: Callable, x: np.ndarray) -> np.ndarray:
         """Coordinate Jacobian, batched over leading axes of ``x``.

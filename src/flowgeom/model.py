@@ -384,8 +384,10 @@ class CustomSystem(SdeSystem):
     def _eval_grid(self, exprs, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         comps = np.moveaxis(x, -1, 0)
-        flat = [np.broadcast_to(ex.evaluate(e, comps), x.shape[:-1]) for e in exprs]
-        out = np.stack(flat, axis=-1)
+        flat = [ex.evaluate(e, comps) for e in exprs]
+        # only entries that do not depend on x (constants) lack the batch shape
+        out = np.stack([v if np.shape(v) == x.shape[:-1] else np.broadcast_to(v, x.shape[:-1])
+                        for v in flat], axis=-1)
         return out.reshape(x.shape[:-1] + shape)
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:

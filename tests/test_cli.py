@@ -9,6 +9,7 @@ import pytest
 
 import flowgeom.cli as cli
 from flowgeom.cli import main
+from flowgeom.geometry import geometry_point, moment_form_extremes, point_data
 
 
 def write_cfg(tmp_path, name, payload):
@@ -157,6 +158,46 @@ def test_tensors_default_probes(tmp_path):
     })
     assert code == 0
     assert len(rep["points"]) == 5  # start plus four samples
+
+
+@pytest.mark.parametrize("name,params", [
+    ("sphere-gradient", {"n": 2}),
+    ("so3-left-invariant", {}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
+])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_tensors_batch_equals_per_point_reports(name, params, p):
+    # one batch per chart, scattered back in probe order, is bit for bit the
+    # report of each point on its own
+    scenario = {"name": name, "params": params}
+    cfg = {"command": "tensors", "scenario": scenario, "n_probes": 5, "seed": 4, "p": p}
+    rep = cli.run_config(cfg)
+    system = cli._build_system(cfg)
+    points = cli._probe_points(system, cfg, default_samples=4)
+    assert len(rep["points"]) == len(points) == 6
+    for (cid, x), pt in zip(points, rep["points"]):
+        gp = geometry_point(system, cid, x)
+        h_lo, h_hi = moment_form_extremes(point_data(system, cid, x), p)
+        want = {"chart": cid, "x": x.tolist(), "h_lo": float(h_lo), "h_hi": float(h_hi),
+                **{k: getattr(gp, k).tolist() for k in (
+                    "g", "ginv", "gamma_lw", "gamma_adjoint", "gamma_lc", "torsion",
+                    "curvature_lw", "ric_sharp_lw", "ricci_lw")}}
+        assert pt == want
+
+
+def test_tensors_degenerate_point_in_a_batch_is_named(tmp_path, capsys):
+    code, _ = run(tmp_path, {
+        "command": "tensors",
+        "scenario": {"name": "custom",
+                     "params": {"n": 1, "m": 2, "x_entries": [["x1", "0"]]}},
+        "points": [{"x": [0.5]}, {"x": [0.0]}, {"x": [0.7]}],
+    })
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "X loses rank at u:[0.]" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------- verify

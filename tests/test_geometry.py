@@ -334,16 +334,31 @@ def test_lie_bracket_coordinate_fields():
     sys = system_of("flat", {"n": 2})
 
     def z1(y):
-        return np.array([y[1], 0.0 * y[0]])
+        return np.stack([y[..., 1], 0.0 * y[..., 0]], axis=-1)
 
     def z2(y):
-        return np.array([0.0 * y[0], y[0] * y[1]])
+        return np.stack([0.0 * y[..., 0], y[..., 0] * y[..., 1]], axis=-1)
 
     x = np.array([1.0, 2.0])
     got = lie_bracket(z1, z2, x, DerivOracle())
     # [z1, z2] = Dz2 z1 - Dz1 z2
     want = np.array([-x[0] * x[1], x[1] ** 2])
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
+
+
+def test_lie_bracket_of_linear_fields_batched_over_points_and_probes():
+    # [Ax, Bx] = (BA - AB) x: a stencil laid out on the wrong axis (a field
+    # mixing rows of different points or probes) breaks this by orders of
+    # magnitude, not in the last digits
+    r = np.random.default_rng(21)
+    A, B = r.normal(size=(2, 6, 3, 3))            # one pair per probe
+    x = r.normal(size=(5, 1, 3))                  # points, then the probe axis
+    u = lambda y: np.einsum("...ij,...j->...i", A, y)
+    v = lambda y: np.einsum("...ij,...j->...i", B, y)
+    got = lie_bracket(u, v, x, DerivOracle())
+    want = np.einsum("...ij,...j->...i", B @ A - A @ B, x)
+    assert got.shape == (5, 6, 3)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
 
 
 # ------------------------------------------------------------ moment forms
@@ -441,3 +456,65 @@ def test_christoffel_batched_points(sphere):
     assert gammas.shape == (3, 2, 2, 2)
     one = christoffel(sphere, "n", xs[1], "lw")
     np.testing.assert_allclose(gammas[1], one, atol=1e-12)
+
+
+# ------------------------------------------------------- batch consistency
+
+# the scenarios of tools/report_digests.py
+DIGEST_SCENARIOS = (
+    ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
+    ("sphere-gradient", {"n": 2}),
+    ("sphere-gradient", {"n": 3}),
+    ("so3-left-invariant", {}),
+    ("twisted-plane", {"alpha": 0.5}),
+    ("circle", {}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
+)
+
+
+def _identities(sys, cid, x, v1, v2):
+    """Every probe-batched identity at ``x``, as a flat list of arrays."""
+    f = scalar_from_expr(sys, cid, "x1")
+    gp = geometry_point(sys, cid, x)
+    return [
+        defining_property_residual(sys, cid, x),
+        metricity_residual(sys, cid, x, kind="lw"),
+        metricity_residual(sys, cid, x, kind="adjoint"),
+        pairing_derivative_residual(sys, cid, x),
+        pairing_derivative_residual(sys, cid, x, kind="lc"),
+        connection_routes_residual(sys, cid, x),
+        torsion_via_bracket(sys, cid, x, v1, v2),
+        *tss_check(sys, cid, x),
+        *lw_lc_split_residual(sys, cid, x),
+        *scalar_generator(sys, cid, x, f),
+        stratonovich_term(sys, cid, x),
+        stratonovich_term(sys, cid, x, kind="lc"),
+        *(getattr(gp, k) for k in ("g", "gamma_lw", "gamma_lc", "torsion",
+                                   "curvature_lw", "ricci_lw")),
+    ]
+
+
+@pytest.mark.parametrize("name,params", DIGEST_SCENARIOS,
+                         ids=[s[0] + str(s[1].get("n", "")) for s in DIGEST_SCENARIOS])
+def test_identities_batched_agree_with_single_points(name, params):
+    sys = system_of(name, params)
+    pts = [sys.start()] + sys.sample_points(np.random.default_rng(31), 6)
+    r = np.random.default_rng(32)
+    charts = {cid for cid, _ in pts}
+    if name == "sphere-gradient" and params["n"] == 2:
+        assert charts == {"n", "s"}
+    for cid in charts:
+        xs = np.array([x for c, x in pts if c == cid])
+        v1, v2 = r.normal(size=(2,) + xs.shape)
+        batch = _identities(sys, cid, xs, v1, v2)
+        rows = [_identities(sys, cid, x, a, b) for x, a, b in zip(xs, v1, v2)]
+        for k, got in enumerate(batch):
+            want = np.array([row[k] for row in rows])
+            assert np.shape(got) == want.shape, k
+            if want.dtype == bool:
+                assert np.array_equal(got, want), k
+            else:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=str(k))

@@ -35,7 +35,7 @@ def test_directional_on_polynomial():
     oracle = DerivOracle()
 
     def f(x):
-        return np.array([x[0] ** 3 + x[1], x[0] * x[1] ** 2])
+        return np.stack([x[..., 0] ** 3 + x[..., 1], x[..., 0] * x[..., 1] ** 2], axis=-1)
 
     x = np.array([1.2, -0.7])
     v = np.array([0.3, 0.5])
@@ -49,7 +49,7 @@ def test_directional_on_transcendental():
     oracle = DerivOracle()
     x = np.array([0.4, 0.9])
     v = np.array([1.0, -2.0])
-    got = oracle.directional(lambda y: np.array([np.sin(y[0]) * np.exp(y[1])]),
+    got = oracle.directional(lambda y: np.sin(y[..., :1]) * np.exp(y[..., 1:]),
                              x, v)
     want = (np.cos(x[0]) * v[0] + np.sin(x[0]) * v[1]) * np.exp(x[1])
     np.testing.assert_allclose(got, [want], rtol=1e-8)
@@ -73,7 +73,7 @@ def test_jacobian_shape_and_values():
 def test_richardson_levels_tighten_truncation():
     x = np.array([0.5])
     v = np.array([1.0])
-    f = lambda y: np.array([np.exp(3.0 * y[0])])
+    f = lambda y: np.exp(3.0 * y)
     want = 3.0 * np.exp(1.5)
     crude = DerivOracle(h0=1e-2, richardson_levels=0)
     sharp = DerivOracle(h0=1e-2, richardson_levels=2)
@@ -193,9 +193,9 @@ def test_jacobian_rejects_a_per_point_field():
     x = np.array([1.0, 2.0])
     with pytest.raises(EvalFailure, match=re.escape("must map (..., n) arrays to (..., S)")):
         oracle.jacobian(f, x)
-    # directional evaluates one point at a time, so the same field is fine
-    d = oracle.directional(f, x, np.array([0.0, 1.0]))
-    np.testing.assert_allclose(d, [3.0], rtol=1e-9)
+    # directional stacks its stencil the same way, so it rejects the field too
+    with pytest.raises(EvalFailure, match=re.escape("must map (..., n) arrays to (..., S)")):
+        oracle.directional(f, x, np.array([0.0, 1.0]))
 
 
 def test_jacobian_error_names_the_base_point_and_column():
@@ -227,3 +227,92 @@ def test_jacobian_error_on_a_batch_stays_short():
     with pytest.raises(EvalFailure) as err:
         oracle.jacobian(f, x)
     assert "column 0" in str(err.value) and len(str(err.value)) < 200
+
+
+# ----------------------------------------------- stacked-stencil directional
+
+
+def _directional_by_point(oracle, f, x, v):
+    """Reference directional derivative: one call of ``f`` per stencil point
+    of each row of the broadcast ``(x, v)``."""
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    xs, vs = x.reshape(-1, x.shape[-1]), v.reshape(-1, v.shape[-1])
+    rows = []
+    for xr, vr in zip(xs, vs):
+        vnorm = np.linalg.norm(vr, axis=-1)
+        vhat = vr / vnorm if vnorm else vr
+        h = oracle._step(xr)
+        samples = []
+        for lvl in range(oracle.richardson_levels + 1):
+            hl = h / 2.0**lvl
+            fp = np.asarray(f(xr + hl * vhat), dtype=float)
+            fm = np.asarray(f(xr - hl * vhat), dtype=float)
+            samples.append((fp - fm) / (2.0 * hl))
+        rows.append(vnorm * _richardson(samples))
+    return np.stack(rows).reshape(x.shape[:-1] + rows[0].shape)
+
+
+def _poly(y):
+    return np.stack([np.sin(y[..., 0]) * y[..., 1], y[..., 2] ** 2], axis=-1)
+
+
+@pytest.mark.parametrize("levels", [0, 1, 2])
+@pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
+def test_directional_calls_field_once_on_its_stencil(levels, shape):
+    oracle = DerivOracle(h0=1e-3, richardson_levels=levels)
+    x = rng.normal(size=shape)
+    v = rng.normal(size=shape)
+    seen = []
+
+    def f(y):
+        seen.append(y.copy())
+        return _poly(y)
+
+    got = oracle.directional(f, x, v)
+    assert len(seen) == 1
+    y = seen[0]
+    assert y.shape == (2 * (levels + 1),) + shape
+    vhat = v / np.linalg.norm(v, axis=-1, keepdims=True)
+    h = oracle._step(x)[..., None]
+    for lvl in range(levels + 1):
+        step = h / 2.0**lvl * vhat
+        assert np.array_equal(y[2 * lvl], x + step)
+        assert np.array_equal(y[2 * lvl + 1], x - step)
+    assert got.shape == shape[:-1] + (2,)
+    assert np.array_equal(got, _directional_by_point(oracle, _poly, x, v))
+
+
+def test_directional_broadcasts_points_against_directions():
+    # one point per row of x, several directions per point
+    oracle = DerivOracle()
+    x = rng.normal(size=(4, 1, 3))
+    v = rng.normal(size=(5, 3))
+    got = oracle.directional(_poly, x, v)
+    assert got.shape == (4, 5, 2)
+    assert np.array_equal(got, _directional_by_point(oracle, _poly, x, v))
+
+
+def test_directional_zero_direction_rows_give_zeros():
+    oracle = DerivOracle()
+    x = rng.normal(size=(4, 3))
+    v = rng.normal(size=(4, 3))
+    v[[0, 2]] = 0.0
+    got = oracle.directional(_poly, x, v)
+    assert np.array_equal(got[[0, 2]], np.zeros((2, 2)))
+    for k in (1, 3):
+        assert np.array_equal(got[k], oracle.directional(_poly, x[k], v[k]))
+
+
+def test_directional_error_names_the_base_point():
+    oracle = DerivOracle()
+    x = np.array([0.25, -1.5, 3.0])
+
+    def f(y):
+        if np.any(y[..., 1] < -1.5):
+            raise ValueError("out of domain")
+        return y
+
+    with pytest.raises(EvalFailure) as err:
+        oracle.directional(f, x, np.array([0.0, 1.0, 0.0]))
+    msg = str(err.value)
+    assert "[ 0.25 -1.5   3.  ]" in msg and "out of domain" in msg and len(msg) < 120
