@@ -9,8 +9,10 @@ per-path data goes to --dump-paths as CSV.
 
 Exit codes: 0 when every requested check passes (a check whose
 preconditions fail reports not_applicable and still exits 0), 1 on a
-check failure, 2 on a config error, 3 on a runtime or numeric error or on
-any other exception (reported as an internal error, without a traceback).
+check failure, 2 on a config error (including a probe point of the wrong
+length, in a chart the scenario lacks, or where X loses rank), 3 on a
+runtime or numeric error or on any other exception (reported as an internal
+error, without a traceback).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import numpy as np
 from .errors import (
     BadParams,
     ConfigError,
+    DegenerateX,
     ExprError,
     FlowgeomError,
     NotApplicable,
@@ -120,10 +123,20 @@ def _build_system(cfg: dict):
 
 
 def _probe_points(system, cfg: dict, default_samples: int) -> list:
+    """The config's ``points`` (checked against the scenario), then the start
+    point and ``n_probes`` sampled points."""
     pts = []
     start_cid, _ = system.start()
-    for entry in cfg.get("points", []):
-        pts.append((entry.get("chart", start_cid), np.asarray(entry["x"], dtype=float)))
+    charts = [c.cid for c in system.charts]
+    for k, entry in enumerate(cfg.get("points", [])):
+        cid = entry.get("chart", start_cid)
+        if cid not in charts:
+            raise BadParams(f"points[{k}]: scenario {system.name!r} has no chart {cid!r}; "
+                            f"its charts are {', '.join(charts)}")
+        x = np.asarray(entry["x"], dtype=float)
+        if x.shape != (system.n,):
+            raise BadParams(f"points[{k}].x must have {system.n} entries, got {x.size}")
+        pts.append((cid, x))
     n_extra = cfg.get("n_probes", default_samples if not pts else 0)
     if n_extra or not pts:
         rng = np.random.default_rng(cfg.get("seed", 0))
@@ -189,6 +202,9 @@ def cmd_tensors(cfg: dict) -> dict:
     }
 
 
+TSS_TOL = 1e-6  # skew-torsion verdict of both tss_check routes
+
+
 def cmd_verify(cfg: dict) -> dict:
     """Geometry identity suite: max residual per identity over probe points.
 
@@ -218,6 +234,10 @@ def cmd_verify(cfg: dict) -> dict:
     ricci_max_abs = 0.0
     for cid, idx, xs in _chart_groups(points):
         pd = point_data(system, cid, xs)
+        # the engine's DX (coeff_dx) against the oracle's, relative per point
+        dx_fd = system.oracle.jacobian(lambda y: system.coeff_x(cid, y), xs)
+        scale = np.maximum(_max_abs(dx_fd), _max_abs(pd.DX))
+        _acc("coeff_dx", _max_abs(pd.DX - dx_fd) / np.where(scale > 0.0, scale, 1.0))
         _acc("defining_property", defining_property_residual(system, cid, xs))
         _acc("metricity_lw", metricity_residual(system, cid, xs, kind="lw"))
         _acc("metricity_adjoint", metricity_residual(system, cid, xs, kind="adjoint"))
@@ -257,7 +277,7 @@ def cmd_verify(cfg: dict) -> dict:
         ricci_max_abs = max(ricci_max_abs, float(np.max(np.abs(eigs))))
 
     start_cid, start_x = system.start()
-    tss, tss_res, _ = tss_check(system, start_cid, start_x)
+    tss, tss_res, tss_alt = tss_check(system, start_cid, start_x, tol=TSS_TOL)
     lw_equals_lc = gamma_gap < 1e-6
 
     tolerances = {
@@ -290,6 +310,16 @@ def cmd_verify(cfg: dict) -> dict:
                      "provenance": "derived-oracle",
                      "passed": ricci_max_abs < 1e-6,
                      "note": "induced = Levi-Civita forces equal Ricci"})
+    rows.append({"name": "coeff_dx", "residual": worst["coeff_dx"], "tolerance": 1e-6,
+                 "provenance": "derived-oracle", "passed": worst["coeff_dx"] < 1e-6,
+                 "note": "coeff_dx vs finite-difference DX, largest gap relative to "
+                         "the largest entry, per point"})
+    rows.append({"name": "tss", "residual": float(tss_res),
+                 "alt_residual": float(tss_alt), "tolerance": TSS_TOL,
+                 "provenance": "derived-oracle",
+                 "passed": bool(tss) == bool(tss_alt < TSS_TOL),
+                 "note": "the torsion route (residual) and the Levi-Civita route "
+                         "(alt_residual) agree on whether the torsion is skew-symmetric"})
 
     ok = all(r["passed"] for r in rows)
     return {
@@ -302,6 +332,7 @@ def cmd_verify(cfg: dict) -> dict:
             "lw_equals_lc": lw_equals_lc,
             "tss": bool(tss),
             "tss_residual": float(tss_res),
+            "tss_alt_residual": float(tss_alt),
             "curvature_zero": curvature_max < 1e-4,
             "max_gamma_gap": gamma_gap,
         },
@@ -575,7 +606,8 @@ def _run(args) -> int:
                                need=_DUMP_NEEDS)
                 _dump_paths_csv(dump, mc.system, res,
                                 np.linalg.inv(res.L0).T[:, 0])
-    except (ConfigError, BadParams, UnknownScenario, ExprError) as exc:
+    except (ConfigError, BadParams, UnknownScenario, ExprError, DegenerateX) as exc:
+        # DegenerateX: X loses rank at a point the config names or samples
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NotApplicable as exc:

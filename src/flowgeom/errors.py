@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
 Exit-code mapping used by the CLI: config problems (ConfigError and
-subclasses of UsageError raised while reading a config) exit 2, numeric or
-runtime failures exit 3, and a clean run whose checks fail exits 1.
+subclasses of UsageError raised while reading a config, and DegenerateX,
+raised where X loses rank at a probe point of the config or the scenario)
+exit 2, numeric or runtime failures exit 3, and a clean run whose checks
+fail exits 1.
 """
 
 

@@ -109,12 +109,16 @@ def _autoparallel_sum(pd: PointData, gamma: np.ndarray) -> np.ndarray:
 
 def point_data(system: SdeSystem, cid: str, x: np.ndarray, *, light: bool = False,
                oracle: DerivOracle | None = None) -> PointData:
-    """Assemble coefficients and induced tensors at ``x`` (batched)."""
+    """Assemble coefficients and induced tensors at ``x`` (batched).
+
+    ``DX`` is the system's ``coeff_dx`` (a closed form where the scenario has
+    one); ``oracle`` differentiates the drift.
+    """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     X = system.coeff_x(cid, x)
     A = system.coeff_a(cid, x)
-    DX = oracle.jacobian(lambda y: system.coeff_x(cid, y), x)
+    DX = system.coeff_dx(cid, x)
     DA = oracle.jacobian(lambda y: system.coeff_a(cid, y), x) if system.has_drift else None
     pd = PointData(X=X, A=A, DX=DX, DA=DA)
     if light:
@@ -140,7 +144,11 @@ def point_data(system: SdeSystem, cid: str, x: np.ndarray, *, light: bool = Fals
 
 def lw_christoffel(system: SdeSystem, cid: str, x: np.ndarray,
                    oracle: DerivOracle | None = None) -> np.ndarray:
-    """Christoffels of the coefficient-induced connection, G(v,w) = -DX(v)(Yw)."""
+    """Christoffels of the coefficient-induced connection, G(v,w) = -DX(v)(Yw).
+
+    DX comes from the finite-difference oracle, never from ``coeff_dx``, so
+    this stays a route independent of ``point_data``.
+    """
     x = np.asarray(x, dtype=float)
     oracle = oracle or system.oracle
     X = system.coeff_x(cid, x)

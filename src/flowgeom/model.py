@@ -2,7 +2,9 @@
 
 A system holds the data of a Stratonovich SDE ``dx = X(x) o dB + A(x) dt``
 with ``X(x): R^m -> T_x M`` surjective.  Coefficients are given per chart and
-accept batched points (arrays of shape ``(..., n)``).
+accept batched points (arrays of shape ``(..., n)``).  ``coeff_dx`` is the
+chart derivative of ``X``: closed forms on flat, sphere-gradient,
+twisted-plane and circle, the finite-difference oracle everywhere else.
 
 Built-in scenarios:
 
@@ -73,6 +75,14 @@ class SdeSystem:
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.zeros(np.asarray(x).shape)
 
+    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+        """DX[..., i, r, j] = d X^{ir} / d x^j, shape ``(..., n, m, n)``.
+
+        The default differentiates ``coeff_x`` with the system's oracle;
+        scenarios with a closed form override it.
+        """
+        return self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x)
+
     # -- transitions ---------------------------------------------------------
     def switch_mask(self, cid: str, x: np.ndarray) -> np.ndarray:
         """True where the integrator should hand off to a better chart."""
@@ -129,6 +139,10 @@ class FlatSystem(SdeSystem):
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(np.eye(self.n), x.shape[:-1] + (self.n, self.n)).copy()
+
+    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1] + (self.n, self.n, self.n))
 
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -195,6 +209,19 @@ class SphereSystem(SdeSystem):
         s = 1.0 + np.sum(u * u, axis=-1)[..., None, None]
         dp = self.embed_jacobian(cid, u)
         return (s * s / 4.0) * np.swapaxes(dp, -1, -2)
+
+    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+        # X(u) = [(s/2) I - u u^T | -sign u] with s = 1 + |u|^2, so for r < n
+        # DX[i, r, j] = d_ir u_j - d_ij u_r - u_i d_rj, and DX[i, n, j] = -sign d_ij
+        u = np.asarray(x, dtype=float)
+        n = self.n
+        out = np.zeros(u.shape[:-1] + (n, n + 1, n))
+        for k in range(n):  # strided slices: a third of the time of broadcast products
+            out[..., k, k, :] += u         # d_ir u_j at i = r = k
+            out[..., k, :n, k] -= u        # d_ij u_r at i = j = k
+            out[..., :, k, k] -= u         # u_i d_rj at r = j = k
+            out[..., k, n, k] = -self._sign(cid)
+        return out
 
     def switch_mask(self, cid: str, x: np.ndarray) -> np.ndarray:
         u = np.asarray(x, dtype=float)
@@ -311,6 +338,18 @@ class TwistedPlaneSystem(SdeSystem):
         out[..., 1, 1] = c
         return out
 
+    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+        # X depends on x1 alone, through the angle alpha * x1
+        x = np.asarray(x, dtype=float)
+        th = self.alpha * x[..., 0]
+        c, s = self.alpha * np.cos(th), self.alpha * np.sin(th)
+        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out[..., 0, 0, 0] = -s
+        out[..., 0, 1, 0] = -c
+        out[..., 1, 0, 0] = c
+        out[..., 1, 1, 0] = -s
+        return out
+
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
 
@@ -340,6 +379,10 @@ class CircleSystem(SdeSystem):
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1] + (1, 1))
+
+    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return np.zeros(x.shape[:-1] + (1, 1, 1))
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         th = np.asarray(x, dtype=float)[..., 0]

@@ -35,6 +35,16 @@ counter-based, so the stream depends only on ``(s, i)``, and its first steps
 do not depend on ``steps``.  A block builds one Philox and re-keys it to each
 of its paths in turn.
 
+Derivatives and frames: the bundles take DX from the model's ``coeff_dx``
+(closed forms on flat, sphere-gradient, twisted-plane and circle, the
+finite-difference oracle elsewhere).  After each RK4 transport step a frame
+of a metric connection is snapped to a g-isometry, ``par^T g par = g0``, by
+two Newton-Schulz polar steps ``par <- par (3 I - g0^-1 par^T g par) / 2``
+(``_isometrize``; rows with a defect above ``_SNAP_NS_MAX`` take the exact
+polar factor).  The inverse of such a frame is the closed form
+``g0^-1 par^T g`` with ``g`` at the frame's point; ``//^`` frames of a
+non-metric adjoint connection are not snapped and are inverted by a solve.
+
 Conventions: "∘dB" equations step with Heun (predictor-corrector); explicit
 Ito sums (anti-developments, the covariant derivative-flow equation) use
 left-point Euler on the same grid.
@@ -271,19 +281,47 @@ def _rk4_transport(Fk: np.ndarray, Fm: np.ndarray, Fp: np.ndarray,
     return par + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
 
 
-def _isometrize(par: np.ndarray, g: np.ndarray, L0invT: np.ndarray,
-                L0T: np.ndarray) -> np.ndarray:
-    """Snap a transport frame to an exact g-isometry.
+# the largest pre-snap isometry defect, max |g0^-1 par^T g par - I|, that two
+# Newton-Schulz steps take to rounding (each maps e to about 3 e^2 / 4)
+_SNAP_NS_MAX = 1e-4
 
-    Transport with a metric connection satisfies par^T g par = g0; one
-    integrator step only meets that to local truncation order.  Replacing
-    the metric-frame factor by its polar orthogonal part restores the
-    identity exactly while leaving the rotation content untouched.
+
+def _isometrize(par: np.ndarray, g: np.ndarray, g0: np.ndarray,
+                ginv0: np.ndarray) -> np.ndarray:
+    """Snap transport frames to g-isometries: par^T g par = g0.
+
+    Transport with a metric connection keeps that identity; one integrator
+    step only meets it to local truncation order.  Two Newton-Schulz polar
+    steps in metric form, ``par <- par (3 I - g0^-1 par^T g par) / 2``
+    (Higham 1986), restore it to rounding with matrix products alone.  This
+    is the orthogonal polar step ``Q <- Q (3 I - Q^T Q) / 2`` on
+    ``Q = L^T par L0^-T`` (``g = L L^T``, ``g0 = L0 L0^T``) written without
+    the factors, so it keeps the rotation content of the frame.  A row whose
+    defect exceeds ``_SNAP_NS_MAX`` (a rare large step, where the iteration
+    would stop short or diverge) takes the exact polar factor instead.
     """
+    eye = np.eye(par.shape[-1])
+    gram = ginv0 @ (np.swapaxes(par, -1, -2) @ (g @ par))
+    far = np.max(np.abs(gram - eye), axis=(-2, -1)) > _SNAP_NS_MAX
+    out = 1.5 * par - 0.5 * (par @ gram)
+    gram = ginv0 @ (np.swapaxes(out, -1, -2) @ (g @ out))
+    out = 1.5 * out - 0.5 * (out @ gram)
+    if far.any():
+        out[far] = _polar_snap(par[far], np.broadcast_to(g, par.shape)[far], g0)
+    return out
+
+
+def _polar_snap(par: np.ndarray, g: np.ndarray, g0: np.ndarray) -> np.ndarray:
+    """The exact snap: the polar factor of ``L^T par L0^-T``, mapped back."""
     L = np.linalg.cholesky(g)
-    Q = np.swapaxes(L, -1, -2) @ par @ L0invT
-    u, _, vh = np.linalg.svd(Q)
-    return np.swapaxes(np.linalg.inv(L), -1, -2) @ (u @ vh) @ L0T
+    L0 = np.linalg.cholesky(g0)
+    u, _, vh = np.linalg.svd(np.swapaxes(L, -1, -2) @ par @ np.linalg.inv(L0).T)
+    return np.swapaxes(np.linalg.inv(L), -1, -2) @ (u @ vh) @ L0.T
+
+
+def _isometry_inverse(par: np.ndarray, g: np.ndarray, ginv0: np.ndarray) -> np.ndarray:
+    """Inverse of a frame with par^T g par = g0: ``g0^-1 par^T g``."""
+    return ginv0 @ (np.swapaxes(par, -1, -2) @ g)
 
 
 def _polar_columns(mat: np.ndarray) -> np.ndarray:
@@ -427,7 +465,6 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     X0 = start.X[0].copy()
     Y0 = start.Y[0].copy()
     L0 = np.linalg.cholesky(g0)
-    L0invT = np.linalg.inv(L0).T
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
     adj_metric = ("par_adj" in on
@@ -476,6 +513,11 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     guard = system.guard_radius if system.guard_radius is not None else np.inf
     has_drift = system.has_drift
 
+    def inv_adj_at(par: np.ndarray, B: PointData) -> np.ndarray:
+        """Inverse of a //^ frame at the points of ``B``: the closed form
+        when the frames are isometries, a solve otherwise."""
+        return _isometry_inverse(par, B.g, ginv0) if adj_metric else np.linalg.inv(par)
+
     for k in range(steps):
         dB = noise[:, k, :]
         Bk = bundle
@@ -520,19 +562,19 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
             if "par_lw" in st:
                 par_lw_new = _rk4_transport(*_seg_mats("...ijk,...j->...ik"), st["par_lw"])
-                new["par_lw"] = _isometrize(par_lw_new, Bp.g, L0invT, L0.T)
+                new["par_lw"] = _isometrize(par_lw_new, Bp.g, g0, ginv0)
             if "par_adj" in st:
                 par_adj_new = _rk4_transport(*_seg_mats("...ikj,...j->...ik"), st["par_adj"])
                 if adj_metric:
-                    par_adj_new = _isometrize(par_adj_new, Bp.g, L0invT, L0.T)
+                    par_adj_new = _isometrize(par_adj_new, Bp.g, g0, ginv0)
                 new["par_adj"] = par_adj_new
 
         # Ito sums at the left point
         if "par_lw" in st:
-            inv_lw = np.linalg.inv(st["par_lw"])
+            inv_lw = _isometry_inverse(st["par_lw"], Bk.g, ginv0)
             dBbreve = np.einsum("...ij,...jk,...k->...i", inv_lw, Bk.X, dB)
         if "What" in st or "Vhat" in st:
-            inv_adj = np.linalg.inv(st["par_adj"])
+            inv_adj = inv_adj_at(st["par_adj"], Bk)
         if decompose:
             dBtilde = dBbreve @ Y0.T
             if F0 is not None:
@@ -565,7 +607,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # filtered flow, RK2 on What' = L(s) What
         if "What" in st:
             What = st["What"]
-            inv_adj_new = np.linalg.inv(new["par_adj"])
+            inv_adj_new = inv_adj_at(new["par_adj"], Bp)
             damp_k = -0.5 * Bk.ric_sharp + Bk.nabla_a
             damp_p = -0.5 * Bp.ric_sharp + Bp.nabla_a
             Lk = inv_adj @ (damp_k @ st["par_adj"])

@@ -195,9 +195,30 @@ def test_tensors_degenerate_point_in_a_batch_is_named(tmp_path, capsys):
                      "params": {"n": 1, "m": 2, "x_entries": [["x1", "0"]]}},
         "points": [{"x": [0.5]}, {"x": [0.0]}, {"x": [0.7]}],
     })
-    assert code == 3
+    assert code == 2
     err = capsys.readouterr().err
     assert "X loses rank at u:[0.]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["tensors", "verify"])
+def test_probe_point_of_wrong_length_rejected(tmp_path, capsys, command):
+    code, _ = run(tmp_path, {
+        "command": command, "scenario": {"name": "flat", "params": {"n": 2}},
+        "points": [{"x": [0.1, 0.2]}, {"x": [0.1, 0.2, 0.3]}],
+    })
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "points[1].x must have 2 entries, got 3" in err and "Traceback" not in err
+
+
+def test_probe_point_in_an_unknown_chart_rejected(tmp_path, capsys):
+    code, _ = run(tmp_path, {
+        "command": "tensors", "scenario": {"name": "sphere-gradient", "params": {"n": 2}},
+        "points": [{"chart": "north", "x": [0.1, 0.2]}],
+    })
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "has no chart 'north'" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------- verify
@@ -241,6 +262,41 @@ def test_verify_twisted_plane(tmp_path):
     assert rep["status"] == "passed"
     assert rep["flags"]["lw_equals_lc"] is False
     assert rep["flags"]["tss"] is False
+
+
+VERIFY_SCENARIOS = [
+    ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
+    ("sphere-gradient", {"n": 2}),
+    ("sphere-gradient", {"n": 3}),
+    ("so3-left-invariant", {}),
+    ("twisted-plane", {"alpha": 0.5}),
+    ("circle", {}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]]}),
+]
+
+
+@pytest.mark.parametrize("name,params", VERIFY_SCENARIOS)
+def test_verify_cross_checks_coeff_dx_and_both_tss_routes(name, params):
+    rep = cli.run_config({"command": "verify", "scenario": {"name": name, "params": params},
+                          "n_probes": 4, "seed": 3})
+    assert rep["status"] == "passed"
+    rows = {row["name"]: row for row in rep["identities"]}
+    assert rows["coeff_dx"]["passed"] and rows["coeff_dx"]["residual"] < 1e-6
+    tss = rows["tss"]
+    assert tss["passed"]
+    assert (tss["residual"] < 1e-6) == (tss["alt_residual"] < 1e-6) == rep["flags"]["tss"]
+    assert rep["flags"]["tss_alt_residual"] == tss["alt_residual"]
+
+
+def test_verify_fails_when_the_tss_routes_disagree(monkeypatch):
+    monkeypatch.setattr(cli, "tss_check", lambda *a, **k: (True, 0.0, 0.5))
+    rep = cli.run_config({"command": "verify", "scenario": {"name": "flat"},
+                          "n_probes": 2})
+    rows = {row["name"]: row for row in rep["identities"]}
+    assert not rows["tss"]["passed"]
+    assert rep["status"] == "failed"
 
 
 # -------------------------------------------------------------- simulate

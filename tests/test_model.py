@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowgeom.errors import BadParams, OutOfOverlap, UnknownScenario
-from flowgeom.model import build_scenario, scenario_names
+from flowgeom.model import SdeSystem, build_scenario, scenario_names
 
 rng = np.random.default_rng(0)
 
@@ -180,3 +180,35 @@ def test_sample_points_deterministic():
     for (ca, xa), (cb, xb) in zip(a, b):
         assert ca == cb
         np.testing.assert_array_equal(xa, xb)
+
+
+# ------------------------------------------------------ coefficient derivatives
+
+DX_SCENARIOS = [
+    ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
+    ("flat", {"n": 3}),
+    ("sphere-gradient", {"n": 2}),
+    ("sphere-gradient", {"n": 3}),
+    ("so3-left-invariant", {}),
+    ("twisted-plane", {"alpha": 0.5}),
+    ("circle", {}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]]}),
+]
+
+
+@pytest.mark.parametrize("name,params", DX_SCENARIOS)
+@pytest.mark.parametrize("lead", [(), (2, 4)])
+def test_coeff_dx_matches_the_oracle(name, params, lead):
+    system = build_scenario(name, params).system
+    gen = np.random.default_rng(5)
+    for chart in system.charts:  # both stereographic charts on the sphere
+        x = gen.uniform(-0.7, 0.7, size=lead + (system.n,))
+        fd = system.oracle.jacobian(lambda y: system.coeff_x(chart.cid, y), x)
+        exact = system.coeff_dx(chart.cid, x)
+        assert exact.shape == lead + (system.n, system.m, system.n)
+        assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+        # the base-class default is the oracle itself, bit for bit
+        base = SdeSystem.coeff_dx(system, chart.cid, x)
+        np.testing.assert_array_equal(base, fd)

@@ -15,12 +15,16 @@ import numpy as np
 import pytest
 
 from flowgeom.errors import BadParams
+from flowgeom.estimators import _metric_rows
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
     BLOCK,
     FlowPath,
     SimResult,
     _block_noise,
+    _isometrize,
+    _isometry_inverse,
+    _polar_snap,
     integrate_flow,
     reconstruction_error,
     sample_noise,
@@ -197,6 +201,47 @@ def test_transports_are_isometries(sphere):
         pulled = np.einsum("pji,pjk,pkl->pil", par, r.g_T, par)
         np.testing.assert_allclose(pulled, np.broadcast_to(r.g0, pulled.shape),
                                    atol=1e-10)
+
+
+@pytest.mark.parametrize("name, params, x0", [
+    ("sphere-gradient", {"n": 2}, [1.95, 0.1]),  # paths switch charts
+    ("so3-left-invariant", {}, None),             # the group is re-centred
+])
+def test_snapped_transports_are_isometries_to_rounding(name, params, x0):
+    sys = system_of(name, params)
+    r = simulate(sys, t=0.3, dt=1e-2, n_paths=24, seed=21, record=True,
+                 x0=None if x0 is None else np.asarray(x0))
+    fp = r.path
+    if name == "sphere-gradient":
+        assert set(fp.cid_idx[-1].tolist()) == {0, 1}
+    ginv0 = np.linalg.inv(r.g0)
+    for k in range(fp.x.shape[0]):
+        g = _metric_rows(sys, r.chart_names, fp.cid_idx[k], fp.x[k])
+        for par in (fp.par_lw[k], fp.par_adj[k]):  # both metric on these systems
+            defect = np.einsum("pji,pjk,pkl->pil", par, g, par) - r.g0
+            assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(r.g0))
+            inv = np.linalg.inv(par)
+            closed = _isometry_inverse(par, g, ginv0)
+            assert np.max(np.abs(closed - inv)) <= 1e-12 * np.max(np.abs(inv))
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-5, 3e-2])
+def test_isometrize_gives_the_polar_isometry(eps):
+    # frames off an isometry by eps: small defects take the Newton-Schulz
+    # steps, 3e-2 the exact polar fallback; both land on the polar factor
+    gen = np.random.default_rng(3)
+    P, n = 64, 3
+    a = gen.normal(size=(P, n, n))
+    g = a @ np.swapaxes(a, -1, -2) + n * np.eye(n)
+    g0 = np.diag([1.0, 2.0, 0.5])
+    L, L0 = np.linalg.cholesky(g), np.linalg.cholesky(g0)
+    q, _ = np.linalg.qr(gen.normal(size=(P, n, n)))
+    iso = np.swapaxes(np.linalg.inv(L), -1, -2) @ q @ L0.T  # par^T g par = g0
+    par = iso + eps * gen.normal(size=iso.shape)
+    snapped = _isometrize(par, g, g0, np.linalg.inv(g0))
+    defect = np.einsum("pji,pjk,pkl->pil", snapped, g, snapped) - g0
+    assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(g0))
+    np.testing.assert_allclose(snapped, _polar_snap(par, g, g0), rtol=0, atol=1e-12)
 
 
 def test_so3_jacobian_equals_adjoint_transport_at_scheme_order():

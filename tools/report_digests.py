@@ -2,13 +2,19 @@
 
 Usage, from the root of a flowgeom checkout:
 
-    python3 tools/report_digests.py [--root DIR]
+    python3 tools/report_digests.py [--root DIR] [--dump OUT]
 
 Imports ``flowgeom`` from ``DIR/src`` (default: this checkout) and prints one
 line ``<sha256>  <label>`` per report.  A report's digest is
 ``flowbench/child.digest``: the sha256 of its JSON with every ``wall_time``
 removed.  Run it on two checkouts and diff the outputs; a change that keeps
 every result bit for bit gives an empty diff.
+
+``--dump OUT`` also writes what each digest hashes into the directory OUT:
+``<k>.json`` (the report without ``wall_time``) or ``<k>.npz`` (the arrays)
+for the k-th label, and ``labels.json`` listing the labels in order.  For a
+change that moves results by design, ``tools/compare_dumps.py`` prints the
+largest difference per label between two such directories.
 
 Covered: the benchmark's workload configs at seeds 0 and 1, CLI ``estimate``
 of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
@@ -24,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import sys
 
@@ -118,8 +125,17 @@ def _sha(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
+def _strip(val):
+    """``val`` without any ``wall_time`` entry, at any depth."""
+    if isinstance(val, dict):
+        return {k: _strip(v) for k, v in val.items() if k != "wall_time"}
+    if isinstance(val, list):
+        return [_strip(v) for v in val]
+    return val
+
+
 def oracle_arrays() -> list[tuple[str, dict]]:
-    """(label, {field: sha256}) of ``DerivOracle.jacobian`` on each scenario's
+    """(label, {field: array}) of ``DerivOracle.jacobian`` on each scenario's
     ``coeff_x``, metric field and induced Christoffel field, at one point and
     at a batch of points of the first chart."""
     import numpy as np
@@ -140,12 +156,12 @@ def oracle_arrays() -> list[tuple[str, dict]]:
         }
         for where, x in (("single", pts[0]), ("batch", pts)):
             out.append((f"jacobian {name} {params} {where}",
-                        {k: _sha(system.oracle.jacobian(f, x)) for k, f in fields.items()}))
+                        {k: system.oracle.jacobian(f, x) for k, f in fields.items()}))
     return out
 
 
 def engine_arrays() -> list[tuple[str, dict]]:
-    """(label, {field: sha256 of its bytes}) of default ``simulate`` runs."""
+    """(label, {field: array}) of default ``simulate`` runs."""
     from dataclasses import fields
 
     import numpy as np
@@ -153,8 +169,8 @@ def engine_arrays() -> list[tuple[str, dict]]:
     from flowgeom.model import build_scenario
     from flowgeom.stochastic import simulate
 
-    def hashes(obj) -> dict:
-        return {f.name: _sha(getattr(obj, f.name)) for f in fields(obj)
+    def arrays(obj) -> dict:
+        return {f.name: getattr(obj, f.name) for f in fields(obj)
                 if isinstance(getattr(obj, f.name), np.ndarray)}
 
     out = []
@@ -163,11 +179,11 @@ def engine_arrays() -> list[tuple[str, dict]]:
         for hp_p in (None, 2.0):
             res = simulate(system, t=0.3, dt=1e-2, n_paths=2100, seed=9, hp_p=hp_p,
                            threads=2)
-            out.append((f"simulate arrays {name} {params} hp_p={hp_p}", hashes(res)))
+            out.append((f"simulate arrays {name} {params} hp_p={hp_p}", arrays(res)))
         res = simulate(system, t=0.1, dt=1e-2, n_paths=16, seed=9, record=True)
         out.append((f"simulate arrays {name} {params} record",
-                    dict(hashes(res), **{f"path.{k}": v
-                                         for k, v in hashes(res.path).items()})))
+                    dict(arrays(res), **{f"path.{k}": v
+                                         for k, v in arrays(res.path).items()})))
     return out
 
 
@@ -175,6 +191,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=REPO,
                    help="flowgeom checkout whose src/ is imported (default: this one)")
+    p.add_argument("--dump", metavar="OUT",
+                   help="also write each label's report or arrays into this directory")
     args = p.parse_args(argv)
     src = os.path.join(os.path.abspath(args.root), "src")
     if not os.path.isfile(os.path.join(src, "flowgeom", "__init__.py")):
@@ -183,16 +201,38 @@ def main(argv=None) -> int:
     sys.path[:0] = [src, os.path.join(REPO, "flowbench")]
     from child import digest
 
+    import numpy as np
+
     import flowgeom.cli as cli
+
+    labels: list[str] = []
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
+
+    def emit(label: str, report: dict, arrays: dict | None = None) -> None:
+        print(f"{digest(report)}  {label}", flush=True)
+        if args.dump:
+            stem = os.path.join(args.dump, str(len(labels)))
+            if arrays is None:
+                with open(stem + ".json", "w") as fh:
+                    json.dump(_strip(report), fh, sort_keys=True)
+            else:
+                np.savez(stem + ".npz", **arrays)
+            labels.append(label)
 
     for label, cfg in configs():
         try:
             report = cli.run_config(cfg)
         except Exception as exc:  # a raising config is compared by its error
             report = {"error": f"{type(exc).__name__}: {exc}"}
-        print(f"{digest(report)}  {label}", flush=True)
-    for label, report in api_reports() + oracle_arrays() + engine_arrays():
-        print(f"{digest(report)}  {label}", flush=True)
+        emit(label, report)
+    for label, report in api_reports():
+        emit(label, report)
+    for label, arrays in oracle_arrays() + engine_arrays():
+        emit(label, {k: _sha(v) for k, v in arrays.items()}, arrays)
+    if args.dump:
+        with open(os.path.join(args.dump, "labels.json"), "w") as fh:
+            json.dump(labels, fh, indent=0)
     return 0
 
 
