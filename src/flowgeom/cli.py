@@ -9,10 +9,10 @@ per-path data goes to --dump-paths as CSV.
 
 Exit codes: 0 when every requested check passes (a check whose
 preconditions fail reports not_applicable and still exits 0), 1 on a
-check failure, 2 on a config error (including a probe point of the wrong
-length, in a chart the scenario lacks, or where X loses rank), 3 on a
-runtime or numeric error or on any other exception (reported as an internal
-error, without a traceback).
+check failure, 2 on a config error (including a start chart the scenario
+lacks, or a probe point of the wrong length, in a chart the scenario lacks,
+or where X loses rank), 3 on a runtime or numeric error or on any other
+exception (reported as an internal error, without a traceback).
 """
 
 from __future__ import annotations
@@ -439,7 +439,7 @@ def _dump_paths_csv(path: str, system, res, v0: np.ndarray) -> None:
                         + [f"x{k + 1}" for k in range(n)] + ["W_v0_norm"])
             for k in range(fp.x.shape[0]):
                 wk = fp.par_adj[k] @ fp.What[k] @ v0
-                gk = _metric_rows(system, res.chart_names, fp.cid_idx[k], fp.x[k])
+                gk = _metric_rows(system, np.asarray(res.chart_names)[fp.cid_idx[k]], fp.x[k])
                 for i in range(res.n_paths):
                     norm = float(np.sqrt(max(wk[i] @ gk[i] @ wk[i], 0.0)))
                     wr.writerow([i, k, repr(k * res.dt),

@@ -36,7 +36,7 @@ from .geometry import (
     tss_check,
 )
 from .model import SdeSystem
-from .stochastic import SimResult, _block_noise, _bundle_grouped, simulate
+from .stochastic import SimResult, _block_noise, _bundle, simulate
 
 __all__ = [
     "McConfig",
@@ -88,6 +88,10 @@ class McConfig:
         steps = round(self.t / self.dt)
         if steps <= 0 or abs(steps * self.dt - self.t) > 1e-9 * max(1.0, self.t):
             raise BadParams(f"t={self.t} is not an integer multiple of dt={self.dt}")
+        charts = [c.cid for c in self.system.charts]
+        if self.cid is not None and self.cid not in charts:
+            raise BadParams(f"scenario {self.system.name!r} has no chart {self.cid!r}; "
+                            f"its charts are {', '.join(charts)}")
         n = self.system.n
         for name in ("x0", "v0"):
             val = getattr(self, name)
@@ -295,17 +299,10 @@ def _gradx_vanishes(system: SdeSystem, cfg: McConfig) -> bool:
     return True
 
 
-def _metric_rows(system: SdeSystem, chart_names: tuple[str, ...],
-                 cid_idx: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Induced metric at assorted chart points, grouped per chart."""
-    n = x.shape[-1]
-    g = np.empty(x.shape[:-1] + (n, n))
-    for k, cid in enumerate(chart_names):
-        mask = cid_idx == k
-        if mask.any():
-            X = system.coeff_x(cid, x[mask])
-            g[mask] = np.linalg.inv(X @ np.swapaxes(X, -1, -2))
-    return g
+def _metric_rows(system: SdeSystem, cids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Induced metric at chart points, ``cids`` naming each row's chart."""
+    X = system.coeff_x(cids, x)
+    return np.linalg.inv(X @ np.swapaxes(X, -1, -2))
 
 
 def _report(check: str, cfg: McConfig, rows: list[CheckRow], res: SimResult | None,
@@ -609,13 +606,8 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
 def _terminal_one_form_pairing(cfg: McConfig, res: SimResult, phi_spec,
                                vec: np.ndarray) -> np.ndarray:
     """phi_{x_T}(vec) per path, evaluating phi in each terminal chart."""
-    out = np.empty(res.x.shape[0])
-    for kc, cid in enumerate(res.chart_names):
-        mask = res.cid_idx == kc
-        if mask.any():
-            phi = one_form_from_spec(cfg.system, cid, phi_spec)
-            out[mask] = np.einsum("pi,pi->p", phi(res.x[mask]), vec[mask])
-    return out
+    phi = one_form_from_spec(cfg.system, np.asarray(res.chart_names)[res.cid_idx], phi_spec)
+    return np.einsum("pi,pi->p", phi(res.x), vec)
 
 
 def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
@@ -726,7 +718,7 @@ def bochner_decay_check(cfg: McConfig, n_probes: int = 12,
     ts, ys = [], []
     for kk in picks:
         Wk = path.par_adj[kk][alive] @ path.What[kk][alive]
-        g = _metric_rows(system, res.chart_names, path.cid_idx[kk][alive],
+        g = _metric_rows(system, np.asarray(res.chart_names)[path.cid_idx[kk][alive]],
                          path.x[kk][alive])
         wv = Wk @ v0
         norms = np.sqrt(np.einsum("pi,pij,pj->p", wv, g, wv))
@@ -850,10 +842,10 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
                         record=True, noise=noise)
         path = res.path
         v0 = _resolve_v0(cfg, res)
+        cids = np.asarray(res.chart_names)[path.cid_idx]
         acc = np.zeros(noise.shape[0])
         for kk in range(n_steps):
-            pd = _bundle_grouped(system, res.chart_names, path.cid_idx[kk], path.x[kk],
-                                 "full")
+            pd = _bundle(system, cids[kk], path.x[kk], "full")
             v = path.J[kk] @ v0
             vv = np.einsum("pi,pij,pj->p", v, pd.g, v)
             # s_i = <nab X^i (v), v>_g / |v|^2 drives the log-norm martingale
@@ -862,8 +854,7 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
             half_qv = 0.5 * p * p * np.einsum("pi,pi->p", s, s) * dt
             drift = 0.5 * p * moment_form(pd, v, p) / vv * dt
             acc += mart - half_qv + drift
-        pd_end = _bundle_grouped(system, res.chart_names, path.cid_idx[n_steps],
-                                 path.x[n_steps], "full")
+        pd_end = _bundle(system, cids[n_steps], path.x[n_steps], "full")
         v_end = path.J[n_steps] @ v0
         vv_end = np.einsum("pi,pij,pj->p", v_end, pd_end.g, v_end)
         vv0 = float(v0 @ res.g0 @ v0)

@@ -1,10 +1,14 @@
 """SDE systems on manifolds presented as chart atlases.
 
 A system holds the data of a Stratonovich SDE ``dx = X(x) o dB + A(x) dt``
-with ``X(x): R^m -> T_x M`` surjective.  Coefficients are given per chart and
-accept batched points (arrays of shape ``(..., n)``).  ``coeff_dx`` is the
-chart derivative of ``X``: closed forms on flat, sphere-gradient,
-twisted-plane and circle, the finite-difference oracle everywhere else.
+with ``X(x): R^m -> T_x M`` surjective.  Coefficients, embeddings and
+transitions accept batched points (arrays of shape ``(..., n)``) and take
+the chart as ``cid``: a single chart name for all points, or an array with
+one name per row (it broadcasts against the batch axes), so a batch may mix
+charts.  The maps are pointwise: a row's values do not depend on the other
+rows or their charts.  ``coeff_dx`` is the chart derivative of ``X``:
+closed forms on flat, sphere-gradient, twisted-plane and circle, the
+finite-difference oracle everywhere else.
 
 Built-in scenarios:
 
@@ -45,7 +49,11 @@ class Chart:
 
 
 class SdeSystem:
-    """Base class; scenarios override the per-chart coefficient methods."""
+    """Base class; scenarios override the coefficient methods.
+
+    Every method taking ``cid`` accepts a chart name or an array of names
+    with one entry per row of ``x`` (see the module docstring).
+    """
 
     name: str = "base"
     n: int = 0          # manifold dimension
@@ -69,13 +77,15 @@ class SdeSystem:
         return self.charts[0].cid, np.zeros(self.n)
 
     # -- coefficients (batched over leading axes) ---------------------------
-    def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def coeff_x(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
+        """X at ``x`` in chart(s) ``cid``, shape ``(..., n, m)``."""
         raise NotImplementedError
 
-    def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def coeff_a(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The drift A at ``x`` in chart(s) ``cid``, shape ``(..., n)``."""
         return np.zeros(np.asarray(x).shape)
 
-    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def coeff_dx(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """DX[..., i, r, j] = d X^{ir} / d x^j, shape ``(..., n, m, n)``.
 
         The default differentiates ``coeff_x`` with the system's oracle;
@@ -84,15 +94,18 @@ class SdeSystem:
         return self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x)
 
     # -- transitions ---------------------------------------------------------
-    def switch_mask(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def switch_mask(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """True where the integrator should hand off to a better chart."""
         return np.zeros(np.asarray(x).shape[:-1], dtype=bool)
 
-    def switch_target(self, cid: str) -> str:
+    def switch_target(self, cid: str | np.ndarray) -> np.ndarray:
+        """The chart to hand off to from each entry of ``cid``.  Multi-chart
+        scenarios also define ``transition(cid_from, cid_to, x)`` and its
+        ``transition_jacobian``, taking one chart pair or one pair per row."""
         raise OutOfOverlap(f"scenario {self.name!r} has a single chart")
 
     # -- diagnostics ---------------------------------------------------------
-    def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def embed(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """Map chart coordinates to the diagnostic embedding of M."""
         raise NotImplementedError
 
@@ -181,18 +194,19 @@ class SphereSystem(SdeSystem):
         return self._charts
 
     @staticmethod
-    def _sign(cid: str) -> float:
-        # embedded last coordinate at u = 0: -1 in chart 'n', +1 in chart 's'
-        return -1.0 if cid == "n" else 1.0
+    def _sign(cid: str | np.ndarray) -> np.ndarray:
+        # embedded last coordinate at u = 0: -1 in chart 'n', +1 in chart 's';
+        # the two charts differ in this sign alone
+        return np.where(np.asarray(cid) == "n", -1.0, 1.0)
 
-    def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def embed(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         u = np.asarray(x, dtype=float)
         s = 1.0 + np.sum(u * u, axis=-1, keepdims=True)
         top = 2.0 * u / s
-        last = self._sign(cid) * (1.0 - np.sum(u * u, axis=-1, keepdims=True)) / s
+        last = self._sign(cid)[..., None] * (1.0 - np.sum(u * u, axis=-1, keepdims=True)) / s
         return np.concatenate([top, last], axis=-1)
 
-    def embed_jacobian(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def embed_jacobian(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """D(embed): (..., n+1, n)."""
         u = np.asarray(x, dtype=float)
         n = self.n
@@ -200,38 +214,41 @@ class SphereSystem(SdeSystem):
         eye = np.broadcast_to(np.eye(n), u.shape[:-1] + (n, n))
         uu = u[..., :, None] * u[..., None, :]
         top = (2.0 / s) * (eye - 2.0 * uu / s)
-        last = -self._sign(cid) * 4.0 * u[..., None, :] / (s * s)
+        last = -self._sign(cid)[..., None, None] * 4.0 * u[..., None, :] / (s * s)
         return np.concatenate([top, last], axis=-2)
 
-    def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def coeff_x(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         # X(u) = (s^2/4) Dp(u)^T: the chart expression of e |-> e - <e,p> p
         u = np.asarray(x, dtype=float)
         s = 1.0 + np.sum(u * u, axis=-1)[..., None, None]
         dp = self.embed_jacobian(cid, u)
         return (s * s / 4.0) * np.swapaxes(dp, -1, -2)
 
-    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def coeff_dx(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         # X(u) = [(s/2) I - u u^T | -sign u] with s = 1 + |u|^2, so for r < n
         # DX[i, r, j] = d_ir u_j - d_ij u_r - u_i d_rj, and DX[i, n, j] = -sign d_ij
         u = np.asarray(x, dtype=float)
         n = self.n
         out = np.zeros(u.shape[:-1] + (n, n + 1, n))
+        sign = self._sign(cid)
         for k in range(n):  # strided slices: a third of the time of broadcast products
             out[..., k, k, :] += u         # d_ir u_j at i = r = k
             out[..., k, :n, k] -= u        # d_ij u_r at i = j = k
             out[..., :, k, k] -= u         # u_i d_rj at r = j = k
-            out[..., k, n, k] = -self._sign(cid)
+            out[..., k, n, k] = -sign
         return out
 
-    def switch_mask(self, cid: str, x: np.ndarray) -> np.ndarray:
+    def switch_mask(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         u = np.asarray(x, dtype=float)
         return np.sum(u * u, axis=-1) > 4.0
 
-    def switch_target(self, cid: str) -> str:
-        return "s" if cid == "n" else "n"
+    def switch_target(self, cid: str | np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(cid) == "n", "s", "n")
 
-    def transition(self, cid_from: str, cid_to: str, x: np.ndarray) -> np.ndarray:
-        if {cid_from, cid_to} != {"n", "s"}:
+    def transition(self, cid_from: str | np.ndarray, cid_to: str | np.ndarray,
+                   x: np.ndarray) -> np.ndarray:
+        src, dst = np.asarray(cid_from), np.asarray(cid_to)
+        if not np.all((src != dst) & np.isin(src, ("n", "s")) & np.isin(dst, ("n", "s"))):
             raise OutOfOverlap(f"no transition {cid_from!r} -> {cid_to!r}")
         u = np.asarray(x, dtype=float)
         r2 = np.sum(u * u, axis=-1, keepdims=True)
@@ -239,7 +256,8 @@ class SphereSystem(SdeSystem):
             raise OutOfOverlap("chart origin is not in the overlap")
         return u / r2
 
-    def transition_jacobian(self, cid_from: str, cid_to: str, x: np.ndarray) -> np.ndarray:
+    def transition_jacobian(self, cid_from: str | np.ndarray, cid_to: str | np.ndarray,
+                            x: np.ndarray) -> np.ndarray:
         u = np.asarray(x, dtype=float)
         r2 = np.sum(u * u, axis=-1)[..., None, None]
         eye = np.broadcast_to(np.eye(self.n), u.shape[:-1] + (self.n, self.n))

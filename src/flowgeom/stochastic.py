@@ -216,41 +216,26 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# batched bundle evaluation across charts
+# batched bundle evaluation, one chart name per row
 # ---------------------------------------------------------------------------
 
 
 _FIELDS = tuple(f.name for f in fields(PointData))
 
 
-def _bundle(system: SdeSystem, cid: str, x: np.ndarray, level: str) -> PointData:
+def _bundle(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray,
+            level: str) -> PointData:
     """Bundle at one of three levels: "coeff" (X, A), "light" (+ DX, DA) or
-    "full" (all of ``point_data``)."""
+    "full" (all of ``point_data``), with the chart of each row in ``cids``."""
     if level == "coeff":
-        return PointData(X=system.coeff_x(cid, x), A=system.coeff_a(cid, x),
-                         DX=None, DA=None)
-    return point_data(system, cid, x, light=level == "light")
-
-
-def _bundle_grouped(system: SdeSystem, chart_names, cid_idx: np.ndarray,
-                    x: np.ndarray, level: str) -> PointData:
-    if len(chart_names) == 1:
-        return _bundle(system, chart_names[0], x, level)
-    out: PointData | None = None
-    for k, cid in enumerate(chart_names):
-        mask = cid_idx == k
-        if not mask.any():
-            continue
-        pd = _bundle(system, cid, x[mask], level)
-        if out is None:
-            lead = pd.X.ndim - 2  # batch axes of pd, replaced by those of x
-            blank = {}
-            for name in _FIELDS:
-                val = getattr(pd, name)
-                blank[name] = None if val is None else np.empty(x.shape[:-1] + val.shape[lead:])
-            out = PointData(**blank)
-        _scatter_rows(out, pd, mask)
-    return out
+        pd = PointData(X=system.coeff_x(cids, x), A=system.coeff_a(cids, x),
+                       DX=None, DA=None)
+    else:
+        pd = point_data(system, cids, x, light=level == "light")
+    # C order: the engine's einsum and matmul sums depend on operand layout in
+    # their last bits, and the sphere's coeff_x returns a transposed view
+    pd.X = np.ascontiguousarray(pd.X)
+    return pd
 
 
 def _scatter_rows(dst: PointData, src: PointData, mask: np.ndarray) -> None:
@@ -261,10 +246,9 @@ def _scatter_rows(dst: PointData, src: PointData, mask: np.ndarray) -> None:
             d[mask] = s
 
 
-def _gamma_light(system: SdeSystem, chart_names, cid_idx: np.ndarray,
-                 x: np.ndarray) -> np.ndarray:
+def _gamma_light(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Induced-connection Christoffels from a light bundle evaluation."""
-    pd = _bundle_grouped(system, chart_names, cid_idx, x, "light")
+    pd = _bundle(system, cids, x, "light")
     Xt = np.swapaxes(pd.X, -1, -2)
     Y = Xt @ np.linalg.inv(pd.X @ Xt)
     return _induced_gamma(pd.DX, Y)
@@ -427,9 +411,12 @@ def _closure(need: frozenset) -> set:
 
 def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                dt: float, cid0: str, x0: np.ndarray, hp_p: float | None,
-               record: bool, need: frozenset,
+               record: bool, need: frozenset, adj_metric: bool,
                noise: np.ndarray | None = None, also_at: int | None = None) -> dict:
     """Integrate one block of paths; ``need`` is what ``_requested`` returns.
+
+    ``adj_metric`` says whether the adjoint connection is metric at the
+    start, so that ``//^`` frames may be isometrized.
 
     With ``also_at``, ``out["earlier"]`` holds the same fields after that
     many steps, copied since the engine updates some arrays in place.
@@ -457,7 +444,8 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     st = {name: eye.copy() for name in ("J", "par_lw", "par_adj", "What", "Vhat")
           if name in on}
 
-    bundle = _bundle_grouped(system, chart_names, cid_idx, x, level)
+    cids = np.asarray(chart_names)[cid_idx]  # chart name per row
+    bundle = _bundle(system, cids, x, level)
     origin_bundle = bundle if system.is_group else None
     start = point_data(system, cid0, x[:1])
     g0 = start.g[0].copy()
@@ -465,10 +453,6 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     X0 = start.X[0].copy()
     Y0 = start.Y[0].copy()
     L0 = np.linalg.cholesky(g0)
-    # the induced connection is always metric; its adjoint only under
-    # skew-symmetric torsion, so only then may //^ frames be isometrized
-    adj_metric = ("par_adj" in on
-                  and tss_check(system, cid0, np.asarray(x0, dtype=float))[0])
     F0 = _null_frame(X0)
     F = None
     if decompose:
@@ -525,7 +509,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # predictor / corrector for the state
         drift_k = Bk.A * dt
         x_star = x + np.einsum("...ij,...j->...i", Bk.X, dB) + drift_k
-        Bs = _bundle_grouped(system, chart_names, cid_idx, x_star, level_s)
+        Bs = _bundle(system, cids, x_star, level_s)
         x_plus = (x + 0.5 * np.einsum("...ij,...j->...i", Bk.X + Bs.X, dB)
                   + 0.5 * (Bk.A + Bs.A) * dt)
 
@@ -549,12 +533,12 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             new["J"] = J + 0.5 * (DGk @ J + DGs @ (J + DGk @ J))
 
         # bundle at the corrected point (pre chart switch)
-        Bp = _bundle_grouped(system, chart_names, cid_idx, x_plus, level)
+        Bp = _bundle(system, cids, x_plus, level)
 
         # parallel transports, RK4 on dv/ds = -Gamma(x + s dx)(dx, v)
         if transport:
             dx = x_plus - x
-            gamma_mid = _gamma_light(system, chart_names, cid_idx, x + 0.5 * dx)
+            gamma_mid = _gamma_light(system, cids, x + 0.5 * dx)
 
             def _seg_mats(spec):
                 return tuple(-np.einsum(spec, gam, dx)
@@ -644,30 +628,18 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         else:
             x = x_plus
             bundle = Bp
-            if len(chart_names) > 1:
-                switched = np.zeros(P, dtype=bool)
-                for ci, cid in enumerate(chart_names):
-                    sel = upd & (cid_idx == ci)
-                    if not sel.any():
-                        continue
-                    sw = np.zeros(P, dtype=bool)
-                    sw[sel] = np.asarray(system.switch_mask(cid, x[sel]))
-                    if not sw.any():
-                        continue
-                    target = system.switch_target(cid)
-                    ti = chart_names.index(target)
-                    xn = system.transition(cid, target, x[sw])
-                    if tangent:
-                        M = system.transition_jacobian(cid, target, x[sw])
-                        for name in tangent:
-                            st[name][sw] = M @ st[name][sw]
-                    x[sw] = xn
-                    cid_idx[sw] = ti
-                    switched |= sw
-                if switched.any():
-                    pd_new = _bundle_grouped(system, chart_names, cid_idx[switched],
-                                             x[switched], level)
-                    _scatter_rows(bundle, pd_new, switched)
+            sw = upd & system.switch_mask(cids, x)
+            if sw.any():
+                target = system.switch_target(cids[sw])
+                if tangent:
+                    M = system.transition_jacobian(cids[sw], target, x[sw])
+                    for name in tangent:
+                        st[name][sw] = M @ st[name][sw]
+                x[sw] = system.transition(cids[sw], target, x[sw])
+                cids[sw] = target
+                cid_idx[sw] = [chart_names.index(c) for c in target]
+                # only the switched rows are evaluated again
+                _scatter_rows(bundle, _bundle(system, target, x[sw], level), sw)
         if record:
             snapshot()
         if k + 1 == also_at:
@@ -700,17 +672,12 @@ def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
     cid_idx = cat("cid_idx")
     x = cat("x")
     centers = cat("centers")
-    # terminal embedding, chart by chart
-    emb = np.empty((run["n_paths"], system.embed_dim))
     chart_names = first["chart_names"]
-    for ci, c in enumerate(chart_names):
-        sel = cid_idx == ci
-        if not sel.any():
-            continue
-        if system.is_group:
-            emb[sel] = system.embed(c, x[sel], center=centers[sel])
-        else:
-            emb[sel] = system.embed(c, x[sel])
+    cids = np.asarray(chart_names)[cid_idx]
+    if system.is_group:
+        emb = system.embed(cids, x, center=centers)
+    else:
+        emb = system.embed(cids, x)
 
     companions = {name: cat(name) if name in need else None for name in _SIM_COMPANIONS}
     return SimResult(
@@ -761,6 +728,9 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         x0 = x0 if x0 is not None else x0_d
     x0 = np.asarray(x0, dtype=float)
     need = _requested(need, hp_p)
+    # the induced connection is always metric; its adjoint only under
+    # skew-symmetric torsion, so only then may //^ frames be isometrized
+    adj_metric = "par_adj" in _closure(need) and bool(tss_check(system, cid, x0)[0])
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]
@@ -769,7 +739,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     def work(idx_block):
         return _run_block(system, seed, idx_block, steps, dt, cid, x0, hp_p,
-                          record, need, noise=noise, also_at=also_at)
+                          record, need, adj_metric, noise=noise, also_at=also_at)
 
     if threads <= 1 or len(blocks) == 1:
         results = [work(b) for b in blocks]

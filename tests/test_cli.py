@@ -221,6 +221,24 @@ def test_probe_point_in_an_unknown_chart_rejected(tmp_path, capsys):
     assert "has no chart 'north'" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, params, charts", [
+    ("sphere-gradient", {"n": 2}, "n, s"),
+    ("flat", {"n": 2}, "u"),
+], ids=["sphere-gradient", "flat"])
+@pytest.mark.parametrize("command", ["estimate", "simulate"])
+def test_start_chart_the_scenario_lacks_rejected(tmp_path, capsys, command, name, params,
+                                                 charts):
+    cfg = {"command": command, "scenario": {"name": name, "params": params},
+           "chart": "q", "n_paths": 100, "t": 0.1, "threads": 1}
+    if command == "estimate":
+        cfg["check"] = "filtered"
+    code, _ = run(tmp_path, cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"scenario {name!r} has no chart 'q'; its charts are {charts}" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------- verify
 
 

@@ -105,6 +105,44 @@ def test_sphere_transition_rejects_chart_center():
         sys.transition("n", "s", np.zeros(2))
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_per_row_charts_equal_per_row_calls(n):
+    # a batch that mixes charts gives, row by row, the values of one call per row
+    sys = build_scenario("sphere-gradient", {"n": n}).system
+    gen = np.random.default_rng(4)
+    x = gen.uniform(-2.5, 2.5, size=(9, n))
+    cids = np.array(["n", "s", "s", "n", "s", "n", "n", "s", "n"])
+    target = sys.switch_target(cids)
+    np.testing.assert_array_equal(target, [sys.switch_target(c) for c in cids])
+    per_row = {
+        "coeff_x": lambda c, y: sys.coeff_x(c, y),
+        "coeff_dx": lambda c, y: sys.coeff_dx(c, y),
+        "embed": lambda c, y: sys.embed(c, y),
+        "embed_jacobian": lambda c, y: sys.embed_jacobian(c, y),
+        "transition": lambda c, y: sys.transition(c, sys.switch_target(c), y),
+        "transition_jacobian": lambda c, y: sys.transition_jacobian(
+            c, sys.switch_target(c), y),
+    }
+    batched = {
+        "coeff_x": sys.coeff_x(cids, x),
+        "coeff_dx": sys.coeff_dx(cids, x),
+        "embed": sys.embed(cids, x),
+        "embed_jacobian": sys.embed_jacobian(cids, x),
+        "transition": sys.transition(cids, target, x),
+        "transition_jacobian": sys.transition_jacobian(cids, target, x),
+    }
+    for name, f in per_row.items():
+        rows = np.stack([f(c, y) for c, y in zip(cids, x)])
+        assert np.array_equal(batched[name], rows), name
+
+
+def test_sphere_transition_rejects_a_per_row_pair_to_the_same_chart():
+    sys = build_scenario("sphere-gradient", {"n": 2}).system
+    x = np.array([[0.8, -0.6], [1.1, 0.2], [-0.4, 0.9]])
+    with pytest.raises(OutOfOverlap):
+        sys.transition(np.array(["n", "s", "n"]), np.array(["s", "s", "s"]), x)
+
+
 def test_so3_coefficients_at_identity():
     sc = build_scenario("so3-left-invariant", {})
     sys = sc.system

@@ -16,12 +16,14 @@ import pytest
 
 from flowgeom.errors import BadParams
 from flowgeom.estimators import _metric_rows
+from flowgeom.geometry import PointData, point_data
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
     BLOCK,
     FlowPath,
     SimResult,
     _block_noise,
+    _bundle,
     _isometrize,
     _isometry_inverse,
     _polar_snap,
@@ -184,6 +186,26 @@ def test_sphere_chart_switching_preserves_the_point(sphere):
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("level", ["coeff", "light", "full"])
+def test_bundle_on_mixed_charts_equals_per_chart_point_data(n, level):
+    # one bundle call on rows of both charts gives each chart's own rows
+    sys = system_of("sphere-gradient", {"n": n})
+    x = np.random.default_rng(8).uniform(-1.5, 1.5, size=(10, n))
+    cids = np.array(["n", "s", "s", "n", "n", "s", "n", "s", "s", "n"])
+    got = _bundle(sys, cids, x, level)
+    for cid in ("n", "s"):
+        mask = cids == cid
+        want = point_data(sys, cid, x[mask], light=level != "full")
+        filled = {f.name for f in fields(PointData) if getattr(want, f.name) is not None}
+        if level == "coeff":
+            filled = {"X", "A"}
+        assert {f.name for f in fields(PointData) if getattr(got, f.name) is not None} == filled
+        for name in filled:
+            np.testing.assert_array_equal(getattr(got, name)[mask], getattr(want, name),
+                                          err_msg=name)
+
+
 def test_guard_radius_kills_escaping_paths():
     sys = system_of("flat", {"n": 2, "guard_radius": 0.5})
     r = simulate(sys, t=1.0, dt=1e-2, n_paths=64, seed=6)
@@ -216,7 +238,7 @@ def test_snapped_transports_are_isometries_to_rounding(name, params, x0):
         assert set(fp.cid_idx[-1].tolist()) == {0, 1}
     ginv0 = np.linalg.inv(r.g0)
     for k in range(fp.x.shape[0]):
-        g = _metric_rows(sys, r.chart_names, fp.cid_idx[k], fp.x[k])
+        g = _metric_rows(sys, np.asarray(r.chart_names)[fp.cid_idx[k]], fp.x[k])
         for par in (fp.par_lw[k], fp.par_adj[k]):  # both metric on these systems
             defect = np.einsum("pji,pjk,pkl->pil", par, g, par) - r.g0
             assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(r.g0))

@@ -22,8 +22,10 @@ twisted-plane, ``generator`` and ``oneform`` on custom over three engine
 blocks, CLI ``simulate`` plain and recorded, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
-Christoffel field on each scenario at one point and at a batch, and every
-array of a default ``simulate`` on each scenario.
+Christoffel field on each scenario at one point and at a batch, every
+array of a default ``simulate`` on each scenario, and every array of
+sphere-gradient runs (n = 2 and 3) started near the switching radius in
+either chart, where most paths change chart.
 """
 
 from __future__ import annotations
@@ -184,6 +186,23 @@ def engine_arrays() -> list[tuple[str, dict]]:
         out.append((f"simulate arrays {name} {params} record",
                     dict(arrays(res), **{f"path.{k}": v
                                          for k, v in arrays(res.path).items()})))
+    # the sphere's default start hardly leaves its chart; started near the
+    # switching radius (|u| = 2) most paths change chart, so the switched-row
+    # write-back and the two-chart embedding are covered
+    for n in (2, 3):
+        system = build_scenario("sphere-gradient", {"n": n}).system
+        x0 = np.zeros(n)
+        x0[0] = 1.9
+        for cid in ("n", "s"):
+            label = f"simulate arrays sphere-gradient n={n} switching from {cid}"
+            res = simulate(system, t=0.3, dt=1e-2, n_paths=2100, seed=9, hp_p=2.0,
+                           threads=2, x0=x0, cid=cid)
+            out.append((f"{label} hp_p=2.0", arrays(res)))
+            res = simulate(system, t=0.2, dt=1e-2, n_paths=16, seed=9, record=True,
+                           x0=x0, cid=cid)
+            out.append((f"{label} record",
+                        dict(arrays(res), **{f"path.{k}": v
+                                             for k, v in arrays(res.path).items()})))
     return out
 
 
