@@ -41,6 +41,7 @@ from .errors import (
 )
 from .estimators import (
     McConfig,
+    _resolve_v0,
     bismut_gradient,
     bochner_decay_check,
     decomposition_check,
@@ -50,7 +51,10 @@ from .estimators import (
     one_form_semigroup_check,
 )
 from .geometry import (
+    TSS_TOL,
     PointData,
+    _g_frame_eigvalsh,
+    _metric_field,
     christoffel,
     connection_routes_residual,
     curvature_from_christoffel,
@@ -127,12 +131,12 @@ def _probe_points(system, cfg: dict, default_samples: int) -> list:
     point and ``n_probes`` sampled points."""
     pts = []
     start_cid, _ = system.start()
-    charts = [c.cid for c in system.charts]
     for k, entry in enumerate(cfg.get("points", [])):
         cid = entry.get("chart", start_cid)
-        if cid not in charts:
-            raise BadParams(f"points[{k}]: scenario {system.name!r} has no chart {cid!r}; "
-                            f"its charts are {', '.join(charts)}")
+        try:
+            system.check_chart(cid)
+        except BadParams as exc:
+            raise BadParams(f"points[{k}]: {exc}") from None
         x = np.asarray(entry["x"], dtype=float)
         if x.shape != (system.n,):
             raise BadParams(f"points[{k}].x must have {system.n} entries, got {x.size}")
@@ -202,9 +206,6 @@ def cmd_tensors(cfg: dict) -> dict:
     }
 
 
-TSS_TOL = 1e-6  # skew-torsion verdict of both tss_check routes
-
-
 def cmd_verify(cfg: dict) -> dict:
     """Geometry identity suite: max residual per identity over probe points.
 
@@ -271,13 +272,12 @@ def cmd_verify(cfg: dict) -> dict:
         ric_diff = (ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g)
                     - ricci_bilinear(pd.ric_sharp, pd.g))
         ric_diff = 0.5 * (ric_diff + np.swapaxes(ric_diff, -1, -2))
-        Linv = np.linalg.inv(np.linalg.cholesky(pd.g))
-        eigs = np.linalg.eigvalsh(Linv @ ric_diff @ np.swapaxes(Linv, -1, -2))
+        eigs = _g_frame_eigvalsh(ric_diff, pd.g)
         ricci_min_eig = min(ricci_min_eig, float(eigs.min()))
         ricci_max_abs = max(ricci_max_abs, float(np.max(np.abs(eigs))))
 
     start_cid, start_x = system.start()
-    tss, tss_res, tss_alt = tss_check(system, start_cid, start_x, tol=TSS_TOL)
+    tss, tss_res, tss_alt = tss_check(system, start_cid, start_x)
     lw_equals_lc = gamma_gap < 1e-6
 
     tolerances = {
@@ -377,7 +377,7 @@ def cmd_simulate(cfg: dict):
                    x0=x0, cid=cid, threads=mc.threads,
                    record=bool(cfg.get("record", False)))
     alive = res.alive
-    v0 = mc.v0 if mc.v0 is not None else np.linalg.inv(res.L0).T[:, 0]
+    v0 = _resolve_v0(mc, res)
     jv = res.J[alive] @ v0
     wv = res.W()[alive] @ v0
     j_norm = np.sqrt(np.einsum("pi,pij,pj->p", jv, res.g_T[alive], jv))
@@ -432,14 +432,12 @@ def _dump_paths_csv(path: str, system, res, v0: np.ndarray) -> None:
                             + [repr(float(c)) for c in res.x[i]]
                             + [repr(float(jn[i])), repr(float(wn[i]))])
         else:
-            from .estimators import _metric_rows
-
             fp = res.path
             wr.writerow(["path", "step", "time", "chart", "alive"]
                         + [f"x{k + 1}" for k in range(n)] + ["W_v0_norm"])
             for k in range(fp.x.shape[0]):
                 wk = fp.par_adj[k] @ fp.What[k] @ v0
-                gk = _metric_rows(system, np.asarray(res.chart_names)[fp.cid_idx[k]], fp.x[k])
+                gk = _metric_field(system, np.asarray(res.chart_names)[fp.cid_idx[k]])(fp.x[k])
                 for i in range(res.n_paths):
                     norm = float(np.sqrt(max(wk[i] @ gk[i] @ wk[i], 0.0)))
                     wr.writerow([i, k, repr(k * res.dt),
@@ -604,8 +602,7 @@ def _run(args) -> int:
                 res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths,
                                seed=mc.seed, x0=x0, cid=cid, threads=mc.threads,
                                need=_DUMP_NEEDS)
-                _dump_paths_csv(dump, mc.system, res,
-                                np.linalg.inv(res.L0).T[:, 0])
+                _dump_paths_csv(dump, mc.system, res, _resolve_v0(mc, res))
     except (ConfigError, BadParams, UnknownScenario, ExprError, DegenerateX) as exc:
         # DegenerateX: X loses rank at a point the config names or samples
         print(f"config error: {exc}", file=sys.stderr)

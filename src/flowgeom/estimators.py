@@ -26,6 +26,10 @@ import numpy as np
 from . import expr as ex
 from .errors import BadParams, NotApplicable, TooFewAlivePaths
 from .geometry import (
+    TSS_TOL,
+    _g_frame_eigvalsh,
+    _metric_field,
+    _torsion_skew,
     moment_form,
     one_form_from_spec,
     one_form_generator,
@@ -33,7 +37,6 @@ from .geometry import (
     point_data,
     scalar_from_expr,
     scalar_generator,
-    tss_check,
 )
 from .model import SdeSystem
 from .stochastic import SimResult, _block_noise, _bundle, simulate
@@ -88,20 +91,12 @@ class McConfig:
         steps = round(self.t / self.dt)
         if steps <= 0 or abs(steps * self.dt - self.t) > 1e-9 * max(1.0, self.t):
             raise BadParams(f"t={self.t} is not an integer multiple of dt={self.dt}")
-        charts = [c.cid for c in self.system.charts]
-        if self.cid is not None and self.cid not in charts:
-            raise BadParams(f"scenario {self.system.name!r} has no chart {self.cid!r}; "
-                            f"its charts are {', '.join(charts)}")
-        n = self.system.n
+        if self.cid is not None:
+            self.system.check_chart(self.cid)
         for name in ("x0", "v0"):
             val = getattr(self, name)
-            if val is None:
-                continue
-            val = np.asarray(val, dtype=float)
-            if val.shape != (n,):
-                raise BadParams(f"{name} has shape {val.shape} but {self.system.name} "
-                                f"has dimension {n}")
-            setattr(self, name, val)
+            if val is not None:
+                setattr(self, name, self.system.check_vector(name, val))
 
     def start(self) -> tuple[str, np.ndarray]:
         cid_d, x0_d = self.system.start()
@@ -218,7 +213,7 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 
 def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
               dt: float | None = None, n_paths: int | None = None,
-              seed: int | None = None, x0: np.ndarray | None = None,
+              x0: np.ndarray | None = None,
               hp_p: float | None = None, record: bool = False,
               noise: np.ndarray | None = None,
               also_at: int | None = None) -> SimResult:
@@ -229,7 +224,7 @@ def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
         t=cfg.t if t is None else t,
         dt=cfg.dt if dt is None else dt,
         n_paths=cfg.n_paths if n_paths is None else n_paths,
-        seed=cfg.seed if seed is None else seed,
+        seed=cfg.seed,
         x0=x0_d if x0 is None else x0,
         cid=cid,
         hp_p=hp_p,
@@ -297,12 +292,6 @@ def _gradx_vanishes(system: SdeSystem, cfg: McConfig) -> bool:
         if np.max(np.abs(pd.gradX)) > 1e-8:
             return False
     return True
-
-
-def _metric_rows(system: SdeSystem, cids: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Induced metric at chart points, ``cids`` naming each row's chart."""
-    X = system.coeff_x(cids, x)
-    return np.linalg.inv(X @ np.swapaxes(X, -1, -2))
 
 
 def _report(check: str, cfg: McConfig, rows: list[CheckRow], res: SimResult | None,
@@ -425,14 +414,14 @@ def _circle_ptf_derivative(theta0: float, t: float, tree, n_terms: int = 7,
     return float(np.sum(fvals * dkernel) * (2.0 * np.pi / grid))
 
 
-def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4,
-                    bias_halving: bool = True) -> McReport:
+def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4) -> McReport:
     """Derivative of the semigroup without differentiating the flow.
 
     Estimates d(P_t f)(v0) = (1/t) E[f(x_t) S] where S pairs the filtered
     flow with the tangent-frame noise increments, and compares against a
     common-random-numbers central finite difference of P_t f (and, on the
-    circle, against the wrapped-Gaussian kernel series).
+    circle, against the wrapped-Gaussian kernel series).  The bias allowance
+    is twice the gap to the same estimate at dt/2.
     """
     t0 = time.perf_counter()
     res = _simulate(cfg, {"bismut_vec"})
@@ -444,13 +433,10 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4,
     samples = (_terminal_scalar(res, f_source) * (res.bismut_vec @ v0))[alive] / cfg.t
     est, se = _mean_se(samples)
 
-    bias_allow = 0.0
-    if bias_halving:
-        half = _simulate(cfg, {"bismut_vec"}, dt=cfg.dt / 2.0)
-        ah = half.alive
-        sh = (_terminal_scalar(half, f_source) * (half.bismut_vec @ v0))[ah] / cfg.t
-        est_h = float(np.mean(sh))
-        bias_allow = 2.0 * abs(est - est_h)
+    half = _simulate(cfg, {"bismut_vec"}, dt=cfg.dt / 2.0)
+    ah = half.alive
+    sh = (_terminal_scalar(half, f_source) * (half.bismut_vec @ v0))[ah] / cfg.t
+    bias_allow = 2.0 * abs(est - float(np.mean(sh)))
 
     res_p = _simulate(cfg, set(), x0=x0 + eps * v0)
     res_m = _simulate(cfg, set(), x0=x0 - eps * v0)
@@ -494,8 +480,8 @@ def moment_sandwich(cfg: McConfig, p: float = 2.0) -> McReport:
     """
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
-    ok, resid, _ = tss_check(cfg.system, cid, x0)
-    if not ok:
+    resid = _torsion_skew(cfg.system, cid, x0)[0]
+    if not resid < TSS_TOL:
         raise NotApplicable(
             f"adjoint connection is not metric here (torsion skew residual {resid:.3g})")
 
@@ -623,7 +609,6 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
         phi_spec = {"d_of": "x1"}
     cid, x0 = cfg.start()
     system = cfg.system
-    oracle = system.oracle
     phi0 = one_form_from_spec(system, cid, phi_spec)
 
     half_steps = max(1, round(cfg.t / cfg.dt) // 2)
@@ -647,7 +632,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
         def a0(y: np.ndarray) -> np.ndarray:
             return scalar_generator(system, cid, y, f)[0][..., None]
 
-        da0_v = float(oracle.directional(a0, x0, v0)[0])
+        da0_v = float(system.oracle.directional(a0, x0, v0)[0])
         rows.append(CheckRow(
             name="exact form: generator commutes with d",
             estimate=gen_direct - da0_v, se=0.0, reference=0.0,
@@ -681,27 +666,25 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
 # ---------------------------------------------------------------------------
 
 
-def bochner_decay_check(cfg: McConfig, n_probes: int = 12,
-                        n_samples: int = 20) -> McReport:
+def bochner_decay_check(cfg: McConfig) -> McReport:
     """Exponential decay of |W_t v0| under a positive curvature-drift gap.
 
-    The gap lambda is the smallest eigenvalue, over probe points, of the
-    symmetrized quadratic form of Ric# - 2 nabla A in g-orthonormal frames;
-    when it is not positive the hypothesis fails and NotApplicable is
-    raised.  Otherwise log E|W_t v0| is fitted over the run and the slope
-    must sit at or below -lambda/2 + 0.1.
+    The gap lambda is the smallest eigenvalue, over the start and 12 sampled
+    probe points, of the symmetrized quadratic form of Ric# - 2 nabla A in
+    g-orthonormal frames; when it is not positive the hypothesis fails and
+    NotApplicable is raised.  Otherwise log E|W_t v0| is fitted at up to 21
+    evenly spaced steps of the run and the slope must sit at or below
+    -lambda/2 + 0.1.
     """
     t0 = time.perf_counter()
     system = cfg.system
-    probes = [system.start()] + system.sample_points(np.random.default_rng(5), n_probes)
+    probes = [system.start()] + system.sample_points(np.random.default_rng(5), 12)
     lam = np.inf
     for pcid, px in probes:
         pd = point_data(system, pcid, np.asarray(px, dtype=float))
         bop = pd.ric_sharp - 2.0 * pd.nabla_a
         quad = 0.5 * (np.swapaxes(bop, -1, -2) @ pd.g + pd.g @ bop)
-        L = np.linalg.cholesky(pd.g)
-        Linv = np.linalg.inv(L)
-        lam = min(lam, float(np.linalg.eigvalsh(Linv @ quad @ Linv.T).min()))
+        lam = min(lam, float(_g_frame_eigvalsh(quad, pd.g).min()))
     if lam <= 1e-8:
         raise NotApplicable(
             f"curvature-drift gap {lam:.4g} is not positive; no decay is implied")
@@ -713,13 +696,13 @@ def bochner_decay_check(cfg: McConfig, n_probes: int = 12,
     v0 = _resolve_v0(cfg, res)
     path = res.path
     steps = round(cfg.t / cfg.dt)
-    picks = np.unique(np.linspace(0, steps, n_samples + 1).astype(int))
+    picks = np.unique(np.linspace(0, steps, 21).astype(int))
 
     ts, ys = [], []
     for kk in picks:
         Wk = path.par_adj[kk][alive] @ path.What[kk][alive]
-        g = _metric_rows(system, np.asarray(res.chart_names)[path.cid_idx[kk][alive]],
-                         path.x[kk][alive])
+        cids = np.asarray(res.chart_names)[path.cid_idx[kk][alive]]
+        g = _metric_field(system, cids)(path.x[kk][alive])
         wv = Wk @ v0
         norms = np.sqrt(np.einsum("pi,pij,pj->p", wv, g, wv))
         ts.append(kk * cfg.dt)
@@ -889,17 +872,15 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
                    n_paths=n_paths)
 
 
-def weak_order_check(cfg: McConfig, f_sources: list[str] | None = None) -> McReport:
+def weak_order_check(cfg: McConfig) -> McReport:
     """First weak order under dt refinement on coupled Brownian paths.
 
     Three nested grids share one Brownian path per index (coarser increments
-    are pair sums of finer ones), so successive differences of E f(x_t)
-    estimate the dt-linear bias with most Monte Carlo noise cancelled; their
-    ratio should be near 2.
+    are pair sums of finer ones), so successive differences of E f(x_t), for
+    f = x1, x1*x2 and x1*x1, estimate the dt-linear bias with most Monte
+    Carlo noise cancelled; their ratio should be near 2.
     """
     t0 = time.perf_counter()
-    if f_sources is None:
-        f_sources = ["x1", "x1*x2", "x1*x1"]
     steps = round(cfg.t / cfg.dt)
     m = cfg.system.m
     n_paths = min(cfg.n_paths, 2048)
@@ -914,7 +895,7 @@ def weak_order_check(cfg: McConfig, f_sources: list[str] | None = None) -> McRep
 
     rows = []
     details = {}
-    for src in f_sources:
+    for src in ("x1", "x1*x2", "x1*x1"):
         f1 = _terminal_scalar(res1, src)[ok]
         f2 = _terminal_scalar(res2, src)[ok]
         f4 = _terminal_scalar(res4, src)[ok]

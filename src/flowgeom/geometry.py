@@ -18,7 +18,8 @@ its adjoint ("adjoint") swaps the two lower indices, and "lc" is the
 Levi-Civita connection of the induced metric ``g = (X X^T)^{-1}``.
 
 All raw-array helpers broadcast over leading axes, so the same code serves
-single points and batched Monte Carlo sweeps.
+single points and batched Monte Carlo sweeps.  Every finite difference goes
+through the system's one oracle, ``system.oracle``.
 """
 
 from __future__ import annotations
@@ -107,19 +108,18 @@ def _autoparallel_sum(pd: PointData, gamma: np.ndarray) -> np.ndarray:
     return np.einsum("...aij,...ji->...a", _grad_x(pd.DX, gamma, pd.X), pd.X)
 
 
-def point_data(system: SdeSystem, cid: str, x: np.ndarray, *, light: bool = False,
-               oracle: DerivOracle | None = None) -> PointData:
+def point_data(system: SdeSystem, cid: str, x: np.ndarray, *,
+               light: bool = False) -> PointData:
     """Assemble coefficients and induced tensors at ``x`` (batched).
 
     ``DX`` is the system's ``coeff_dx`` (a closed form where the scenario has
-    one); ``oracle`` differentiates the drift.
+    one); ``SdeSystem.oracle`` differentiates the drift.
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
     X = system.coeff_x(cid, x)
     A = system.coeff_a(cid, x)
     DX = system.coeff_dx(cid, x)
-    DA = oracle.jacobian(lambda y: system.coeff_a(cid, y), x) if system.has_drift else None
+    DA = system.oracle.jacobian(lambda y: system.coeff_a(cid, y), x) if system.has_drift else None
     pd = PointData(X=X, A=A, DX=DX, DA=DA)
     if light:
         return pd
@@ -142,18 +142,16 @@ def point_data(system: SdeSystem, cid: str, x: np.ndarray, *, light: bool = Fals
 # ---------------------------------------------------------------------------
 
 
-def lw_christoffel(system: SdeSystem, cid: str, x: np.ndarray,
-                   oracle: DerivOracle | None = None) -> np.ndarray:
+def lw_christoffel(system: SdeSystem, cid: str, x: np.ndarray) -> np.ndarray:
     """Christoffels of the coefficient-induced connection, G(v,w) = -DX(v)(Yw).
 
     DX comes from the finite-difference oracle, never from ``coeff_dx``, so
     this stays a route independent of ``point_data``.
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
     X = system.coeff_x(cid, x)
     _, _, Y, _, _ = induced_metric(X)
-    DX = oracle.jacobian(lambda y: system.coeff_x(cid, y), x)
+    DX = system.oracle.jacobian(lambda y: system.coeff_x(cid, y), x)
     return _induced_gamma(DX, Y)
 
 
@@ -162,22 +160,23 @@ def adjoint_christoffel(gamma: np.ndarray) -> np.ndarray:
     return np.swapaxes(gamma, -1, -2)
 
 
-def _metric_field(system: SdeSystem, cid: str) -> Callable[[np.ndarray], np.ndarray]:
+def _metric_field(system: SdeSystem, cid: str | np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The induced metric ``y -> (X X^T)^-1`` in chart(s) ``cid``: one chart
+    name, or one per row of ``y``."""
+
     def g_of(y: np.ndarray) -> np.ndarray:
         X = system.coeff_x(cid, y)
         return np.linalg.inv(X @ np.swapaxes(X, -1, -2))
     return g_of
 
 
-def levi_civita_christoffel(system: SdeSystem, cid: str, x: np.ndarray,
-                            oracle: DerivOracle | None = None) -> np.ndarray:
+def levi_civita_christoffel(system: SdeSystem, cid: str, x: np.ndarray) -> np.ndarray:
     """G^i_{jk} = g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk}) / 2."""
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
     g_of = _metric_field(system, cid)
     g = g_of(x)
     ginv = np.linalg.inv(g)
-    dg = oracle.jacobian(g_of, x)  # (..., l, k, j): d_j g_{lk}
+    dg = system.oracle.jacobian(g_of, x)  # (..., l, k, j): d_j g_{lk}
     djglk = np.moveaxis(dg, -1, -3)  # [j, l, k]
     gamma = 0.5 * (np.einsum("...il,...jlk->...ijk", ginv, djglk)
                    + np.einsum("...il,...klj->...ijk", ginv, djglk)
@@ -185,22 +184,20 @@ def levi_civita_christoffel(system: SdeSystem, cid: str, x: np.ndarray,
     return gamma
 
 
-def christoffel(system: SdeSystem, cid: str, x: np.ndarray, kind: str = "lw",
-                oracle: DerivOracle | None = None) -> np.ndarray:
+def christoffel(system: SdeSystem, cid: str, x: np.ndarray, kind: str = "lw") -> np.ndarray:
     """Christoffels of the named connection: 'lw', 'adjoint', or 'lc'."""
     if kind == "lw":
-        return lw_christoffel(system, cid, x, oracle)
+        return lw_christoffel(system, cid, x)
     if kind == "adjoint":
-        return adjoint_christoffel(lw_christoffel(system, cid, x, oracle))
+        return adjoint_christoffel(lw_christoffel(system, cid, x))
     if kind == "lc":
-        return levi_civita_christoffel(system, cid, x, oracle)
+        return levi_civita_christoffel(system, cid, x)
     raise BadParams(f"unknown connection kind {kind!r}")
 
 
 def covariant_derivative(system: SdeSystem, cid: str, x: np.ndarray,
                          z_field: Callable[[np.ndarray], np.ndarray], v: np.ndarray,
-                         kind: str = "lw", gamma: np.ndarray | None = None,
-                         oracle: DerivOracle | None = None) -> np.ndarray:
+                         kind: str = "lw", gamma: np.ndarray | None = None) -> np.ndarray:
     """(nab_v Z)(x) = DZ(x)(v) + G(v, Z(x)).
 
     ``x`` and ``v`` broadcast over their leading axes, and ``z_field`` must
@@ -208,10 +205,9 @@ def covariant_derivative(system: SdeSystem, cid: str, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    oracle = oracle or system.oracle
     if gamma is None:
-        gamma = christoffel(system, cid, x, kind, oracle)
-    dz = oracle.directional(z_field, x, v)
+        gamma = christoffel(system, cid, x, kind)
+    dz = system.oracle.directional(z_field, x, v)
     return dz + np.einsum("...ijk,...j,...k->...i", gamma, v, z_field(x))
 
 
@@ -225,38 +221,34 @@ def torsion_from_christoffel(gamma: np.ndarray) -> np.ndarray:
     return gamma - np.swapaxes(gamma, -1, -2)
 
 
-def torsion_via_dy(system: SdeSystem, cid: str, x: np.ndarray,
-                   oracle: DerivOracle | None = None) -> np.ndarray:
+def torsion_via_dy(system: SdeSystem, cid: str, x: np.ndarray) -> np.ndarray:
     """T(v, w) = X(x) dY(v, w) with dY the antisymmetrized chart derivative."""
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
 
     def y_of(y: np.ndarray) -> np.ndarray:
         X = system.coeff_x(cid, y)
         return np.swapaxes(X, -1, -2) @ np.linalg.inv(X @ np.swapaxes(X, -1, -2))
 
-    dY = oracle.jacobian(y_of, x)  # (..., r, k, j): d_j Y_{rk}
+    dY = system.oracle.jacobian(y_of, x)  # (..., r, k, j): d_j Y_{rk}
     X = system.coeff_x(cid, x)
     curl = np.moveaxis(dY, -1, -2) - dY  # [r, j, k] = d_j Y_{rk} - d_k Y_{rj}
     return np.einsum("...ir,...rjk->...ijk", X, curl)
 
 
 def torsion_via_bracket(system: SdeSystem, cid: str, x: np.ndarray,
-                        v1: np.ndarray, v2: np.ndarray,
-                        oracle: DerivOracle | None = None) -> np.ndarray:
+                        v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
     """T(v1, v2) = -[Z1, Z2](x) for Z_i(y) = X(y) Y(x) v_i.
 
     ``x``, ``v1`` and ``v2`` broadcast over their leading axes; the result
     has their common shape ``(..., n)``.
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
     _, _, Y, _, _ = induced_metric(system.coeff_x(cid, x))
     w1 = np.einsum("...rk,...k->...r", Y, np.asarray(v1, dtype=float))
     w2 = np.einsum("...rk,...k->...r", Y, np.asarray(v2, dtype=float))
     z1 = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), w1)
     z2 = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), w2)
-    return -lie_bracket(z1, z2, x, oracle)
+    return -lie_bracket(z1, z2, x, system.oracle)
 
 
 def lie_bracket(u_field: Callable, v_field: Callable, x: np.ndarray,
@@ -274,14 +266,12 @@ def lie_bracket(u_field: Callable, v_field: Callable, x: np.ndarray,
 
 
 def curvature_from_christoffel(system: SdeSystem, cid: str, x: np.ndarray,
-                               kind: str = "lw",
-                               oracle: DerivOracle | None = None) -> np.ndarray:
+                               kind: str = "lw") -> np.ndarray:
     """R^i_{jkl} = d_j G^i_{kl} - d_k G^i_{jl} + G^i_{jp} G^p_{kl} - G^i_{kp} G^p_{jl}."""
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    gamma_field = lambda y: christoffel(system, cid, y, kind, oracle)
+    gamma_field = lambda y: christoffel(system, cid, y, kind)
     gamma = gamma_field(x)
-    dg = oracle.jacobian(gamma_field, x)  # (..., i, k, l, j): d_j G^i_{kl}
+    dg = system.oracle.jacobian(gamma_field, x)  # (..., i, k, l, j): d_j G^i_{kl}
     djGikl = np.moveaxis(dg, -1, -4)      # [j, i, k, l]
     term_d = (np.einsum("...jikl->...ijkl", djGikl)
               - np.einsum("...kijl->...ijkl", djGikl))
@@ -350,8 +340,7 @@ def _gnorm(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def defining_property_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                               n_probes: int = 8, seed: int = 0,
-                               oracle: DerivOracle | None = None) -> np.ndarray:
+                               n_probes: int = 8, seed: int = 0) -> np.ndarray:
     """max |nab (X(.)e)(v)|_g over probes with e in the row space of X(x).
 
     The induced connection is characterized by this vanishing.  One residual
@@ -359,8 +348,7 @@ def defining_property_residual(system: SdeSystem, cid: str, x: np.ndarray,
     point are skipped there.
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
+    pd = point_data(system, cid, x)
     rng = np.random.default_rng(seed)
     u, v = _probes(n_probes, lambda: (_unit(rng, system.m), _unit(rng, system.n)))
     e = np.einsum("...rs,ps->...pr", pd.PT, u)                 # (..., K, m)
@@ -369,13 +357,13 @@ def defining_property_residual(system: SdeSystem, cid: str, x: np.ndarray,
     e = e / np.where(keep, nrm, 1.0)[..., None]
     z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), e)
     nab = covariant_derivative(system, cid, x[..., None, :], z_field, v,
-                               gamma=pd.gamma[..., None, :, :, :], oracle=oracle)
+                               gamma=pd.gamma[..., None, :, :, :])
     return np.max(np.where(keep, _gnorm(nab, pd.g), 0.0), axis=-1)
 
 
 def pairing_derivative_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                                kind: str = "lw", n_probes: int = 8, seed: int = 1,
-                                oracle: DerivOracle | None = None) -> np.ndarray:
+                                kind: str = "lw", n_probes: int = 8,
+                                seed: int = 1) -> np.ndarray:
     """Vector-form metric compatibility through the coefficient fields:
 
     sum_i X^i <Z, nab_v X^i>_g + sum_i nab_v X^i <Z, X^i>_g = 0
@@ -383,9 +371,8 @@ def pairing_derivative_residual(system: SdeSystem, cid: str, x: np.ndarray,
     point of ``x`` (shape ``(..., n)``).
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
-    gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind, oracle)
+    pd = point_data(system, cid, x)
+    gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind)
     gradX = _grad_x(pd.DX, gamma, pd.X)
     rng = np.random.default_rng(seed)
     z, v = _probes(n_probes, lambda: (_unit(rng, system.n), _unit(rng, system.n)))
@@ -407,13 +394,12 @@ def _linear_fields(x: np.ndarray, z0: np.ndarray, mat: np.ndarray) -> Callable:
 
 
 def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                       kind: str = "lw", n_probes: int = 8, seed: int = 2,
-                       oracle: DerivOracle | None = None) -> np.ndarray:
+                       kind: str = "lw", n_probes: int = 8, seed: int = 2) -> np.ndarray:
     """max over probe fields of |d<Z,Z>_g(v) - 2 <nab_v Z, Z>_g|, per point
     of ``x`` (shape ``(..., n)``)."""
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    gamma = christoffel(system, cid, x, kind, oracle)
+    oracle = system.oracle
+    gamma = christoffel(system, cid, x, kind)
     g_of = _metric_field(system, cid)
     g = g_of(x)
     rng = np.random.default_rng(seed)
@@ -434,27 +420,41 @@ def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
     return np.max(np.abs(lhs - rhs), axis=-1)
 
 
-def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
-              n_probes: int = 8, seed: int = 3, tol: float = 1e-6,
-              oracle: DerivOracle | None = None) -> tuple:
-    """Is the torsion skew-symmetric: <T(u,v),w>_g = -<T(w,v),u>_g?
+TSS_TOL = 1e-6  # the skew-torsion verdict, on either tss_check route
 
-    Returns (verdict, residual, alt_residual), each over the leading axes of
-    ``x``, where ``alt_residual`` comes from the equivalent criterion that
-    v |-> X(.)Y(x)v has Levi-Civita covariant derivative with vanishing
-    symmetric part.
+
+def _torsion_skew(system: SdeSystem, cid: str, x: np.ndarray, n_probes: int = 8,
+                  seed: int = 3) -> tuple:
+    """The torsion route of ``tss_check``: (residual, point data, probes).
+
+    The residual is max |<T(u,v),w>_g + <T(w,v),u>_g| over the probe triples
+    ``(u, v, w)``, per point of ``x``; it is below ``TSS_TOL`` where the
+    torsion is skew-symmetric.
     """
-    x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
+    pd = point_data(system, cid, x)
     T = torsion_from_christoffel(pd.gamma)
-    gamma_lc = levi_civita_christoffel(system, cid, x, oracle)
     rng = np.random.default_rng(seed)
     u, v, w = _probes(n_probes, lambda: tuple(_unit(rng, system.n) for _ in range(3)))
     tuv = np.einsum("...ijk,pj,pk->...pi", T, u, v)
     twv = np.einsum("...ijk,pj,pk->...pi", T, w, v)
     skew = (np.einsum("...pi,...ij,pj->...p", tuv, pd.g, w)
             + np.einsum("...pi,...ij,pj->...p", twv, pd.g, u))
+    return np.max(np.abs(skew), axis=-1), pd, (u, v, w)
+
+
+def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
+              n_probes: int = 8, seed: int = 3) -> tuple:
+    """Is the torsion skew-symmetric: <T(u,v),w>_g = -<T(w,v),u>_g?
+
+    Returns (verdict, residual, alt_residual), each over the leading axes of
+    ``x``, where ``alt_residual`` comes from the equivalent criterion that
+    v |-> X(.)Y(x)v has Levi-Civita covariant derivative with vanishing
+    symmetric part.  The verdict is ``residual < TSS_TOL``.
+    """
+    x = np.asarray(x, dtype=float)
+    oracle = system.oracle
+    worst, pd, (u, v, w) = _torsion_skew(system, cid, x, n_probes, seed)
+    gamma_lc = levi_civita_christoffel(system, cid, x)
     # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
     yv = np.einsum("...ri,pi->...pr", pd.Y, v)
     z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), yv)
@@ -465,13 +465,11 @@ def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
              + np.einsum("...ijk,pj,pk->...pi", gamma_lc, w, v))
     alt = (np.einsum("...pi,...ij,pj->...p", nab_u, pd.g, w)
            + np.einsum("...pi,...ij,pj->...p", nab_w, pd.g, u))
-    worst = np.max(np.abs(skew), axis=-1)
-    return (worst < tol, worst, np.max(np.abs(alt), axis=-1))
+    return (worst < TSS_TOL, worst, np.max(np.abs(alt), axis=-1))
 
 
 def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                         n_probes: int = 6, seed: int = 4,
-                         oracle: DerivOracle | None = None) -> tuple:
+                         n_probes: int = 6, seed: int = 4) -> tuple:
     """On torsion-skew-symmetric systems the Levi-Civita connection is the
     induced one minus half its torsion::
 
@@ -481,15 +479,14 @@ def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
     each over the leading axes of ``x``.
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
-    gamma_lc = levi_civita_christoffel(system, cid, x, oracle)
+    pd = point_data(system, cid, x)
+    gamma_lc = levi_civita_christoffel(system, cid, x)
     T = torsion_from_christoffel(pd.gamma)
     rng = np.random.default_rng(seed)
     n = system.n
     z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
                                             _unit(rng, n)))
-    dz = oracle.directional(_linear_fields(x, z0, mat), x[..., None, :], v)
+    dz = system.oracle.directional(_linear_fields(x, z0, mat), x[..., None, :], v)
     lc = dz + np.einsum("...ijk,pj,pk->...pi", gamma_lc, v, z0)
     lw = dz + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0)
     half_t = 0.5 * np.einsum("...ijk,pj,pk->...pi", T, v, z0)
@@ -500,19 +497,17 @@ def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
     return worst, norm
 
 
-def stratonovich_term(system: SdeSystem, cid: str, x: np.ndarray, kind: str = "lw",
-                      oracle: DerivOracle | None = None) -> np.ndarray:
+def stratonovich_term(system: SdeSystem, cid: str, x: np.ndarray,
+                      kind: str = "lw") -> np.ndarray:
     """sum_i nab_{X^i} X^i for the named connection, shape ``(..., n)``."""
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
-    gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind, oracle)
+    pd = point_data(system, cid, x)
+    gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind)
     return _autoparallel_sum(pd, gamma)
 
 
 def connection_routes_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                               n_probes: int = 4, seed: int = 5,
-                               oracle: DerivOracle | None = None) -> np.ndarray:
+                               n_probes: int = 4, seed: int = 5) -> np.ndarray:
     """Cross-check the Christoffel formula against two equivalent routes:
 
     (a) nab_v Z = X(x) d/dt [ Y(c(t)) Z(c(t)) ] at t=0 along c(t) = x + t v;
@@ -523,8 +518,8 @@ def connection_routes_residual(system: SdeSystem, cid: str, x: np.ndarray,
     ``(..., n)``).
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
+    oracle = system.oracle
+    pd = point_data(system, cid, x)
     rng = np.random.default_rng(seed)
     n = system.n
     z0, mat, vmat, v = _probes(n_probes, lambda: (
@@ -591,15 +586,26 @@ def moment_form(pd: PointData, v: np.ndarray, p: float) -> np.ndarray:
     return quad + (p - 2.0) * np.einsum("...k,...k->...", pair, pair) / vv
 
 
-def moment_form_extremes(pd: PointData, p: float, *, grid: int = 512,
-                         restarts: int = 32, iters: int = 300,
-                         tol: float = 1e-8, seed: int = 2024) -> tuple[np.ndarray, np.ndarray]:
+def _g_frame_eigvalsh(M: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric form ``M`` in a g-orthonormal
+    frame, ``eigvalsh(L^-1 M L^-T)`` with ``g = L L^T``, batched."""
+    Linv = np.linalg.inv(np.linalg.cholesky(g))
+    return np.linalg.eigvalsh(Linv @ M @ np.swapaxes(Linv, -1, -2))
+
+
+def moment_form_extremes(pd: PointData, p: float, *,
+                         grid: int = 512) -> tuple[np.ndarray, np.ndarray]:
     """(min, max) of H_p over |v|_g = 1, batched.
 
-    p = 2 reduces to a symmetric eigenproblem.  Otherwise, dimension 2 uses a
-    dense angular grid with parabolic refinement; higher dimensions use
-    projected gradient ascent/descent from fixed random restarts.
+    p = 2, or a vanishing quartic term, reduces to a symmetric eigenproblem.
+    Otherwise, dimension 2 uses a dense angular grid with parabolic
+    refinement; higher dimensions use projected gradient ascent/descent from
+    32 fixed random restarts (seed 2024), each stopping after 300 steps or
+    once no value moves by 1e-8.
     """
+    if p == 2.0:
+        evals = _g_frame_eigvalsh(moment_quadratic(pd), pd.g)
+        return evals[..., 0], evals[..., -1]
     B = moment_quadratic(pd)
     L = np.linalg.cholesky(pd.g)
     Linv = np.linalg.inv(L)
@@ -608,11 +614,9 @@ def moment_form_extremes(pd: PointData, p: float, *, grid: int = 512,
     Cit = np.einsum("...ab,...kbc,...dc->...kad", Linv, Ci, Linv)
     quart_scale = float(np.max(np.abs(Cit))) if Cit.size else 0.0
     n = B.shape[-1]
-    if p == 2.0 or quart_scale < 1e-12:
+    if quart_scale < 1e-12:
         evals = np.linalg.eigvalsh(Bt)
-        lam = p - 2.0
-        if quart_scale < 1e-12 or lam == 0.0:
-            return evals[..., 0], evals[..., -1]
+        return evals[..., 0], evals[..., -1]
 
     def objective(y: np.ndarray) -> np.ndarray:
         # y: (..., K, n) unit vectors
@@ -643,8 +647,8 @@ def moment_form_extremes(pd: PointData, p: float, *, grid: int = 512,
         return lo, hi
 
     # generic: projected gradient from fixed restarts
-    rng = np.random.default_rng(seed)
-    starts = rng.normal(size=(restarts, n))
+    rng = np.random.default_rng(2024)
+    starts = rng.normal(size=(32, n))
     starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
     y = np.broadcast_to(starts, B.shape[:-2] + starts.shape).copy()
 
@@ -659,11 +663,11 @@ def moment_form_extremes(pd: PointData, p: float, *, grid: int = 512,
         yv = y.copy()
         step = 0.05
         prev = objective(yv)
-        for _ in range(iters):
+        for _ in range(300):
             yv = yv + sign * step * grad(yv)
             yv /= np.linalg.norm(yv, axis=-1, keepdims=True)
             cur = objective(yv)
-            if float(np.max(np.abs(cur - prev))) < tol:
+            if float(np.max(np.abs(cur - prev))) < 1e-8:
                 break
             prev = cur
         vals = objective(yv)
@@ -699,8 +703,7 @@ def _pairing(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
-                     f: Callable[[np.ndarray], np.ndarray],
-                     oracle: DerivOracle | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Generator of the diffusion applied to a scalar, by two routes:
 
     - induced-connection form: trace nab~(grad f)/2 + <A, grad f>_g
@@ -711,8 +714,8 @@ def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
     ``x`` (shape ``(..., n)``); ``f`` must map ``(..., n)`` to ``(...)``.
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
+    oracle = system.oracle
+    pd = point_data(system, cid, x)
 
     def gradf(y: np.ndarray) -> np.ndarray:
         Xy = system.coeff_x(cid, y)
@@ -721,7 +724,7 @@ def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
 
     gf = gradf(x)
     dgf = oracle.jacobian(gradf, x)
-    gamma_lc = levi_civita_christoffel(system, cid, x, oracle)
+    gamma_lc = levi_civita_christoffel(system, cid, x)
     trace = np.trace(dgf, axis1=-2, axis2=-1)
     tr_lw = trace + np.einsum("...iik,...k->...", pd.gamma, gf)
     tr_lc = trace + np.einsum("...iik,...k->...", gamma_lc, gf)
@@ -731,15 +734,13 @@ def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
     return lw_val, lc_val
 
 
-def one_form_from_spec(system: SdeSystem, cid: str, spec,
-                       oracle: DerivOracle | None = None) -> Callable[[np.ndarray], np.ndarray]:
+def one_form_from_spec(system: SdeSystem, cid: str, spec) -> Callable[[np.ndarray], np.ndarray]:
     """Build a covector field y -> (phi_1..phi_n) from a config spec:
     {"d_of": expr} for the differential of an embedded scalar, or
     {"components": [expr, ...]} for chart components (single-chart systems)."""
-    oracle = oracle or system.oracle
     if isinstance(spec, dict) and "d_of" in spec:
         f = scalar_from_expr(system, cid, spec["d_of"])
-        return lambda y: oracle.jacobian(f, y)
+        return lambda y: system.oracle.jacobian(f, y)
     if isinstance(spec, dict) and "components" in spec:
         comps = [ex.parse(s) for s in spec["components"]]
         if len(comps) != system.n:
@@ -757,35 +758,33 @@ def one_form_from_spec(system: SdeSystem, cid: str, spec,
     raise BadParams("one-form spec needs 'd_of' or 'components'")
 
 
-def _hat_nabla_1form(system: SdeSystem, cid: str, phi: Callable,
-                     oracle: DerivOracle) -> Callable[[np.ndarray], np.ndarray]:
+def _hat_nabla_1form(system: SdeSystem, cid: str,
+                     phi: Callable) -> Callable[[np.ndarray], np.ndarray]:
     """S(y)[j, k] = (nab^_{e_j} phi)(e_k) with the adjoint connection."""
 
     def S(y: np.ndarray) -> np.ndarray:
-        dphi = oracle.jacobian(phi, y)  # [k, j] = d_j phi_k
-        gamma_adj = adjoint_christoffel(lw_christoffel(system, cid, y, oracle))
+        dphi = system.oracle.jacobian(phi, y)  # [k, j] = d_j phi_k
+        gamma_adj = adjoint_christoffel(lw_christoffel(system, cid, y))
         return (np.swapaxes(dphi, -1, -2)
                 - np.einsum("...pjk,...p->...jk", gamma_adj, phi(y)))
 
     return S
 
 
-def codifferential_1form(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
-                         oracle: DerivOracle | None = None) -> np.ndarray:
+def codifferential_1form(system: SdeSystem, cid: str, x: np.ndarray,
+                         phi: Callable) -> np.ndarray:
     """delta-bar phi = -sum_i (nab^_{X^i} phi)(X^i) = -g^{jk} S_{jk}, batched."""
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
-    S = _hat_nabla_1form(system, cid, phi, oracle)(x)
+    S = _hat_nabla_1form(system, cid, phi)(x)
     X = system.coeff_x(cid, x)
     ginv = X @ np.swapaxes(X, -1, -2)
     return -np.einsum("...jk,...jk->...", ginv, S)
 
 
-def codifferential_1form_lie(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
-                             oracle: DerivOracle | None = None) -> float:
+def codifferential_1form_lie(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable) -> float:
     """Same codifferential through Lie derivatives: -sum_i (L_{X^i} phi)(X^i)."""
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
+    oracle = system.oracle
     X = system.coeff_x(cid, x)
     DX = oracle.jacobian(lambda y: system.coeff_x(cid, y), x)
     dphi = oracle.jacobian(phi, x)
@@ -802,7 +801,7 @@ def exterior_derivative_1form(phi: Callable, x: np.ndarray, oracle: DerivOracle)
 
 
 def one_form_generator(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
-                       v: np.ndarray, oracle: DerivOracle | None = None) -> float:
+                       v: np.ndarray) -> float:
     """Generator on 1-forms at (x, v): half the adjoint-connection trace
     Hessian, minus half the curvature term phi(Ric# v), plus the drift Lie
     term::
@@ -811,9 +810,9 @@ def one_form_generator(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    oracle = oracle or system.oracle
-    pd = point_data(system, cid, x, oracle=oracle)
-    S_field = _hat_nabla_1form(system, cid, phi, oracle)
+    oracle = system.oracle
+    pd = point_data(system, cid, x)
+    S_field = _hat_nabla_1form(system, cid, phi)
     S = S_field(x)
     dS = oracle.jacobian(S_field, x)  # [j, k, l] = d_l S_{jk}
     dlSjk = np.moveaxis(dS, -1, -3)   # [l, j, k]
@@ -832,14 +831,14 @@ def one_form_generator(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable
 
 
 def one_form_generator_hodge(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
-                             v: np.ndarray, oracle: DerivOracle | None = None) -> float:
+                             v: np.ndarray) -> float:
     """Same operator through the codifferential: -(delta-bar d + d delta-bar)/2
     plus the drift Lie term."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    oracle = oracle or system.oracle
+    oracle = system.oracle
 
-    dbar = lambda y: codifferential_1form(system, cid, y, phi, oracle)
+    dbar = lambda y: codifferential_1form(system, cid, y, phi)
     d_dbar = oracle.jacobian(dbar, x)
 
     # two-form psi = d phi, then delta-bar psi
@@ -848,7 +847,7 @@ def one_form_generator_hodge(system: SdeSystem, cid: str, x: np.ndarray, phi: Ca
 
     ps = psi(x)
     dpsi = oracle.jacobian(psi, x)  # [j, k, l] = d_l psi_{jk}
-    gamma_adj = adjoint_christoffel(lw_christoffel(system, cid, x, oracle))
+    gamma_adj = adjoint_christoffel(lw_christoffel(system, cid, x))
     dl = np.moveaxis(dpsi, -1, -3)  # [l, j, k]
     U = (dl
          - np.einsum("...plj,...pk->...ljk", gamma_adj, ps)
@@ -858,7 +857,7 @@ def one_form_generator_hodge(system: SdeSystem, cid: str, x: np.ndarray, phi: Ca
     dbar_dphi = -np.einsum("...lj,...ljk->...k", ginv, U)
     val = -0.5 * float((dbar_dphi + d_dbar) @ v)
     if system.has_drift:
-        pd = point_data(system, cid, x, oracle=oracle)
+        pd = point_data(system, cid, x)
         dphi = oracle.jacobian(phi, x)
         lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
                    + np.einsum("...j,...jk->...k", phi(x), pd.DA))
@@ -891,23 +890,21 @@ class GeometryPoint:
     ricci_lw: np.ndarray
 
 
-def geometry_point(system: SdeSystem, cid: str, x: np.ndarray,
-                   oracle: DerivOracle | None = None) -> GeometryPoint:
+def geometry_point(system: SdeSystem, cid: str, x: np.ndarray) -> GeometryPoint:
     """The tensor report's arrays at ``x``, batched over its leading axes.
 
     Raises ``DegenerateX`` naming the first point (in row-major order) where
     X loses rank.
     """
     x = np.asarray(x, dtype=float)
-    oracle = oracle or system.oracle
     sv_min = np.linalg.svd(system.coeff_x(cid, x), compute_uv=False).min(axis=-1).reshape(-1)
     bad = np.flatnonzero(sv_min <= 1e-8)
     if bad.size:
         k = bad[0]
         raise DegenerateX(f"X loses rank at {cid}:{x.reshape(-1, x.shape[-1])[k]} "
                           f"(min sv {sv_min[k]:.2e})")
-    pd = point_data(system, cid, x, oracle=oracle)
-    gamma_lc = levi_civita_christoffel(system, cid, x, oracle)
+    pd = point_data(system, cid, x)
+    gamma_lc = levi_civita_christoffel(system, cid, x)
     R = curvature_lw_direct(pd.gradX, pd.g)
     rs = pd.ric_sharp
     return GeometryPoint(

@@ -10,6 +10,10 @@ rows or their charts.  ``coeff_dx`` is the chart derivative of ``X``:
 closed forms on flat, sphere-gradient, twisted-plane and circle, the
 finite-difference oracle everywhere else.
 
+There is one derivative oracle, ``SdeSystem.oracle``: a class attribute
+holding a frozen ``DerivOracle`` that every system shares.  The geometry
+reads it from the system it is given; no function takes another.
+
 Built-in scenarios:
 
 - ``flat(n)``: R^n with X = I; optional expression drift.
@@ -63,9 +67,7 @@ class SdeSystem:
     is_group: bool = False
     has_drift: bool = False
     guard_radius: float | None = None  # kill paths beyond this coordinate norm
-
-    def __init__(self, oracle: DerivOracle | None = None):
-        self.oracle = oracle or DerivOracle()
+    oracle: DerivOracle = DerivOracle()  # frozen, so every system shares it
 
     # -- chart bookkeeping -------------------------------------------------
     @property
@@ -75,6 +77,22 @@ class SdeSystem:
     def start(self) -> tuple[str, np.ndarray]:
         """Default start point (chart id, coordinates)."""
         return self.charts[0].cid, np.zeros(self.n)
+
+    def check_chart(self, cid: str) -> None:
+        """Raise ``BadParams`` unless ``cid`` names one of the charts."""
+        names = [c.cid for c in self.charts]
+        if cid not in names:
+            raise BadParams(f"scenario {self.name!r} has no chart {cid!r}; "
+                            f"its charts are {', '.join(names)}")
+
+    def check_vector(self, name: str, val) -> np.ndarray:
+        """``val`` as a float array of shape ``(n,)`` (a point or a tangent
+        vector in a chart); ``BadParams``, naming it ``name``, otherwise."""
+        val = np.asarray(val, dtype=float)
+        if val.shape != (self.n,):
+            raise BadParams(f"{name} has shape {val.shape} but {self.name} "
+                            f"has dimension {self.n}")
+        return val
 
     # -- coefficients (batched over leading axes) ---------------------------
     def coeff_x(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -88,7 +106,7 @@ class SdeSystem:
     def coeff_dx(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """DX[..., i, r, j] = d X^{ir} / d x^j, shape ``(..., n, m, n)``.
 
-        The default differentiates ``coeff_x`` with the system's oracle;
+        The default differentiates ``coeff_x`` with ``SdeSystem.oracle``;
         scenarios with a closed form override it.
         """
         return self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x)
@@ -129,9 +147,7 @@ class SdeSystem:
 
 
 class FlatSystem(SdeSystem):
-    def __init__(self, n: int, drift: list[str] | None = None, guard_radius: float = 1e6,
-                 oracle: DerivOracle | None = None):
-        super().__init__(oracle)
+    def __init__(self, n: int, drift: list[str] | None = None, guard_radius: float = 1e6):
         self.name = "flat"
         self.n = self.m = self.embed_dim = n
         self.guard_radius = guard_radius
@@ -182,8 +198,7 @@ class SphereSystem(SdeSystem):
     south pole at u = 0), 's' from the south pole.  The induced metric is the
     round one, conformal factor 4 / (1 + |u|^2)^2."""
 
-    def __init__(self, n: int, oracle: DerivOracle | None = None):
-        super().__init__(oracle)
+    def __init__(self, n: int):
         self.name = "sphere-gradient"
         self.n = n
         self.m = self.embed_dim = n + 1
@@ -286,8 +301,7 @@ class So3System(SdeSystem):
 
     is_group = True
 
-    def __init__(self, oracle: DerivOracle | None = None):
-        super().__init__(oracle)
+    def __init__(self):
         self.name = "so3-left-invariant"
         self.n = self.m = 3
         self.embed_dim = 9
@@ -332,9 +346,7 @@ class So3System(SdeSystem):
 
 
 class TwistedPlaneSystem(SdeSystem):
-    def __init__(self, alpha: float, guard_radius: float = 1e6,
-                 oracle: DerivOracle | None = None):
-        super().__init__(oracle)
+    def __init__(self, alpha: float, guard_radius: float = 1e6):
         self.name = "twisted-plane"
         self.alpha = float(alpha)
         self.n = self.m = self.embed_dim = 2
@@ -383,8 +395,7 @@ class TwistedPlaneSystem(SdeSystem):
 class CircleSystem(SdeSystem):
     dim_one = True
 
-    def __init__(self, oracle: DerivOracle | None = None):
-        super().__init__(oracle)
+    def __init__(self):
         self.name = "circle"
         self.n = self.m = 1
         self.embed_dim = 2
@@ -420,9 +431,7 @@ class CircleSystem(SdeSystem):
 
 class CustomSystem(SdeSystem):
     def __init__(self, n: int, m: int, x_entries: list[list[str]],
-                 a_entries: list[str] | None = None, guard_radius: float = 1e6,
-                 oracle: DerivOracle | None = None):
-        super().__init__(oracle)
+                 a_entries: list[str] | None = None, guard_radius: float = 1e6):
         self.name = "custom"
         self.n, self.m, self.embed_dim = n, m, n
         self.guard_radius = guard_radius

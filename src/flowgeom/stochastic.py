@@ -60,7 +60,15 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadParams
-from .geometry import PointData, _induced_gamma, point_data, tss_check
+from .geometry import (
+    TSS_TOL,
+    PointData,
+    _induced_gamma,
+    _torsion_skew,
+    christoffel,
+    moment_form_extremes,
+    point_data,
+)
 from .model import SdeSystem
 
 __all__ = [
@@ -335,20 +343,10 @@ def _mwhere(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return np.where(mask.reshape(mask.shape + (1,) * (new.ndim - 1)), new, old)
 
 
-def _hp_extremes_quadratic(bundle: PointData) -> tuple[np.ndarray, np.ndarray]:
-    from .geometry import moment_quadratic
-    B = moment_quadratic(bundle)
-    L = np.linalg.cholesky(bundle.g)
-    Linv = np.linalg.inv(L)
-    evals = np.linalg.eigvalsh(Linv @ B @ np.swapaxes(Linv, -1, -2))
-    return evals[..., 0], evals[..., -1]
-
-
 def _hp_extremes(bundle: PointData, p: float) -> tuple[np.ndarray, np.ndarray]:
     # gradX = 0 kills the quartic term, so the p = 2 eigensolve covers any p
-    if p == 2.0 or float(np.max(np.abs(bundle.gradX))) < 1e-12:
-        return _hp_extremes_quadratic(bundle)
-    from .geometry import moment_form_extremes
+    if float(np.max(np.abs(bundle.gradX))) < 1e-12:
+        p = 2.0
     return moment_form_extremes(bundle, p, grid=128)
 
 
@@ -726,11 +724,17 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         cid_d, x0_d = system.start()
         cid = cid if cid is not None else cid_d
         x0 = x0 if x0 is not None else x0_d
-    x0 = np.asarray(x0, dtype=float)
+    system.check_chart(cid)
+    x0 = system.check_vector("x0", x0)
+    if n_paths < 1:
+        raise BadParams(f"n_paths={n_paths} is not a positive path count")
+    if not 0 <= seed < 2**64:
+        raise BadParams(f"seed={seed} is outside 0..2**64-1")
     need = _requested(need, hp_p)
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
-    adj_metric = "par_adj" in _closure(need) and bool(tss_check(system, cid, x0)[0])
+    adj_metric = ("par_adj" in _closure(need)
+                  and bool(_torsion_skew(system, cid, x0)[0] < TSS_TOL))
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]
@@ -800,17 +804,15 @@ def reconstruction_error(path: FlowPath) -> np.ndarray:
     return np.max(np.abs(path.recon - path.b_raw), axis=(0, -1))
 
 
-def transport_along(system: SdeSystem, cid: str, xs: np.ndarray, kind: str,
-                    oracle=None) -> np.ndarray:
+def transport_along(system: SdeSystem, cid: str, xs: np.ndarray, kind: str) -> np.ndarray:
     """RK4 parallel transport along an explicit discrete path (K+1, n).
 
     Serves deterministic-curve experiments (holonomy around loops); the SDE
     engine owns transport along simulated paths.
     """
-    from .geometry import christoffel
     xs = np.asarray(xs, dtype=float)
-    gammas = christoffel(system, cid, xs, kind, oracle)
-    mids = christoffel(system, cid, 0.5 * (xs[:-1] + xs[1:]), kind, oracle)
+    gammas = christoffel(system, cid, xs, kind)
+    mids = christoffel(system, cid, 0.5 * (xs[:-1] + xs[1:]), kind)
     K = xs.shape[0] - 1
     n = xs.shape[1]
     frames = np.empty((K + 1, n, n))

@@ -14,9 +14,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from flowgeom import geometry
 from flowgeom.errors import BadParams
-from flowgeom.estimators import _metric_rows
-from flowgeom.geometry import PointData, point_data
+from flowgeom.geometry import PointData, _metric_field, point_data
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
     BLOCK,
@@ -136,6 +136,31 @@ def test_time_grid_validation(sphere):
         simulate(sphere, t=0.35, dt=0.1, n_paths=100, seed=0)
 
 
+@pytest.mark.parametrize("name, bad, message", [
+    ("sphere-gradient", {"cid": "q"},
+     "scenario 'sphere-gradient' has no chart 'q'; its charts are n, s"),
+    ("flat", {"x0": np.zeros(3)}, "x0 has shape (3,) but flat has dimension 2"),
+    ("flat", {"n_paths": 0}, "n_paths=0 is not a positive path count"),
+    ("flat", {"seed": -1}, "seed=-1 is outside 0..2**64-1"),
+], ids=["chart", "x0-shape", "no-paths", "negative-seed"])
+def test_simulate_rejects_bad_input(name, bad, message):
+    run = {"t": 0.1, "dt": 1e-2, "n_paths": 4, "seed": 0, **bad}
+    with pytest.raises(BadParams) as exc:
+        simulate(system_of(name, {"n": 2}), **run)
+    assert str(exc.value) == message
+
+
+def test_simulate_reads_only_the_torsion_route_of_tss(sphere, monkeypatch):
+    # the //^ snap needs the skew-torsion verdict alone, not the Levi-Civita
+    # route that tss_check computes beside it
+    calls = []
+    lc = geometry.levi_civita_christoffel
+    monkeypatch.setattr(geometry, "levi_civita_christoffel",
+                        lambda *a: calls.append(a) or lc(*a))
+    simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, need={"par_adj"})
+    assert calls == []
+
+
 def test_record_mode_single_block(sphere):
     with pytest.raises(BadParams):
         simulate(sphere, t=0.1, dt=1e-2, n_paths=3000, seed=0, record=True)
@@ -238,7 +263,7 @@ def test_snapped_transports_are_isometries_to_rounding(name, params, x0):
         assert set(fp.cid_idx[-1].tolist()) == {0, 1}
     ginv0 = np.linalg.inv(r.g0)
     for k in range(fp.x.shape[0]):
-        g = _metric_rows(sys, np.asarray(r.chart_names)[fp.cid_idx[k]], fp.x[k])
+        g = _metric_field(sys, np.asarray(r.chart_names)[fp.cid_idx[k]])(fp.x[k])
         for par in (fp.par_lw[k], fp.par_adj[k]):  # both metric on these systems
             defect = np.einsum("pji,pjk,pkl->pil", par, g, par) - r.g0
             assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(r.g0))
