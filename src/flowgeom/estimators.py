@@ -26,7 +26,6 @@ import numpy as np
 from . import expr as ex
 from .errors import BadParams, NotApplicable, TooFewAlivePaths
 from .geometry import (
-    TSS_TOL,
     _g_frame_eigvalsh,
     _metric_field,
     _torsion_skew,
@@ -480,8 +479,8 @@ def moment_sandwich(cfg: McConfig, p: float = 2.0) -> McReport:
     """
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
-    resid = _torsion_skew(cfg.system, cid, x0)[0]
-    if not resid < TSS_TOL:
+    ok, resid, _, _ = _torsion_skew(cfg.system, cid, x0)
+    if not ok:
         raise NotApplicable(
             f"adjoint connection is not metric here (torsion skew residual {resid:.3g})")
 

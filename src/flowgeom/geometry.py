@@ -423,27 +423,27 @@ def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
 TSS_TOL = 1e-6  # the skew-torsion verdict, on either tss_check route
 
 
-def _torsion_skew(system: SdeSystem, cid: str, x: np.ndarray, n_probes: int = 8,
-                  seed: int = 3) -> tuple:
-    """The torsion route of ``tss_check``: (residual, point data, probes).
+def _torsion_skew(system: SdeSystem, cid: str, x: np.ndarray) -> tuple:
+    """The torsion route of ``tss_check``: (verdict, residual, point data,
+    probes).
 
-    The residual is max |<T(u,v),w>_g + <T(w,v),u>_g| over the probe triples
-    ``(u, v, w)``, per point of ``x``; it is below ``TSS_TOL`` where the
-    torsion is skew-symmetric.
+    The residual is max |<T(u,v),w>_g + <T(w,v),u>_g| over 8 probe triples
+    ``(u, v, w)`` (seed 3), per point of ``x``; the verdict is that it is
+    below ``TSS_TOL``, i.e. the torsion is skew-symmetric.
     """
     pd = point_data(system, cid, x)
     T = torsion_from_christoffel(pd.gamma)
-    rng = np.random.default_rng(seed)
-    u, v, w = _probes(n_probes, lambda: tuple(_unit(rng, system.n) for _ in range(3)))
+    rng = np.random.default_rng(3)
+    u, v, w = _probes(8, lambda: tuple(_unit(rng, system.n) for _ in range(3)))
     tuv = np.einsum("...ijk,pj,pk->...pi", T, u, v)
     twv = np.einsum("...ijk,pj,pk->...pi", T, w, v)
     skew = (np.einsum("...pi,...ij,pj->...p", tuv, pd.g, w)
             + np.einsum("...pi,...ij,pj->...p", twv, pd.g, u))
-    return np.max(np.abs(skew), axis=-1), pd, (u, v, w)
+    worst = np.max(np.abs(skew), axis=-1)
+    return worst < TSS_TOL, worst, pd, (u, v, w)
 
 
-def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
-              n_probes: int = 8, seed: int = 3) -> tuple:
+def tss_check(system: SdeSystem, cid: str, x: np.ndarray) -> tuple:
     """Is the torsion skew-symmetric: <T(u,v),w>_g = -<T(w,v),u>_g?
 
     Returns (verdict, residual, alt_residual), each over the leading axes of
@@ -453,7 +453,7 @@ def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     oracle = system.oracle
-    worst, pd, (u, v, w) = _torsion_skew(system, cid, x, n_probes, seed)
+    ok, worst, pd, (u, v, w) = _torsion_skew(system, cid, x)
     gamma_lc = levi_civita_christoffel(system, cid, x)
     # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
     yv = np.einsum("...ri,pi->...pr", pd.Y, v)
@@ -465,7 +465,7 @@ def tss_check(system: SdeSystem, cid: str, x: np.ndarray,
              + np.einsum("...ijk,pj,pk->...pi", gamma_lc, w, v))
     alt = (np.einsum("...pi,...ij,pj->...p", nab_u, pd.g, w)
            + np.einsum("...pi,...ij,pj->...p", nab_w, pd.g, u))
-    return (worst < TSS_TOL, worst, np.max(np.abs(alt), axis=-1))
+    return (ok, worst, np.max(np.abs(alt), axis=-1))
 
 
 def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
@@ -607,16 +607,14 @@ def moment_form_extremes(pd: PointData, p: float, *,
         evals = _g_frame_eigvalsh(moment_quadratic(pd), pd.g)
         return evals[..., 0], evals[..., -1]
     B = moment_quadratic(pd)
-    L = np.linalg.cholesky(pd.g)
-    Linv = np.linalg.inv(L)
-    Bt = Linv @ B @ np.swapaxes(Linv, -1, -2)
-    Ci = _moment_quartics(pd)
-    Cit = np.einsum("...ab,...kbc,...dc->...kad", Linv, Ci, Linv)
+    Linv = np.linalg.inv(np.linalg.cholesky(pd.g))
+    Cit = np.einsum("...ab,...kbc,...dc->...kad", Linv, _moment_quartics(pd), Linv)
     quart_scale = float(np.max(np.abs(Cit))) if Cit.size else 0.0
-    n = B.shape[-1]
     if quart_scale < 1e-12:
-        evals = np.linalg.eigvalsh(Bt)
+        evals = _g_frame_eigvalsh(B, pd.g)
         return evals[..., 0], evals[..., -1]
+    Bt = Linv @ B @ np.swapaxes(Linv, -1, -2)
+    n = B.shape[-1]
 
     def objective(y: np.ndarray) -> np.ndarray:
         # y: (..., K, n) unit vectors

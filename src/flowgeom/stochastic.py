@@ -61,7 +61,6 @@ import numpy as np
 
 from .errors import BadParams
 from .geometry import (
-    TSS_TOL,
     PointData,
     _induced_gamma,
     _torsion_skew,
@@ -734,7 +733,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
     adj_metric = ("par_adj" in _closure(need)
-                  and bool(_torsion_skew(system, cid, x0)[0] < TSS_TOL))
+                  and bool(_torsion_skew(system, cid, x0)[0]))
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]

@@ -385,6 +385,30 @@ def test_estimate_dump_matches_full_run(tmp_path):
     assert dump.read_bytes() == full.read_bytes()
 
 
+def test_estimate_dump_uses_config_v0(tmp_path):
+    # a configured v0 is the vector the check uses, so the dump's W_v0 column
+    # must follow it rather than the default frame vector
+    from flowgeom.cli import _dump_paths_csv, _mc_config
+    from flowgeom.stochastic import simulate
+
+    cfg = {"command": "estimate", "check": "oneform",
+           "scenario": {"name": "sphere-gradient", "params": {"n": 2}},
+           "x0": [1.9, 0.2], "v0": [0.3, -1.2], "t": 0.3, "dt": 1e-2,
+           "n_paths": 100, "seed": 4, "threads": 1}
+    dump = tmp_path / "paths.csv"
+    run(tmp_path, cfg, "--dump-paths", str(dump))
+    mc = _mc_config(cfg, "oneform")
+    cid, x0 = mc.start()
+    res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
+                   x0=x0, cid=cid)
+    full = tmp_path / "full.csv"
+    _dump_paths_csv(str(full), mc.system, res, np.array([0.3, -1.2]))
+    assert dump.read_bytes() == full.read_bytes()
+    default = tmp_path / "default.csv"
+    _dump_paths_csv(str(default), mc.system, res, np.linalg.inv(res.L0).T[:, 0])
+    assert dump.read_bytes() != default.read_bytes()
+
+
 def test_estimate_not_applicable_exits_zero(tmp_path):
     code, rep = run(tmp_path, {
         "command": "estimate", "check": "bochner",
