@@ -75,7 +75,7 @@ from .geometry import (
     tss_check,
 )
 from .model import build_scenario
-from .stochastic import simulate
+from .stochastic import BLOCK, _step_count, simulate
 
 __all__ = ["main", "load_config", "run_config"]
 
@@ -373,9 +373,15 @@ def cmd_simulate(cfg: dict):
     t0 = time.perf_counter()
     mc = _mc_config(cfg)
     cid, x0 = mc.start()
+    at = ()
+    if cfg.get("record", False):
+        # a recorded run keeps a copy of every field at every step
+        if mc.n_paths > BLOCK:
+            raise BadParams(f"record keeps every step of every path and supports at "
+                            f"most {BLOCK} paths, got n_paths={mc.n_paths}")
+        at = range(_step_count(mc.t, mc.dt) + 1)
     res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
-                   x0=x0, cid=cid, threads=mc.threads,
-                   record=bool(cfg.get("record", False)))
+                   x0=x0, cid=cid, threads=mc.threads, at=at)
     alive = res.alive
     v0 = _resolve_v0(mc, res)
     jv = res.J[alive] @ v0
@@ -415,11 +421,11 @@ _DUMP_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
 
 
 def _dump_paths_csv(path: str, system, res, v0: np.ndarray) -> None:
-    """Terminal per-path rows; with a recorded run, one row per snapshot."""
+    """Terminal per-path rows; with snapshots, one row per path and snapshot."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         n = res.x.shape[-1]
-        if res.path is None:
+        if not res.snapshots:
             wr.writerow(["path", "chart", "alive"]
                         + [f"x{k + 1}" for k in range(n)]
                         + ["J_v0_norm", "W_v0_norm"])
@@ -432,18 +438,16 @@ def _dump_paths_csv(path: str, system, res, v0: np.ndarray) -> None:
                             + [repr(float(c)) for c in res.x[i]]
                             + [repr(float(jn[i])), repr(float(wn[i]))])
         else:
-            fp = res.path
             wr.writerow(["path", "step", "time", "chart", "alive"]
                         + [f"x{k + 1}" for k in range(n)] + ["W_v0_norm"])
-            for k in range(fp.x.shape[0]):
-                wk = fp.par_adj[k] @ fp.What[k] @ v0
-                gk = _metric_field(system, np.asarray(res.chart_names)[fp.cid_idx[k]])(fp.x[k])
+            for snap in res.snapshots:
+                wk = snap.par_adj @ snap.What @ v0
+                gk = _metric_field(system, np.asarray(res.chart_names)[snap.cid_idx])(snap.x)
                 for i in range(res.n_paths):
                     norm = float(np.sqrt(max(wk[i] @ gk[i] @ wk[i], 0.0)))
-                    wr.writerow([i, k, repr(k * res.dt),
-                                 res.chart_names[fp.cid_idx[k][i]],
-                                 int(fp.alive[k][i])]
-                                + [repr(float(c)) for c in fp.x[k][i]]
+                    wr.writerow([i, snap.steps, repr(snap.t),
+                                 res.chart_names[snap.cid_idx[i]], int(snap.alive[i])]
+                                + [repr(float(c)) for c in snap.x[i]]
                                 + [repr(norm)])
 
 

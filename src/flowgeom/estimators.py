@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import sqrt
+from typing import Iterable
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .geometry import (
     scalar_generator,
 )
 from .model import SdeSystem
-from .stochastic import SimResult, _block_noise, _bundle, simulate
+from .stochastic import SimResult, _block_noise, _bundle, _step_count, simulate
 
 __all__ = [
     "McConfig",
@@ -85,11 +86,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 100:
             raise BadParams(f"n_paths={self.n_paths} is below the minimum of 100")
-        if self.dt <= 0.0 or self.t <= 0.0:
-            raise BadParams("t and dt must be positive")
-        steps = round(self.t / self.dt)
-        if steps <= 0 or abs(steps * self.dt - self.t) > 1e-9 * max(1.0, self.t):
-            raise BadParams(f"t={self.t} is not an integer multiple of dt={self.dt}")
+        _step_count(self.t, self.dt)
         if self.cid is not None:
             self.system.check_chart(self.cid)
         for name in ("x0", "v0"):
@@ -213,9 +210,8 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
               dt: float | None = None, n_paths: int | None = None,
               x0: np.ndarray | None = None,
-              hp_p: float | None = None, record: bool = False,
-              noise: np.ndarray | None = None,
-              also_at: int | None = None) -> SimResult:
+              hp_p: float | None = None, noise: np.ndarray | None = None,
+              at: Iterable[int] = ()) -> SimResult:
     """One engine run for a check; ``need`` names the companions it reads."""
     cid, x0_d = cfg.start()
     return simulate(
@@ -228,10 +224,9 @@ def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
         cid=cid,
         hp_p=hp_p,
         threads=cfg.threads,
-        record=record,
         noise=noise,
         need=need,
-        also_at=also_at,
+        at=at,
     )
 
 
@@ -557,7 +552,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
         provenance="analytic", tolerance=1e-6)]
 
     half_steps = max(1, round(cfg.t / cfg.dt) // 2)
-    res = _simulate(cfg, set(), also_at=half_steps)
+    res = _simulate(cfg, set(), at=(half_steps,))
     alive = _alive_gate(res)
     k = cfg.k_se
     f0 = _scalar_at_start(cfg, f_source)
@@ -566,7 +561,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
 
     # the t/2 run is the first half of the t-run
     t_half = half_steps * cfg.dt
-    res_h = res.earlier
+    res_h = res.snapshots[0]
     fT_h = _terminal_scalar(res_h, f_source)[res_h.alive]
     est_h = float(np.mean((fT_h - f0) / t_half))
     bias_allow = 2.0 * abs(est - est_h)
@@ -611,7 +606,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
     phi0 = one_form_from_spec(system, cid, phi_spec)
 
     half_steps = max(1, round(cfg.t / cfg.dt) // 2)
-    res = _simulate(cfg, {"J"}, also_at=half_steps)
+    res = _simulate(cfg, {"J"}, at=(half_steps,))
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -644,7 +639,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
 
     # the t/2 run is the first half of the t-run
     t_half = half_steps * cfg.dt
-    res_h = res.earlier
+    res_h = res.snapshots[0]
     pair_h = _terminal_one_form_pairing(cfg, res_h, phi_spec, res_h.J @ v0)[res_h.alive]
     est_h = float(np.mean((pair_h - phi0_v0) / t_half))
     bias_allow = 2.0 * abs(est - est_h)
@@ -689,19 +684,18 @@ def bochner_decay_check(cfg: McConfig) -> McReport:
             f"curvature-drift gap {lam:.4g} is not positive; no decay is implied")
 
     n_rec = min(cfg.n_paths, 1024)
-    res = _simulate(cfg, {"par_adj", "What"}, n_paths=n_rec, record=True)
+    steps = round(cfg.t / cfg.dt)
+    picks = np.unique(np.linspace(0, steps, 21).astype(int))
+    res = _simulate(cfg, {"par_adj", "What"}, n_paths=n_rec, at=picks)
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
-    path = res.path
-    steps = round(cfg.t / cfg.dt)
-    picks = np.unique(np.linspace(0, steps, 21).astype(int))
 
     ts, ys = [], []
-    for kk in picks:
-        Wk = path.par_adj[kk][alive] @ path.What[kk][alive]
-        cids = np.asarray(res.chart_names)[path.cid_idx[kk][alive]]
-        g = _metric_field(system, cids)(path.x[kk][alive])
+    for kk, snap in zip(picks, res.snapshots):
+        Wk = snap.par_adj[alive] @ snap.What[alive]
+        cids = np.asarray(res.chart_names)[snap.cid_idx[alive]]
+        g = _metric_field(system, cids)(snap.x[alive])
         wv = Wk @ v0
         norms = np.sqrt(np.einsum("pi,pij,pj->p", wv, g, wv))
         ts.append(kk * cfg.dt)
@@ -821,14 +815,14 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
     def residuals(noise: np.ndarray, dt: float) -> np.ndarray:
         n_steps = noise.shape[1]
         res = _simulate(cfg, {"J"}, t=n_steps * dt, dt=dt, n_paths=noise.shape[0],
-                        record=True, noise=noise)
-        path = res.path
+                        noise=noise, at=range(n_steps + 1))
+        snaps = res.snapshots
         v0 = _resolve_v0(cfg, res)
-        cids = np.asarray(res.chart_names)[path.cid_idx]
         acc = np.zeros(noise.shape[0])
         for kk in range(n_steps):
-            pd = _bundle(system, cids[kk], path.x[kk], "full")
-            v = path.J[kk] @ v0
+            cids = np.asarray(res.chart_names)[snaps[kk].cid_idx]
+            pd = _bundle(system, cids, snaps[kk].x, "full")
+            v = snaps[kk].J @ v0
             vv = np.einsum("pi,pij,pj->p", v, pd.g, v)
             # s_i = <nab X^i (v), v>_g / |v|^2 drives the log-norm martingale
             s = np.einsum("paib,pb,pac,pc->pi", pd.gradX, v, pd.g, v) / vv[:, None]
@@ -836,8 +830,9 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
             half_qv = 0.5 * p * p * np.einsum("pi,pi->p", s, s) * dt
             drift = 0.5 * p * moment_form(pd, v, p) / vv * dt
             acc += mart - half_qv + drift
-        pd_end = _bundle(system, cids[n_steps], path.x[n_steps], "full")
-        v_end = path.J[n_steps] @ v0
+        end = snaps[n_steps]
+        pd_end = _bundle(system, np.asarray(res.chart_names)[end.cid_idx], end.x, "full")
+        v_end = end.J @ v0
         vv_end = np.einsum("pi,pij,pj->p", v_end, pd_end.g, v_end)
         vv0 = float(v0 @ res.g0 @ v0)
         return 0.5 * p * (np.log(vv_end) - np.log(vv0)) - acc

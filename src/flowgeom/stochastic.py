@@ -18,15 +18,18 @@ The dependency table (``_NEEDS``), requested field -> what it forces on:
     par_lw, par_adj     full bundles, midpoint Christoffels, the isometry snap
     What, Vhat          par_adj
     bismut_vec          par_lw, par_adj, What
-    b_raw, b_breve, beta, b_bar, recon_err, qv, cross, F (and the recorded
-    b_tilde, recon)     one noise-decomposition companion: par_lw and the
+    b_raw, b_breve, beta, b_bar, recon_err, qv, cross, F
+                        one noise-decomposition companion: par_lw and the
                         normal frame
     g_T, hp_lo, hp_hi   full bundles (hp_lo/hp_hi only with hp_p)
 
 A requested field holds exactly the values of a run with ``need=None``; a
-field not requested is None.  ``simulate(..., also_at=k)`` also returns the
-requested fields after ``k`` steps of the same run (``SimResult.earlier``),
-equal to a separate run to ``k * dt``.
+field not requested is None.
+
+Reading a run part-way: ``simulate(..., at=steps)`` also returns the run
+after each listed step count, as ``SimResult.snapshots`` in the order given
+(step 0 is the start state).  A snapshot holds the requested fields after
+``k`` steps, equal to a separate run to ``k * dt``.
 
 Noise: path ``i`` of a run seeded ``s`` draws from
 ``np.random.Generator(np.random.Philox(key=[s, i]))`` with the key as uint64;
@@ -52,8 +55,9 @@ left-point Euler on the same grid.
 
 from __future__ import annotations
 
+import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from math import sqrt
 from typing import Iterable
 
@@ -70,10 +74,7 @@ from .geometry import (
 )
 from .model import SdeSystem
 
-__all__ = [
-    "NoiseGrid", "sample_noise", "FlowPath", "SimResult", "simulate",
-    "integrate_flow", "reconstruction_error", "transport_along",
-]
+__all__ = ["SimResult", "simulate", "transport_along"]
 
 BLOCK = 2048  # paths per worker block; fixed so thread count cannot matter
 
@@ -81,33 +82,6 @@ BLOCK = 2048  # paths per worker block; fixed so thread count cannot matter
 # ---------------------------------------------------------------------------
 # noise
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NoiseGrid:
-    """Increments of one driving Brownian path on a uniform grid."""
-
-    seed: int
-    path_index: int
-    steps: int
-    dt: float
-    m: int
-    increments: np.ndarray  # (steps, m)
-
-
-def sample_noise(seed: int, path_index: int, steps: int, dt: float, m: int) -> NoiseGrid:
-    """Deterministic Gaussian increments for one path.
-
-    The stream is a pure function of (seed, path_index): a Philox
-    counter-based generator keyed by the pair, drawing standard normals via
-    numpy's ziggurat and scaling by sqrt(dt).  It is row ``0`` of
-    ``_block_noise(seed, [path_index], ...)``, the engine's own draw.
-    """
-    if dt <= 0:
-        raise BadParams("dt must be positive")
-    inc = _block_noise(seed, np.array([path_index]), steps, dt, m)[0]
-    return NoiseGrid(seed=seed, path_index=path_index, steps=steps, dt=dt, m=m,
-                     increments=inc)
 
 
 def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int) -> np.ndarray:
@@ -136,36 +110,6 @@ def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int) 
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FlowPath:
-    """Full time series for a (small) batch of paths, axes (step, path, ...).
-
-    Companion series the run did not request are None.
-    """
-
-    times: np.ndarray                 # (K+1,)
-    cid_idx: np.ndarray               # (K+1, P)
-    x: np.ndarray                     # (K+1, P, n)
-    alive: np.ndarray                 # (K+1, P)
-    J: np.ndarray | None              # (K+1, P, n, n)
-    par_lw: np.ndarray | None
-    par_adj: np.ndarray | None
-    What: np.ndarray | None           # filtered flow in the x0 frame
-    Vhat: np.ndarray | None           # covariant Ito flow in the x0 frame
-    b_raw: np.ndarray | None          # (K+1, P, m) cumulative driving noise
-    b_breve: np.ndarray | None        # (K+1, P, n) anti-development
-    beta: np.ndarray | None           # (K+1, P, m) normal-frame part
-    b_tilde: np.ndarray | None        # (K+1, P, m)
-    b_bar: np.ndarray | None          # (K+1, P, m)
-    recon: np.ndarray | None          # (K+1, P, m): cumulative sum of //~ dB_bar
-    centers: np.ndarray | None        # (K+1, P, 4) for group scenarios
-    increments: np.ndarray            # (P, K, m)
-    chart_names: tuple[str, ...]
-    g0: np.ndarray
-    x0: np.ndarray
-    cid0: str
 
 
 @dataclass
@@ -210,8 +154,8 @@ class SimResult:
     hp_lo: np.ndarray | None          # (N,) integral of the lower moment form
     hp_hi: np.ndarray | None
     n_dropped: int
-    path: FlowPath | None = None
-    earlier: SimResult | None = None  # the same run at an earlier step (``also_at``)
+    # the same run after each step count of ``simulate(..., at=...)``
+    snapshots: list[SimResult] = field(default_factory=list)
 
     def W(self) -> np.ndarray:
         """Filtered flow matrices W_T = //^_T What_T."""
@@ -354,14 +298,13 @@ def _hp_extremes(bundle: PointData, p: float) -> tuple[np.ndarray, np.ndarray]:
 _CORE = frozenset((
     "t", "dt", "steps", "seed", "n_paths", "chart_names", "cid0", "x0", "g0",
     "ginv0", "X0", "Y0", "L0", "F0", "cid_idx", "x", "centers", "embedded",
-    "alive", "n_dropped", "path", "earlier", "times", "increments"))
+    "alive", "n_dropped", "snapshots"))
 _SIM_COMPANIONS = tuple(f.name for f in fields(SimResult) if f.name not in _CORE)
-_PATH_FIELDS = tuple(f.name for f in fields(FlowPath))
-_ALL = _CORE | frozenset(_SIM_COMPANIONS) | frozenset(_PATH_FIELDS)
+_ALL = _CORE | frozenset(_SIM_COMPANIONS)
 
 # the noise decomposition: one companion, whichever of its fields is read
-_DECOMPOSITION = ("F", "b_raw", "b_breve", "beta", "b_tilde", "b_bar", "recon",
-                  "recon_err", "qv", "cross")
+_DECOMPOSITION = ("F", "b_raw", "b_breve", "beta", "b_bar", "recon_err", "qv",
+                  "cross")
 # frames of tangent vectors at the current point, pushed through chart changes
 _TANGENT_FRAMES = ("J", "par_lw", "par_adj")
 
@@ -408,15 +351,15 @@ def _closure(need: frozenset) -> set:
 
 def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                dt: float, cid0: str, x0: np.ndarray, hp_p: float | None,
-               record: bool, need: frozenset, adj_metric: bool,
-               noise: np.ndarray | None = None, also_at: int | None = None) -> dict:
+               need: frozenset, adj_metric: bool, noise: np.ndarray | None,
+               at: tuple[int, ...]) -> dict:
     """Integrate one block of paths; ``need`` is what ``_requested`` returns.
 
     ``adj_metric`` says whether the adjoint connection is metric at the
     start, so that ``//^`` frames may be isometrized.
 
-    With ``also_at``, ``out["earlier"]`` holds the same fields after that
-    many steps, copied since the engine updates some arrays in place.
+    ``out["snapshots"]`` holds the same fields after each step count in
+    ``at``, copied since the engine updates some arrays in place.
     """
     n, m = system.n, system.m
     P = len(indices)
@@ -465,20 +408,6 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     if hp:
         st.update(hp_lo=np.zeros(P), hp_hi=np.zeros(P))
 
-    rec: dict[str, list] = {}  # recorded series: FlowPath fields requested
-
-    def snapshot():
-        vals = dict(st, cid_idx=cid_idx, x=x, alive=alive, centers=centers)
-        if "b_tilde" in need:
-            vals["b_tilde"] = st["b_breve"] @ Y0.T
-        for key in _PATH_FIELDS:
-            if key in need and key in vals:
-                val = vals[key]
-                rec.setdefault(key, []).append(None if val is None else val.copy())
-
-    if record:
-        snapshot()
-
     def fields_now() -> dict:
         """The block's result fields at the current step."""
         out = dict(st, chart_names=chart_names, cid0=cid0, x0=x0, g0=g0,
@@ -491,6 +420,15 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                           else np.broadcast_to(bundle.g, (P, n, n)).copy())
         return out
 
+    kept: dict[int, dict] = {}  # step -> fields, for the steps in ``at``
+    wanted = frozenset(at)
+
+    def keep(k: int) -> None:
+        if k in wanted:
+            kept[k] = {key: val.copy() if isinstance(val, np.ndarray) else val
+                       for key, val in fields_now().items()}
+
+    keep(0)
     guard = system.guard_radius if system.guard_radius is not None else np.inf
     has_drift = system.has_drift
 
@@ -637,24 +575,15 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                 cid_idx[sw] = [chart_names.index(c) for c in target]
                 # only the switched rows are evaluated again
                 _scatter_rows(bundle, _bundle(system, target, x[sw], level), sw)
-        if record:
-            snapshot()
-        if k + 1 == also_at:
-            earlier = {key: val.copy() if isinstance(val, np.ndarray) else val
-                       for key, val in fields_now().items()}
+        keep(k + 1)
 
     out = fields_now()
-    if also_at is not None:
-        out["earlier"] = earlier
-    if record:
-        out["record"] = {key: None if frames[0] is None else np.stack(frames, axis=0)
-                         for key, frames in rec.items()}
-        out["increments"] = noise
+    out["snapshots"] = [kept[k] for k in at]
     return out
 
 
 def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
-              path: FlowPath | None = None, **run) -> SimResult:
+              **run) -> SimResult:
     """One ``SimResult`` from per-block field dicts, merged in block order;
     ``run`` holds ``t``, ``dt``, ``steps``, ``seed``, ``n_paths`` and ``cid0``."""
 
@@ -681,44 +610,60 @@ def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
         **run, chart_names=chart_names, x0=first["x0"], g0=first["g0"],
         ginv0=first["ginv0"], X0=first["X0"], Y0=first["Y0"], L0=first["L0"],
         F0=first["F0"], cid_idx=cid_idx, x=x, centers=centers, embedded=emb,
-        alive=alive, n_dropped=int(run["n_paths"] - alive.sum()), path=path,
+        alive=alive, n_dropped=int(run["n_paths"] - alive.sum()),
         **companions,
     )
+
+
+def _step_count(t: float, dt: float) -> int:
+    """The number of steps of size ``dt`` to time ``t``; ``BadParams`` unless
+    both are positive and finite and ``t`` is a whole multiple of ``dt``."""
+    for name, val in (("t", t), ("dt", dt)):
+        if not 0.0 < val < np.inf:  # NaN fails both comparisons
+            raise BadParams(f"{name}={val} is not a positive finite number")
+    ratio = t / dt
+    steps = round(ratio) if ratio < np.inf else 0
+    if steps <= 0 or abs(steps * dt - t) > 1e-9 * max(1.0, t):
+        raise BadParams(f"t={t} is not an integer multiple of dt={dt}")
+    return steps
 
 
 def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
              x0: np.ndarray | None = None, cid: str | None = None,
              hp_p: float | None = None, threads: int = 1,
-             record: bool = False, noise: np.ndarray | None = None,
-             need: Iterable[str] | None = None,
-             also_at: int | None = None) -> SimResult:
+             noise: np.ndarray | None = None, need: Iterable[str] | None = None,
+             at: Iterable[int] = ()) -> SimResult:
     """Run ``n_paths`` independent paths to time ``t`` and gather terminals.
 
-    ``record=True`` additionally stores the full time series (meant for small
-    batches).  ``noise`` optionally supplies the increments (n_paths, steps, m)
-    directly, bypassing the seeded streams; otherwise each block draws its
-    paths' streams with one re-keyed Philox (see ``_block_noise``).
+    ``noise`` optionally supplies the increments, shape (n_paths, steps, m)
+    for one block of paths, directly, bypassing the seeded streams; otherwise
+    each block draws its paths' streams with one re-keyed Philox (see
+    ``_block_noise``).
 
-    ``need`` names the ``SimResult`` (and, with ``record``, ``FlowPath``)
-    fields the caller will read; ``None`` means all of them.  The state, the
-    alive mask, the charts, the group centres and the start data (``g0``,
-    ``ginv0``, ``X0``, ``Y0``, ``L0``, ``F0``) are always filled.  Only the
-    companion processes the requested fields depend on are integrated (see
-    ``_NEEDS``), and every field not requested is ``None``; ``hp_lo`` and
-    ``hp_hi`` also need ``hp_p``.  A requested field holds exactly the values
-    a run with ``need=None`` gives.
+    ``need`` names the ``SimResult`` fields the caller will read; ``None``
+    means all of them.  The state, the alive mask, the charts, the group
+    centres and the start data (``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``,
+    ``F0``) are always filled.  Only the companion processes the requested
+    fields depend on are integrated (see ``_NEEDS``), and every field not
+    requested is ``None``; ``hp_lo`` and ``hp_hi`` also need ``hp_p``.  A
+    requested field holds exactly the values a run with ``need=None`` gives.
 
-    ``also_at`` (a step count, 1 to ``t/dt``) also returns the result after
-    that many steps of the same run as ``earlier``: a ``SimResult`` with
-    ``t = also_at * dt`` and no ``path``, equal field by field to a separate
-    run to that time, since a stream's first steps do not depend on its
-    length.
+    ``at`` lists step counts in 0..t/dt.  ``snapshots`` then holds, in the
+    order given, one ``SimResult`` per entry: the same run after that many
+    steps (step 0 is the start state), with ``t = k * dt`` and the same
+    fields requested.  Each equals a separate run to that time field by
+    field, since a stream's first steps do not depend on its length.  A
+    snapshot copies every field it holds, so ``at=range(steps + 1)`` is meant
+    for small batches.
     """
-    steps = int(round(t / dt))
-    if steps <= 0 or abs(steps * dt - t) > 1e-9 * max(1.0, t):
-        raise BadParams(f"t={t} is not an integer multiple of dt={dt}")
-    if also_at is not None and not 1 <= also_at <= steps:
-        raise BadParams(f"also_at={also_at} is not a step count in 1..{steps}")
+    steps = _step_count(t, dt)
+    try:
+        at = tuple(operator.index(k) for k in at)
+    except TypeError:
+        raise BadParams(f"at={at!r} is not a sequence of step counts") from None
+    outside = [k for k in at if not 0 <= k <= steps]
+    if outside:
+        raise BadParams(f"at holds {outside}, not step counts in 0..{steps}")
     if cid is None or x0 is None:
         cid_d, x0_d = system.start()
         cid = cid if cid is not None else cid_d
@@ -729,6 +674,14 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         raise BadParams(f"n_paths={n_paths} is not a positive path count")
     if not 0 <= seed < 2**64:
         raise BadParams(f"seed={seed} is outside 0..2**64-1")
+    if noise is not None:
+        if n_paths > BLOCK:
+            raise BadParams(f"explicit noise supports one block of at most "
+                            f"{BLOCK} paths, got n_paths={n_paths}")
+        expected = (n_paths, steps, system.m)
+        if np.shape(noise) != expected:
+            raise BadParams(f"noise has shape {np.shape(noise)}, expected "
+                            f"(n_paths, steps, m) = {expected}")
     need = _requested(need, hp_p)
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
@@ -737,12 +690,10 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]
-    if (record or noise is not None) and len(blocks) > 1:
-        raise BadParams("record mode and explicit noise support one block of paths")
 
     def work(idx_block):
         return _run_block(system, seed, idx_block, steps, dt, cid, x0, hp_p,
-                          record, need, adj_metric, noise=noise, also_at=also_at)
+                          need, adj_metric, noise, at)
 
     if threads <= 1 or len(blocks) == 1:
         results = [work(b) for b in blocks]
@@ -750,57 +701,17 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, blocks))
 
-    path = None
-    if record:
-        first = results[0]
-        series = dict.fromkeys(_PATH_FIELDS, None)
-        series.update(first["record"])
-        series.update(times=np.arange(steps + 1) * dt, increments=first["increments"],
-                      chart_names=first["chart_names"], g0=first["g0"],
-                      x0=first["x0"], cid0=cid)
-        path = FlowPath(**series)
-
     run = dict(dt=dt, seed=seed, n_paths=n_paths, cid0=cid)
-    res = _assemble(system, results, need, path, t=t, steps=steps, **run)
-    if also_at is not None:
-        res.earlier = _assemble(system, [r["earlier"] for r in results], need,
-                                t=also_at * dt, steps=also_at, **run)
+    res = _assemble(system, results, need, t=t, steps=steps, **run)
+    res.snapshots = [_assemble(system, [r["snapshots"][i] for r in results], need,
+                               t=k * dt, steps=k, **run)
+                     for i, k in enumerate(at)]
     return res
 
 
 # ---------------------------------------------------------------------------
-# pathwise wrappers (spec-level operations on one noise grid)
+# transport along an explicit curve
 # ---------------------------------------------------------------------------
-
-
-def _as_noise_list(noise) -> list[NoiseGrid]:
-    if isinstance(noise, NoiseGrid):
-        return [noise]
-    return list(noise)
-
-
-def integrate_flow(system: SdeSystem, x0: np.ndarray | None, noise: NoiseGrid,
-                   cid: str | None = None) -> FlowPath:
-    """Integrate the flow for the paths of one shared-seed noise family.
-
-    All companion processes (Jacobian, transports, filtered and covariant
-    flows, decomposed noises) ride the same grid, per the pathwise identities
-    they are meant to verify.
-    """
-    grids = _as_noise_list(noise)
-    steps, dt, seed = grids[0].steps, grids[0].dt, grids[0].seed
-    for g in grids:
-        if (g.steps, g.dt) != (steps, dt):
-            raise BadParams("all noise grids in one run must share steps and dt")
-    inc = np.stack([g.increments for g in grids], axis=0)
-    res = simulate(system, t=steps * dt, dt=dt, n_paths=len(grids), seed=seed,
-                   x0=x0, cid=cid, record=True, noise=inc)
-    return res.path
-
-
-def reconstruction_error(path: FlowPath) -> np.ndarray:
-    """Pathwise max-abs defect of B = sum //~ dB_bar, per path."""
-    return np.max(np.abs(path.recon - path.b_raw), axis=(0, -1))
 
 
 def transport_along(system: SdeSystem, cid: str, xs: np.ndarray, kind: str) -> np.ndarray:

@@ -349,6 +349,60 @@ def test_simulate_recorded_dump(tmp_path):
     assert len(lines) == 1 + 100 * 6  # header + paths x snapshots
 
 
+def test_recorded_dump_holds_the_run(tmp_path):
+    # the last step's rows are the terminal state of the same run without
+    # snapshots; the first step's W_v0 norm is |v0| in the start metric
+    from flowgeom.stochastic import simulate
+
+    cfg = {"command": "simulate",
+           "scenario": {"name": "sphere-gradient", "params": {"n": 2}},
+           "x0": [1.9, 0.2], "v0": [0.3, -1.2], "t": 0.2, "dt": 1e-2,
+           "n_paths": 100, "seed": 5, "threads": 1, "record": True}
+    csv_path = tmp_path / "rec.csv"
+    assert main(["simulate", write_cfg(tmp_path, "rec.json", cfg),
+                 "--dump-paths", str(csv_path)]) == 0
+    rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
+    mc = cli._mc_config(cfg)
+    cid, x0 = mc.start()
+    res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
+                   x0=x0, cid=cid)
+    assert set(res.cid_idx.tolist()) == {0, 1}  # some paths switched charts
+    last = [r for r in rows if r[1] == "20"]
+    assert [int(r[0]) for r in last] == list(range(100))
+    assert [r[3] for r in last] == [res.chart_names[c] for c in res.cid_idx]
+    assert [int(r[4]) for r in last] == res.alive.astype(int).tolist()
+    np.testing.assert_array_equal([[float(c) for c in r[5:7]] for r in last], res.x)
+    v0 = np.array([0.3, -1.2])
+    first = [float(r[7]) for r in rows if r[1] == "0"]
+    assert len(first) == 100
+    np.testing.assert_allclose(first, np.sqrt(v0 @ res.g0 @ v0), rtol=1e-13)
+
+
+def test_record_mode_single_block(tmp_path, capsys):
+    # a recorded run keeps a copy of every step of every path
+    code, _ = run(tmp_path, {"command": "simulate",
+                             "scenario": {"name": "sphere-gradient", "params": {"n": 2}},
+                             "t": 0.1, "dt": 1e-2, "n_paths": 3000, "seed": 0,
+                             "record": True})
+    assert code == 2
+    assert "at most 2048 paths, got n_paths=3000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("head, t, dt, message", [
+    ('"command": "simulate"', "1e400", "0.01", "t=inf is not a positive finite number"),
+    ('"command": "simulate"', "0.1", "NaN", "dt=nan is not a positive finite number"),
+    ('"command": "estimate", "check": "decompose"', "0.1", "Infinity",
+     "dt=inf is not a positive finite number"),
+], ids=["simulate-t-overflows", "simulate-nan-dt", "estimate-inf-dt"])
+def test_non_finite_time_step_exits_two(tmp_path, capsys, head, t, dt, message):
+    # JSON reads 1e400 as inf, and Python's reader takes NaN and Infinity
+    p = tmp_path / "cfg.json"
+    p.write_text('{%s, "scenario": {"name": "flat"}, "n_paths": 100, "t": %s, "dt": %s}'
+                 % (head, t, dt))
+    assert main(["run", str(p)]) == 2
+    assert capsys.readouterr().err.strip() == f"config error: {message}"
+
+
 # -------------------------------------------------------------- estimate
 
 

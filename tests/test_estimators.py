@@ -38,6 +38,9 @@ def test_config_validation():
         cfg_for("flat", {"n": 2}, t=0.35, dt=0.1)
     with pytest.raises(BadParams):
         cfg_for("flat", {"n": 2}, t=-1.0)
+    for bad in ({"dt": 0.0}, {"dt": float("nan")}, {"t": float("inf")}):
+        with pytest.raises(BadParams, match="is not a positive finite number"):
+            cfg_for("flat", {"n": 2}, **bad)
 
 
 def test_check_row_comparisons():

@@ -20,16 +20,12 @@ from flowgeom.geometry import PointData, _metric_field, point_data
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
     BLOCK,
-    FlowPath,
     SimResult,
     _block_noise,
     _bundle,
     _isometrize,
     _isometry_inverse,
     _polar_snap,
-    integrate_flow,
-    reconstruction_error,
-    sample_noise,
     simulate,
     transport_along,
 )
@@ -54,24 +50,22 @@ def ou():
 
 def test_noise_is_counter_keyed():
     # one stream per (seed, path) pair so any path is reproducible alone
-    g = sample_noise(123, 17, 10, 0.04, 3)
+    g = _block_noise(123, np.array([17]), 10, 0.04, 3)[0]
     ref = np.random.Generator(np.random.Philox(key=[123, 17]))
     want = ref.standard_normal((10, 3)) * np.sqrt(0.04)
-    np.testing.assert_array_equal(g.increments, want)
+    np.testing.assert_array_equal(g, want)
 
 
 def test_noise_streams_distinct_and_stable():
-    a = sample_noise(5, 0, 20, 0.01, 2)
-    b = sample_noise(5, 1, 20, 0.01, 2)
-    a2 = sample_noise(5, 0, 20, 0.01, 2)
-    np.testing.assert_array_equal(a.increments, a2.increments)
-    assert np.max(np.abs(a.increments - b.increments)) > 1e-3
+    a, b = _block_noise(5, np.array([0, 1]), 20, 0.01, 2)
+    a2 = _block_noise(5, np.array([0]), 20, 0.01, 2)[0]
+    np.testing.assert_array_equal(a, a2)
+    assert np.max(np.abs(a - b)) > 1e-3
 
 
 def test_noise_moments_match_brownian_scaling():
     dt = 0.01
-    inc = np.stack([sample_noise(7, i, 100, dt, 2).increments
-                    for i in range(200)])
+    inc = _block_noise(7, np.arange(200), 100, dt, 2)
     z = inc / np.sqrt(dt)
     n = z.size
     assert abs(z.mean()) < 4.0 / np.sqrt(n)
@@ -80,11 +74,12 @@ def test_noise_moments_match_brownian_scaling():
 
 def test_noise_keys_use_all_64_bits():
     # seeds past 2**63 must neither collide with a neighbour nor overflow
-    a = sample_noise(2**63, 0, 4, 0.1, 2)
-    b = sample_noise(2**63 + 1, 0, 4, 0.1, 2)
-    top = sample_noise(2**64 - 1, 0, 4, 0.1, 2)
-    assert not np.array_equal(a.increments, b.increments)
-    assert np.all(np.isfinite(top.increments))
+    first = np.array([0])
+    a = _block_noise(2**63, first, 4, 0.1, 2)
+    b = _block_noise(2**63 + 1, first, 4, 0.1, 2)
+    top = _block_noise(2**64 - 1, first, 4, 0.1, 2)
+    assert not np.array_equal(a, b)
+    assert np.all(np.isfinite(top))
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
@@ -106,9 +101,9 @@ def test_block_noise_rows_do_not_depend_on_earlier_rows():
                           _block_noise(11, np.array([3]), 10, 0.01, 3)[0])
 
 
-def test_noise_rejects_bad_dt():
-    with pytest.raises(BadParams):
-        sample_noise(0, 0, 10, 0.0, 1)
+def test_noise_rejects_bad_dt(ou):
+    with pytest.raises(BadParams, match="dt=0.0 is not a positive finite number"):
+        simulate(ou, t=0.1, dt=0.0, n_paths=4, seed=0, noise=np.zeros((4, 10, 2)))
 
 
 # ------------------------------------------------------------ determinism
@@ -142,7 +137,19 @@ def test_time_grid_validation(sphere):
     ("flat", {"x0": np.zeros(3)}, "x0 has shape (3,) but flat has dimension 2"),
     ("flat", {"n_paths": 0}, "n_paths=0 is not a positive path count"),
     ("flat", {"seed": -1}, "seed=-1 is outside 0..2**64-1"),
-], ids=["chart", "x0-shape", "no-paths", "negative-seed"])
+    ("flat", {"dt": float("nan")}, "dt=nan is not a positive finite number"),
+    ("flat", {"t": float("inf")}, "t=inf is not a positive finite number"),
+    ("flat", {"t": 0.0}, "t=0.0 is not a positive finite number"),
+    ("flat", {"dt": -1e-2}, "dt=-0.01 is not a positive finite number"),
+    ("flat", {"t": 1.0, "dt": 1e-320}, "t=1.0 is not an integer multiple of dt=1e-320"),
+    # explicit noise must be (n_paths, t/dt, m) = (4, 10, 2); a longer grid
+    # is not cut to the run
+    *(("flat", {"noise": np.zeros(shape)},
+       f"noise has shape {shape}, expected (n_paths, steps, m) = (4, 10, 2)")
+      for shape in ((3, 10, 2), (4, 5, 2), (4, 10, 3), (4, 12, 2))),
+], ids=["chart", "x0-shape", "no-paths", "negative-seed", "nan-dt",
+        "inf-t", "zero-t", "negative-dt", "t/dt-overflows", "noise-paths",
+        "noise-fewer-steps", "noise-channels", "noise-more-steps"])
 def test_simulate_rejects_bad_input(name, bad, message):
     run = {"t": 0.1, "dt": 1e-2, "n_paths": 4, "seed": 0, **bad}
     with pytest.raises(BadParams) as exc:
@@ -159,11 +166,6 @@ def test_simulate_reads_only_the_torsion_route_of_tss(sphere, monkeypatch):
                         lambda *a: calls.append(a) or lc(*a))
     simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, need={"par_adj"})
     assert calls == []
-
-
-def test_record_mode_single_block(sphere):
-    with pytest.raises(BadParams):
-        simulate(sphere, t=0.1, dt=1e-2, n_paths=3000, seed=0, record=True)
 
 
 # --------------------------------------------------------------- the flow
@@ -188,8 +190,7 @@ def test_jacobian_is_exact_derivative_of_the_step_map():
     # J recursion must be the literal differential of the x recursion
     sys = system_of("twisted-plane", {"alpha": 0.5})
     P, steps, dt = 8, 50, 1e-2
-    noise = np.stack([sample_noise(11, i, steps, dt, 2).increments
-                      for i in range(P)])
+    noise = _block_noise(11, np.arange(P), steps, dt, 2)
     base = simulate(sys, t=0.5, dt=dt, n_paths=P, seed=11, noise=noise)
     eps = 1e-6
     for j in range(2):
@@ -256,15 +257,14 @@ def test_transports_are_isometries(sphere):
 ])
 def test_snapped_transports_are_isometries_to_rounding(name, params, x0):
     sys = system_of(name, params)
-    r = simulate(sys, t=0.3, dt=1e-2, n_paths=24, seed=21, record=True,
+    r = simulate(sys, t=0.3, dt=1e-2, n_paths=24, seed=21, at=range(31),
                  x0=None if x0 is None else np.asarray(x0))
-    fp = r.path
     if name == "sphere-gradient":
-        assert set(fp.cid_idx[-1].tolist()) == {0, 1}
+        assert set(r.cid_idx.tolist()) == {0, 1}
     ginv0 = np.linalg.inv(r.g0)
-    for k in range(fp.x.shape[0]):
-        g = _metric_field(sys, np.asarray(r.chart_names)[fp.cid_idx[k]])(fp.x[k])
-        for par in (fp.par_lw[k], fp.par_adj[k]):  # both metric on these systems
+    for snap in r.snapshots:
+        g = _metric_field(sys, np.asarray(r.chart_names)[snap.cid_idx])(snap.x)
+        for par in (snap.par_lw, snap.par_adj):  # both metric on these systems
             defect = np.einsum("pji,pjk,pkl->pil", par, g, par) - r.g0
             assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(r.g0))
             inv = np.linalg.inv(par)
@@ -373,29 +373,31 @@ def test_reconstruction_and_quadratic_variation(sphere):
 
 def test_recorded_series_shapes(sphere):
     t, dt, P = 0.1, 1e-2, 12
-    r = simulate(sphere, t=t, dt=dt, n_paths=P, seed=14, record=True)
-    fp = r.path
     K = int(round(t / dt))
-    assert fp.x.shape == (K + 1, P, 2)
-    assert fp.J.shape == (K + 1, P, 2, 2)
-    assert fp.increments.shape == (P, K, 3)
-    np.testing.assert_array_equal(fp.x[-1], r.x)
-    np.testing.assert_array_equal(fp.J[0],
+    r = simulate(sphere, t=t, dt=dt, n_paths=P, seed=14, at=range(K + 1))
+    assert [s.steps for s in r.snapshots] == list(range(K + 1))
+    for snap in r.snapshots:
+        assert snap.t == snap.steps * dt and snap.snapshots == []
+        assert snap.x.shape == (P, 2)
+        assert snap.J.shape == (P, 2, 2)
+    np.testing.assert_array_equal(r.snapshots[-1].x, r.x)
+    np.testing.assert_array_equal(r.snapshots[0].J,
                                   np.broadcast_to(np.eye(2), (P, 2, 2)))
 
 
-def test_flow_helpers_expose_recorded_processes(sphere):
-    grids = [sample_noise(3, i, 10, 1e-2, 3) for i in range(6)]
-    path = integrate_flow(sphere, None, grids)
-    assert path.par_lw.shape == path.J.shape == (11, 6, 2, 2)
-    assert path.par_adj.shape == path.J.shape
-    assert path.b_breve.shape == (11, 6, 2)
-    for series in (path.beta, path.b_tilde, path.b_bar, path.recon):
-        assert series.shape == (11, 6, 3)
-    # the decomposed noise adds up: B_bar = B_tilde + beta along the path
-    np.testing.assert_allclose(path.b_bar, path.b_tilde + path.beta, atol=1e-14)
-    assert reconstruction_error(path).shape == (6,)
-    assert np.max(reconstruction_error(path)) < 1e-10
+def test_snapshots_expose_recorded_processes(sphere):
+    r = simulate(sphere, t=0.1, dt=1e-2, n_paths=6, seed=3, at=range(11))
+    for snap in r.snapshots:
+        assert snap.par_lw.shape == snap.par_adj.shape == snap.J.shape == (6, 2, 2)
+        assert snap.b_breve.shape == (6, 2)
+        for series in (snap.b_raw, snap.beta, snap.b_bar):
+            assert series.shape == (6, 3)
+        # the decomposed noise adds up: B_bar = B_tilde + beta along the path,
+        # with B_tilde = Y0 B_breve
+        np.testing.assert_allclose(snap.b_bar, snap.b_breve @ r.Y0.T + snap.beta,
+                                   atol=1e-14)
+        assert snap.recon_err.shape == (6,)
+        assert np.max(snap.recon_err) < 1e-10
 
 
 # ------------------------------------------------------- requested fields
@@ -414,9 +416,7 @@ REQUESTS = {
 # filled by every run, whatever it requests
 SIM_CORE = {"t", "dt", "steps", "seed", "n_paths", "chart_names", "cid0", "x0",
             "g0", "ginv0", "X0", "Y0", "L0", "F0", "cid_idx", "x", "centers",
-            "embedded", "alive", "n_dropped", "path"}
-PATH_CORE = {"times", "cid_idx", "x", "alive", "centers", "increments",
-             "chart_names", "g0", "x0", "cid0"}
+            "embedded", "alive", "n_dropped", "snapshots"}
 
 SCENARIOS = {
     # started next to the chart boundary |u| = 2, so paths switch charts
@@ -435,7 +435,7 @@ SCENARIOS = {
 
 def _same_or_absent(full, part, core, need, where):
     for f in fields(full):
-        if f.name == "path":
+        if f.name == "snapshots":
             continue
         a, b = getattr(full, f.name), getattr(part, f.name)
         if f.name not in core and f.name not in need:
@@ -455,8 +455,10 @@ def _same_or_absent(full, part, core, need, where):
 def test_requested_fields_match_full_run(name, hp_p, threads, n_paths, t, record):
     params, x0 = SCENARIOS[name]
     sys = system_of(name, params)
+    # record: a snapshot at every step
+    at = range(round(t / 1e-2) + 1) if record else ()
     kw = dict(t=t, dt=1e-2, n_paths=n_paths, seed=17, hp_p=hp_p, threads=threads,
-              record=record, x0=None if x0 is None else np.asarray(x0))
+              at=at, x0=None if x0 is None else np.asarray(x0))
     full = simulate(sys, **kw)
     if name == "sphere-gradient":
         assert set(full.cid_idx.tolist()) == {0, 1}  # chart switches happened
@@ -464,10 +466,9 @@ def test_requested_fields_match_full_run(name, hp_p, threads, n_paths, t, record
         part = simulate(sys, need=need, **kw)
         where = f"{name}, {label}"
         _same_or_absent(full, part, SIM_CORE, need, where)
-        if record:
-            _same_or_absent(full.path, part.path, PATH_CORE, need, where + ", path")
-        else:
-            assert part.path is None
+        assert len(part.snapshots) == len(at)
+        for k, a, b in zip(at, full.snapshots, part.snapshots):
+            _same_or_absent(a, b, SIM_CORE, need, f"{where}, step {k}")
 
 
 def test_unknown_requested_field_rejected(sphere):
@@ -486,11 +487,11 @@ def test_earlier_result_matches_a_separate_run(name, params, x0, need, hp_p):
     # three blocks, the last one partial, on two threads
     kw = dict(dt=1e-2, n_paths=2 * BLOCK + 100, seed=29, hp_p=hp_p, threads=2,
               need=need, x0=None if x0 is None else np.asarray(x0))
-    res = simulate(sys, t=0.06, also_at=3, **kw)
-    early = res.earlier
+    res = simulate(sys, t=0.06, at=(3,), **kw)
+    (early,) = res.snapshots
     sep = simulate(sys, t=3 * 1e-2, **kw)
     assert early.t == 3 * 1e-2 and early.steps == 3
-    assert early.path is None and early.earlier is None
+    assert early.snapshots == []
     if name == "sphere-gradient":
         assert set(early.cid_idx.tolist()) == {0, 1}
     for f in fields(SimResult):
@@ -502,7 +503,20 @@ def test_earlier_result_matches_a_separate_run(name, params, x0, need, hp_p):
     assert not np.array_equal(early.embedded, res.embedded)  # the run went on
 
 
-def test_also_at_must_be_a_step_of_the_run(sphere):
-    for k in (0, 11):
+def test_at_must_list_steps_of_the_run(sphere):
+    for at in ((11,), (-1,), (0, 12), (2.5,), 3):
         with pytest.raises(BadParams):
-            simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, also_at=k)
+            simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, at=at)
+
+
+def test_snapshots_follow_the_order_given(sphere):
+    # step 0 is the start state; repeats and any order are kept as given
+    r = simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, at=(10, 0, 4, 0))
+    assert [s.steps for s in r.snapshots] == [10, 0, 4, 0]
+    last, start, mid, again = r.snapshots
+    np.testing.assert_array_equal(last.x, r.x)
+    np.testing.assert_array_equal(start.x, np.broadcast_to(r.x0, r.x.shape))
+    np.testing.assert_array_equal(start.J, np.broadcast_to(np.eye(2), r.J.shape))
+    assert start.t == 0.0 and start.alive.all()
+    np.testing.assert_array_equal(again.x, start.x)
+    assert not np.array_equal(mid.x, start.x)

@@ -25,7 +25,9 @@ oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
 Christoffel field on each scenario at one point and at a batch, every
 array of a default ``simulate`` on each scenario, and every array of
 sphere-gradient runs (n = 2 and 3) started near the switching radius in
-either chart, where most paths change chart.
+either chart, where most paths change chart.  The ``record`` labels run with
+a snapshot at every step (``simulate(..., at=range(steps + 1))``) and stack
+each series over the snapshots.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ ESTIMATES = {
     "bochner": {"n_paths": 200, "t": 0.5},
     "decompose": {"n_paths": 200, "t": 0.1},
 }
+
+# the per-step series of a recorded run, stacked over its snapshots
+SERIES = ("cid_idx", "x", "alive", "J", "par_lw", "par_adj", "What", "Vhat",
+          "b_raw", "b_breve", "beta", "b_bar", "centers")
 
 SCENARIOS = (
     ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
@@ -175,6 +181,18 @@ def engine_arrays() -> list[tuple[str, dict]]:
         return {f.name: getattr(obj, f.name) for f in fields(obj)
                 if isinstance(getattr(obj, f.name), np.ndarray)}
 
+    def recorded(system, t, **kw) -> dict:
+        """A run with a snapshot at every step: its terminal arrays, plus
+        ``path.<field>`` for each series stacked over the snapshots (axes
+        step, path, ...) and the start's ``g0`` and ``x0``."""
+        res = simulate(system, t=t, dt=1e-2, n_paths=16, seed=9,
+                       at=range(round(t / 1e-2) + 1), **kw)
+        out = dict(arrays(res), **{"path.g0": res.g0, "path.x0": res.x0})
+        for name in SERIES:
+            if getattr(res, name) is not None:
+                out[f"path.{name}"] = np.stack([getattr(s, name) for s in res.snapshots])
+        return out
+
     out = []
     for name, params in SCENARIOS:
         system = build_scenario(name, params).system
@@ -182,10 +200,7 @@ def engine_arrays() -> list[tuple[str, dict]]:
             res = simulate(system, t=0.3, dt=1e-2, n_paths=2100, seed=9, hp_p=hp_p,
                            threads=2)
             out.append((f"simulate arrays {name} {params} hp_p={hp_p}", arrays(res)))
-        res = simulate(system, t=0.1, dt=1e-2, n_paths=16, seed=9, record=True)
-        out.append((f"simulate arrays {name} {params} record",
-                    dict(arrays(res), **{f"path.{k}": v
-                                         for k, v in arrays(res.path).items()})))
+        out.append((f"simulate arrays {name} {params} record", recorded(system, 0.1)))
     # the sphere's default start hardly leaves its chart; started near the
     # switching radius (|u| = 2) most paths change chart, so the switched-row
     # write-back and the two-chart embedding are covered
@@ -198,11 +213,7 @@ def engine_arrays() -> list[tuple[str, dict]]:
             res = simulate(system, t=0.3, dt=1e-2, n_paths=2100, seed=9, hp_p=2.0,
                            threads=2, x0=x0, cid=cid)
             out.append((f"{label} hp_p=2.0", arrays(res)))
-            res = simulate(system, t=0.2, dt=1e-2, n_paths=16, seed=9, record=True,
-                           x0=x0, cid=cid)
-            out.append((f"{label} record",
-                        dict(arrays(res), **{f"path.{k}": v
-                                             for k, v in arrays(res.path).items()})))
+            out.append((f"{label} record", recorded(system, 0.2, x0=x0, cid=cid)))
     return out
 
 
