@@ -140,7 +140,7 @@ def _probe_points(system, cfg: dict, default_samples: int) -> list:
         x = np.asarray(entry["x"], dtype=float)
         if x.shape != (system.n,):
             raise BadParams(f"points[{k}].x must have {system.n} entries, got {x.size}")
-        pts.append((cid, x))
+        pts.append((cid, system.check_vector(f"points[{k}].x", x)))
     n_extra = cfg.get("n_probes", default_samples if not pts else 0)
     if n_extra or not pts:
         rng = np.random.default_rng(cfg.get("seed", 0))

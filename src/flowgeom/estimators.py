@@ -5,7 +5,8 @@ returns an McReport whose rows carry an estimate, a standard error, a
 reference value with its provenance, and a pass/fail verdict at the
 configured multiple of the standard error plus any measured bias allowance.
 Bias allowances are estimated by re-running with t or dt halved, never
-asserted a priori.
+asserted a priori: t/2 is read part-way through the t-run, and a dt/2 run is
+compared with a ``coarsen=1`` partner at dt on the same Brownian paths.
 
 Provenance tags: "analytic" marks closed-form references, "derived-oracle"
 marks references computed by an independent numerical method, and
@@ -39,7 +40,7 @@ from .geometry import (
     scalar_generator,
 )
 from .model import SdeSystem
-from .stochastic import SimResult, _block_noise, _bundle, _step_count, simulate
+from .stochastic import BLOCK, SimResult, _block_noise, _bundle, _step_count, simulate
 
 __all__ = [
     "McConfig",
@@ -210,7 +211,7 @@ def _mean_se(samples: np.ndarray) -> tuple[float, float]:
 def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
               dt: float | None = None, n_paths: int | None = None,
               x0: np.ndarray | None = None,
-              hp_p: float | None = None, noise: np.ndarray | None = None,
+              hp_p: float | None = None, coarsen: int = 0,
               at: Iterable[int] = ()) -> SimResult:
     """One engine run for a check; ``need`` names the companions it reads."""
     cid, x0_d = cfg.start()
@@ -224,7 +225,7 @@ def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
         cid=cid,
         hp_p=hp_p,
         threads=cfg.threads,
-        noise=noise,
+        coarsen=coarsen,
         need=need,
         at=at,
     )
@@ -310,6 +311,14 @@ def _report(check: str, cfg: McConfig, rows: list[CheckRow], res: SimResult | No
 # ---------------------------------------------------------------------------
 
 
+def _filtered_pairing(res: SimResult, v0: np.ndarray, frame: np.ndarray,
+                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Txi_t - W_t) v0 on the selected paths, and its g-pairing with each
+    ``//^``-transported column of ``frame``."""
+    dv = ((res.J - res.W()) @ v0)[rows]
+    return dv, np.einsum("pi,pij,pja->pa", dv, res.g_T[rows], res.par_adj[rows] @ frame)
+
+
 def filtered_expectation_check(cfg: McConfig,
                                test_functions: list[str] | None = None) -> McReport:
     """The filtered flow is the conditional expectation of the derivative flow.
@@ -319,7 +328,8 @@ def filtered_expectation_check(cfg: McConfig,
     difference with adjoint-transported frame vectors, plus the unconditional
     componentwise mean in the transported frame.  On scenarios whose
     coefficient fields are parallel the difference must vanish pathwise, so
-    the report adds pathwise rows with a step-halving convergence bound.
+    the report adds pathwise rows with a step-halving convergence bound, over
+    min(N, 256) paths at dt/2 and the same Brownian paths at dt.
     """
     t0 = time.perf_counter()
     res = _simulate(cfg, _FILTERED_NEEDS)
@@ -329,14 +339,9 @@ def filtered_expectation_check(cfg: McConfig,
     frame = _frame0(res)
     fs = test_functions if test_functions is not None else _default_panel(res)
 
-    diff = (res.J - res.W()) @ v0
-    gT = res.g_T[alive]
-    dv = diff[alive]
-    hat_frames = res.par_adj[alive] @ frame
-    inner = np.einsum("pi,pij,pja->pa", dv, gT, hat_frames)
-
+    dv, inner = _filtered_pairing(res, v0, frame, alive)
     pathwise = _gradx_vanishes(cfg.system, cfg)
-    pmax = float(np.max(np.abs(inner))) if inner.size else 0.0
+    pmax = float(np.max(np.abs(inner), initial=0.0))
     bias_allow = pmax if pathwise else 0.0
 
     rows: list[CheckRow] = []
@@ -370,19 +375,20 @@ def filtered_expectation_check(cfg: McConfig,
             tolerance=max(10.0 * cfg.dt, 1e-9),
             note="parallel coefficients force a pathwise identity"))
         if pmax > 1e-12:
-            half = _simulate(cfg, _FILTERED_NEEDS, dt=cfg.dt / 2.0,
-                             n_paths=min(cfg.n_paths, 256))
-            ah = half.alive
-            dvh = ((half.J - half.W()) @ v0)[ah]
-            hfr = half.par_adj[ah] @ frame
-            ih = np.einsum("pi,pij,pja->pa", dvh, half.g_T[ah], hfr)
-            pmax_h = float(np.max(np.abs(ih)))
+            n_h = min(cfg.n_paths, 256)
+            half = _simulate(cfg, _FILTERED_NEEDS, dt=cfg.dt / 2.0, n_paths=n_h)
+            partner = _simulate(cfg, _FILTERED_NEEDS, n_paths=n_h, coarsen=1)
+            both = half.alive & partner.alive
+            pmax_h, pmax_c = (
+                float(np.max(np.abs(_filtered_pairing(run, v0, frame, both)[1])))
+                for run in (half, partner))
             rows.append(CheckRow(
                 name="pathwise max halves with dt",
-                estimate=pmax_h / pmax, se=0.0, reference=0.0,
+                estimate=pmax_h / pmax_c, se=0.0, reference=0.0,
                 provenance="derived-oracle",
                 tolerance=0.75, comparison="le",
-                note=f"max at dt/2 = {pmax_h:.3g}"))
+                note=f"max at dt/2 = {pmax_h:.3g}, at dt = {pmax_c:.3g} "
+                     f"on the same {int(both.sum())} Brownian paths"))
             notes["pathwise_max_half_dt"] = pmax_h
     return _report("filtered_expectation", cfg, rows, res, t0, notes)
 
@@ -415,7 +421,8 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4) -
     flow with the tangent-frame noise increments, and compares against a
     common-random-numbers central finite difference of P_t f (and, on the
     circle, against the wrapped-Gaussian kernel series).  The bias allowance
-    is twice the gap to the same estimate at dt/2.
+    is 2|mean(d)| + 2k se(d) for the per-path gap d between min(N, ``BLOCK``)
+    paths at dt/2 and the same Brownian paths at dt.
     """
     t0 = time.perf_counter()
     res = _simulate(cfg, {"bismut_vec"})
@@ -424,13 +431,16 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4) -
     v0 = _resolve_v0(cfg, res)
     cid, x0 = cfg.start()
 
-    samples = (_terminal_scalar(res, f_source) * (res.bismut_vec @ v0))[alive] / cfg.t
-    est, se = _mean_se(samples)
+    def samples(run: SimResult) -> np.ndarray:
+        return _terminal_scalar(run, f_source) * (run.bismut_vec @ v0) / cfg.t
 
-    half = _simulate(cfg, {"bismut_vec"}, dt=cfg.dt / 2.0)
-    ah = half.alive
-    sh = (_terminal_scalar(half, f_source) * (half.bismut_vec @ v0))[ah] / cfg.t
-    bias_allow = 2.0 * abs(est - float(np.mean(sh)))
+    est, se = _mean_se(samples(res)[alive])
+
+    n_f = min(cfg.n_paths, BLOCK)
+    fine = _simulate(cfg, {"bismut_vec"}, dt=cfg.dt / 2.0, n_paths=n_f)
+    coarse = _simulate(cfg, {"bismut_vec"}, n_paths=n_f, coarsen=1)
+    gap, gap_se = _mean_se((samples(coarse) - samples(fine))[fine.alive & coarse.alive])
+    bias_allow = 2.0 * abs(gap) + 2.0 * k * gap_se
 
     res_p = _simulate(cfg, set(), x0=x0 + eps * v0)
     res_m = _simulate(cfg, set(), x0=x0 - eps * v0)
@@ -551,7 +561,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
         estimate=lw_val - lc_val, se=0.0, reference=0.0,
         provenance="analytic", tolerance=1e-6)]
 
-    half_steps = max(1, round(cfg.t / cfg.dt) // 2)
+    half_steps = max(1, _step_count(cfg.t, cfg.dt) // 2)
     res = _simulate(cfg, set(), at=(half_steps,))
     alive = _alive_gate(res)
     k = cfg.k_se
@@ -605,7 +615,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
     system = cfg.system
     phi0 = one_form_from_spec(system, cid, phi_spec)
 
-    half_steps = max(1, round(cfg.t / cfg.dt) // 2)
+    half_steps = max(1, _step_count(cfg.t, cfg.dt) // 2)
     res = _simulate(cfg, {"J"}, at=(half_steps,))
     alive = _alive_gate(res)
     k = cfg.k_se
@@ -684,7 +694,7 @@ def bochner_decay_check(cfg: McConfig) -> McReport:
             f"curvature-drift gap {lam:.4g} is not positive; no decay is implied")
 
     n_rec = min(cfg.n_paths, 1024)
-    steps = round(cfg.t / cfg.dt)
+    steps = _step_count(cfg.t, cfg.dt)
     picks = np.unique(np.linspace(0, steps, 21).astype(int))
     res = _simulate(cfg, {"par_adj", "What"}, n_paths=n_rec, at=picks)
     alive = _alive_gate(res)
@@ -786,39 +796,31 @@ def se_scaling_check(cfg: McConfig, f_source: str = "x1") -> McReport:
                    {"se_n": se1, "se_2n": se2})
 
 
-def _pair_sum(noise: np.ndarray) -> np.ndarray:
-    """Coarsen increments by summing adjacent pairs (same Brownian path)."""
-    p, steps, m = noise.shape
-    return noise.reshape(p, steps // 2, 2, m).sum(axis=2)
-
-
 def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McReport:
     """Discrete Ito identity for |Txi_t v|^p, tested by step refinement.
 
     Tested in exponential-martingale form: on each path, log|J_t v|^p must
     equal the left-point stochastic sum minus half its quadratic variation
     plus the moment-form drift sum, up to a remainder that decays when dt is
-    halved (same Brownian paths, coarse increments formed by pair sums of
-    the fine ones).  The additive form of the identity carries a mean-zero
-    quadratic-variation fluctuation that step-halving on a fixed path cannot
-    shrink; taking logs telescopes it away.
+    halved (same Brownian paths: the dt/4 stream coarsened 2, 1 and 0 times).
+    The additive form of the identity carries a mean-zero quadratic-variation
+    fluctuation that step-halving on a fixed path cannot shrink; taking logs
+    telescopes it away.
     """
     t0 = time.perf_counter()
     system = cfg.system
-    cid, x0 = cfg.start()
-    steps = round(cfg.t / cfg.dt)
-    m = system.m
-    fine = _block_noise(cfg.seed, np.arange(n_paths), 4 * steps, cfg.dt / 4.0, m)
-    mid = _pair_sum(fine)
-    coarse = _pair_sum(mid)
+    steps = _step_count(cfg.t, cfg.dt)
 
-    def residuals(noise: np.ndarray, dt: float) -> np.ndarray:
-        n_steps = noise.shape[1]
-        res = _simulate(cfg, {"J"}, t=n_steps * dt, dt=dt, n_paths=noise.shape[0],
-                        noise=noise, at=range(n_steps + 1))
+    def residuals(halvings: int) -> np.ndarray:
+        n_steps, dt, coarsen = steps << halvings, cfg.dt / 2**halvings, 2 - halvings
+        res = _simulate(cfg, {"J"}, t=n_steps * dt, dt=dt, n_paths=n_paths,
+                        coarsen=coarsen, at=range(n_steps + 1))
+        # the engine's own increments drive the martingale sum
+        noise = _block_noise(cfg.seed, np.arange(n_paths), n_steps, dt, system.m,
+                             coarsen)
         snaps = res.snapshots
         v0 = _resolve_v0(cfg, res)
-        acc = np.zeros(noise.shape[0])
+        acc = np.zeros(n_paths)
         for kk in range(n_steps):
             cids = np.asarray(res.chart_names)[snaps[kk].cid_idx]
             pd = _bundle(system, cids, snaps[kk].x, "full")
@@ -837,9 +839,7 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
         vv0 = float(v0 @ res.g0 @ v0)
         return 0.5 * p * (np.log(vv_end) - np.log(vv0)) - acc
 
-    r_coarse = residuals(coarse, cfg.dt)
-    r_mid = residuals(mid, cfg.dt / 2.0)
-    r_fine = residuals(fine, cfg.dt / 4.0)
+    r_coarse, r_mid, r_fine = (residuals(h) for h in range(3))
     rms_c = float(np.sqrt(np.mean(r_coarse ** 2)))
     rms_m = float(np.sqrt(np.mean(r_mid ** 2)))
     rms_f = float(np.sqrt(np.mean(r_fine ** 2)))
@@ -869,22 +869,16 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
 def weak_order_check(cfg: McConfig) -> McReport:
     """First weak order under dt refinement on coupled Brownian paths.
 
-    Three nested grids share one Brownian path per index (coarser increments
-    are pair sums of finer ones), so successive differences of E f(x_t), for
+    Three nested grids share one Brownian path per index (the dt/4 stream
+    coarsened 2, 1 and 0 times), so successive differences of E f(x_t), for
     f = x1, x1*x2 and x1*x1, estimate the dt-linear bias with most Monte
     Carlo noise cancelled; their ratio should be near 2.
     """
     t0 = time.perf_counter()
-    steps = round(cfg.t / cfg.dt)
-    m = cfg.system.m
-    n_paths = min(cfg.n_paths, 2048)
-    fine = _block_noise(cfg.seed, np.arange(n_paths), 4 * steps, cfg.dt / 4.0, m)
-    mid = _pair_sum(fine)
-    coarse = _pair_sum(mid)
-
-    res1 = _simulate(cfg, set(), n_paths=n_paths, noise=coarse)
-    res2 = _simulate(cfg, set(), dt=cfg.dt / 2.0, n_paths=n_paths, noise=mid)
-    res4 = _simulate(cfg, set(), dt=cfg.dt / 4.0, n_paths=n_paths, noise=fine)
+    n_paths = min(cfg.n_paths, BLOCK)
+    res1, res2, res4 = (
+        _simulate(cfg, set(), dt=cfg.dt / 2**h, n_paths=n_paths, coarsen=2 - h)
+        for h in range(3))
     ok = res1.alive & res2.alive & res4.alive
 
     rows = []

@@ -86,12 +86,14 @@ class SdeSystem:
                             f"its charts are {', '.join(names)}")
 
     def check_vector(self, name: str, val) -> np.ndarray:
-        """``val`` as a float array of shape ``(n,)`` (a point or a tangent
+        """``val`` as a finite float array of shape ``(n,)`` (a point or a tangent
         vector in a chart); ``BadParams``, naming it ``name``, otherwise."""
         val = np.asarray(val, dtype=float)
         if val.shape != (self.n,):
             raise BadParams(f"{name} has shape {val.shape} but {self.name} "
                             f"has dimension {self.n}")
+        if not np.isfinite(val).all():
+            raise BadParams(f"{name}={val.tolist()} has a non-finite entry")
         return val
 
     # -- coefficients (batched over leading axes) ---------------------------

@@ -36,7 +36,11 @@ Noise: path ``i`` of a run seeded ``s`` draws from
 increments are ``standard_normal((steps, m)) * sqrt(dt)``.  Philox is
 counter-based, so the stream depends only on ``(s, i)``, and its first steps
 do not depend on ``steps``.  A block builds one Philox and re-keys it to each
-of its paths in turn.
+of its paths in turn.  ``simulate(..., coarsen=c)`` runs at ``dt`` on the
+Brownian path of a run at ``dt / 2**c``: each path draws its stream for
+``steps * 2**c`` steps of ``dt / 2**c`` and sums adjacent pairs of
+increments ``c`` times, so runs at dt, dt/2 and dt/4 with ``coarsen`` 2, 1
+and 0 share their Brownian paths (the multilevel Monte Carlo coupling).
 
 Derivatives and frames: the bundles take DX from the model's ``coeff_dx``
 (closed forms on flat, sphere-gradient, twisted-plane and circle, the
@@ -84,14 +88,17 @@ BLOCK = 2048  # paths per worker block; fixed so thread count cannot matter
 # ---------------------------------------------------------------------------
 
 
-def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int) -> np.ndarray:
+def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int,
+                 coarsen: int = 0) -> np.ndarray:
     """Increments (len(indices), steps, m) of the listed paths.
 
     One Philox serves the block: before each row it gets back the state it
     was built in, with only the key replaced by (seed, index), the state a
     fresh ``Philox(key=[seed, index])`` starts in, so a row depends on its
-    index alone.
+    index alone.  With ``coarsen = c`` the rows are drawn at ``dt / 2**c``
+    for ``steps * 2**c`` steps, then adjacent pairs are summed ``c`` times.
     """
+    steps, dt = steps << coarsen, dt / 2**coarsen
     # an explicit uint64 key: a plain list would pass seeds >= 2**63 through
     # float64, so neighbouring seeds would share a stream; a given key also
     # spares the OS-entropy seed a keyless Philox draws
@@ -104,6 +111,8 @@ def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int) 
         bits.state = fresh
         rng.standard_normal((steps, m), out=out[row])
     out *= sqrt(dt)
+    for _ in range(coarsen):
+        out = out.reshape(len(indices), -1, 2, m).sum(axis=2)
     return out
 
 
@@ -351,7 +360,7 @@ def _closure(need: frozenset) -> set:
 
 def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                dt: float, cid0: str, x0: np.ndarray, hp_p: float | None,
-               need: frozenset, adj_metric: bool, noise: np.ndarray | None,
+               need: frozenset, adj_metric: bool, coarsen: int,
                at: tuple[int, ...]) -> dict:
     """Integrate one block of paths; ``need`` is what ``_requested`` returns.
 
@@ -365,8 +374,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     P = len(indices)
     chart_names = tuple(c.cid for c in system.charts)
     cid0_idx = chart_names.index(cid0)
-    if noise is None:
-        noise = _block_noise(seed, indices, steps, dt, m)
+    noise = _block_noise(seed, indices, steps, dt, m, coarsen)
     on = _closure(need)
     level = "full" if "full" in on else "light" if "light" in on else "coeff"
     level_s = "light" if "light" in on else "coeff"  # predictor bundle: J only
@@ -630,15 +638,13 @@ def _step_count(t: float, dt: float) -> int:
 
 def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
              x0: np.ndarray | None = None, cid: str | None = None,
-             hp_p: float | None = None, threads: int = 1,
-             noise: np.ndarray | None = None, need: Iterable[str] | None = None,
+             hp_p: float | None = None, threads: int = 1, coarsen: int = 0,
+             need: Iterable[str] | None = None,
              at: Iterable[int] = ()) -> SimResult:
     """Run ``n_paths`` independent paths to time ``t`` and gather terminals.
 
-    ``noise`` optionally supplies the increments, shape (n_paths, steps, m)
-    for one block of paths, directly, bypassing the seeded streams; otherwise
-    each block draws its paths' streams with one re-keyed Philox (see
-    ``_block_noise``).
+    ``coarsen = c`` drives the run with the Brownian paths of a run at
+    ``dt / 2**c`` (see "Noise:" in the module docstring and ``_block_noise``).
 
     ``need`` names the ``SimResult`` fields the caller will read; ``None``
     means all of them.  The state, the alive mask, the charts, the group
@@ -674,14 +680,8 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         raise BadParams(f"n_paths={n_paths} is not a positive path count")
     if not 0 <= seed < 2**64:
         raise BadParams(f"seed={seed} is outside 0..2**64-1")
-    if noise is not None:
-        if n_paths > BLOCK:
-            raise BadParams(f"explicit noise supports one block of at most "
-                            f"{BLOCK} paths, got n_paths={n_paths}")
-        expected = (n_paths, steps, system.m)
-        if np.shape(noise) != expected:
-            raise BadParams(f"noise has shape {np.shape(noise)}, expected "
-                            f"(n_paths, steps, m) = {expected}")
+    if not (isinstance(coarsen, (int, np.integer)) and coarsen >= 0):
+        raise BadParams(f"coarsen={coarsen!r} is not a non-negative integer")
     need = _requested(need, hp_p)
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
@@ -693,7 +693,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     def work(idx_block):
         return _run_block(system, seed, idx_block, steps, dt, cid, x0, hp_p,
-                          need, adj_metric, noise, at)
+                          need, adj_metric, coarsen, at)
 
     if threads <= 1 or len(blocks) == 1:
         results = [work(b) for b in blocks]

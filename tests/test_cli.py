@@ -110,6 +110,23 @@ def test_v0_of_wrong_length_rejected(tmp_path, capsys):
     assert "v0 has shape (3,)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("head, entry, name", [
+    ('"command": "estimate", "check": "decompose", "t": 0.01, "dt": 1e-3',
+     '"x0": [Infinity, 0.0]', "x0"),
+    ('"command": "estimate", "check": "oneform"', '"v0": [NaN, 1.0]', "v0"),
+    ('"command": "tensors"', '"points": [{"x": [NaN, 0.0]}]', "points[0].x"),
+], ids=["estimate-x0-infinite", "estimate-v0-nan", "tensors-point-nan"])
+def test_non_finite_vector_exits_two(tmp_path, capsys, head, entry, name):
+    # Python's JSON reader takes NaN and Infinity; the schema lets them pass
+    p = tmp_path / "cfg.json"
+    p.write_text('{%s, "scenario": {"name": "flat", "params": {"n": 2}}, '
+                 '"n_paths": 100, %s}' % (head, entry))
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {name}=") and "non-finite" in err
+    assert "Warning" not in err and "Traceback" not in err
+
+
 def test_subcommand_must_match_config(tmp_path):
     code, _ = run(tmp_path, {"command": "verify",
                              "scenario": {"name": "flat"}}, sub="tensors")

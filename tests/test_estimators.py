@@ -120,6 +120,19 @@ def test_filtered_expectation_so3_pathwise():
     assert ratio.estimate <= 0.75
 
 
+@pytest.mark.parametrize("seed", [2001, 2002])
+def test_filtered_halving_compares_the_same_brownian_paths(seed):
+    # both maxima come from one set of paths: the dt/2 run and its partner
+    # at dt summing the same increments in pairs
+    cfg = cfg_for("twisted-plane", {"alpha": 0.5}, t=0.5, dt=1e-2, n_paths=1000,
+                  seed=seed)
+    rep = filtered_expectation_check(cfg)
+    assert rep.notes["pathwise_regime"] is True
+    ratio = next(r for r in rep.rows if "halves" in r.name)
+    assert ratio.passed and "on the same 256 Brownian paths" in ratio.note
+    assert rep.passed
+
+
 def test_bismut_gradient_circle_series():
     cfg = cfg_for("circle", t=0.3, dt=1e-2, n_paths=800, seed=11)
     rep = bismut_gradient(cfg, "x1")
@@ -127,6 +140,9 @@ def test_bismut_gradient_circle_series():
     series = next(r for r in rep.rows if "series" in r.name)
     # deterministic kernel-series value for this start point and horizon
     assert series.reference == pytest.approx(-0.554483, abs=1e-4)
+    # X is constant, so Heun is exact and the coupled dt and dt/2 levels
+    # agree path by path
+    assert rep.notes["bias_allowance"] < 1e-12
 
 
 def test_bismut_gradient_sphere_vs_finite_difference():

@@ -86,13 +86,17 @@ def test_noise_keys_use_all_64_bits():
 @pytest.mark.parametrize("steps, m", [(10, 3), (50, 2), (1, 1)])
 def test_block_noise_matches_a_fresh_generator_per_path(seed, steps, m):
     # the re-keyed block generator against the independent route: one new
-    # Generator(Philox(key)) per path
+    # Generator(Philox(key)) per path, and at each coarsening level c the
+    # stream at dt/2**c summed in adjacent pairs c times
     idx = np.array([9, 2, 40, 0, 7])
-    got = _block_noise(seed, idx, steps, 0.04, m)
-    want = np.stack([
-        np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
-        .standard_normal((steps, m)) * np.sqrt(0.04) for i in idx])
-    assert np.array_equal(got, want)
+    for c in range(3):
+        dt = 0.04 / 2**c
+        want = np.stack([
+            np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64)))
+            .standard_normal((steps << c, m)) * np.sqrt(dt) for i in idx])
+        for _ in range(c):
+            want = want[:, 0::2] + want[:, 1::2]
+        assert np.array_equal(_block_noise(seed, idx, steps, 0.04, m, coarsen=c), want)
 
 
 def test_block_noise_rows_do_not_depend_on_earlier_rows():
@@ -103,7 +107,19 @@ def test_block_noise_rows_do_not_depend_on_earlier_rows():
 
 def test_noise_rejects_bad_dt(ou):
     with pytest.raises(BadParams, match="dt=0.0 is not a positive finite number"):
-        simulate(ou, t=0.1, dt=0.0, n_paths=4, seed=0, noise=np.zeros((4, 10, 2)))
+        simulate(ou, t=0.1, dt=0.0, n_paths=4, seed=0, coarsen=1)
+
+
+def test_coarsened_run_is_blocked_like_any_run(ou):
+    # three blocks, the last one partial: the coarsened stream is drawn per
+    # block, so neither the thread count nor the path count moves a path
+    a = simulate(ou, t=0.1, dt=2e-2, n_paths=4500, seed=3, coarsen=1, need=set())
+    b = simulate(ou, t=0.1, dt=2e-2, n_paths=4500, seed=3, coarsen=1, need=set(),
+                 threads=2)
+    one = simulate(ou, t=0.1, dt=2e-2, n_paths=BLOCK, seed=3, coarsen=1, need=set())
+    for name in ("x", "alive", "embedded"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(getattr(a, name)[:BLOCK], getattr(one, name))
 
 
 # ------------------------------------------------------------ determinism
@@ -142,14 +158,11 @@ def test_time_grid_validation(sphere):
     ("flat", {"t": 0.0}, "t=0.0 is not a positive finite number"),
     ("flat", {"dt": -1e-2}, "dt=-0.01 is not a positive finite number"),
     ("flat", {"t": 1.0, "dt": 1e-320}, "t=1.0 is not an integer multiple of dt=1e-320"),
-    # explicit noise must be (n_paths, t/dt, m) = (4, 10, 2); a longer grid
-    # is not cut to the run
-    *(("flat", {"noise": np.zeros(shape)},
-       f"noise has shape {shape}, expected (n_paths, steps, m) = (4, 10, 2)")
-      for shape in ((3, 10, 2), (4, 5, 2), (4, 10, 3), (4, 12, 2))),
+    ("flat", {"coarsen": -1}, "coarsen=-1 is not a non-negative integer"),
+    ("flat", {"coarsen": 1.5}, "coarsen=1.5 is not a non-negative integer"),
 ], ids=["chart", "x0-shape", "no-paths", "negative-seed", "nan-dt",
-        "inf-t", "zero-t", "negative-dt", "t/dt-overflows", "noise-paths",
-        "noise-fewer-steps", "noise-channels", "noise-more-steps"])
+        "inf-t", "zero-t", "negative-dt", "t/dt-overflows", "coarsen-negative",
+        "coarsen-fraction"])
 def test_simulate_rejects_bad_input(name, bad, message):
     run = {"t": 0.1, "dt": 1e-2, "n_paths": 4, "seed": 0, **bad}
     with pytest.raises(BadParams) as exc:
@@ -186,20 +199,18 @@ def test_circle_flow_is_parallel():
 
 
 def test_jacobian_is_exact_derivative_of_the_step_map():
-    # freeze the noise and difference the flow map in its start point: the
-    # J recursion must be the literal differential of the x recursion
+    # one seed draws the same increments in every run, so differencing the
+    # flow map in its start point shows the J recursion is the literal
+    # differential of the x recursion
     sys = system_of("twisted-plane", {"alpha": 0.5})
-    P, steps, dt = 8, 50, 1e-2
-    noise = _block_noise(11, np.arange(P), steps, dt, 2)
-    base = simulate(sys, t=0.5, dt=dt, n_paths=P, seed=11, noise=noise)
+    P, dt = 8, 1e-2
+    base = simulate(sys, t=0.5, dt=dt, n_paths=P, seed=11)
     eps = 1e-6
     for j in range(2):
         dx0 = np.zeros(2)
         dx0[j] = eps
-        rp = simulate(sys, t=0.5, dt=dt, n_paths=P, seed=11, noise=noise,
-                      x0=dx0)
-        rm = simulate(sys, t=0.5, dt=dt, n_paths=P, seed=11, noise=noise,
-                      x0=-dx0)
+        rp = simulate(sys, t=0.5, dt=dt, n_paths=P, seed=11, x0=dx0)
+        rm = simulate(sys, t=0.5, dt=dt, n_paths=P, seed=11, x0=-dx0)
         fd = (rp.x - rm.x) / (2 * eps)
         np.testing.assert_allclose(fd, base.J[:, :, j], atol=1e-7)
 

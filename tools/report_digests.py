@@ -23,11 +23,14 @@ blocks, CLI ``simulate`` plain and recorded, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
 Christoffel field on each scenario at one point and at a batch, every
-array of a default ``simulate`` on each scenario, and every array of
+array of a default ``simulate`` on each scenario, every array of
 sphere-gradient runs (n = 2 and 3) started near the switching radius in
-either chart, where most paths change chart.  The ``record`` labels run with
-a snapshot at every step (``simulate(..., at=range(steps + 1))``) and stack
-each series over the snapshots.
+either chart, where most paths change chart, and every array of a
+sphere-gradient (n = 2) run on the twice-coarsened stream
+(``simulate(..., coarsen=2)``) over two engine blocks.  The ``record``
+labels run with a snapshot at every step
+(``simulate(..., at=range(steps + 1))``) and stack each series over the
+snapshots.
 """
 
 from __future__ import annotations
@@ -214,6 +217,10 @@ def engine_arrays() -> list[tuple[str, dict]]:
                            threads=2, x0=x0, cid=cid)
             out.append((f"{label} hp_p=2.0", arrays(res)))
             out.append((f"{label} record", recorded(system, 0.2, x0=x0, cid=cid)))
+    # the dt/4 stream summed in pairs twice, drawn per block of a 2100-path run
+    system = build_scenario("sphere-gradient", {"n": 2}).system
+    res = simulate(system, t=0.3, dt=1e-2, n_paths=2100, seed=9, threads=2, coarsen=2)
+    out.append(("simulate arrays sphere-gradient {'n': 2} coarsen=2", arrays(res)))
     return out
 
 
