@@ -499,9 +499,8 @@ def moment_sandwich(cfg: McConfig, p: float = 2.0) -> McReport:
     low_m, low_se = _mean_se(low)
     high_m, high_se = _mean_se(high)
 
-    L0invT = np.linalg.inv(res.L0).T
     LT = np.linalg.cholesky(res.g_T[alive])
-    frames = np.swapaxes(LT, -1, -2) @ res.J[alive] @ L0invT
+    frames = np.swapaxes(LT, -1, -2) @ res.J[alive] @ _frame0(res)
     smax = np.linalg.svd(frames, compute_uv=False)[..., 0]
     op_m, op_se = _mean_se(smax ** p)
 
@@ -875,10 +874,8 @@ def weak_order_check(cfg: McConfig) -> McReport:
     Carlo noise cancelled; their ratio should be near 2.
     """
     t0 = time.perf_counter()
-    n_paths = min(cfg.n_paths, BLOCK)
-    res1, res2, res4 = (
-        _simulate(cfg, set(), dt=cfg.dt / 2**h, n_paths=n_paths, coarsen=2 - h)
-        for h in range(3))
+    res1, res2, res4 = (_simulate(cfg, set(), dt=cfg.dt / 2**h, coarsen=2 - h)
+                        for h in range(3))
     ok = res1.alive & res2.alive & res4.alive
 
     rows = []
@@ -904,4 +901,4 @@ def weak_order_check(cfg: McConfig) -> McReport:
                 provenance="statistical",
                 tolerance=1.0,
                 note="ratio near 2 means the weak error is linear in dt"))
-    return _report("weak_order", cfg, rows, res1, t0, details, n_paths=n_paths)
+    return _report("weak_order", cfg, rows, res1, t0, details)

@@ -235,11 +235,17 @@ class SphereSystem(SdeSystem):
         return np.concatenate([top, last], axis=-2)
 
     def coeff_x(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
-        # X(u) = (s^2/4) Dp(u)^T: the chart expression of e |-> e - <e,p> p
+        # X(u) = (s^2/4) Dp(u)^T, the chart expression of e |-> e - <e,p> p:
+        # [(s/2) I - u u^T | -sign u] with s = 1 + |u|^2, built C-ordered
         u = np.asarray(x, dtype=float)
-        s = 1.0 + np.sum(u * u, axis=-1)[..., None, None]
-        dp = self.embed_jacobian(cid, u)
-        return (s * s / 4.0) * np.swapaxes(dp, -1, -2)
+        n = self.n
+        half_s = 0.5 * (1.0 + np.sum(u * u, axis=-1))
+        out = np.empty(u.shape[:-1] + (n, n + 1))
+        np.multiply(u[..., :, None], -u[..., None, :], out=out[..., :n])
+        for k in range(n):
+            out[..., k, k] += half_s
+        out[..., n] = -self._sign(cid)[..., None] * u
+        return out
 
     def coeff_dx(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         # X(u) = [(s/2) I - u u^T | -sign u] with s = 1 + |u|^2, so for r < n

@@ -70,6 +70,7 @@ import numpy as np
 from .errors import BadParams
 from .geometry import (
     PointData,
+    _gram_inverse,
     _induced_gamma,
     _torsion_skew,
     christoffel,
@@ -188,14 +189,9 @@ def _bundle(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray,
     """Bundle at one of three levels: "coeff" (X, A), "light" (+ DX, DA) or
     "full" (all of ``point_data``), with the chart of each row in ``cids``."""
     if level == "coeff":
-        pd = PointData(X=system.coeff_x(cids, x), A=system.coeff_a(cids, x),
-                       DX=None, DA=None)
-    else:
-        pd = point_data(system, cids, x, light=level == "light")
-    # C order: the engine's einsum and matmul sums depend on operand layout in
-    # their last bits, and the sphere's coeff_x returns a transposed view
-    pd.X = np.ascontiguousarray(pd.X)
-    return pd
+        return PointData(X=system.coeff_x(cids, x), A=system.coeff_a(cids, x),
+                         DX=None, DA=None)
+    return point_data(system, cids, x, light=level == "light")
 
 
 def _scatter_rows(dst: PointData, src: PointData, mask: np.ndarray) -> None:
@@ -209,9 +205,13 @@ def _scatter_rows(dst: PointData, src: PointData, mask: np.ndarray) -> None:
 def _gamma_light(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Induced-connection Christoffels from a light bundle evaluation."""
     pd = _bundle(system, cids, x, "light")
-    Xt = np.swapaxes(pd.X, -1, -2)
-    Y = Xt @ np.linalg.inv(pd.X @ Xt)
-    return _induced_gamma(pd.DX, Y)
+    return _induced_gamma(pd.DX, _gram_inverse(pd.X)[2])
+
+
+def _middle(T: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``T[..., a, r, b] v[..., r]``, the middle axis contracted: one
+    ``(1, r) @ (r, b)`` matmul per row and ``a``, faster than einsum there."""
+    return (v[..., None, None, :] @ T)[..., 0, :]
 
 
 def _rk4_transport(Fk: np.ndarray, Fm: np.ndarray, Fp: np.ndarray,
@@ -468,8 +468,8 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # variational Jacobian, Heun on dJ = (DX(x) dB + DA(x) dt) J
         if "J" in st:
             J = st["J"]
-            DGk = np.einsum("...irj,...r->...ij", Bk.DX, dB)
-            DGs = np.einsum("...irj,...r->...ij", Bs.DX, dB)
+            DGk = _middle(Bk.DX, dB)
+            DGs = _middle(Bs.DX, dB)
             if has_drift:
                 DGk = DGk + Bk.DA * dt
                 DGs = DGs + Bs.DA * dt
@@ -483,15 +483,15 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             dx = x_plus - x
             gamma_mid = _gamma_light(system, cids, x + 0.5 * dx)
 
-            def _seg_mats(spec):
-                return tuple(-np.einsum(spec, gam, dx)
-                             for gam in (Bk.gamma, gamma_mid, Bp.gamma))
-
+            gammas = (Bk.gamma, gamma_mid, Bp.gamma)
             if "par_lw" in st:
-                par_lw_new = _rk4_transport(*_seg_mats("...ijk,...j->...ik"), st["par_lw"])
+                mats = (-_middle(gam, dx) for gam in gammas)  # -G(dx, .)
+                par_lw_new = _rk4_transport(*mats, st["par_lw"])
                 new["par_lw"] = _isometrize(par_lw_new, Bp.g, g0, ginv0)
             if "par_adj" in st:
-                par_adj_new = _rk4_transport(*_seg_mats("...ikj,...j->...ik"), st["par_adj"])
+                # -G(., dx): einsum beats matmul on a contraction of the last axis
+                mats = (-np.einsum("...ikj,...j->...ik", gam, dx) for gam in gammas)
+                par_adj_new = _rk4_transport(*mats, st["par_adj"])
                 if adj_metric:
                     par_adj_new = _isometrize(par_adj_new, Bp.g, g0, ginv0)
                 new["par_adj"] = par_adj_new
@@ -522,7 +522,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # covariant Ito derivative flow in the adjoint-transported frame
         if "Vhat" in st:
             Vk = st["par_adj"] @ st["Vhat"]
-            G_noise = np.einsum("...aib,...i->...ab", Bk.gradX, dB)
+            G_noise = _middle(Bk.gradX, dB)
             M_ito = G_noise - 0.5 * dt * Bk.ric_sharp + dt * Bk.nabla_a
             new["Vhat"] = st["Vhat"] + inv_adj @ (M_ito @ Vk)
 

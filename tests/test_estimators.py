@@ -256,3 +256,11 @@ def test_weak_order_sphere():
     rep = weak_order_check(cfg)
     assert rep.passed
     assert len(rep.rows) == 3
+
+
+def test_weak_order_runs_every_requested_path():
+    # more paths than one engine block: all of them are run and reported
+    cfg = cfg_for("flat", {"n": 2}, t=0.1, dt=5e-2, n_paths=3000, seed=3)
+    rep = weak_order_check(cfg)
+    assert rep.n_paths == 3000
+    assert rep.passed

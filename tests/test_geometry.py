@@ -14,6 +14,10 @@ import pytest
 
 from flowgeom.errors import DegenerateX
 from flowgeom.geometry import (
+    _grad_x,
+    _gram_inverse,
+    _induced_gamma,
+    _ric_sharp,
     christoffel,
     codifferential_1form,
     codifferential_1form_lie,
@@ -518,3 +522,60 @@ def test_identities_batched_agree_with_single_points(name, params):
                 assert np.array_equal(got, want), k
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=str(k))
+
+
+# ------------------------------------------ matmul contractions, Gram inverse
+
+# (n, m) with m = n and m > n, for n = 1, 2, 3; the batch shapes of one
+# point, a vector of points and a grid of points
+SHAPES = [(n, m) for n in (1, 2, 3) for m in (n, n + 2)]
+BATCHES = [(), (5,), (2, 4)]
+
+
+def _rel_gap(got, want):
+    # Ric# vanishes identically for n = 1: there the gap is absolute
+    return np.max(np.abs(got - want)) / (np.max(np.abs(want)) or 1.0)
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_matmul_contractions_match_einsum(n, m, batch):
+    r = np.random.default_rng(100 * n + m)
+    X = r.normal(size=batch + (n, m))
+    DX = r.normal(size=batch + (n, m, n))
+    Y = r.normal(size=batch + (m, n))
+    gamma = r.normal(size=batch + (n, n, n))
+    gradX = r.normal(size=batch + (n, m, n))
+    # the einsum forms of the same sums, index for index
+    want_gamma = -np.einsum("...irj,...rk->...ijk", DX, Y)
+    want_grad = DX + np.einsum("...ajk,...ki->...aij", gamma, X)
+    tr = np.einsum("...aia->...i", gradX)
+    want_ric = (np.einsum("...i,...aib->...ab", tr, gradX)
+                - np.einsum("...aib,...bic->...ac", gradX, gradX))
+    for got, want in ((_induced_gamma(DX, Y), want_gamma),
+                      (_grad_x(DX, gamma, X), want_grad),
+                      (_ric_sharp(gradX), want_ric)):
+        assert got.shape == want.shape
+        assert _rel_gap(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("batch", BATCHES, ids=str)
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_gram_inverse_matches_linalg_inv(n, m, batch):
+    r = np.random.default_rng(10 * n + m)
+    # well conditioned: a perturbed [I | 0]
+    X = np.eye(n, m) + 0.3 * r.normal(size=batch + (n, m))
+    gram, g, Y = _gram_inverse(X)
+    want = np.linalg.inv(X @ np.swapaxes(X, -1, -2))
+    assert g.shape == want.shape
+    assert _rel_gap(g, want) <= 1e-12
+    assert _rel_gap(gram, X @ np.swapaxes(X, -1, -2)) <= 1e-15
+    assert _rel_gap(Y, np.swapaxes(X, -1, -2) @ want) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gram_inverse_raises_on_one_singular_row_in_a_batch(n):
+    X = np.eye(n, n + 1) + 0.1 * np.random.default_rng(n).normal(size=(6, n, n + 1))
+    X[3, -1] = 0.0  # one zero row of X: an exactly singular Gram matrix
+    with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+        _gram_inverse(X)

@@ -250,3 +250,16 @@ def test_coeff_dx_matches_the_oracle(name, params, lead):
         # the base-class default is the oracle itself, bit for bit
         base = SdeSystem.coeff_dx(system, chart.cid, x)
         np.testing.assert_array_equal(base, fd)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_coeff_x_is_the_scaled_embedding_jacobian(n):
+    sys = build_scenario("sphere-gradient", {"n": n}).system
+    u = np.random.default_rng(n).normal(size=(7, n))
+    s = 1.0 + np.sum(u * u, axis=-1)[:, None, None]
+    for cid in ("n", "s", np.array(["n", "s", "s", "n", "s", "n", "n"])):
+        X = sys.coeff_x(cid, u)
+        want = (s * s / 4.0) * np.swapaxes(sys.embed_jacobian(cid, u), -1, -2)
+        np.testing.assert_allclose(X, want, rtol=0, atol=1e-14)
+        assert X.flags.c_contiguous
+    assert sys.coeff_x("s", u[0]).shape == (n, n + 1)

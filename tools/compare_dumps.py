@@ -4,14 +4,18 @@ Usage:
 
     python3 tools/compare_dumps.py PARENT_DIR CHANGE_DIR
 
-Prints one line per label: ``same`` when the two dumps are equal, else the
-largest absolute difference, the largest relative difference
+Labels are matched by name, so the two dumps may list different labels.
+Prints one line per label both dumps hold: ``same`` when the two dumps are
+equal, else the largest absolute difference, the largest relative difference
 ``|a - b| / max(|a|, |b|)`` over every number of the report (or every entry
 of every array), and the paths of any entries that are not numbers and
 differ (verdicts, flags, status, shapes), of keys only one side has
 (``.+key`` added, ``.-key`` removed) and of lists whose length changed (the
-common prefix is compared).  The last line counts the
-labels that differ.  Exits 1 when a non-numeric entry differs.
+common prefix is compared).  Then one line per label only the second dump
+holds (``added``) or only the first (``removed``).  The last line counts the
+labels that differ.  Exits 1 when a non-numeric entry differs or a label is
+removed; an added label alone does not fail.  Exits 2 when a dump lists
+a label twice.
 """
 
 from __future__ import annotations
@@ -76,25 +80,34 @@ def compare(path_a: str, path_b: str) -> dict:
     return acc
 
 
+def _stems(d: str) -> dict[str, str]:
+    """Label -> path of its dump file in directory ``d``; ``ValueError`` if a
+    label is listed twice, since labels are matched by name."""
+    with open(os.path.join(d, "labels.json")) as fh:
+        labels = json.load(fh)
+    if len(set(labels)) != len(labels):
+        raise ValueError(f"{d} lists a label twice")
+    out = {}
+    for k, label in enumerate(labels):
+        stem = os.path.join(d, f"{k}.json")
+        out[label] = stem if os.path.exists(stem) else os.path.join(d, f"{k}.npz")
+    return out
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    dirs = argv
-    labels = []
-    for d in dirs:
-        with open(os.path.join(d, "labels.json")) as fh:
-            labels.append(json.load(fh))
-    if labels[0] != labels[1]:
-        print("the two dumps list different labels", file=sys.stderr)
+    try:
+        old, new = (_stems(d) for d in argv)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
     n_diff = 0
     bad = False
-    for k, label in enumerate(labels[0]):
-        stem = str(k) + (".json" if os.path.exists(os.path.join(dirs[0], f"{k}.json"))
-                         else ".npz")
-        acc = compare(os.path.join(dirs[0], stem), os.path.join(dirs[1], stem))
+    for label in (lab for lab in old if lab in new):
+        acc = compare(old[label], new[label])
         if acc["abs"] == 0.0 and not acc["other"]:
             print(f"same  {label}")
             continue
@@ -104,8 +117,15 @@ def main(argv=None) -> int:
         if acc["other"]:
             line += "  NON-NUMERIC: " + ", ".join(acc["other"][:8])
         print(line)
-    print(f"{n_diff} of {len(labels[0])} labels differ")
-    return 1 if bad else 0
+    added = [lab for lab in new if lab not in old]
+    removed = [lab for lab in old if lab not in new]
+    for label in added:
+        print(f"added    {label}")
+    for label in removed:
+        print(f"removed  {label}")
+    print(f"{n_diff} of {len(old) - len(removed)} shared labels differ, "
+          f"{len(added)} added, {len(removed)} removed")
+    return 1 if bad or removed else 0
 
 
 if __name__ == "__main__":
