@@ -229,16 +229,23 @@ def cmd_verify(cfg: dict) -> dict:
         """max |a| per point: over every axis but the first."""
         return np.max(np.abs(a).reshape(len(a), -1), axis=-1)
 
+    def _rel_gap(exact: np.ndarray, fd: np.ndarray) -> np.ndarray:
+        """max |exact - fd| per point, relative to the larger one's largest entry."""
+        scale = np.maximum(_max_abs(fd), _max_abs(exact))
+        return _max_abs(exact - fd) / np.where(scale > 0.0, scale, 1.0)
+
     gamma_gap = 0.0
     curvature_max = 0.0
     ricci_min_eig = np.inf
     ricci_max_abs = 0.0
     for cid, idx, xs in _chart_groups(points):
         pd = point_data(system, cid, xs)
-        # the engine's DX (coeff_dx) against the oracle's, relative per point
-        dx_fd = system.oracle.jacobian(lambda y: system.coeff_x(cid, y), xs)
-        scale = np.maximum(_max_abs(dx_fd), _max_abs(pd.DX))
-        _acc("coeff_dx", _max_abs(pd.DX - dx_fd) / np.where(scale > 0.0, scale, 1.0))
+        # the engine's DX and DA (coeff_dx, coeff_da) against the oracle's
+        _acc("coeff_dx", _rel_gap(
+            pd.DX, system.oracle.jacobian(lambda y: system.coeff_x(cid, y), xs)))
+        _acc("coeff_da", _rel_gap(
+            system.coeff_da(cid, xs),
+            system.oracle.jacobian(lambda y: system.coeff_a(cid, y), xs)))
         _acc("defining_property", defining_property_residual(system, cid, xs))
         _acc("metricity_lw", metricity_residual(system, cid, xs, kind="lw"))
         _acc("metricity_adjoint", metricity_residual(system, cid, xs, kind="adjoint"))
@@ -320,6 +327,11 @@ def cmd_verify(cfg: dict) -> dict:
                  "passed": bool(tss) == bool(tss_alt < TSS_TOL),
                  "note": "the torsion route (residual) and the Levi-Civita route "
                          "(alt_residual) agree on whether the torsion is skew-symmetric"})
+    # appended last, so every other row keeps its index in the list
+    rows.append({"name": "coeff_da", "residual": worst["coeff_da"], "tolerance": 1e-6,
+                 "provenance": "derived-oracle", "passed": worst["coeff_da"] < 1e-6,
+                 "note": "coeff_da vs finite-difference DA, largest gap relative to "
+                         "the largest entry, per point"})
 
     ok = all(r["passed"] for r in rows)
     return {

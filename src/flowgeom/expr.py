@@ -10,11 +10,17 @@ Grammar (precedence low to high)::
 
 Unary minus binds looser than '^', so ``-x1^2`` is ``-(x1^2)``.
 Variables are ``x1 .. xn`` (1-based in source, 0-based in the tree).
-Functions: sin cos tan exp log sqrt abs tanh.  Constants: pi, e.
+Functions: sin cos tan exp log sqrt abs tanh sign.  Constants: pi, e.
 
 Evaluation is plain IEEE double arithmetic and accepts scalar points or
 batches (each variable an array); it is deterministic bit-for-bit for a
 given input.
+
+``derivative(t, j)`` is the symbolic partial derivative of a tree in ``x{j+1}``
+with constant folding (sums and products with 0 or 1, constant operands):
+a tree of the same grammar, so it evaluates, prints and re-parses like any
+other.  At the kink of ``abs`` it takes ``sign(0) = 0``, the central
+difference's value there.
 
 >>> float(evaluate(parse("-x1^2"), [2.0]))
 -4.0
@@ -36,7 +42,7 @@ from .errors import ArityError, DomainError, ExprSyntaxError, UnknownIdentifier
 
 __all__ = [
     "Expr", "Num", "Var", "Const", "Unary", "Binary", "Call",
-    "parse", "evaluate", "to_source", "max_var_index",
+    "parse", "evaluate", "to_source", "max_var_index", "derivative",
 ]
 
 
@@ -79,6 +85,7 @@ Expr = Union[Num, Var, Const, Unary, Binary, Call]
 _FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "tanh": np.tanh,
+    "sign": np.sign,
 }
 _CONSTS = {"pi": np.pi, "e": np.e}
 
@@ -298,13 +305,18 @@ _LEVEL = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def to_source(e: Expr) -> str:
-    """Canonical source string; ``parse(to_source(t)) == t`` for any tree."""
+    """Canonical source string; ``parse(to_source(t)) == t`` for any tree
+    whose literals are non-negative.  A negative literal (``derivative``
+    folds constants into them) prints as ``-c`` and re-parses as ``Unary``
+    over ``Num(c)``, which evaluates to the same value bit for bit."""
     return _print(e, 0)
 
 
 def _print(e: Expr, parent_level: int) -> str:
     if isinstance(e, Num):
-        return repr(e.value)
+        text = repr(e.value)
+        # a leading minus sign parses as unary minus, so it parenthesizes like one
+        return f"({text})" if text[0] == "-" and parent_level > 3 else text
     if isinstance(e, Const):
         return e.name
     if isinstance(e, Var):
@@ -325,3 +337,155 @@ def _print(e: Expr, parent_level: int) -> str:
             text = f"{_print(e.left, lvl)} {e.op} {_print(e.right, lvl + 1)}"
         return f"({text})" if parent_level > lvl else text
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# ---------------------------------------------------------------------------
+# symbolic differentiation
+# ---------------------------------------------------------------------------
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _value(e: Expr) -> float | None:
+    """The value of a literal (``Num``, ``Const`` or a negated literal), else None."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Const):
+        return _CONSTS[e.name]
+    if isinstance(e, Unary):
+        inner = _value(e.operand)
+        return None if inner is None else -inner
+    return None
+
+
+def _fold(op: str, a: Expr, b: Expr) -> Expr:
+    """``Binary(op, a, b)`` with constant operands folded into one literal and
+    the identities ``0 + b``, ``a - 0``, ``0 * b``, ``1 * b``, ``a / 1``,
+    ``a ^ 1``, ``a ^ 0`` applied.  Folding keeps the value of every point
+    where the unfolded tree evaluates."""
+    va, vb = _value(a), _value(b)
+    if va is not None and vb is not None:
+        folded = _literal(Binary(op, Num(va), Num(vb)))
+        if folded is not None:
+            return folded
+    if op == "+":
+        if va == 0.0:
+            return b
+        if vb == 0.0:
+            return a
+    elif op == "-":
+        if vb == 0.0:
+            return a
+        if va == 0.0:
+            return _neg(b)
+    elif op == "*":
+        if va == 0.0 or vb == 0.0:
+            return _ZERO
+        if va == 1.0:
+            return b
+        if vb == 1.0:
+            return a
+    elif op == "/":
+        if va == 0.0:
+            return _ZERO
+        if vb == 1.0:
+            return a
+    elif op == "^":
+        if vb == 1.0:
+            return a
+        if vb == 0.0:
+            return _ONE
+    return Binary(op, a, b)
+
+
+def _neg(e: Expr) -> Expr:
+    v = _value(e)
+    if v is not None:
+        return _number(-v)
+    if isinstance(e, Unary):
+        return e.operand
+    return Unary("-", e)
+
+
+def derivative(e: Expr, j: int) -> Expr:
+    """The partial derivative of ``e`` in ``x{j+1}`` (``j`` 0-based), folded.
+
+    Every node and function of the grammar has its rule; ``abs`` gives
+    ``sign(u) u'`` and ``sign`` gives 0.  A power ``u^v`` whose exponent is
+    free of ``x{j+1}`` differentiates as ``v u^(v-1) u'``, one whose base is
+    free of it as ``u^v log(u) v'``, any other as
+    ``u^v (v' log(u) + v u' / u)``.
+    """
+    if isinstance(e, (Num, Const)):
+        return _ZERO
+    if isinstance(e, Var):
+        return _ONE if e.index == j else _ZERO
+    if isinstance(e, Unary):
+        return _neg(derivative(e.operand, j))
+    if isinstance(e, Binary):
+        u, v = e.left, e.right
+        du, dv = derivative(u, j), derivative(v, j)
+        if e.op in "+-":
+            return _fold(e.op, du, dv)
+        if e.op == "*":
+            return _fold("+", _fold("*", du, v), _fold("*", u, dv))
+        if e.op == "/":
+            # (u' - (u / v) v') / v: no v^2 that could underflow to zero
+            return _fold("/", _fold("-", du, _fold("*", _fold("/", u, v), dv)), v)
+        if e.op == "^":
+            if dv == _ZERO:
+                return _fold("*", _fold("*", v, _fold("^", u, _fold("-", v, _ONE))), du)
+            log_u = _fold_call("log", u)
+            if du == _ZERO:
+                return _fold("*", _fold("*", e, log_u), dv)
+            return _fold("*", e, _fold("+", _fold("*", dv, log_u),
+                                       _fold("/", _fold("*", v, du), u)))
+        raise AssertionError(e.op)
+    if isinstance(e, Call):
+        u = e.arg
+        du = derivative(u, j)
+        if du == _ZERO or e.func == "sign":
+            return _ZERO
+        if e.func == "sin":
+            outer = Call("cos", u)
+        elif e.func == "cos":
+            outer = _neg(Call("sin", u))
+        elif e.func == "tan":
+            outer = _fold("+", _ONE, _fold("^", e, Num(2.0)))
+        elif e.func == "exp":
+            outer = e
+        elif e.func == "log":
+            return _fold("/", du, u)
+        elif e.func == "sqrt":
+            return _fold("/", du, _fold("*", Num(2.0), e))
+        elif e.func == "abs":
+            outer = Call("sign", u)
+        elif e.func == "tanh":
+            outer = _fold("-", _ONE, _fold("^", e, Num(2.0)))
+        else:
+            raise AssertionError(e.func)
+        return _fold("*", outer, du)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _fold_call(func: str, u: Expr) -> Expr:
+    """``Call(func, u)``, folded to a literal when ``u`` is one."""
+    vu = _value(u)
+    folded = None if vu is None else _literal(Call(func, Num(vu)))
+    return Call(func, u) if folded is None else folded
+
+
+def _literal(e: Expr) -> Num | None:
+    """A node over literals as one literal; None where it leaves its domain
+    or overflows, so that the error surfaces when the tree is evaluated."""
+    try:
+        with np.errstate(all="ignore"):
+            v = float(_eval(e, ()))
+    except DomainError:
+        return None
+    return _number(v) if np.isfinite(v) else None
+
+
+def _number(v: float) -> Num:
+    """``Num(v)``, with zero as +0.0: a folded zero is a derivative that vanishes."""
+    return Num(v) if v != 0.0 else _ZERO

@@ -163,14 +163,15 @@ def point_data(system: SdeSystem, cid: str, x: np.ndarray, *,
                light: bool = False) -> PointData:
     """Assemble coefficients and induced tensors at ``x`` (batched).
 
-    ``DX`` is the system's ``coeff_dx`` (a closed form where the scenario has
-    one); ``SdeSystem.oracle`` differentiates the drift.
+    ``DX`` and ``DA`` are the system's ``coeff_dx`` and ``coeff_da``: closed
+    forms or symbolic derivatives of the expressions, the oracle only where
+    the scenario has neither (``so3-left-invariant``'s DX).
     """
     x = np.asarray(x, dtype=float)
     X = system.coeff_x(cid, x)
     A = system.coeff_a(cid, x)
     DX = system.coeff_dx(cid, x)
-    DA = system.oracle.jacobian(lambda y: system.coeff_a(cid, y), x) if system.has_drift else None
+    DA = system.coeff_da(cid, x) if system.has_drift else None
     pd = PointData(X=X, A=A, DX=DX, DA=DA)
     if light:
         return pd

@@ -6,9 +6,13 @@ transitions accept batched points (arrays of shape ``(..., n)``) and take
 the chart as ``cid``: a single chart name for all points, or an array with
 one name per row (it broadcasts against the batch axes), so a batch may mix
 charts.  The maps are pointwise: a row's values do not depend on the other
-rows or their charts.  ``coeff_dx`` is the chart derivative of ``X``:
-closed forms on flat, sphere-gradient, twisted-plane and circle, the
-finite-difference oracle everywhere else.
+rows or their charts.  ``coeff_dx`` and ``coeff_da`` are the chart
+derivatives of ``X`` and ``A``: closed forms on flat, sphere-gradient,
+twisted-plane and circle; on expression-defined coefficients (``custom``
+and the flat drift) the symbolic derivative of each entry, taken once when
+the system is built (``expr.derivative``) and evaluated like the entry
+itself; the finite-difference oracle on ``so3-left-invariant``, whose
+derivative has no closed form here.
 
 There is one derivative oracle, ``SdeSystem.oracle``: a class attribute
 holding a frozen ``DerivOracle`` that every system shares.  The geometry
@@ -39,8 +43,9 @@ import numpy as np
 
 from . import expr as ex
 from . import quat
-from .errors import BadParams, DegenerateX, OutOfOverlap, UnknownScenario
-from .linalg import DerivOracle
+from .errors import (BadParams, DegenerateX, DomainError, EvalFailure, OutOfOverlap,
+                     UnknownScenario)
+from .linalg import DerivOracle, _where
 
 __all__ = ["Chart", "SdeSystem", "Scenario", "build_scenario", "scenario_names"]
 
@@ -113,6 +118,14 @@ class SdeSystem:
         """
         return self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x)
 
+    def coeff_da(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
+        """DA[..., i, j] = d A^i / d x^j, shape ``(..., n, n)``.
+
+        The default differentiates ``coeff_a`` with ``SdeSystem.oracle``;
+        scenarios with expression drifts override it.
+        """
+        return self.oracle.jacobian(lambda y: self.coeff_a(cid, y), x)
+
     # -- transitions ---------------------------------------------------------
     def switch_mask(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """True where the integrator should hand off to a better chart."""
@@ -144,6 +157,51 @@ class SdeSystem:
 
 
 # --------------------------------------------------------------------------
+# expression-defined coefficients
+# --------------------------------------------------------------------------
+
+
+def _eval_grid(trees: list, x: np.ndarray, shape: tuple[int, ...],
+               names: list[str] | None = None) -> np.ndarray:
+    """Evaluate expression trees at the points ``x`` (shape ``(..., n)``) into
+    an array of shape ``(..., *shape)``; ``trees`` lists its entries in C order.
+
+    A tree that leaves its domain raises ``DomainError``.  Derivative trees
+    come with ``names``, one per tree: there a tree that leaves its domain or
+    gives a non-finite value raises ``EvalFailure`` naming its entry and the
+    point, as the oracle's field calls do, so a run fails the same way on
+    either route.
+    """
+    x = np.asarray(x, dtype=float)
+    comps = np.moveaxis(x, -1, 0)
+    batch = x.shape[:-1]
+    vals = []
+    for k, tree in enumerate(trees):
+        try:
+            v = ex.evaluate(tree, comps)
+        except DomainError as exc:
+            if names is None:
+                raise
+            raise EvalFailure(f"{names[k]} failed near {_where(x, None)}: {exc}") from exc
+        # only entries that do not depend on x (constants) lack the batch shape
+        vals.append(v if np.shape(v) == batch else np.broadcast_to(v, batch))
+    out = np.stack(vals, axis=-1)
+    if names is not None and not np.isfinite(out).all():
+        k = int(np.argmin(np.isfinite(out).reshape(-1, len(trees)).all(axis=0)))
+        raise EvalFailure(f"{names[k]} returned non-finite values near {_where(x, None)}")
+    return out.reshape(batch + shape)
+
+
+def _drift_derivatives(drift: list, field: str) -> tuple[list, list[str]]:
+    """The trees of ``d A^i / d x^j`` in C order over ``(i, j)``, and their
+    names; ``field`` is the config field that lists the drift."""
+    n = len(drift)
+    trees = [ex.derivative(e, j) for e in drift for j in range(n)]
+    names = [f"the derivative of {field}[{i}] in x{j + 1}" for i in range(n) for j in range(n)]
+    return trees, names
+
+
+# --------------------------------------------------------------------------
 # flat space
 # --------------------------------------------------------------------------
 
@@ -161,6 +219,7 @@ class FlatSystem(SdeSystem):
             for e in self._drift:
                 if ex.max_var_index(e) >= n:
                     raise BadParams("drift expression uses a variable beyond x%d" % n)
+            self._da, self._da_names = _drift_derivatives(self._drift, "drift")
         self.has_drift = self._drift is not None
 
     @property
@@ -176,12 +235,14 @@ class FlatSystem(SdeSystem):
         return np.zeros(x.shape[:-1] + (self.n, self.n, self.n))
 
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
         if self._drift is None:
-            return np.zeros(x.shape)
-        comps = [np.broadcast_to(ex.evaluate(e, np.moveaxis(x, -1, 0)), x.shape[:-1])
-                 for e in self._drift]
-        return np.stack(comps, axis=-1)
+            return np.zeros(np.asarray(x).shape)
+        return _eval_grid(self._drift, x, (self.n,))
+
+    def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
+        if self._drift is None:
+            return np.zeros(np.asarray(x).shape + (self.n,))
+        return _eval_grid(self._da, x, (self.n, self.n), self._da_names)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -446,35 +507,40 @@ class CustomSystem(SdeSystem):
         self._charts = (Chart("u"),)
         if len(x_entries) != n or any(len(row) != m for row in x_entries):
             raise BadParams(f"x_entries must be {n} rows of {m} expressions")
-        self._x = [[ex.parse(s) for s in row] for row in x_entries]
+        self._x = [ex.parse(s) for row in x_entries for s in row]  # C order over (i, r)
         self._a = [ex.parse(s) for s in a_entries] if a_entries else None
         if self._a is not None and len(self._a) != n:
             raise BadParams(f"a_entries needs {n} entries, got {len(self._a)}")
-        for e in [t for row in self._x for t in row] + (self._a or []):
+        for e in self._x + (self._a or []):
             if ex.max_var_index(e) >= n:
                 raise BadParams(f"expression uses a variable beyond x{n}")
+        # differentiated once, here; coeff_dx and coeff_da evaluate the trees
+        self._dx = [ex.derivative(e, j) for e in self._x for j in range(n)]
+        self._dx_names = [f"the derivative of x_entries[{i}][{r}] in x{j + 1}"
+                          for i in range(n) for r in range(m) for j in range(n)]
+        if self._a is not None:
+            self._da, self._da_names = _drift_derivatives(self._a, "a_entries")
         self.has_drift = self._a is not None
 
     @property
     def charts(self) -> tuple[Chart, ...]:
         return self._charts
 
-    def _eval_grid(self, exprs, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        comps = np.moveaxis(x, -1, 0)
-        flat = [ex.evaluate(e, comps) for e in exprs]
-        # only entries that do not depend on x (constants) lack the batch shape
-        out = np.stack([v if np.shape(v) == x.shape[:-1] else np.broadcast_to(v, x.shape[:-1])
-                        for v in flat], axis=-1)
-        return out.reshape(x.shape[:-1] + shape)
-
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return self._eval_grid([t for row in self._x for t in row], x, (self.n, self.m))
+        return _eval_grid(self._x, x, (self.n, self.m))
+
+    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+        return _eval_grid(self._dx, x, (self.n, self.m, self.n), self._dx_names)
 
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
         if self._a is None:
             return np.zeros(np.asarray(x).shape)
-        return self._eval_grid(self._a, x, (self.n,))
+        return _eval_grid(self._a, x, (self.n,))
+
+    def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
+        if self._a is None:
+            return np.zeros(np.asarray(x).shape + (self.n,))
+        return _eval_grid(self._da, x, (self.n, self.n), self._da_names)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)

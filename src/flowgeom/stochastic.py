@@ -42,9 +42,11 @@ Brownian path of a run at ``dt / 2**c``: each path draws its stream for
 increments ``c`` times, so runs at dt, dt/2 and dt/4 with ``coarsen`` 2, 1
 and 0 share their Brownian paths (the multilevel Monte Carlo coupling).
 
-Derivatives and frames: the bundles take DX from the model's ``coeff_dx``
-(closed forms on flat, sphere-gradient, twisted-plane and circle, the
-finite-difference oracle elsewhere).  After each RK4 transport step a frame
+Derivatives and frames: the bundles take DX and DA from the model's
+``coeff_dx`` and ``coeff_da`` (closed forms on flat, sphere-gradient,
+twisted-plane and circle, symbolic derivatives of the expressions on
+``custom`` and the flat drift, the finite-difference oracle only for the DX
+of so3-left-invariant).  After each RK4 transport step a frame
 of a metric connection is snapped to a g-isometry, ``par^T g par = g0``, by
 two Newton-Schulz polar steps ``par <- par (3 I - g0^-1 par^T g par) / 2``
 (``_isometrize``; rows with a defect above ``_SNAP_NS_MAX`` take the exact

@@ -127,6 +127,31 @@ def test_non_finite_vector_exits_two(tmp_path, capsys, head, entry, name):
     assert "Warning" not in err and "Traceback" not in err
 
 
+def test_abs_at_its_kink_keeps_the_check_outcome(tmp_path, capsys):
+    # d|u| = sign(u) u' with sign(0) = 0, the central difference's value:
+    # the run completes and its checks fail, exit 1, from the kink at x0 = 0
+    code, report = run(tmp_path, {
+        "command": "estimate", "check": "oneform", "n_paths": 200, "seed": 0,
+        "scenario": {"name": "custom", "params": {
+            "n": 2, "m": 2, "x_entries": [["1+abs(x1)", "0"], ["0", "1"]]}}})
+    assert code == 1 and report["status"] == "failed"
+    err = capsys.readouterr().err
+    assert "error" not in err and "Traceback" not in err
+
+
+def test_derivative_leaving_its_domain_is_a_runtime_error(tmp_path, capsys):
+    # d sqrt(1 + x1) divides by zero at x1 = -1, where X itself evaluates
+    code, _ = run(tmp_path, {
+        "command": "estimate", "check": "oneform", "n_paths": 200, "seed": 0,
+        "x0": [-1.0], "scenario": {"name": "custom", "params": {
+            "n": 1, "m": 1, "x_entries": [["1+sqrt(1+x1)"]]}}})
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: the derivative of x_entries[0][0] in x1 failed near")
+    assert err.rstrip().endswith("division by zero")
+    assert "Traceback" not in err
+
+
 def test_subcommand_must_match_config(tmp_path):
     code, _ = run(tmp_path, {"command": "verify",
                              "scenario": {"name": "flat"}}, sub="tensors")
@@ -309,6 +334,10 @@ VERIFY_SCENARIOS = [
     ("custom", {"n": 2, "m": 3,
                 "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
                               ["0.2*x1", "cos(x2)", "sin(x2)"]]}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
 ]
 
 
@@ -319,6 +348,12 @@ def test_verify_cross_checks_coeff_dx_and_both_tss_routes(name, params):
     assert rep["status"] == "passed"
     rows = {row["name"]: row for row in rep["identities"]}
     assert rows["coeff_dx"]["passed"] and rows["coeff_dx"]["residual"] < 1e-6
+    # coeff_da is the last row on every scenario, and compares zeros without drift
+    da = rep["identities"][-1]
+    assert da["name"] == "coeff_da" and da["provenance"] == "derived-oracle"
+    assert da["passed"] and da["residual"] < da["tolerance"] == 1e-6
+    if "drift" not in params and "a_entries" not in params:
+        assert da["residual"] == 0.0
     tss = rows["tss"]
     assert tss["passed"]
     assert (tss["residual"] < 1e-6) == (tss["alt_residual"] < 1e-6) == rep["flags"]["tss"]

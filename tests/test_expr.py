@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
-from flowgeom.errors import DomainError, ExprError, ExprSyntaxError, UnknownIdentifier
+from flowgeom.errors import (
+    DomainError, EvalFailure, ExprError, ExprSyntaxError, UnknownIdentifier)
 from flowgeom.expr import (
     Binary,
     Call,
@@ -15,11 +16,13 @@ from flowgeom.expr import (
     Num,
     Unary,
     Var,
+    derivative,
     evaluate,
     max_var_index,
     parse,
     to_source,
 )
+from flowgeom.linalg import DerivOracle
 
 
 def ev(src, *xs):
@@ -53,6 +56,7 @@ def test_functions():
     assert ev("sqrt(x1)", 9.0) == 3.0
     assert ev("abs(-x1)", 2.5) == 2.5
     assert ev("tanh(0)") == 0.0
+    assert [ev("sign(x1)", v) for v in (-2.0, 0.0, 3.0)] == [-1.0, 0.0, 1.0]
 
 
 def test_batched_evaluation_broadcasts():
@@ -98,29 +102,33 @@ def test_error_is_package_exception():
 
 # ----------------------------------------------------------- round trip
 
-_FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh"]
+_FUNCS = ["sin", "cos", "tan", "exp", "log", "sqrt", "abs", "tanh", "sign"]
 _OPS = ["+", "-", "*", "/", "^"]
 
 # Num values restricted to non-negative finite floats: a negative literal
 # prints as '-c', which re-parses as Unary over Num and cannot compare equal.
-_leaf = hst.one_of(
-    hst.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-               allow_infinity=False).map(Num),
-    hst.integers(min_value=0, max_value=7).map(Var),
-    hst.sampled_from(["pi", "e"]).map(Const),
-)
+def _trees(n_vars):
+    """Trees over every node, operator and function, in x1 .. x{n_vars}."""
+    leaf = hst.one_of(
+        hst.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                   allow_infinity=False).map(Num),
+        hst.integers(min_value=0, max_value=n_vars - 1).map(Var),
+        hst.sampled_from(["pi", "e"]).map(Const),
+    )
+    return hst.recursive(
+        leaf,
+        lambda kids: hst.one_of(
+            kids.map(lambda t: Unary("-", t)),
+            hst.tuples(hst.sampled_from(_OPS), kids, kids).map(
+                lambda s: Binary(s[0], s[1], s[2])),
+            hst.tuples(hst.sampled_from(_FUNCS), kids).map(
+                lambda s: Call(s[0], s[1])),
+        ),
+        max_leaves=25,
+    )
 
-_tree = hst.recursive(
-    _leaf,
-    lambda kids: hst.one_of(
-        kids.map(lambda t: Unary("-", t)),
-        hst.tuples(hst.sampled_from(_OPS), kids, kids).map(
-            lambda s: Binary(s[0], s[1], s[2])),
-        hst.tuples(hst.sampled_from(_FUNCS), kids).map(
-            lambda s: Call(s[0], s[1])),
-    ),
-    max_leaves=25,
-)
+
+_tree = _trees(8)
 
 
 @settings(max_examples=300, deadline=None)
@@ -134,3 +142,134 @@ def test_print_parse_round_trip(tree):
 def test_printing_is_idempotent(tree):
     once = to_source(tree)
     assert to_source(parse(once)) == once
+
+
+# ----------------------------------------------------------- derivatives
+
+
+def d_src(src, j):
+    return to_source(derivative(parse(src), j))
+
+
+def test_derivative_rules_and_folding():
+    assert d_src("x1^2", 0) == "2.0 * x1"
+    assert d_src("x1^-2", 0) == "-2.0 * x1^(-3.0)"
+    assert d_src("sin(x1)*x2", 0) == "cos(x1) * x2"
+    assert d_src("sin(x1)*x2", 1) == "sin(x1)"
+    assert d_src("x1*x2", 0) == "x2"
+    assert d_src("x1 * 1e300 * 1e300", 0) == "1e+300 * 1e+300"  # inf is no literal
+    assert d_src("0.2*x1 + pi", 0) == "0.2"
+    assert d_src("1+abs(x1)", 0) == "sign(x1)"
+    assert d_src("sqrt(1+x1)", 0) == "1.0 / (2.0 * sqrt(1.0 + x1))"
+    # a subtree free of x_{j+1} folds to the literal 0
+    for src in ("x2*sin(x2)", "exp(x2)^x2 / log(x3)", "sign(x1)", "3^2 - pi"):
+        assert derivative(parse(src), 0) == Num(0.0)
+
+
+def test_derivative_of_abs_at_its_kink_is_the_central_difference():
+    # sign(0) = 0, what (|h| - |-h|) / 2h gives
+    assert evaluate(derivative(parse("1 + abs(x1)"), 0), [0.0]) == 0.0
+    assert evaluate(derivative(parse("abs(x1)"), 0), [-0.5]) == -1.0
+
+
+def test_negative_literal_prints_like_unary_minus():
+    # derivative folds constants into negative literals; '-2.0^2.0' would be -(2^2)
+    tree = Binary("^", Num(-2.0), Num(2.0))
+    assert to_source(tree) == "(-2.0)^2.0"
+    assert evaluate(parse(to_source(tree)), []) == evaluate(tree, []) == 4.0
+
+
+# smooth trees: + - * ^ with integer exponents, sin cos exp tanh abs
+_smooth_leaf = hst.one_of(
+    hst.integers(min_value=0, max_value=1).map(Var),
+    hst.sampled_from([0.5, 2.0, 3.0]).map(Num),
+)
+
+_smooth_tree = hst.recursive(
+    _smooth_leaf,
+    lambda kids: hst.one_of(
+        kids.map(lambda t: Unary("-", t)),
+        hst.tuples(hst.sampled_from(["+", "-", "*"]), kids, kids).map(
+            lambda s: Binary(s[0], s[1], s[2])),
+        hst.tuples(kids, hst.integers(min_value=0, max_value=3)).map(
+            lambda s: Binary("^", s[0], Num(float(s[1])))),
+        hst.tuples(hst.sampled_from(["sin", "cos", "exp", "tanh", "abs"]), kids).map(
+            lambda s: Call(s[0], s[1])),
+    ),
+    max_leaves=10,
+)
+
+_point = hst.lists(hst.floats(min_value=-1.5, max_value=1.5), min_size=2, max_size=2)
+
+
+def _abs_args(t):
+    """The argument of every ``abs`` in ``t``."""
+    if isinstance(t, Call):
+        return ([t.arg] if t.func == "abs" else []) + _abs_args(t.arg)
+    if isinstance(t, Unary):
+        return _abs_args(t.operand)
+    if isinstance(t, Binary):
+        return _abs_args(t.left) + _abs_args(t.right)
+    return []
+
+
+def _field(t):
+    """``t`` as a field (..., n) -> (..., 1), the form the oracle differentiates."""
+    return lambda y: np.broadcast_to(evaluate(t, np.moveaxis(y, -1, 0)), y.shape[:-1])[..., None]
+
+
+# one rule each, off every function's kink and domain boundary
+@pytest.mark.parametrize("src", [
+    "sin(x1*x2)", "cos(x1*x2)", "tan(x1*x2)", "exp(x1*x2)", "log(1.5 + x1*x2)",
+    "sqrt(1.5 + x1*x2)", "abs(x1*x2)", "tanh(x1*x2)", "sign(x1)*x2", "x1/x2",
+    "-(x1 - x2)^3", "x1^x2", "2^(x1*x2)", "x1^-2 + pi*e*x2",
+])
+def test_each_rule_matches_the_oracle(src):
+    tree = parse(src)
+    x = np.array([[0.7, 0.4], [1.3, -0.6]])
+    fd = DerivOracle().jacobian(_field(tree), x)[:, 0, :]
+    exact = np.stack([np.broadcast_to(evaluate(derivative(tree, j), x.T), (2,))
+                      for j in range(2)], axis=-1)
+    np.testing.assert_allclose(exact, fd, rtol=1e-8, atol=1e-10)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_smooth_tree, _point, hst.integers(min_value=0, max_value=1))
+def test_derivative_matches_the_oracle(tree, point, j):
+    oracle = DerivOracle()
+    x = np.array(point)
+    # the central difference is only a derivative where no abs changes sign
+    # over its stencil (h = h0 max(1, |x|) along each axis, with room to spare)
+    h = 2.0 * oracle.h0 * max(1.0, float(np.linalg.norm(x)))
+    box = x + h * np.concatenate([np.zeros((1, 2)), np.eye(2), -np.eye(2)])
+    for arg in _abs_args(tree):
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(evaluate(arg, box.T), (5,))
+        assume(np.all(vals > 0.0) or np.all(vals < 0.0))
+    try:
+        with np.errstate(all="ignore"):
+            exact = float(evaluate(derivative(tree, j), x))
+            fd = float(oracle.jacobian(_field(tree), x)[0, j])
+    except (DomainError, EvalFailure):
+        assume(False)
+    assume(np.isfinite(exact))
+    assert abs(exact - fd) <= 1e-6 * max(1.0, abs(exact), abs(fd))
+
+
+def _outcome(t, x):
+    """``evaluate(t, x)`` as bytes, or the class of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(evaluate(t, x), dtype=float).tobytes()
+    except DomainError as exc:
+        return type(exc)
+
+
+# two variables, so that most trees depend on the one differentiated in
+@settings(max_examples=400, deadline=None)
+@given(_trees(2), hst.lists(hst.floats(min_value=-2.0, max_value=2.0), min_size=2, max_size=2),
+       hst.integers(min_value=0, max_value=1))
+def test_printed_derivative_evaluates_bit_for_bit(tree, point, j):
+    # not structural equality: a negative literal re-parses as Unary over Num
+    d = derivative(tree, j)
+    assert _outcome(parse(to_source(d)), point) == _outcome(d, point)

@@ -252,6 +252,36 @@ def test_coeff_dx_matches_the_oracle(name, params, lead):
         np.testing.assert_array_equal(base, fd)
 
 
+DA_SCENARIOS = [
+    ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
+    ("flat", {"n": 3, "drift": ["sin(x2) - x1^3", "x1*x3", "exp(-x3^2)/2"]}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)*tanh(x1)"]}),
+]
+
+
+@pytest.mark.parametrize("name,params", DA_SCENARIOS)
+@pytest.mark.parametrize("lead", [(), (2, 4)])
+def test_coeff_da_matches_the_oracle(name, params, lead):
+    system = build_scenario(name, params).system
+    x = np.random.default_rng(6).uniform(-0.7, 0.7, size=lead + (system.n,))
+    fd = system.oracle.jacobian(lambda y: system.coeff_a("u", y), x)
+    exact = system.coeff_da("u", x)
+    assert exact.shape == lead + (system.n, system.n)
+    assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
+    # the base-class default is the oracle itself, bit for bit
+    np.testing.assert_array_equal(SdeSystem.coeff_da(system, "u", x), fd)
+
+
+@pytest.mark.parametrize("name,params", [("flat", {"n": 2}), ("custom", DX_SCENARIOS[-1][1])])
+def test_coeff_da_without_drift_is_zero(name, params):
+    system = build_scenario(name, params).system
+    x = np.zeros((3, system.n))
+    np.testing.assert_array_equal(system.coeff_da("u", x), np.zeros((3, system.n, system.n)))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_sphere_coeff_x_is_the_scaled_embedding_jacobian(n):
     sys = build_scenario("sphere-gradient", {"n": n}).system

@@ -22,8 +22,11 @@ twisted-plane, ``generator`` and ``oneform`` on custom over three engine
 blocks, CLI ``simulate`` plain and recorded, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
-Christoffel field on each scenario at one point and at a batch, every
-array of a default ``simulate`` on each scenario, every array of
+Christoffel field on each scenario at one point and at a batch, the
+exact ``coeff_dx`` and ``coeff_da`` of the expression-defined systems
+(``coeff_dx`` on custom, ``coeff_da`` on flat with drift and on custom with
+drift) at one point and at a batch, every array of a default ``simulate``
+on each scenario, every array of
 sphere-gradient runs (n = 2 and 3) started near the switching radius in
 either chart, where most paths change chart, and every array of a
 sphere-gradient (n = 2) run on the twice-coarsened stream
@@ -171,6 +174,28 @@ def oracle_arrays() -> list[tuple[str, dict]]:
     return out
 
 
+def exact_arrays() -> list[tuple[str, dict]]:
+    """(label, {field: array}) of the exact derivatives of the expression-defined
+    coefficients, at the points of ``oracle_arrays``."""
+    import numpy as np
+
+    from flowgeom.model import build_scenario
+
+    out = []
+    for name, params in SCENARIOS:
+        if name not in ("flat", "custom"):
+            continue
+        system = build_scenario(name, params).system
+        pts = np.array([x for _, x in system.sample_points(np.random.default_rng(11), 8)])
+        methods = {"coeff_da": system.coeff_da}
+        if name == "custom":
+            methods["coeff_dx"] = system.coeff_dx
+        for where, x in (("single", pts[0]), ("batch", pts)):
+            out.append((f"exact {name} {params} {where}",
+                        {k: f("u", x) for k, f in methods.items()}))
+    return out
+
+
 def engine_arrays() -> list[tuple[str, dict]]:
     """(label, {field: array}) of default ``simulate`` runs."""
     from dataclasses import fields
@@ -265,7 +290,7 @@ def main(argv=None) -> int:
         emit(label, report)
     for label, report in api_reports():
         emit(label, report)
-    for label, arrays in oracle_arrays() + engine_arrays():
+    for label, arrays in oracle_arrays() + exact_arrays() + engine_arrays():
         emit(label, {k: _sha(v) for k, v in arrays.items()}, arrays)
     if args.dump:
         with open(os.path.join(args.dump, "labels.json"), "w") as fh:
