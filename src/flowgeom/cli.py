@@ -54,7 +54,6 @@ from .geometry import (
     TSS_TOL,
     PointData,
     _g_frame_eigvalsh,
-    _metric_field,
     christoffel,
     connection_routes_residual,
     curvature_from_christoffel,
@@ -74,7 +73,7 @@ from .geometry import (
     torsion_via_dy,
     tss_check,
 )
-from .model import build_scenario
+from .model import _stack_points, build_scenario
 from .stochastic import BLOCK, _step_count, simulate
 
 __all__ = ["main", "load_config", "run_config"]
@@ -126,9 +125,10 @@ def _build_system(cfg: dict):
     return build_scenario(block["name"], block.get("params")).system
 
 
-def _probe_points(system, cfg: dict, default_samples: int) -> list:
+def _probe_points(system, cfg: dict, default_samples: int) -> tuple[np.ndarray, np.ndarray]:
     """The config's ``points`` (checked against the scenario), then the start
-    point and ``n_probes`` sampled points."""
+    point and ``n_probes`` sampled points, as one batch: the chart names
+    ``(P,)`` and the points ``(P, n)``, in that order."""
     pts = []
     start_cid, _ = system.start()
     for k, entry in enumerate(cfg.get("points", [])):
@@ -145,21 +145,12 @@ def _probe_points(system, cfg: dict, default_samples: int) -> list:
     if n_extra or not pts:
         rng = np.random.default_rng(cfg.get("seed", 0))
         pts = pts + [system.start()] + system.sample_points(rng, n_extra)
-    return [(cid, np.asarray(x, dtype=float)) for cid, x in pts]
+    return _stack_points(pts)
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
-
-
-def _chart_groups(points: list) -> list[tuple[str, list[int], np.ndarray]]:
-    """(chart, probe indices, (G, n) points) per chart, charts in order of
-    first appearance and points in probe order within each."""
-    groups: dict[str, list[int]] = {}
-    for k, (cid, _) in enumerate(points):
-        groups.setdefault(cid, []).append(k)
-    return [(cid, idx, np.array([points[k][1] for k in idx])) for cid, idx in groups.items()]
 
 
 def _point_row(pd: PointData, row: int) -> PointData:
@@ -171,30 +162,29 @@ def cmd_tensors(cfg: dict) -> dict:
     t0 = time.perf_counter()
     system = _build_system(cfg)
     p = float(cfg.get("p", 2.0))
-    points = _probe_points(system, cfg, default_samples=4)
-    entries: list = [None] * len(points)
-    for cid, idx, xs in _chart_groups(points):
-        gp = geometry_point(system, cid, xs)
-        pd = point_data(system, cid, xs)
-        for row, k in enumerate(idx):
-            # the extremes pick their method and stop by looking at their
-            # whole batch, so each point is solved on its own
-            h_lo, h_hi = moment_form_extremes(_point_row(pd, row), p)
-            entries[k] = {
-                "chart": cid,
-                "x": xs[row].tolist(),
-                "g": gp.g[row].tolist(),
-                "ginv": gp.ginv[row].tolist(),
-                "gamma_lw": gp.gamma_lw[row].tolist(),
-                "gamma_adjoint": gp.gamma_adjoint[row].tolist(),
-                "gamma_lc": gp.gamma_lc[row].tolist(),
-                "torsion": gp.torsion[row].tolist(),
-                "curvature_lw": gp.curvature_lw[row].tolist(),
-                "ric_sharp_lw": gp.ric_sharp_lw[row].tolist(),
-                "ricci_lw": gp.ricci_lw[row].tolist(),
-                "h_lo": float(h_lo),
-                "h_hi": float(h_hi),
-            }
+    charts, xs = _probe_points(system, cfg, default_samples=4)
+    gp = geometry_point(system, charts, xs)
+    pd = gp.pd
+    entries = []
+    for row, (cid, x) in enumerate(zip(charts, xs)):
+        # the extremes pick their method and stop by looking at their
+        # whole batch, so each point is solved on its own
+        h_lo, h_hi = moment_form_extremes(_point_row(pd, row), p)
+        entries.append({
+            "chart": str(cid),
+            "x": x.tolist(),
+            "g": pd.g[row].tolist(),
+            "ginv": pd.ginv[row].tolist(),
+            "gamma_lw": pd.gamma[row].tolist(),
+            "gamma_adjoint": pd.gamma_adj[row].tolist(),
+            "gamma_lc": gp.gamma_lc[row].tolist(),
+            "torsion": gp.torsion[row].tolist(),
+            "curvature_lw": gp.curvature_lw[row].tolist(),
+            "ric_sharp_lw": pd.ric_sharp[row].tolist(),
+            "ricci_lw": gp.ricci_lw[row].tolist(),
+            "h_lo": float(h_lo),
+            "h_hi": float(h_hi),
+        })
     return {
         "command": "tensors",
         "scenario": cfg["scenario"],
@@ -206,24 +196,32 @@ def cmd_tensors(cfg: dict) -> dict:
     }
 
 
+def _identity_row(name: str, residual: float, tolerance: float, *,
+                  passed: bool | None = None, note: str | None = None, **extra) -> dict:
+    """One row of the ``verify`` report, its keys in report order: ``extra``
+    (the tss row's ``alt_residual``) follows the residual.  The row passes
+    when ``residual < tolerance`` unless ``passed`` says otherwise."""
+    row = {"name": name, "residual": residual, **extra, "tolerance": tolerance,
+           "provenance": "derived-oracle",
+           "passed": residual < tolerance if passed is None else passed}
+    if note is not None:
+        row["note"] = note
+    return row
+
+
 def cmd_verify(cfg: dict) -> dict:
     """Geometry identity suite: max residual per identity over probe points.
 
-    Each identity is evaluated once per chart, on all of that chart's probe
-    points as one batch.
+    Each identity is evaluated once, on all probe points as one batch with
+    one chart per point.
     """
     t0 = time.perf_counter()
     system = _build_system(cfg)
-    points = _probe_points(system, cfg, default_samples=8)
+    cid, xs = _probe_points(system, cfg, default_samples=8)
     f_src = cfg.get("f", "x1")
     # two (v1, v2) bracket pairs per point, drawn in probe order
     brackets = np.random.default_rng(cfg.get("seed", 0) + 1).normal(
-        size=(len(points), 2, 2, system.n))
-
-    worst: dict[str, float] = {}
-
-    def _acc(key: str, per_point: np.ndarray) -> None:
-        worst[key] = max(worst.get(key, 0.0), float(np.max(per_point)))
+        size=(len(xs), 2, 2, system.n))
 
     def _max_abs(a: np.ndarray) -> np.ndarray:
         """max |a| per point: over every axis but the first."""
@@ -234,54 +232,45 @@ def cmd_verify(cfg: dict) -> dict:
         scale = np.maximum(_max_abs(fd), _max_abs(exact))
         return _max_abs(exact - fd) / np.where(scale > 0.0, scale, 1.0)
 
-    gamma_gap = 0.0
-    curvature_max = 0.0
-    ricci_min_eig = np.inf
-    ricci_max_abs = 0.0
-    for cid, idx, xs in _chart_groups(points):
-        pd = point_data(system, cid, xs)
+    pd = point_data(system, cid, xs)
+    gamma = pd.gamma
+    T = gamma - np.swapaxes(gamma, -1, -2)
+    v1, v2 = brackets[:, :, 0], brackets[:, :, 1]  # (P, 2, n)
+    tb = torsion_via_bracket(system, cid[:, None], xs[:, None, :], v1, v2)
+    R = curvature_from_christoffel(system, cid, xs, kind="lw")
+    lw_val, lc_val = scalar_generator(system, cid, xs, scalar_from_expr(system, cid, f_src))
+    s = stratonovich_term(system, cid, xs)
+    # per identity, the largest residual over the probe points
+    worst = {k: float(np.max(r)) for k, r in {
         # the engine's DX and DA (coeff_dx, coeff_da) against the oracle's
-        _acc("coeff_dx", _rel_gap(
-            pd.DX, system.oracle.jacobian(lambda y: system.coeff_x(cid, y), xs)))
-        _acc("coeff_da", _rel_gap(
+        "coeff_dx": _rel_gap(
+            pd.DX, system.oracle.jacobian(lambda y: system.coeff_x(cid, y), xs)),
+        "coeff_da": _rel_gap(
             system.coeff_da(cid, xs),
-            system.oracle.jacobian(lambda y: system.coeff_a(cid, y), xs)))
-        _acc("defining_property", defining_property_residual(system, cid, xs))
-        _acc("metricity_lw", metricity_residual(system, cid, xs, kind="lw"))
-        _acc("metricity_adjoint", metricity_residual(system, cid, xs, kind="adjoint"))
-        _acc("pairing_derivative", pairing_derivative_residual(system, cid, xs))
-        _acc("christoffel_routes", connection_routes_residual(system, cid, xs))
+            system.oracle.jacobian(lambda y: system.coeff_a(cid, y), xs)),
+        "defining_property": defining_property_residual(system, cid, xs),
+        "metricity_lw": metricity_residual(system, cid, xs, kind="lw"),
+        "metricity_adjoint": metricity_residual(system, cid, xs, kind="adjoint"),
+        "pairing_derivative": pairing_derivative_residual(system, cid, xs),
+        "christoffel_routes": connection_routes_residual(system, cid, xs),
+        "torsion_routes": np.maximum(
+            _max_abs(T - torsion_via_dy(system, cid, xs)),
+            _max_abs(tb - np.einsum("...ijk,...j,...k->...i", T[:, None], v1, v2))),
+        "curvature_routes": _max_abs(R - curvature_lw_direct(pd.gradX, pd.g)),
+        "generator_routes": np.abs(lw_val - lc_val),
+        "stratonovich_lw": np.sqrt(np.einsum("...i,...ij,...j->...", s, pd.g, s)),
+    }.items()}
+    curvature_max = float(np.max(np.abs(R)))
+    gamma_gap = float(np.max(np.abs(gamma - christoffel(system, cid, xs, "lc"))))
 
-        gamma = pd.gamma
-        T = gamma - np.swapaxes(gamma, -1, -2)
-        _acc("torsion_routes", _max_abs(T - torsion_via_dy(system, cid, xs)))
-        v1, v2 = brackets[idx, :, 0], brackets[idx, :, 1]  # (G, 2, n)
-        tb = torsion_via_bracket(system, cid, xs[:, None, :], v1, v2)
-        _acc("torsion_routes", _max_abs(
-            tb - np.einsum("...ijk,...j,...k->...i", T[:, None], v1, v2)))
-
-        R = curvature_from_christoffel(system, cid, xs, kind="lw")
-        _acc("curvature_routes", _max_abs(R - curvature_lw_direct(pd.gradX, pd.g)))
-        curvature_max = max(curvature_max, float(np.max(np.abs(R))))
-
-        f = scalar_from_expr(system, cid, f_src)
-        lw_val, lc_val = scalar_generator(system, cid, xs, f)
-        _acc("generator_routes", np.abs(lw_val - lc_val))
-
-        s = stratonovich_term(system, cid, xs)
-        _acc("stratonovich_lw", np.sqrt(np.einsum("...i,...ij,...j->...", s, pd.g, s)))
-
-        gamma_lc = christoffel(system, cid, xs, "lc")
-        gamma_gap = max(gamma_gap, float(np.max(np.abs(gamma - gamma_lc))))
-
-        # Levi-Civita Ricci minus induced Ricci, eigenvalues in a g-frame
-        R_lc = curvature_from_christoffel(system, cid, xs, kind="lc")
-        ric_diff = (ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g)
-                    - ricci_bilinear(pd.ric_sharp, pd.g))
-        ric_diff = 0.5 * (ric_diff + np.swapaxes(ric_diff, -1, -2))
-        eigs = _g_frame_eigvalsh(ric_diff, pd.g)
-        ricci_min_eig = min(ricci_min_eig, float(eigs.min()))
-        ricci_max_abs = max(ricci_max_abs, float(np.max(np.abs(eigs))))
+    # Levi-Civita Ricci minus induced Ricci, eigenvalues in a g-frame
+    R_lc = curvature_from_christoffel(system, cid, xs, kind="lc")
+    ric_diff = (ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g)
+                - ricci_bilinear(pd.ric_sharp, pd.g))
+    ric_diff = 0.5 * (ric_diff + np.swapaxes(ric_diff, -1, -2))
+    eigs = _g_frame_eigvalsh(ric_diff, pd.g)
+    ricci_min_eig = float(eigs.min())
+    ricci_max_abs = float(np.max(np.abs(eigs)))
 
     start_cid, start_x = system.start()
     tss, tss_res, tss_alt = tss_check(system, start_cid, start_x)
@@ -297,48 +286,36 @@ def cmd_verify(cfg: dict) -> dict:
         "generator_routes": 1e-6,
         "stratonovich_lw": 1e-6,
     }
-    rows = [{"name": k, "residual": worst[k], "tolerance": tol,
-             "provenance": "derived-oracle", "passed": worst[k] < tol}
-            for k, tol in tolerances.items()]
+    rows = [_identity_row(k, worst[k], tol) for k, tol in tolerances.items()]
     if tss:
         # the transpose-coefficient connection is metric only on these scenarios
-        rows.append({"name": "metricity_adjoint",
-                     "residual": worst["metricity_adjoint"], "tolerance": 1e-6,
-                     "provenance": "derived-oracle",
-                     "passed": worst["metricity_adjoint"] < 1e-6})
-        rows.append({"name": "ricci_comparison_psd",
-                     "residual": -min(ricci_min_eig, 0.0), "tolerance": 1e-6,
-                     "provenance": "derived-oracle",
-                     "passed": ricci_min_eig >= -1e-6,
-                     "note": "eigenvalues of Ric_lc - Ric_lw stay nonnegative"})
+        rows.append(_identity_row("metricity_adjoint", worst["metricity_adjoint"], 1e-6))
+        rows.append(_identity_row(
+            "ricci_comparison_psd", -min(ricci_min_eig, 0.0), 1e-6,
+            passed=ricci_min_eig >= -1e-6,
+            note="eigenvalues of Ric_lc - Ric_lw stay nonnegative"))
     if lw_equals_lc:
-        rows.append({"name": "ricci_comparison_zero",
-                     "residual": ricci_max_abs, "tolerance": 1e-6,
-                     "provenance": "derived-oracle",
-                     "passed": ricci_max_abs < 1e-6,
-                     "note": "induced = Levi-Civita forces equal Ricci"})
-    rows.append({"name": "coeff_dx", "residual": worst["coeff_dx"], "tolerance": 1e-6,
-                 "provenance": "derived-oracle", "passed": worst["coeff_dx"] < 1e-6,
-                 "note": "coeff_dx vs finite-difference DX, largest gap relative to "
-                         "the largest entry, per point"})
-    rows.append({"name": "tss", "residual": float(tss_res),
-                 "alt_residual": float(tss_alt), "tolerance": TSS_TOL,
-                 "provenance": "derived-oracle",
-                 "passed": bool(tss) == bool(tss_alt < TSS_TOL),
-                 "note": "the torsion route (residual) and the Levi-Civita route "
-                         "(alt_residual) agree on whether the torsion is skew-symmetric"})
+        rows.append(_identity_row("ricci_comparison_zero", ricci_max_abs, 1e-6,
+                                  note="induced = Levi-Civita forces equal Ricci"))
+    rows.append(_identity_row("coeff_dx", worst["coeff_dx"], 1e-6,
+                              note="coeff_dx vs finite-difference DX, largest gap "
+                                   "relative to the largest entry, per point"))
+    rows.append(_identity_row(
+        "tss", float(tss_res), TSS_TOL, alt_residual=float(tss_alt),
+        passed=bool(tss) == bool(tss_alt < TSS_TOL),
+        note="the torsion route (residual) and the Levi-Civita route "
+             "(alt_residual) agree on whether the torsion is skew-symmetric"))
     # appended last, so every other row keeps its index in the list
-    rows.append({"name": "coeff_da", "residual": worst["coeff_da"], "tolerance": 1e-6,
-                 "provenance": "derived-oracle", "passed": worst["coeff_da"] < 1e-6,
-                 "note": "coeff_da vs finite-difference DA, largest gap relative to "
-                         "the largest entry, per point"})
+    rows.append(_identity_row("coeff_da", worst["coeff_da"], 1e-6,
+                              note="coeff_da vs finite-difference DA, largest gap "
+                                   "relative to the largest entry, per point"))
 
     ok = all(r["passed"] for r in rows)
     return {
         "command": "verify",
         "scenario": cfg["scenario"],
         "status": "passed" if ok else "failed",
-        "n_points": len(points),
+        "n_points": len(xs),
         "identities": rows,
         "flags": {
             "lw_equals_lc": lw_equals_lc,
@@ -432,7 +409,7 @@ def cmd_simulate(cfg: dict):
 _DUMP_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
 
 
-def _dump_paths_csv(path: str, system, res, v0: np.ndarray) -> None:
+def _dump_paths_csv(path: str, res, v0: np.ndarray) -> None:
     """Terminal per-path rows; with snapshots, one row per path and snapshot."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -454,9 +431,8 @@ def _dump_paths_csv(path: str, system, res, v0: np.ndarray) -> None:
                         + [f"x{k + 1}" for k in range(n)] + ["W_v0_norm"])
             for snap in res.snapshots:
                 wk = snap.par_adj @ snap.What @ v0
-                gk = _metric_field(system, np.asarray(res.chart_names)[snap.cid_idx])(snap.x)
                 for i in range(res.n_paths):
-                    norm = float(np.sqrt(max(wk[i] @ gk[i] @ wk[i], 0.0)))
+                    norm = float(np.sqrt(max(wk[i] @ snap.g_T[i] @ wk[i], 0.0)))
                     wr.writerow([i, snap.steps, repr(snap.t),
                                  res.chart_names[snap.cid_idx[i]], int(snap.alive[i])]
                                 + [repr(float(c)) for c in snap.x[i]]
@@ -609,7 +585,7 @@ def _run(args) -> int:
         if cfg["command"] == "simulate":
             report, res, v0 = cmd_simulate(cfg)
             if dump:
-                _dump_paths_csv(dump, _build_system(cfg), res, v0)
+                _dump_paths_csv(dump, res, v0)
         else:
             report = run_config(cfg)
             if dump and cfg["command"] == "estimate":
@@ -618,7 +594,7 @@ def _run(args) -> int:
                 res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths,
                                seed=mc.seed, x0=x0, cid=cid, threads=mc.threads,
                                need=_DUMP_NEEDS)
-                _dump_paths_csv(dump, mc.system, res, _resolve_v0(mc, res))
+                _dump_paths_csv(dump, res, _resolve_v0(mc, res))
     except (ConfigError, BadParams, UnknownScenario, ExprError, DegenerateX) as exc:
         # DegenerateX: X loses rank at a point the config names or samples
         print(f"config error: {exc}", file=sys.stderr)

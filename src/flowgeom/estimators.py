@@ -29,7 +29,6 @@ from . import expr as ex
 from .errors import BadParams, NotApplicable, TooFewAlivePaths
 from .geometry import (
     _g_frame_eigvalsh,
-    _metric_field,
     _torsion_skew,
     moment_form,
     one_form_from_spec,
@@ -39,8 +38,8 @@ from .geometry import (
     scalar_from_expr,
     scalar_generator,
 )
-from .model import SdeSystem
-from .stochastic import BLOCK, SimResult, _block_noise, _bundle, _step_count, simulate
+from .model import SdeSystem, _stack_points
+from .stochastic import BLOCK, SimResult, _block_noise, _step_count, simulate
 
 __all__ = [
     "McConfig",
@@ -280,13 +279,8 @@ def _default_panel(res: SimResult, max_coords: int = 3) -> list[str]:
 def _gradx_vanishes(system: SdeSystem, cfg: McConfig) -> bool:
     """True when the coefficient fields are parallel near the start (then the
     derivative and filtered flows coincide pathwise up to integrator error)."""
-    cid, x0 = cfg.start()
-    pts = [(cid, x0)] + system.sample_points(np.random.default_rng(11), 3)
-    for pcid, px in pts:
-        pd = point_data(system, pcid, np.asarray(px, dtype=float))
-        if np.max(np.abs(pd.gradX)) > 1e-8:
-            return False
-    return True
+    cids, xs = _stack_points([cfg.start()] + system.sample_points(np.random.default_rng(11), 3))
+    return not np.max(np.abs(point_data(system, cids, xs).gradX)) > 1e-8
 
 
 def _report(check: str, cfg: McConfig, rows: list[CheckRow], res: SimResult | None,
@@ -681,13 +675,11 @@ def bochner_decay_check(cfg: McConfig) -> McReport:
     """
     t0 = time.perf_counter()
     system = cfg.system
-    probes = [system.start()] + system.sample_points(np.random.default_rng(5), 12)
-    lam = np.inf
-    for pcid, px in probes:
-        pd = point_data(system, pcid, np.asarray(px, dtype=float))
-        bop = pd.ric_sharp - 2.0 * pd.nabla_a
-        quad = 0.5 * (np.swapaxes(bop, -1, -2) @ pd.g + pd.g @ bop)
-        lam = min(lam, float(_g_frame_eigvalsh(quad, pd.g).min()))
+    cids, xs = _stack_points([system.start()] + system.sample_points(np.random.default_rng(5), 12))
+    pd = point_data(system, cids, xs)
+    bop = pd.ric_sharp - 2.0 * pd.nabla_a
+    quad = 0.5 * (np.swapaxes(bop, -1, -2) @ pd.g + pd.g @ bop)
+    lam = float(_g_frame_eigvalsh(quad, pd.g).min())
     if lam <= 1e-8:
         raise NotApplicable(
             f"curvature-drift gap {lam:.4g} is not positive; no decay is implied")
@@ -695,7 +687,7 @@ def bochner_decay_check(cfg: McConfig) -> McReport:
     n_rec = min(cfg.n_paths, 1024)
     steps = _step_count(cfg.t, cfg.dt)
     picks = np.unique(np.linspace(0, steps, 21).astype(int))
-    res = _simulate(cfg, {"par_adj", "What"}, n_paths=n_rec, at=picks)
+    res = _simulate(cfg, {"par_adj", "What", "g_T"}, n_paths=n_rec, at=picks)
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
@@ -703,8 +695,7 @@ def bochner_decay_check(cfg: McConfig) -> McReport:
     ts, ys = [], []
     for kk, snap in zip(picks, res.snapshots):
         Wk = snap.par_adj[alive] @ snap.What[alive]
-        cids = np.asarray(res.chart_names)[snap.cid_idx[alive]]
-        g = _metric_field(system, cids)(snap.x[alive])
+        g = snap.g_T[alive]
         wv = Wk @ v0
         norms = np.sqrt(np.einsum("pi,pij,pj->p", wv, g, wv))
         ts.append(kk * cfg.dt)
@@ -721,7 +712,7 @@ def bochner_decay_check(cfg: McConfig) -> McReport:
         estimate=float(slope), se=slope_se, reference=-0.5 * lam,
         provenance="derived-oracle",
         tolerance=0.1, comparison="le",
-        note=f"gap lambda={lam:.6g} over {len(probes)} probes")]
+        note=f"gap lambda={lam:.6g} over {len(xs)} probes")]
     notes = {"lambda": lam, "times": ts, "log_mean_norm": ys,
              "slope": float(slope), "slope_se": slope_se}
     return _report("bochner_decay", cfg, rows, res, t0, notes)
@@ -817,26 +808,23 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
         # the engine's own increments drive the martingale sum
         noise = _block_noise(cfg.seed, np.arange(n_paths), n_steps, dt, system.m,
                              coarsen)
+        # every snapshot, the start to the end, in one batch: (step, path, ...)
         snaps = res.snapshots
+        cids = np.asarray(res.chart_names)[np.stack([snap.cid_idx for snap in snaps])]
+        pd = point_data(system, cids, np.stack([snap.x for snap in snaps]))
         v0 = _resolve_v0(cfg, res)
+        v = np.stack([snap.J for snap in snaps]) @ v0
+        vv = np.einsum("...i,...ij,...j->...", v, pd.g, v)
+        # s_i = <nab X^i (v), v>_g / |v|^2 drives the log-norm martingale
+        s = np.einsum("...aib,...b,...ac,...c->...i", pd.gradX, v, pd.g, v) / vv[..., None]
+        mart = p * np.einsum("...i,...i->...", s[:-1], np.swapaxes(noise, 0, 1))
+        half_qv = 0.5 * p * p * np.einsum("...i,...i->...", s, s) * dt
+        drift = 0.5 * p * moment_form(pd, v, p) / vv * dt
         acc = np.zeros(n_paths)
-        for kk in range(n_steps):
-            cids = np.asarray(res.chart_names)[snaps[kk].cid_idx]
-            pd = _bundle(system, cids, snaps[kk].x, "full")
-            v = snaps[kk].J @ v0
-            vv = np.einsum("pi,pij,pj->p", v, pd.g, v)
-            # s_i = <nab X^i (v), v>_g / |v|^2 drives the log-norm martingale
-            s = np.einsum("paib,pb,pac,pc->pi", pd.gradX, v, pd.g, v) / vv[:, None]
-            mart = p * np.einsum("pi,pi->p", s, noise[:, kk, :])
-            half_qv = 0.5 * p * p * np.einsum("pi,pi->p", s, s) * dt
-            drift = 0.5 * p * moment_form(pd, v, p) / vv * dt
-            acc += mart - half_qv + drift
-        end = snaps[n_steps]
-        pd_end = _bundle(system, np.asarray(res.chart_names)[end.cid_idx], end.x, "full")
-        v_end = end.J @ v0
-        vv_end = np.einsum("pi,pij,pj->p", v_end, pd_end.g, v_end)
+        for term in mart - half_qv[:-1] + drift[:-1]:
+            acc += term
         vv0 = float(v0 @ res.g0 @ v0)
-        return 0.5 * p * (np.log(vv_end) - np.log(vv0)) - acc
+        return 0.5 * p * (np.log(vv[-1]) - np.log(vv0)) - acc
 
     r_coarse, r_mid, r_fine = (residuals(h) for h in range(3))
     rms_c = float(np.sqrt(np.mean(r_coarse ** 2)))

@@ -246,9 +246,14 @@ def evaluate(e: Expr, point) -> float | np.ndarray:
 
     Entries may be scalars or equally-shaped arrays (batched evaluation).
     Raises DomainError on log/sqrt outside their domains, division by an
-    exact zero, or any non-finite result from finite inputs.
+    exact zero, or any non-finite result from finite inputs (an overflow in
+    any operation included).
     """
-    out = _eval(e, point)
+    try:
+        with np.errstate(over="raise"):
+            out = _eval(e, point)
+    except FloatingPointError as exc:
+        raise DomainError(f"overflow: {exc}") from None
     if isinstance(out, np.ndarray) and out.ndim == 0:
         return float(out)
     return out

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import expr as ex
-from .errors import BadParams, DegenerateX, ZeroVector
+from .errors import BadParams, ZeroVector
 from .linalg import DerivOracle, sym
 from .model import SdeSystem
 
@@ -378,12 +378,19 @@ def _gnorm(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...pi,...ij,...pj->...p", w, g, w))
 
 
-# Probe-based identity checks take points ``x`` of shape ``(..., n)`` and
-# return one residual per point, an array over the leading axes of ``x`` (a
-# numpy scalar for a single point).  The probe vectors come from one seeded
-# stream shared by every point, drawn in the order a single point uses them;
-# they sit on a probe axis after the point axes, and every derivative over
-# all points and probes is one oracle call.
+# Probe-based identity checks take points ``x`` of shape ``(..., n)``, with
+# ``cid`` one chart name or one per point, and return one residual per point,
+# an array over the leading axes of ``x`` (a numpy scalar for a single point).
+# The probe vectors come from one seeded stream shared by every point, drawn
+# in the order a single point uses them; they sit on a probe axis after the
+# point axes (``x[..., None, :]``, charts ``_on_probes(cid)``), and every
+# derivative over all points and probes is one oracle call.
+
+
+def _on_probes(cid: str | np.ndarray) -> str | np.ndarray:
+    """The chart(s) of the points ``x[..., None, :]`` given those of ``x``:
+    one name stays as it is, one name per point gains the probe axis."""
+    return cid if np.ndim(cid) == 0 else np.asarray(cid)[..., None]
 
 
 def defining_property_residual(system: SdeSystem, cid: str, x: np.ndarray,
@@ -402,8 +409,9 @@ def defining_property_residual(system: SdeSystem, cid: str, x: np.ndarray,
     nrm = np.linalg.norm(e, axis=-1)
     keep = nrm >= 1e-12
     e = e / np.where(keep, nrm, 1.0)[..., None]
-    z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), e)
-    nab = covariant_derivative(system, cid, x[..., None, :], z_field, v,
+    pcid = _on_probes(cid)
+    z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(pcid, y), e)
+    nab = covariant_derivative(system, pcid, x[..., None, :], z_field, v,
                                gamma=pd.gamma[..., None, :, :, :])
     return np.max(np.where(keep, _gnorm(nab, pd.g), 0.0), axis=-1)
 
@@ -447,8 +455,8 @@ def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     oracle = system.oracle
     gamma = christoffel(system, cid, x, kind)
-    g_of = _metric_field(system, cid)
-    g = g_of(x)
+    g = _metric_field(system, cid)(x)
+    g_of = _metric_field(system, _on_probes(cid))
     rng = np.random.default_rng(seed)
     n = system.n
     z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
@@ -504,7 +512,8 @@ def tss_check(system: SdeSystem, cid: str, x: np.ndarray) -> tuple:
     gamma_lc = levi_civita_christoffel(system, cid, x)
     # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
     yv = np.einsum("...ri,pi->...pr", pd.Y, v)
-    z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), yv)
+    pcid = _on_probes(cid)
+    z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(pcid, y), yv)
     xk = x[..., None, :]
     nab_u = (oracle.directional(z_field, xk, u)
              + np.einsum("...ijk,pj,pk->...pi", gamma_lc, u, v))
@@ -572,13 +581,14 @@ def connection_routes_residual(system: SdeSystem, cid: str, x: np.ndarray,
     z0, mat, vmat, v = _probes(n_probes, lambda: (
         _unit(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n)), _unit(rng, n)))
     xk = np.broadcast_to(x[..., None, :], x.shape[:-1] + (n_probes, n))
+    pcid = _on_probes(cid)
     z_field = _linear_fields(x, z0, mat)
     ref = (oracle.directional(z_field, xk, v)
            + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0))
 
     def curve_pairing(t: np.ndarray) -> np.ndarray:
         y = xk + t * v
-        Yy = _gram_inverse(system.coeff_x(cid, y))[2]
+        Yy = _gram_inverse(system.coeff_x(pcid, y))[2]
         return np.einsum("...ri,...i->...r", Yy, z_field(y))
 
     t0 = np.zeros(ref.shape[:-1] + (1,))
@@ -589,7 +599,7 @@ def connection_routes_residual(system: SdeSystem, cid: str, x: np.ndarray,
     yz = np.einsum("...ri,pi->...pr", pd.Y, z0)  # <X^i, Z>_g
     acc = np.zeros_like(ref)
     for i in range(system.m):
-        xi_field = lambda y, i=i: system.coeff_x(cid, y)[..., i]
+        xi_field = lambda y, i=i: system.coeff_x(pcid, y)[..., i]
         acc = acc + lie_bracket(xi_field, v_field, xk, oracle) * yz[..., i, None]
     route_b = acc + lie_bracket(v_field, z_field, xk, oracle)
     return np.maximum(np.max(np.linalg.norm(route_a - ref, axis=-1), axis=-1),
@@ -915,44 +925,32 @@ def one_form_generator_hodge(system: SdeSystem, cid: str, x: np.ndarray, phi: Ca
 
 @dataclass
 class GeometryPoint:
-    """Everything the tensor report shows for one point."""
+    """Everything the tensor report shows for a (batch of) point(s): the
+    ``PointData`` at ``x`` (metric, induced Christoffels, Ric#) plus what
+    it lacks."""
 
-    cid: str
+    cid: str | np.ndarray
     x: np.ndarray
-    g: np.ndarray
-    ginv: np.ndarray
-    Y: np.ndarray
-    PT: np.ndarray
-    PN: np.ndarray
-    gamma_lw: np.ndarray
-    gamma_adjoint: np.ndarray
+    pd: PointData
     gamma_lc: np.ndarray
     torsion: np.ndarray
     curvature_lw: np.ndarray
-    ric_sharp_lw: np.ndarray
     ricci_lw: np.ndarray
 
 
-def geometry_point(system: SdeSystem, cid: str, x: np.ndarray) -> GeometryPoint:
-    """The tensor report's arrays at ``x``, batched over its leading axes.
+def geometry_point(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray) -> GeometryPoint:
+    """The tensor report's arrays at ``x``, batched over its leading axes;
+    ``cid`` is one chart name or one per point.
 
     Raises ``DegenerateX`` naming the first point (in row-major order) where
-    X loses rank.
+    X loses rank, with its chart.
     """
     x = np.asarray(x, dtype=float)
-    sv_min = np.linalg.svd(system.coeff_x(cid, x), compute_uv=False).min(axis=-1).reshape(-1)
-    bad = np.flatnonzero(sv_min <= 1e-8)
-    if bad.size:
-        k = bad[0]
-        raise DegenerateX(f"X loses rank at {cid}:{x.reshape(-1, x.shape[-1])[k]} "
-                          f"(min sv {sv_min[k]:.2e})")
+    system.check_rank(cid, x)
     pd = point_data(system, cid, x)
-    gamma_lc = levi_civita_christoffel(system, cid, x)
-    R = curvature_lw_direct(pd.gradX, pd.g)
-    rs = pd.ric_sharp
     return GeometryPoint(
-        cid=cid, x=x, g=pd.g, ginv=pd.ginv, Y=pd.Y, PT=pd.PT, PN=pd.PN,
-        gamma_lw=pd.gamma, gamma_adjoint=pd.gamma_adj, gamma_lc=gamma_lc,
-        torsion=torsion_from_christoffel(pd.gamma), curvature_lw=R,
-        ric_sharp_lw=rs, ricci_lw=ricci_bilinear(rs, pd.g),
+        cid=cid, x=x, pd=pd, gamma_lc=levi_civita_christoffel(system, cid, x),
+        torsion=torsion_from_christoffel(pd.gamma),
+        curvature_lw=curvature_lw_direct(pd.gradX, pd.g),
+        ricci_lw=ricci_bilinear(pd.ric_sharp, pd.g),
     )

@@ -146,14 +146,28 @@ class SdeSystem:
         """Deterministic probe points spread over the atlas."""
         raise NotImplementedError
 
+    def check_rank(self, cid: str | np.ndarray, x: np.ndarray) -> None:
+        """Raise ``DegenerateX`` naming the first point of ``x`` (in row-major
+        order) and its chart where X loses rank (smallest singular value at
+        most 1e-8); one batched SVD over all of ``x``."""
+        x = np.asarray(x, dtype=float)
+        sv_min = np.linalg.svd(self.coeff_x(cid, x), compute_uv=False).min(axis=-1).reshape(-1)
+        bad = np.flatnonzero(sv_min <= 1e-8)
+        if bad.size:
+            k = bad[0]
+            chart = np.broadcast_to(cid, x.shape[:-1]).reshape(-1)[k]
+            raise DegenerateX(f"X loses rank at {chart}:{x.reshape(-1, x.shape[-1])[k]} "
+                              f"(min sv {sv_min[k]:.2e})")
+
     def validate(self) -> None:
-        """Check non-degeneracy of X at probe points."""
-        rng = np.random.default_rng(7)
-        for cid, x in self.sample_points(rng, 16):
-            sv = np.linalg.svd(self.coeff_x(cid, x), compute_uv=False)
-            if sv.min() <= 1e-8:
-                raise DegenerateX(
-                    f"X loses rank at chart {cid!r}, x={x!r} (min sv {sv.min():.2e})")
+        """Check non-degeneracy of X at 16 sampled points."""
+        self.check_rank(*_stack_points(self.sample_points(np.random.default_rng(7), 16)))
+
+
+def _stack_points(pts: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """A list of ``(chart, point)`` pairs as one batch: the chart names, shape
+    ``(P,)``, and the points, shape ``(P, n)``, both in list order."""
+    return np.array([cid for cid, _ in pts]), np.array([x for _, x in pts], dtype=float)
 
 
 # --------------------------------------------------------------------------

@@ -212,21 +212,27 @@ def test_tensors_default_probes(tmp_path):
 ])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_tensors_batch_equals_per_point_reports(name, params, p):
-    # one batch per chart, scattered back in probe order, is bit for bit the
+    # one batch of every probe point, one chart per row, is bit for bit the
     # report of each point on its own
     scenario = {"name": name, "params": params}
     cfg = {"command": "tensors", "scenario": scenario, "n_probes": 5, "seed": 4, "p": p}
     rep = cli.run_config(cfg)
     system = cli._build_system(cfg)
-    points = cli._probe_points(system, cfg, default_samples=4)
-    assert len(rep["points"]) == len(points) == 6
-    for (cid, x), pt in zip(points, rep["points"]):
+    charts, xs = cli._probe_points(system, cfg, default_samples=4)
+    assert len(rep["points"]) == len(charts) == len(xs) == 6
+    if name == "sphere-gradient":
+        assert set(charts) == {"n", "s"}
+    for cid, x, pt in zip(charts, xs, rep["points"]):
         gp = geometry_point(system, cid, x)
         h_lo, h_hi = moment_form_extremes(point_data(system, cid, x), p)
-        want = {"chart": cid, "x": x.tolist(), "h_lo": float(h_lo), "h_hi": float(h_hi),
-                **{k: getattr(gp, k).tolist() for k in (
-                    "g", "ginv", "gamma_lw", "gamma_adjoint", "gamma_lc", "torsion",
-                    "curvature_lw", "ric_sharp_lw", "ricci_lw")}}
+        want = {"chart": cid, "x": x.tolist(),
+                "g": gp.pd.g.tolist(), "ginv": gp.pd.ginv.tolist(),
+                "gamma_lw": gp.pd.gamma.tolist(), "gamma_adjoint": gp.pd.gamma_adj.tolist(),
+                "gamma_lc": gp.gamma_lc.tolist(), "torsion": gp.torsion.tolist(),
+                "curvature_lw": gp.curvature_lw.tolist(),
+                "ric_sharp_lw": gp.pd.ric_sharp.tolist(), "ricci_lw": gp.ricci_lw.tolist(),
+                "h_lo": float(h_lo), "h_hi": float(h_hi)}
+        assert list(pt) == list(want)  # the report's key order
         assert pt == want
 
 
@@ -425,6 +431,10 @@ def test_recorded_dump_holds_the_run(tmp_path):
     assert [int(r[4]) for r in last] == res.alive.astype(int).tolist()
     np.testing.assert_array_equal([[float(c) for c in r[5:7]] for r in last], res.x)
     v0 = np.array([0.3, -1.2])
+    # the last step's W_v0 norm is the terminal one, in the terminal metric g_T
+    wv = res.W() @ v0
+    np.testing.assert_array_equal([float(r[7]) for r in last],
+                                  [np.sqrt(max(w @ g @ w, 0.0)) for w, g in zip(wv, res.g_T)])
     first = [float(r[7]) for r in rows if r[1] == "0"]
     assert len(first) == 100
     np.testing.assert_allclose(first, np.sqrt(v0 @ res.g0 @ v0), rtol=1e-13)
@@ -487,7 +497,7 @@ def test_estimate_dump_matches_full_run(tmp_path):
                    x0=x0, cid=cid)
     assert set(res.cid_idx.tolist()) == {0, 1}  # some paths switched charts
     full = tmp_path / "full.csv"
-    _dump_paths_csv(str(full), mc.system, res, np.linalg.inv(res.L0).T[:, 0])
+    _dump_paths_csv(str(full), res, np.linalg.inv(res.L0).T[:, 0])
     assert dump.read_bytes() == full.read_bytes()
 
 
@@ -508,10 +518,10 @@ def test_estimate_dump_uses_config_v0(tmp_path):
     res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
                    x0=x0, cid=cid)
     full = tmp_path / "full.csv"
-    _dump_paths_csv(str(full), mc.system, res, np.array([0.3, -1.2]))
+    _dump_paths_csv(str(full), res, np.array([0.3, -1.2]))
     assert dump.read_bytes() == full.read_bytes()
     default = tmp_path / "default.csv"
-    _dump_paths_csv(str(default), mc.system, res, np.linalg.inv(res.L0).T[:, 0])
+    _dump_paths_csv(str(default), res, np.linalg.inv(res.L0).T[:, 0])
     assert dump.read_bytes() != default.read_bytes()
 
 

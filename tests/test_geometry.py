@@ -100,7 +100,7 @@ def test_sphere_sectional_curvature_is_one(sphere):
     for cid, x in sphere.sample_points(np.random.default_rng(2), 8):
         gp = geometry_point(sphere, cid, x)
         u, v = rng.normal(size=2), rng.normal(size=2)
-        k = sectional_curvature(gp.curvature_lw, gp.g, u, v)
+        k = sectional_curvature(gp.curvature_lw, gp.pd.g, u, v)
         assert k == pytest.approx(1.0, abs=1e-6)
 
 
@@ -108,8 +108,8 @@ def test_sphere_ricci_is_g(sphere):
     # unit S^2 carries Ric = (n-1) g = g
     cid, x = sphere.sample_points(np.random.default_rng(3), 1)[0]
     gp = geometry_point(sphere, cid, x)
-    np.testing.assert_allclose(gp.ricci_lw, gp.g, atol=1e-7)
-    np.testing.assert_allclose(gp.ric_sharp_lw, np.eye(2), atol=1e-7)
+    np.testing.assert_allclose(gp.ricci_lw, gp.pd.g, atol=1e-7)
+    np.testing.assert_allclose(gp.pd.ric_sharp, np.eye(2), atol=1e-7)
 
 
 def test_sphere_moment_form_is_p_minus_n(sphere):
@@ -480,9 +480,12 @@ DIGEST_SCENARIOS = (
 
 
 def _identities(sys, cid, x, v1, v2):
-    """Every probe-batched identity at ``x``, as a flat list of arrays."""
+    """Every probe-batched identity at ``x`` (charts ``cid``: one name, or
+    one per point), as a flat list of arrays."""
     f = scalar_from_expr(sys, cid, "x1")
     gp = geometry_point(sys, cid, x)
+    # the bracket's points carry a probe axis, and so do their charts
+    bracket_cid = cid if np.ndim(cid) == 0 else np.asarray(cid)[..., None]
     return [
         defining_property_residual(sys, cid, x),
         metricity_residual(sys, cid, x, kind="lw"),
@@ -490,33 +493,34 @@ def _identities(sys, cid, x, v1, v2):
         pairing_derivative_residual(sys, cid, x),
         pairing_derivative_residual(sys, cid, x, kind="lc"),
         connection_routes_residual(sys, cid, x),
-        torsion_via_bracket(sys, cid, x, v1, v2),
+        torsion_via_bracket(sys, bracket_cid, x[..., None, :], v1, v2),
         *tss_check(sys, cid, x),
         *lw_lc_split_residual(sys, cid, x),
         *scalar_generator(sys, cid, x, f),
         stratonovich_term(sys, cid, x),
         stratonovich_term(sys, cid, x, kind="lc"),
-        *(getattr(gp, k) for k in ("g", "gamma_lw", "gamma_lc", "torsion",
-                                   "curvature_lw", "ricci_lw")),
+        gp.pd.g, gp.pd.gamma, gp.gamma_lc, gp.torsion, gp.curvature_lw, gp.ricci_lw,
     ]
 
 
 @pytest.mark.parametrize("name,params", DIGEST_SCENARIOS,
                          ids=[s[0] + str(s[1].get("n", "")) for s in DIGEST_SCENARIOS])
 def test_identities_batched_agree_with_single_points(name, params):
+    # each chart's points as one batch, and the whole point set as one batch
+    # with one chart per row, agree with every point on its own
     sys = system_of(name, params)
     pts = [sys.start()] + sys.sample_points(np.random.default_rng(31), 6)
-    r = np.random.default_rng(32)
-    charts = {cid for cid, _ in pts}
+    cids = np.array([cid for cid, _ in pts])
+    xs = np.array([x for _, x in pts])
+    v1, v2 = np.random.default_rng(32).normal(size=(2, len(pts), 2, sys.n))
     if name == "sphere-gradient" and params["n"] == 2:
-        assert charts == {"n", "s"}
-    for cid in charts:
-        xs = np.array([x for c, x in pts if c == cid])
-        v1, v2 = r.normal(size=(2,) + xs.shape)
-        batch = _identities(sys, cid, xs, v1, v2)
-        rows = [_identities(sys, cid, x, a, b) for x, a, b in zip(xs, v1, v2)]
+        assert set(cids) == {"n", "s"}
+    rows = [_identities(sys, cid, x, a, b) for cid, x, a, b in zip(cids, xs, v1, v2)]
+    batches = [(cids == cid, cid) for cid in sorted(set(cids))] + [(slice(None), cids)]
+    for sel, cid in batches:
+        batch = _identities(sys, cid, xs[sel], v1[sel], v2[sel])
         for k, got in enumerate(batch):
-            want = np.array([row[k] for row in rows])
+            want = np.array([row[k] for row in rows])[sel]
             assert np.shape(got) == want.shape, k
             if want.dtype == bool:
                 assert np.array_equal(got, want), k

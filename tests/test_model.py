@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from flowgeom.errors import BadParams, OutOfOverlap, UnknownScenario
-from flowgeom.model import SdeSystem, build_scenario, scenario_names
+from flowgeom.errors import BadParams, DegenerateX, OutOfOverlap, UnknownScenario
+from flowgeom.model import SdeSystem, SphereSystem, build_scenario, scenario_names
 
 rng = np.random.default_rng(0)
 
@@ -293,3 +293,29 @@ def test_sphere_coeff_x_is_the_scaled_embedding_jacobian(n):
         np.testing.assert_allclose(X, want, rtol=0, atol=1e-14)
         assert X.flags.c_contiguous
     assert sys.coeff_x("s", u[0]).shape == (n, n + 1)
+
+
+class _PinchedSphere(SphereSystem):
+    """The sphere with X zeroed at the origin of chart 's' only."""
+
+    def coeff_x(self, cid, x):
+        X = super().coeff_x(cid, x)
+        pinched = (np.asarray(cid) == "s") & ~np.asarray(x).any(axis=-1)
+        return np.where(pinched[..., None, None], 0.0, X)
+
+
+def test_rank_check_names_the_bad_row_and_its_own_chart():
+    sys = _PinchedSphere(2)
+    cids = np.array(["n", "s", "s", "n"])
+    xs = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    sys.check_rank(cids[[0, 1, 3]], xs[[0, 1, 3]])  # full rank, chart n at the origin
+    with pytest.raises(DegenerateX, match=r"X loses rank at s:\[0\. 0\.\] \(min sv 0\.00e\+00\)"):
+        sys.check_rank(cids, xs)
+    with pytest.raises(DegenerateX, match=r"at s:\[0\. 0\.\]"):
+        sys.check_rank("s", xs[1:])  # one chart name for every row
+
+
+def test_validate_names_the_chart_and_point_where_x_loses_rank():
+    # every sampled point of x1 - x1 is degenerate: the first one is named
+    with pytest.raises(DegenerateX, match=r"X loses rank at u:\[-?0\.\d+\] \(min sv"):
+        build_scenario("custom", {"n": 1, "m": 1, "x_entries": [["x1 - x1"]]})

@@ -19,7 +19,10 @@ largest difference per label between two such directories.
 Covered: the benchmark's workload configs at seeds 0 and 1, CLI ``estimate``
 of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
 twisted-plane, ``generator`` and ``oneform`` on custom over three engine
-blocks, CLI ``simulate`` plain and recorded, the API-only checks
+blocks, CLI ``simulate`` plain and recorded, CLI ``verify`` and ``tensors``
+on sphere-gradient at configured points in charts n, s, n plus sampled
+points, the sha256 of the ``--dump-paths`` CSV of a recorded sphere-gradient
+run whose paths change chart, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
 Christoffel field on each scenario at one point and at a batch, the
@@ -49,6 +52,8 @@ REPO = os.path.dirname(HERE)
 
 SPHERE = {"name": "sphere-gradient", "params": {"n": 2}}
 MC = {"seed": 7, "threads": 2}
+MIXED_POINTS = [{"chart": "n", "x": [0.4, -0.3]}, {"chart": "s", "x": [1.2, 0.5]},
+                {"chart": "n", "x": [-0.8, 1.1]}]
 
 # check -> overrides; horizons kept short so the whole sweep stays quick
 ESTIMATES = {
@@ -108,7 +113,38 @@ def configs() -> list[tuple[str, dict]]:
         out.append((f"simulate sphere-gradient record={record}",
                     {"command": "simulate", "scenario": SPHERE, "n_paths": 300,
                      "t": 0.3, "record": record, **MC}))
+    # configured points in both charts, then the start and sampled points:
+    # one batch that mixes charts
+    for command in ("verify", "tensors"):
+        out.append((f"{command} sphere-gradient points in charts n, s, n",
+                    {"command": command, "scenario": SPHERE, "points": MIXED_POINTS,
+                     "n_probes": 4, "seed": 3}))
     return out
+
+
+def dump_csv_report() -> tuple[str, dict]:
+    """(label, {exit code, sha256}) of the ``--dump-paths`` CSV, one row per
+    path and step, of a recorded sphere run written by the CLI; started near
+    the switching radius (|u| = 2), so its rows are in both charts."""
+    import contextlib
+    import io
+    import tempfile
+
+    import flowgeom.cli as cli
+
+    cfg = {"command": "simulate", "scenario": SPHERE, "x0": [1.9, 0.2], "n_paths": 300,
+           "t": 0.3, "record": True, **MC}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "record.json")
+        csv_path = os.path.join(tmp, "record.csv")
+        with open(cfg_path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()):  # the run's summary table
+            code = cli.main(["simulate", cfg_path, "--dump-paths", csv_path])
+        with open(csv_path, "rb") as fh:
+            sha = hashlib.sha256(fh.read()).hexdigest()
+    return ("simulate sphere-gradient record=True switching dump-paths CSV",
+            {"exit_code": code, "csv_sha256": sha})
 
 
 def api_reports() -> list[tuple[str, dict]]:
@@ -288,7 +324,7 @@ def main(argv=None) -> int:
         except Exception as exc:  # a raising config is compared by its error
             report = {"error": f"{type(exc).__name__}: {exc}"}
         emit(label, report)
-    for label, report in api_reports():
+    for label, report in api_reports() + [dump_csv_report()]:
         emit(label, report)
     for label, arrays in oracle_arrays() + exact_arrays() + engine_arrays():
         emit(label, {k: _sha(v) for k, v in arrays.items()}, arrays)
