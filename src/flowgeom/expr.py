@@ -254,7 +254,7 @@ def evaluate(e: Expr, point) -> float | np.ndarray:
             out = _eval(e, point)
     except FloatingPointError as exc:
         raise DomainError(f"overflow: {exc}") from None
-    if isinstance(out, np.ndarray) and out.ndim == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out
 
@@ -266,10 +266,12 @@ def _check_finite(value, what: str):
 
 
 def _eval(e: Expr, point):
+    # literals as numpy scalars: Python float arithmetic ignores numpy's
+    # error state, so an overflow among literals alone would give inf
     if isinstance(e, Num):
-        return e.value
+        return np.float64(e.value)
     if isinstance(e, Const):
-        return _CONSTS[e.name]
+        return np.float64(_CONSTS[e.name])
     if isinstance(e, Var):
         if e.index >= len(point):
             raise ValueError(

@@ -13,6 +13,14 @@ extrapolation::
 
 Steps are relative: the base step is ``h0 * max(1, |x|)``.
 
+Memory layout: a batch of points ``(P, n)`` is either C-ordered (the
+pointwise geometry, the checks' point sets) or in engine layout, where the
+leading path axis is fastest in memory (Fortran order), as the Heun engine
+keeps every array it holds.  ``path_fastest`` tells them apart and
+``rows_like`` allocates a result in its points' layout, so maps of points
+keep the layout they are given; ``as_engine`` lays a batch out that way
+and ``contract`` is the per-row product of engine-layout arrays.
+
 Both derivatives make one field call per stencil: the +/- pair at each of the
 ``L + 1`` Richardson levels is stacked along a new leading axis of length
 ``2 (L + 1)``, ordered ``x + h d, x - h d, x + h/2 d, x - h/2 d, ...``.
@@ -39,12 +47,57 @@ import numpy as np
 
 from .errors import EvalFailure
 
-__all__ = ["DerivOracle", "sym"]
+__all__ = ["DerivOracle", "sym", "path_fastest", "rows_like", "as_engine",
+           "in_layout_of", "contract"]
 
 
 def sym(a: np.ndarray) -> np.ndarray:
     """Symmetric part ``(a + a^T)/2`` (over the last two axes)."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def path_fastest(a: np.ndarray) -> bool:
+    """Whether the batch ``a`` is in engine layout: its leading (path) axis
+    is fastest in memory, as in Fortran order.  A one-row batch counts when
+    its leading stride is one item, as Fortran order allocates it."""
+    return a.ndim > 1 and a.strides[0] == a.itemsize
+
+
+def rows_like(x: np.ndarray, shape: tuple[int, ...], fill: float | None = None) -> np.ndarray:
+    """A ``x.shape[:-1] + shape`` array for the points ``x`` in their layout:
+    Fortran order when ``x`` is path-fastest, C order otherwise; filled with
+    ``fill`` unless it is None."""
+    out = np.empty(x.shape[:-1] + shape, order="F" if path_fastest(x) else "C")
+    if fill is not None:
+        out.fill(fill)
+    return out
+
+
+def as_engine(a: np.ndarray) -> np.ndarray:
+    """The batch ``a`` in engine layout: ``a`` itself if it is path-fastest,
+    else a copy in Fortran order (a one-row batch included, whose leading
+    stride is then one item)."""
+    if path_fastest(a):
+        return a
+    out = np.empty(np.shape(a), order="F")
+    out[...] = a
+    return out
+
+
+def in_layout_of(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``a``, computed from the points ``x``, in their layout: ``as_engine(a)``
+    when ``x`` is path-fastest, ``a`` otherwise."""
+    return as_engine(a) if path_fastest(x) else a
+
+
+def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
+    """The per-row contraction ``np.einsum(spec, *ops)`` of engine-layout
+    batches.  With the path axis fastest, einsum runs its inner loop along
+    the paths, one kernel call in all, where ``@`` calls a tiny kernel per
+    row: a stacked 2x2 product of 2048 rows takes about a quarter of the
+    time.  Constant operands (no path axis) should be C-ordered; the result
+    keeps the path axis fastest."""
+    return np.einsum(spec, *ops)
 
 
 def _where(x: np.ndarray, col: int | None) -> str:

@@ -6,13 +6,16 @@ transitions accept batched points (arrays of shape ``(..., n)``) and take
 the chart as ``cid``: a single chart name for all points, or an array with
 one name per row (it broadcasts against the batch axes), so a batch may mix
 charts.  The maps are pointwise: a row's values do not depend on the other
-rows or their charts.  ``coeff_dx`` and ``coeff_da`` are the chart
-derivatives of ``X`` and ``A``: closed forms on flat, sphere-gradient,
-twisted-plane and circle; on expression-defined coefficients (``custom``
-and the flat drift) the symbolic derivative of each entry, taken once when
-the system is built (``expr.derivative``) and evaluated like the entry
-itself; the finite-difference oracle on ``so3-left-invariant``, whose
-derivative has no closed form here.
+rows or their charts, and their outputs follow the layout of their input
+(``linalg.path_fastest``): engine-layout points, path axis fastest in
+memory, give engine-layout arrays, C-ordered points C-ordered ones.
+``coeff_dx`` and ``coeff_da`` are the chart derivatives of ``X`` and
+``A``: closed forms on flat, sphere-gradient, twisted-plane and circle; on
+expression-defined coefficients (``custom`` and the flat drift) the
+symbolic derivative of each entry, taken once when the system is built
+(``expr.derivative``) and evaluated like the entry itself; the
+finite-difference oracle on ``so3-left-invariant``, whose derivative has no
+closed form here.
 
 There is one derivative oracle, ``SdeSystem.oracle``: a class attribute
 holding a frozen ``DerivOracle`` that every system shares.  The geometry
@@ -45,7 +48,7 @@ from . import expr as ex
 from . import quat
 from .errors import (BadParams, DegenerateX, DomainError, EvalFailure, OutOfOverlap,
                      UnknownScenario)
-from .linalg import DerivOracle, _where
+from .linalg import DerivOracle, _where, in_layout_of, rows_like
 
 __all__ = ["Chart", "SdeSystem", "Scenario", "build_scenario", "scenario_names"]
 
@@ -108,7 +111,8 @@ class SdeSystem:
 
     def coeff_a(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """The drift A at ``x`` in chart(s) ``cid``, shape ``(..., n)``."""
-        return np.zeros(np.asarray(x).shape)
+        x = np.asarray(x, dtype=float)
+        return rows_like(x, x.shape[-1:], 0.0)
 
     def coeff_dx(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """DX[..., i, r, j] = d X^{ir} / d x^j, shape ``(..., n, m, n)``.
@@ -116,7 +120,8 @@ class SdeSystem:
         The default differentiates ``coeff_x`` with ``SdeSystem.oracle``;
         scenarios with a closed form override it.
         """
-        return self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x)
+        x = np.asarray(x, dtype=float)
+        return in_layout_of(x, self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x))
 
     def coeff_da(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """DA[..., i, j] = d A^i / d x^j, shape ``(..., n, n)``.
@@ -124,7 +129,8 @@ class SdeSystem:
         The default differentiates ``coeff_a`` with ``SdeSystem.oracle``;
         scenarios with expression drifts override it.
         """
-        return self.oracle.jacobian(lambda y: self.coeff_a(cid, y), x)
+        x = np.asarray(x, dtype=float)
+        return in_layout_of(x, self.oracle.jacobian(lambda y: self.coeff_a(cid, y), x))
 
     # -- transitions ---------------------------------------------------------
     def switch_mask(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -188,22 +194,19 @@ def _eval_grid(trees: list, x: np.ndarray, shape: tuple[int, ...],
     """
     x = np.asarray(x, dtype=float)
     comps = np.moveaxis(x, -1, 0)
-    batch = x.shape[:-1]
-    vals = []
-    for k, tree in enumerate(trees):
+    out = rows_like(x, shape)
+    for k, (entry, tree) in enumerate(zip(np.ndindex(*shape), trees)):
         try:
-            v = ex.evaluate(tree, comps)
+            # entries that do not depend on x (constants) broadcast here
+            out[(...,) + entry] = ex.evaluate(tree, comps)
         except DomainError as exc:
             if names is None:
                 raise
             raise EvalFailure(f"{names[k]} failed near {_where(x, None)}: {exc}") from exc
-        # only entries that do not depend on x (constants) lack the batch shape
-        vals.append(v if np.shape(v) == batch else np.broadcast_to(v, batch))
-    out = np.stack(vals, axis=-1)
     if names is not None and not np.isfinite(out).all():
         k = int(np.argmin(np.isfinite(out).reshape(-1, len(trees)).all(axis=0)))
         raise EvalFailure(f"{names[k]} returned non-finite values near {_where(x, None)}")
-    return out.reshape(batch + shape)
+    return out
 
 
 def _drift_derivatives(drift: list, field: str) -> tuple[list, list[str]]:
@@ -241,21 +244,21 @@ class FlatSystem(SdeSystem):
         return self._charts
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(np.eye(self.n), x.shape[:-1] + (self.n, self.n)).copy()
+        out = rows_like(np.asarray(x, dtype=float), (self.n, self.n))
+        out[...] = np.eye(self.n)
+        return out
 
     def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (self.n, self.n, self.n))
+        return rows_like(np.asarray(x, dtype=float), (self.n, self.n, self.n), 0.0)
 
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
         if self._drift is None:
-            return np.zeros(np.asarray(x).shape)
+            return super().coeff_a(cid, x)
         return _eval_grid(self._drift, x, (self.n,))
 
     def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
         if self._drift is None:
-            return np.zeros(np.asarray(x).shape + (self.n,))
+            return rows_like(np.asarray(x, dtype=float), (self.n, self.n), 0.0)
         return _eval_grid(self._da, x, (self.n, self.n), self._da_names)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
@@ -311,11 +314,11 @@ class SphereSystem(SdeSystem):
 
     def coeff_x(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         # X(u) = (s^2/4) Dp(u)^T, the chart expression of e |-> e - <e,p> p:
-        # [(s/2) I - u u^T | -sign u] with s = 1 + |u|^2, built C-ordered
+        # [(s/2) I - u u^T | -sign u] with s = 1 + |u|^2, built in u's layout
         u = np.asarray(x, dtype=float)
         n = self.n
         half_s = 0.5 * (1.0 + np.sum(u * u, axis=-1))
-        out = np.empty(u.shape[:-1] + (n, n + 1))
+        out = rows_like(u, (n, n + 1))
         np.multiply(u[..., :, None], -u[..., None, :], out=out[..., :n])
         for k in range(n):
             out[..., k, k] += half_s
@@ -327,7 +330,7 @@ class SphereSystem(SdeSystem):
         # DX[i, r, j] = d_ir u_j - d_ij u_r - u_i d_rj, and DX[i, n, j] = -sign d_ij
         u = np.asarray(x, dtype=float)
         n = self.n
-        out = np.zeros(u.shape[:-1] + (n, n + 1, n))
+        out = rows_like(u, (n, n + 1, n), 0.0)
         sign = self._sign(cid)
         for k in range(n):  # strided slices: a third of the time of broadcast products
             out[..., k, k, :] += u         # d_ir u_j at i = r = k
@@ -360,7 +363,7 @@ class SphereSystem(SdeSystem):
         r2 = np.sum(u * u, axis=-1)[..., None, None]
         eye = np.broadcast_to(np.eye(self.n), u.shape[:-1] + (self.n, self.n))
         uu = u[..., :, None] * u[..., None, :]
-        return (r2 * eye - 2.0 * uu) / (r2 * r2)
+        return in_layout_of(u, (r2 * eye - 2.0 * uu) / (r2 * r2))
 
     def sample_points(self, rng, k):
         pts = []
@@ -395,7 +398,8 @@ class So3System(SdeSystem):
         return (Chart("exp"),)
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return quat.right_jacobian_inv(x)
+        x = np.asarray(x, dtype=float)
+        return in_layout_of(x, quat.right_jacobian_inv(x))
 
     def embed(self, cid: str, x: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
         q0 = np.asarray(center if center is not None else self._identity, dtype=float)
@@ -412,7 +416,8 @@ class So3System(SdeSystem):
     def group_recenter_jacobian(self, u: np.ndarray) -> np.ndarray:
         """Frame change from the old exponential chart at the step's start to
         the fresh chart centered at the step's endpoint."""
-        return quat.right_jacobian(u)
+        u = np.asarray(u, dtype=float)
+        return in_layout_of(u, quat.right_jacobian(u))
 
     def sample_points(self, rng, k):
         pts = []
@@ -444,7 +449,7 @@ class TwistedPlaneSystem(SdeSystem):
         x = np.asarray(x, dtype=float)
         th = self.alpha * x[..., 0]
         c, s = np.cos(th), np.sin(th)
-        out = np.empty(x.shape[:-1] + (2, 2))
+        out = rows_like(x, (2, 2))
         out[..., 0, 0] = c
         out[..., 0, 1] = -s
         out[..., 1, 0] = s
@@ -456,7 +461,7 @@ class TwistedPlaneSystem(SdeSystem):
         x = np.asarray(x, dtype=float)
         th = self.alpha * x[..., 0]
         c, s = self.alpha * np.cos(th), self.alpha * np.sin(th)
-        out = np.zeros(x.shape[:-1] + (2, 2, 2))
+        out = rows_like(x, (2, 2, 2), 0.0)
         out[..., 0, 0, 0] = -s
         out[..., 0, 1, 0] = -c
         out[..., 1, 0, 0] = c
@@ -489,12 +494,10 @@ class CircleSystem(SdeSystem):
         return self._charts
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.ones(x.shape[:-1] + (1, 1))
+        return rows_like(np.asarray(x, dtype=float), (1, 1), 1.0)
 
     def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.zeros(x.shape[:-1] + (1, 1, 1))
+        return rows_like(np.asarray(x, dtype=float), (1, 1, 1), 0.0)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         th = np.asarray(x, dtype=float)[..., 0]
@@ -548,12 +551,12 @@ class CustomSystem(SdeSystem):
 
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
         if self._a is None:
-            return np.zeros(np.asarray(x).shape)
+            return super().coeff_a(cid, x)
         return _eval_grid(self._a, x, (self.n,))
 
     def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
         if self._a is None:
-            return np.zeros(np.asarray(x).shape + (self.n,))
+            return rows_like(np.asarray(x, dtype=float), (self.n, self.n), 0.0)
         return _eval_grid(self._da, x, (self.n, self.n), self._da_names)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:

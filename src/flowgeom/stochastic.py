@@ -54,6 +54,23 @@ polar factor).  The inverse of such a frame is the closed form
 ``g0^-1 par^T g`` with ``g`` at the frame's point; ``//^`` frames of a
 non-metric adjoint connection are not snapped and are inverted by a solve.
 
+Memory layout: every array ``_run_block`` works on (the state, the noise of
+a step, the frames, the accumulators and the bundle fields) keeps its logical
+shape ``(P, ...)`` but has the path axis fastest in memory, in Fortran
+order.  Its per-row products then go through ``linalg.contract``, one
+einsum whose inner loop runs along the paths, where ``@`` would call a tiny
+kernel per row; elementwise work on 2x2 rows runs along the paths too.  The
+model and geometry return results in their input's layout, so this holds
+through every bundle; constant operands (``g0``, ``X0``, ...) stay
+C-ordered.  Sub-batches (the rows that switch chart) are copied back into
+this layout before they are evaluated.  The engine never evaluates a batch
+of one row: numpy lays out a one-row einsum or ufunc result by its inner
+axes alone, which loses the layout and with it einsum's summation order, so
+a lone path runs twice in its block and a lone switched row is evaluated
+twice.  So a path's values do not depend on how many paths share its block
+or its chart switch.  ``SimResult`` holds C-ordered arrays, as every caller
+outside the engine does.
+
 Conventions: "∘dB" equations step with Heun (predictor-corrector); explicit
 Ito sums (anti-developments, the covariant derivative-flow equation) use
 left-point Euler on the same grid.
@@ -79,6 +96,7 @@ from .geometry import (
     moment_form_extremes,
     point_data,
 )
+from .linalg import as_engine, contract, in_layout_of
 from .model import SdeSystem
 
 __all__ = ["SimResult", "simulate", "transport_along"]
@@ -196,12 +214,12 @@ def _bundle(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray,
     return point_data(system, cids, x, light=level == "light")
 
 
-def _scatter_rows(dst: PointData, src: PointData, mask: np.ndarray) -> None:
+def _scatter_rows(dst: PointData, src: PointData, rows: np.ndarray) -> None:
     for name in _FIELDS:
         d = getattr(dst, name)
         s = getattr(src, name)
         if d is not None and s is not None:
-            d[mask] = s
+            d[rows] = s
 
 
 def _gamma_light(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -210,20 +228,24 @@ def _gamma_light(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray) -> np
     return _induced_gamma(pd.DX, _gram_inverse(pd.X)[2])
 
 
+_MM = "...ij,...jk->...ik"   # the per-row matrix product
+_TMM = "...ji,...jk->...ik"  # the same with the left factor transposed
+
+
 def _middle(T: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``T[..., a, r, b] v[..., r]``, the middle axis contracted: one
-    ``(1, r) @ (r, b)`` matmul per row and ``a``, faster than einsum there."""
-    return (v[..., None, None, :] @ T)[..., 0, :]
+    """``T[..., a, r, b] v[..., r]``, the middle axis contracted: one einsum
+    over engine-layout rows, whose inner loop runs along the paths."""
+    return contract("...arb,...r->...ab", T, v)
 
 
 def _rk4_transport(Fk: np.ndarray, Fm: np.ndarray, Fp: np.ndarray,
                    par: np.ndarray) -> np.ndarray:
     """One RK4 step of dv/ds = F(s) v on frames, with F at the start,
     midpoint and end of the segment."""
-    k1 = Fk @ par
-    k2 = Fm @ (par + 0.5 * k1)
-    k3 = Fm @ (par + 0.5 * k2)
-    k4 = Fp @ (par + k3)
+    k1 = contract(_MM, Fk, par)
+    k2 = contract(_MM, Fm, par + 0.5 * k1)
+    k3 = contract(_MM, Fm, par + 0.5 * k2)
+    k4 = contract(_MM, Fp, par + k3)
     return par + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
 
 
@@ -247,11 +269,11 @@ def _isometrize(par: np.ndarray, g: np.ndarray, g0: np.ndarray,
     would stop short or diverge) takes the exact polar factor instead.
     """
     eye = np.eye(par.shape[-1])
-    gram = ginv0 @ (np.swapaxes(par, -1, -2) @ (g @ par))
+    gram = contract(_MM, ginv0, contract(_TMM, par, contract(_MM, g, par)))
     far = np.max(np.abs(gram - eye), axis=(-2, -1)) > _SNAP_NS_MAX
-    out = 1.5 * par - 0.5 * (par @ gram)
-    gram = ginv0 @ (np.swapaxes(out, -1, -2) @ (g @ out))
-    out = 1.5 * out - 0.5 * (out @ gram)
+    out = 1.5 * par - 0.5 * contract(_MM, par, gram)
+    gram = contract(_MM, ginv0, contract(_TMM, out, contract(_MM, g, out)))
+    out = 1.5 * out - 0.5 * contract(_MM, out, gram)
     if far.any():
         out[far] = _polar_snap(par[far], np.broadcast_to(g, par.shape)[far], g0)
     return out
@@ -267,7 +289,7 @@ def _polar_snap(par: np.ndarray, g: np.ndarray, g0: np.ndarray) -> np.ndarray:
 
 def _isometry_inverse(par: np.ndarray, g: np.ndarray, ginv0: np.ndarray) -> np.ndarray:
     """Inverse of a frame with par^T g par = g0: ``g0^-1 par^T g``."""
-    return ginv0 @ (np.swapaxes(par, -1, -2) @ g)
+    return contract(_MM, ginv0, contract(_TMM, par, g))
 
 
 def _polar_columns(mat: np.ndarray) -> np.ndarray:
@@ -383,7 +405,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     decompose = not on.isdisjoint(_DECOMPOSITION)
     transport = "par_lw" in on or "par_adj" in on
 
-    x = np.broadcast_to(x0, (P, n)).copy()
+    x = as_engine(np.broadcast_to(x0, (P, n)))
     cid_idx = np.full(P, cid0_idx, dtype=np.int64)
     centers = None
     if system.is_group:
@@ -391,29 +413,25 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     alive = np.ones(P, dtype=bool)
     # companion processes by field name: frames, then per-path accumulators
     eye = np.broadcast_to(np.eye(n), (P, n, n))
-    st = {name: eye.copy() for name in ("J", "par_lw", "par_adj", "What", "Vhat")
+    st = {name: as_engine(eye) for name in ("J", "par_lw", "par_adj", "What", "Vhat")
           if name in on}
 
     cids = np.asarray(chart_names)[cid_idx]  # chart name per row
     bundle = _bundle(system, cids, x, level)
     origin_bundle = bundle if system.is_group else None
-    start = point_data(system, cid0, x[:1])
-    g0 = start.g[0].copy()
-    ginv0 = start.ginv[0].copy()
-    X0 = start.X[0].copy()
-    Y0 = start.Y[0].copy()
+    start = point_data(system, cid0, x0)  # one point: C-ordered constant operands
+    g0, ginv0, X0, Y0 = start.g, start.ginv, start.X, start.Y
     L0 = np.linalg.cholesky(g0)
     F0 = _null_frame(X0)
     F = None
     if decompose:
         if F0 is not None:
-            F = np.broadcast_to(F0, (P,) + F0.shape).copy()
-        st.update(b_raw=np.zeros((P, m)), b_breve=np.zeros((P, n)),
-                  beta=np.zeros((P, m)), b_bar=np.zeros((P, m)),
-                  recon=np.zeros((P, m)), qv=np.zeros((P, m, m)),
-                  cross=np.zeros((P, m, m)))
+            F = as_engine(np.broadcast_to(F0, (P,) + F0.shape))
+        shapes = dict(b_raw=(m,), b_breve=(n,), beta=(m,), b_bar=(m,), recon=(m,),
+                      qv=(m, m), cross=(m, m))
+        st.update({name: np.zeros((P,) + shape, order="F") for name, shape in shapes.items()})
     if "bismut_vec" in on:
-        st["bismut_vec"] = np.zeros((P, n))
+        st["bismut_vec"] = np.zeros((P, n), order="F")
     hp = "hp_lo" in on or "hp_hi" in on
     if hp:
         st.update(hp_lo=np.zeros(P), hp_hi=np.zeros(P))
@@ -445,17 +463,19 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     def inv_adj_at(par: np.ndarray, B: PointData) -> np.ndarray:
         """Inverse of a //^ frame at the points of ``B``: the closed form
         when the frames are isometries, a solve otherwise."""
-        return _isometry_inverse(par, B.g, ginv0) if adj_metric else np.linalg.inv(par)
+        if adj_metric:
+            return _isometry_inverse(par, B.g, ginv0)
+        return in_layout_of(par, np.linalg.inv(par))
 
     for k in range(steps):
-        dB = noise[:, k, :]
+        dB = as_engine(noise[:, k, :])  # a step's copy: no second block-sized array
         Bk = bundle
 
         # predictor / corrector for the state
         drift_k = Bk.A * dt
-        x_star = x + np.einsum("...ij,...j->...i", Bk.X, dB) + drift_k
+        x_star = x + contract("...ij,...j->...i", Bk.X, dB) + drift_k
         Bs = _bundle(system, cids, x_star, level_s)
-        x_plus = (x + 0.5 * np.einsum("...ij,...j->...i", Bk.X + Bs.X, dB)
+        x_plus = (x + 0.5 * contract("...ij,...j->...i", Bk.X + Bs.X, dB)
                   + 0.5 * (Bk.A + Bs.A) * dt)
 
         bad = ~np.isfinite(x_plus).all(axis=-1)
@@ -475,7 +495,8 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             if has_drift:
                 DGk = DGk + Bk.DA * dt
                 DGs = DGs + Bs.DA * dt
-            new["J"] = J + 0.5 * (DGk @ J + DGs @ (J + DGk @ J))
+            DGJ = contract(_MM, DGk, J)
+            new["J"] = J + 0.5 * (DGJ + contract(_MM, DGs, J + DGJ))
 
         # bundle at the corrected point (pre chart switch)
         Bp = _bundle(system, cids, x_plus, level)
@@ -491,8 +512,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                 par_lw_new = _rk4_transport(*mats, st["par_lw"])
                 new["par_lw"] = _isometrize(par_lw_new, Bp.g, g0, ginv0)
             if "par_adj" in st:
-                # -G(., dx): einsum beats matmul on a contraction of the last axis
-                mats = (-np.einsum("...ikj,...j->...ik", gam, dx) for gam in gammas)
+                mats = (-contract("...ikj,...j->...ik", gam, dx) for gam in gammas)  # -G(., dx)
                 par_adj_new = _rk4_transport(*mats, st["par_adj"])
                 if adj_metric:
                     par_adj_new = _isometrize(par_adj_new, Bp.g, g0, ginv0)
@@ -501,20 +521,20 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # Ito sums at the left point
         if "par_lw" in st:
             inv_lw = _isometry_inverse(st["par_lw"], Bk.g, ginv0)
-            dBbreve = np.einsum("...ij,...jk,...k->...i", inv_lw, Bk.X, dB)
+            dBbreve = contract("...ij,...jk,...k->...i", inv_lw, Bk.X, dB)
         if "What" in st or "Vhat" in st:
             inv_adj = inv_adj_at(st["par_adj"], Bk)
         if decompose:
-            dBtilde = dBbreve @ Y0.T
+            dBtilde = contract("...j,ij->...i", dBbreve, Y0)
             if F0 is not None:
-                dbeta = np.einsum("ij,...kj,...k->...i", F0, F, dB)
+                dbeta = contract("ij,...kj,...k->...i", F0, F, dB)
             else:
                 dbeta = np.zeros_like(dBtilde)
             dBbar = dBtilde + dbeta
             # reconstruction through the full transport, kept honest term by term
-            tan = np.einsum("...ij,...jk,kl,...l->...i", Bk.Y, st["par_lw"], X0, dBbar)
+            tan = contract("...ij,...jk,kl,...l->...i", Bk.Y, st["par_lw"], X0, dBbar)
             if F0 is not None:
-                nor = np.einsum("...ij,kj,...k->...i", F, F0, dBbar)
+                nor = contract("...ij,kj,...k->...i", F, F0, dBbar)
             else:
                 nor = 0.0
             inc.update(b_raw=dB, b_breve=dBbreve, beta=dbeta, b_bar=dBbar,
@@ -523,15 +543,16 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
         # covariant Ito derivative flow in the adjoint-transported frame
         if "Vhat" in st:
-            Vk = st["par_adj"] @ st["Vhat"]
+            Vk = contract(_MM, st["par_adj"], st["Vhat"])
             G_noise = _middle(Bk.gradX, dB)
             M_ito = G_noise - 0.5 * dt * Bk.ric_sharp + dt * Bk.nabla_a
-            new["Vhat"] = st["Vhat"] + inv_adj @ (M_ito @ Vk)
+            new["Vhat"] = st["Vhat"] + contract(_MM, inv_adj, contract(_MM, M_ito, Vk))
 
         # Bismut integrand <//~^-1 W_s v0, dB_breve>_{g0}, linear in v0
         if "bismut_vec" in st:
-            Wk = st["par_adj"] @ st["What"]
-            inc["bismut_vec"] = np.einsum("...ba,bc,...c->...a", inv_lw @ Wk, g0, dBbreve)
+            Wk = contract(_MM, st["par_adj"], st["What"])
+            inc["bismut_vec"] = contract("...ba,bc,...c->...a", contract(_MM, inv_lw, Wk),
+                                         g0, dBbreve)
 
         # filtered flow, RK2 on What' = L(s) What
         if "What" in st:
@@ -539,9 +560,10 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             inv_adj_new = inv_adj_at(new["par_adj"], Bp)
             damp_k = -0.5 * Bk.ric_sharp + Bk.nabla_a
             damp_p = -0.5 * Bp.ric_sharp + Bp.nabla_a
-            Lk = inv_adj @ (damp_k @ st["par_adj"])
-            Lp = inv_adj_new @ (damp_p @ new["par_adj"])
-            new["What"] = What + 0.5 * dt * (Lk @ What + Lp @ (What + dt * (Lk @ What)))
+            Lk = contract(_MM, inv_adj, contract(_MM, damp_k, st["par_adj"]))
+            Lp = contract(_MM, inv_adj_new, contract(_MM, damp_p, new["par_adj"]))
+            LW = contract(_MM, Lk, What)
+            new["What"] = What + 0.5 * dt * (LW + contract(_MM, Lp, What + dt * LW))
 
         # moment-form integrals at the left point
         if hp:
@@ -557,7 +579,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
         # normal frame: project forward, renormalize by the polar factor
         if F is not None:
-            F = _mwhere(upd, _polar_columns(Bp.PN @ F), F)
+            F = _mwhere(upd, in_layout_of(F, _polar_columns(contract(_MM, Bp.PN, F))), F)
 
         # chart switches / group recentering carry the tangent frames along
         tangent = [name for name in _TANGENT_FRAMES if name in st]
@@ -567,24 +589,28 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             if tangent:
                 M = system.group_recenter_jacobian(x_plus)
                 for name in tangent:
-                    st[name] = _mwhere(upd, M @ st[name], st[name])
+                    st[name] = _mwhere(upd, contract(_MM, M, st[name]), st[name])
             x = _mwhere(upd, np.zeros_like(x), x_plus)
             bundle = origin_bundle
         else:
             x = x_plus
             bundle = Bp
-            sw = upd & system.switch_mask(cids, x)
-            if sw.any():
-                target = system.switch_target(cids[sw])
+            rows = np.flatnonzero(upd & system.switch_mask(cids, x))
+            if rows.size:
+                if rows.size == 1:  # never a one-row batch: the row goes twice
+                    rows = np.repeat(rows, 2)
+                target = system.switch_target(cids[rows])
+                x_sw = as_engine(x[rows])  # a sub-batch, laid out like the block
                 if tangent:
-                    M = system.transition_jacobian(cids[sw], target, x[sw])
+                    M = system.transition_jacobian(cids[rows], target, x_sw)
                     for name in tangent:
-                        st[name][sw] = M @ st[name][sw]
-                x[sw] = system.transition(cids[sw], target, x[sw])
-                cids[sw] = target
-                cid_idx[sw] = [chart_names.index(c) for c in target]
+                        st[name][rows] = contract(_MM, M, as_engine(st[name][rows]))
+                x_sw = in_layout_of(x_sw, system.transition(cids[rows], target, x_sw))
+                x[rows] = x_sw
+                cids[rows] = target
+                cid_idx[rows] = [chart_names.index(c) for c in target]
                 # only the switched rows are evaluated again
-                _scatter_rows(bundle, _bundle(system, target, x[sw], level), sw)
+                _scatter_rows(bundle, _bundle(system, target, x_sw, level), rows)
         keep(k + 1)
 
     out = fields_now()
@@ -601,7 +627,8 @@ def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
         vals = [b.get(key) for b in blocks]
         if vals[0] is None:
             return None
-        return np.concatenate(vals, axis=0)
+        # [:n_paths] drops the second copy of a lone last path (see simulate)
+        return np.concatenate([np.ascontiguousarray(v) for v in vals])[:run["n_paths"]]
 
     first = blocks[0]
     alive = cat("alive")
@@ -692,6 +719,8 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]
+    if len(blocks[-1]) == 1:  # never a one-row block: a lone path runs twice
+        blocks[-1] = np.repeat(blocks[-1], 2)
 
     def work(idx_block):
         return _run_block(system, seed, idx_block, steps, dt, cid, x0, hp_p,

@@ -1,6 +1,7 @@
 """Config-driven entry point: schema gate, commands, exit codes, reports."""
 
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
@@ -150,6 +151,20 @@ def test_derivative_leaving_its_domain_is_a_runtime_error(tmp_path, capsys):
     assert err.startswith("runtime error: the derivative of x_entries[0][0] in x1 failed near")
     assert err.rstrip().endswith("division by zero")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["1e200*1e200 + x1", "1e200*x1*1e200 + 1"],
+                         ids=["literals-only", "through-x1"])
+def test_overflowing_entry_is_a_config_error(tmp_path, capsys, entry):
+    # an overflow among literals alone is refused like one through x1, when
+    # the scenario is built, with no numpy warning and no numeric error
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, {"command": "tensors", "scenario": {
+            "name": "custom", "params": {"n": 1, "m": 1, "x_entries": [[entry]]}}})
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith("config error: overflow: overflow encountered")
 
 
 def test_subcommand_must_match_config(tmp_path):

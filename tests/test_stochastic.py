@@ -17,6 +17,7 @@ import pytest
 from flowgeom import geometry
 from flowgeom.errors import BadParams
 from flowgeom.geometry import PointData, _metric_field, point_data
+from flowgeom.linalg import as_engine, path_fastest
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
     BLOCK,
@@ -120,6 +121,37 @@ def test_coarsened_run_is_blocked_like_any_run(ou):
     for name in ("x", "alive", "embedded"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
         assert np.array_equal(getattr(a, name)[:BLOCK], getattr(one, name))
+
+
+# the custom system of the benchmark's workloads (n = 2, m = 3, with drift)
+CUSTOM_BENCH = {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}
+
+
+@pytest.mark.parametrize("name, params, cid, x0", [
+    ("sphere-gradient", {"n": 2}, "n", [1.5, 0.9]),
+    ("sphere-gradient", {"n": 3}, "s", [1.2, -1.1, 1.0]),
+    ("custom", CUSTOM_BENCH, "u", [0.2, -0.1]),
+])
+@pytest.mark.parametrize("need", [("J", "par_adj", "What", "g_T"), ("bismut_vec",)])
+def test_a_path_does_not_depend_on_its_block_length(name, params, cid, x0, need):
+    # path i of a 1- or 5-path run equals path i of a full block bit for bit:
+    # the engine lays every batch out alike and never evaluates a one-row
+    # batch, a lone path or a lone chart switch.  The sphere runs start near
+    # the switching radius; their first 5 paths change chart one at a time.
+    sys = system_of(name, params)
+    run = dict(t=0.2, dt=1e-2, seed=17, cid=cid, x0=x0, need=need)
+    block = simulate(sys, n_paths=BLOCK, **run)
+    if name == "sphere-gradient":
+        assert np.any(block.cid_idx[:5] != [c.cid for c in sys.charts].index(cid))
+    for n_paths in (1, 5):
+        short = simulate(sys, n_paths=n_paths, **run)
+        for field_name in ("x", "cid_idx", "alive") + need:
+            np.testing.assert_array_equal(getattr(short, field_name),
+                                          getattr(block, field_name)[:n_paths],
+                                          err_msg=f"{field_name}, {n_paths} paths")
 
 
 # ------------------------------------------------------------ determinism
@@ -241,6 +273,34 @@ def test_bundle_on_mixed_charts_equals_per_chart_point_data(n, level):
         for name in filled:
             np.testing.assert_array_equal(getattr(got, name)[mask], getattr(want, name),
                                           err_msg=name)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("flat", {"n": 2, "drift": ["-x1", "0.5*x1*x2"]}),
+    ("sphere-gradient", {"n": 2}),
+    ("twisted-plane", {"alpha": 0.5}),
+    ("circle", {}),
+    ("custom", CUSTOM_BENCH),
+    ("so3-left-invariant", {}),
+])
+@pytest.mark.parametrize("level", ["coeff", "light", "full"])
+def test_bundle_keeps_the_engine_layout(name, params, level):
+    # on engine-layout points every bundle field has the path axis fastest
+    # in memory: one C-ordered field would put einsum on its slow path in
+    # every product it enters.  The C-ordered route agrees to rounding,
+    # relative to the field's largest entry or to 1, the identity's, since
+    # PN = I - PT cancels to rounding where m = n.
+    sys = system_of(name, params)
+    x = np.random.default_rng(4).uniform(-0.6, 0.6, size=(7, sys.n))
+    cids = np.resize([c.cid for c in sys.charts], 7)
+    got = _bundle(sys, cids, as_engine(x), level)
+    want = _bundle(sys, cids, x, level)
+    for f in fields(PointData):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert (a is None) == (b is None), f.name
+        if a is not None:
+            assert path_fastest(a), f"{f.name} has strides {a.strides}"
+            assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1.0), f.name
 
 
 def test_guard_radius_kills_escaping_paths():
