@@ -372,14 +372,17 @@ def cmd_simulate(cfg: dict):
     res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
                    x0=x0, cid=cid, threads=mc.threads, at=at)
     alive = res.alive
+    n_alive = int(alive.sum())
+    if n_alive < 2:  # the terminal standard error needs two paths
+        raise TooFewAlivePaths(f"only {n_alive} of {res.n_paths} paths alive at "
+                               f"t={res.t}; simulate needs at least 2")
     v0 = _resolve_v0(mc, res)
     jv = res.J[alive] @ v0
     wv = res.W()[alive] @ v0
     j_norm = np.sqrt(np.einsum("pi,pij,pj->p", jv, res.g_T[alive], jv))
     w_norm = np.sqrt(np.einsum("pi,pij,pj->p", wv, res.g_T[alive], wv))
     emb = res.embedded[alive]
-    n_alive = int(alive.sum())
-    recon = float(np.max(res.recon_err[alive])) if n_alive else float("nan")
+    recon = float(np.max(res.recon_err[alive]))
     report = {
         "command": "simulate",
         "scenario": cfg["scenario"],
@@ -510,7 +513,7 @@ def _summary(report: dict) -> str:
             lines.append(f"  {pt['chart']}:{[round(c, 4) for c in pt['x']]} "
                          f"|gamma|={gmax:.4g} |T|={tmax:.4g} |R|={rmax:.4g} "
                          f"h=[{pt['h_lo']:.4g}, {pt['h_hi']:.4g}]")
-    if report.get("command") == "simulate":
+    if "terminal" in report:
         term = report["terminal"]
         lines.append(f"  alive={report['n_paths'] - report['n_dropped']}"
                      f"/{report['n_paths']} "
@@ -520,16 +523,18 @@ def _summary(report: dict) -> str:
     if "flags" in report:
         lines.append("  flags: " + ", ".join(
             f"{k}={v}" for k, v in report["flags"].items()))
-    if report.get("status") == "not_applicable":
-        lines.append(f"  reason: {report.get('reason', '')}")
+    if "reason" in report:
+        lines.append(f"  reason: {report['reason']}")
     return "\n".join(lines)
 
 
 def _write_report(report: dict, out: str | None) -> None:
+    """Write ``report`` as strict JSON: a non-finite number raises
+    ``ValueError`` (an internal error) before the file is opened."""
     if out:
+        text = json.dumps(report, indent=2, allow_nan=False)
         with open(out, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,9 @@ Levi-Civita connection of the induced metric ``g = (X X^T)^{-1}``.
 All raw-array helpers broadcast over leading axes, so the same code serves
 single points and batched Monte Carlo sweeps.  The contractions of the
 induced connection (its Christoffels, ``nab X^i`` and ``Ric#``) and the
-Gram inverse take one of two routes by the memory layout of their input
-(``linalg.path_fastest``): engine-layout batches, path axis fastest in
-memory as the Heun engine holds them, go through ``linalg.contract``
-(einsum, whose inner loop then runs along the paths) and give engine-layout
-results; C-ordered batches and single points keep batched ``matmul``, one
-small matrix product per row with the value index folded into the matrix
-rows.  The two routes agree to rounding.  ``_gram_inverse`` is the one home
-of ``g = (X X^T)^{-1}`` and ``Y``.
+Gram inverse are one einsum each, whatever the memory layout of their
+input; their results keep that layout (see ``linalg``).  ``_gram_inverse``
+is the one home of ``g = (X X^T)^{-1}`` and ``Y``.
 Every finite difference goes through the system's one oracle,
 ``system.oracle``.
 """
@@ -41,7 +36,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import BadParams, ZeroVector
-from .linalg import DerivOracle, contract, in_layout_of, path_fastest, sym
+from .linalg import DerivOracle, in_layout_of, sym
 from .model import SdeSystem
 
 __all__ = [
@@ -99,15 +94,9 @@ def _gram_inverse(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     For n = 2 the inverse is the closed-form adjugate over the determinant;
     otherwise ``np.linalg.inv``.  Either way an exactly singular row raises
     ``np.linalg.LinAlgError("Singular matrix")``.  The results keep the
-    layout of ``X`` (see the module docstring).
+    layout of ``X``.
     """
-    engine = path_fastest(X)
-    if engine:
-        gram = contract("...ir,...jr->...ij", X, X)
-    else:
-        # a C-ordered X^T: matmul on the transposed view is three times slower
-        Xt = np.ascontiguousarray(np.swapaxes(X, -1, -2))
-        gram = X @ Xt
+    gram = np.einsum("...ir,...jr->...ij", X, X)
     if gram.shape[-1] == 2:
         det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
         if np.any(det == 0.0):
@@ -120,61 +109,35 @@ def _gram_inverse(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         g /= det[..., None, None]
     else:
         g = in_layout_of(gram, np.linalg.inv(gram))
-    if engine:
-        return gram, g, contract("...ir,...ij->...rj", X, g)
-    return gram, g, Xt @ g
+    return gram, g, np.einsum("...ir,...ij->...rj", X, g)
 
 
 def induced_metric(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(g, ginv, Y, PT, PN) from the coefficient matrix."""
     ginv, g, Y = _gram_inverse(X)
-    PT = contract("...ri,...is->...rs", Y, X) if path_fastest(X) else Y @ X
+    PT = np.einsum("...ri,...is->...rs", Y, X)
     PN = _eye(X.shape[-1]) - PT
     return g, ginv, Y, PT, PN
-
-
-# The contractions below take the layout of their input.  Engine-layout
-# batches (path axis fastest) are one einsum over the whole block, whose
-# inner loop runs along the paths.  C-ordered batches are one matmul per
-# row: the value index is folded into the rows of the left operand, about
-# twice as fast as one matmul per row and value index on n = 2 blocks.
 
 
 def _induced_gamma(DX: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Christoffels of the induced connection, G(v, w) = -DX(v)(Y w):
     ``G[i, j, :] = -DX[i, :, j] Y``."""
-    if path_fastest(DX):
-        return -contract("...irj,...rk->...ijk", DX, Y)
-    n, m = DX.shape[-3:-1]
-    prod = np.swapaxes(DX, -1, -2).reshape(DX.shape[:-3] + (n * n, m)) @ Y
-    return -prod.reshape(prod.shape[:-2] + (n, n, n))
+    return -np.einsum("...irj,...rk->...ijk", DX, Y)
 
 
 def _grad_x(DX: np.ndarray, gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Covariant derivatives nab X^i of the coefficient fields, direction last:
-    ``DX[a, i, j] + G(e_j, X^i)^a``, with ``G[a, j, :] X`` as the rows."""
-    if path_fastest(DX):
-        return DX + contract("...ajk,...ki->...aij", gamma, X)
-    n, m = X.shape[-2:]
-    prod = gamma.reshape(gamma.shape[:-3] + (n * n, n)) @ X
-    return DX + np.swapaxes(prod.reshape(prod.shape[:-2] + (n, n, m)), -1, -2)
+    ``DX[a, i, j] + G(e_j, X^i)^a``."""
+    return DX + np.einsum("...ajk,...ki->...aij", gamma, X)
 
 
 def _ric_sharp(gradX: np.ndarray) -> np.ndarray:
     """Ric# = sum_i tr(M_i) M_i - M_i M_i with ``M_i[a, b] = gradX[a, i, b]``
-    (the Weitzenboeck term of the induced connection); both sums over i are
-    one matmul per row on the stacked ``M = [M_1; ...; M_m]``, or one
-    einsum each on an engine-layout batch."""
-    if path_fastest(gradX):
-        tr = contract("...aia->...i", gradX)
-        return (contract("...i,...aib->...ab", tr, gradX)
-                - contract("...aic,...cib->...ab", gradX, gradX))
-    n, m = gradX.shape[-3:-1]
-    batch = gradX.shape[:-3]
-    M = np.ascontiguousarray(np.swapaxes(gradX, -2, -3))
-    tr = np.einsum("...iaa->...i", M)
-    return ((tr[..., None, :] @ M.reshape(batch + (m, n * n))).reshape(batch + (n, n))
-            - gradX.reshape(batch + (n, m * n)) @ M.reshape(batch + (m * n, n)))
+    (the Weitzenboeck term of the induced connection)."""
+    tr = np.einsum("...aia->...i", gradX)
+    return (np.einsum("...i,...aib->...ab", tr, gradX)
+            - np.einsum("...aic,...cib->...ab", gradX, gradX))
 
 
 def _autoparallel_sum(pd: PointData, gamma: np.ndarray) -> np.ndarray:
@@ -204,7 +167,7 @@ def point_data(system: SdeSystem, cid: str, x: np.ndarray, *,
     pd.gradX = _grad_x(DX, pd.gamma, X)
     pd.ric_sharp = _ric_sharp(pd.gradX)
     if DA is not None:
-        pd.nabla_a = DA + contract("...ajk,...k->...aj", pd.gamma, A)
+        pd.nabla_a = DA + np.einsum("...ajk,...k->...aj", pd.gamma, A)
     else:
         pd.nabla_a = np.zeros_like(pd.g)
     return pd
@@ -222,8 +185,7 @@ def lw_christoffel(system: SdeSystem, cid: str, x: np.ndarray) -> np.ndarray:
     this stays a route independent of ``point_data``.
     """
     x = np.asarray(x, dtype=float)
-    X = system.coeff_x(cid, x)
-    _, _, Y, _, _ = induced_metric(X)
+    Y = _gram_inverse(system.coeff_x(cid, x))[2]
     DX = system.oracle.jacobian(lambda y: system.coeff_x(cid, y), x)
     return _induced_gamma(DX, Y)
 
@@ -313,7 +275,7 @@ def torsion_via_bracket(system: SdeSystem, cid: str, x: np.ndarray,
     has their common shape ``(..., n)``.
     """
     x = np.asarray(x, dtype=float)
-    _, _, Y, _, _ = induced_metric(system.coeff_x(cid, x))
+    Y = _gram_inverse(system.coeff_x(cid, x))[2]
     w1 = np.einsum("...rk,...k->...r", Y, np.asarray(v1, dtype=float))
     w2 = np.einsum("...rk,...k->...r", Y, np.asarray(v2, dtype=float))
     z1 = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(cid, y), w1)

@@ -19,7 +19,7 @@ leading path axis is fastest in memory (Fortran order), as the Heun engine
 keeps every array it holds.  ``path_fastest`` tells them apart and
 ``rows_like`` allocates a result in its points' layout, so maps of points
 keep the layout they are given; ``as_engine`` lays a batch out that way
-and ``contract`` is the per-row product of engine-layout arrays.
+and ``in_layout_of`` copies a result back into its points' layout.
 
 Both derivatives make one field call per stencil: the +/- pair at each of the
 ``L + 1`` Richardson levels is stacked along a new leading axis of length
@@ -48,7 +48,7 @@ import numpy as np
 from .errors import EvalFailure
 
 __all__ = ["DerivOracle", "sym", "path_fastest", "rows_like", "as_engine",
-           "in_layout_of", "contract"]
+           "in_layout_of"]
 
 
 def sym(a: np.ndarray) -> np.ndarray:
@@ -88,16 +88,6 @@ def in_layout_of(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``a``, computed from the points ``x``, in their layout: ``as_engine(a)``
     when ``x`` is path-fastest, ``a`` otherwise."""
     return as_engine(a) if path_fastest(x) else a
-
-
-def contract(spec: str, *ops: np.ndarray) -> np.ndarray:
-    """The per-row contraction ``np.einsum(spec, *ops)`` of engine-layout
-    batches.  With the path axis fastest, einsum runs its inner loop along
-    the paths, one kernel call in all, where ``@`` calls a tiny kernel per
-    row: a stacked 2x2 product of 2048 rows takes about a quarter of the
-    time.  Constant operands (no path axis) should be C-ordered; the result
-    keeps the path axis fastest."""
-    return np.einsum(spec, *ops)
 
 
 def _where(x: np.ndarray, col: int | None) -> str:

@@ -57,18 +57,21 @@ non-metric adjoint connection are not snapped and are inverted by a solve.
 Memory layout: every array ``_run_block`` works on (the state, the noise of
 a step, the frames, the accumulators and the bundle fields) keeps its logical
 shape ``(P, ...)`` but has the path axis fastest in memory, in Fortran
-order.  Its per-row products then go through ``linalg.contract``, one
-einsum whose inner loop runs along the paths, where ``@`` would call a tiny
-kernel per row; elementwise work on 2x2 rows runs along the paths too.  The
-model and geometry return results in their input's layout, so this holds
-through every bundle; constant operands (``g0``, ``X0``, ...) stay
-C-ordered.  Sub-batches (the rows that switch chart) are copied back into
-this layout before they are evaluated.  The engine never evaluates a batch
-of one row: numpy lays out a one-row einsum or ufunc result by its inner
-axes alone, which loses the layout and with it einsum's summation order, so
-a lone path runs twice in its block and a lone switched row is evaluated
-twice.  So a path's values do not depend on how many paths share its block
-or its chart switch.  ``SimResult`` holds C-ordered arrays, as every caller
+order.  Its per-row products are then each one ``np.einsum`` over the
+block: on path-fastest operands einsum's inner loop runs along the paths,
+one kernel call in all, where ``@`` calls a tiny kernel per row (a stacked
+2x2 product of 2048 rows takes about a quarter of the time); elementwise
+work on 2x2 rows runs along the paths too.  The model and geometry return
+results in their input's layout, so this holds through every bundle;
+constant operands (``g0``, ``X0``, ...) stay C-ordered, since a
+Fortran-ordered constant makes einsum iterate the wrong way.  Sub-batches
+(the rows that switch chart) are copied back into this layout before they
+are evaluated.  The engine never evaluates a batch of one row: numpy lays
+out a one-row einsum or ufunc result by its inner axes alone, which loses
+the layout and with it einsum's summation order, so a lone path runs twice
+in its block and a lone switched row is evaluated twice.  So a path's
+values do not depend on how many paths share its block or its chart
+switch.  ``SimResult`` holds C-ordered arrays, as every caller
 outside the engine does.
 
 Conventions: "∘dB" equations step with Heun (predictor-corrector); explicit
@@ -96,7 +99,7 @@ from .geometry import (
     moment_form_extremes,
     point_data,
 )
-from .linalg import as_engine, contract, in_layout_of
+from .linalg import as_engine, in_layout_of
 from .model import SdeSystem
 
 __all__ = ["SimResult", "simulate", "transport_along"]
@@ -235,17 +238,17 @@ _TMM = "...ji,...jk->...ik"  # the same with the left factor transposed
 def _middle(T: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``T[..., a, r, b] v[..., r]``, the middle axis contracted: one einsum
     over engine-layout rows, whose inner loop runs along the paths."""
-    return contract("...arb,...r->...ab", T, v)
+    return np.einsum("...arb,...r->...ab", T, v)
 
 
 def _rk4_transport(Fk: np.ndarray, Fm: np.ndarray, Fp: np.ndarray,
                    par: np.ndarray) -> np.ndarray:
     """One RK4 step of dv/ds = F(s) v on frames, with F at the start,
     midpoint and end of the segment."""
-    k1 = contract(_MM, Fk, par)
-    k2 = contract(_MM, Fm, par + 0.5 * k1)
-    k3 = contract(_MM, Fm, par + 0.5 * k2)
-    k4 = contract(_MM, Fp, par + k3)
+    k1 = np.einsum(_MM, Fk, par)
+    k2 = np.einsum(_MM, Fm, par + 0.5 * k1)
+    k3 = np.einsum(_MM, Fm, par + 0.5 * k2)
+    k4 = np.einsum(_MM, Fp, par + k3)
     return par + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
 
 
@@ -269,11 +272,11 @@ def _isometrize(par: np.ndarray, g: np.ndarray, g0: np.ndarray,
     would stop short or diverge) takes the exact polar factor instead.
     """
     eye = np.eye(par.shape[-1])
-    gram = contract(_MM, ginv0, contract(_TMM, par, contract(_MM, g, par)))
+    gram = np.einsum(_MM, ginv0, np.einsum(_TMM, par, np.einsum(_MM, g, par)))
     far = np.max(np.abs(gram - eye), axis=(-2, -1)) > _SNAP_NS_MAX
-    out = 1.5 * par - 0.5 * contract(_MM, par, gram)
-    gram = contract(_MM, ginv0, contract(_TMM, out, contract(_MM, g, out)))
-    out = 1.5 * out - 0.5 * contract(_MM, out, gram)
+    out = 1.5 * par - 0.5 * np.einsum(_MM, par, gram)
+    gram = np.einsum(_MM, ginv0, np.einsum(_TMM, out, np.einsum(_MM, g, out)))
+    out = 1.5 * out - 0.5 * np.einsum(_MM, out, gram)
     if far.any():
         out[far] = _polar_snap(par[far], np.broadcast_to(g, par.shape)[far], g0)
     return out
@@ -289,7 +292,7 @@ def _polar_snap(par: np.ndarray, g: np.ndarray, g0: np.ndarray) -> np.ndarray:
 
 def _isometry_inverse(par: np.ndarray, g: np.ndarray, ginv0: np.ndarray) -> np.ndarray:
     """Inverse of a frame with par^T g par = g0: ``g0^-1 par^T g``."""
-    return contract(_MM, ginv0, contract(_TMM, par, g))
+    return np.einsum(_MM, ginv0, np.einsum(_TMM, par, g))
 
 
 def _polar_columns(mat: np.ndarray) -> np.ndarray:
@@ -473,14 +476,15 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
         # predictor / corrector for the state
         drift_k = Bk.A * dt
-        x_star = x + contract("...ij,...j->...i", Bk.X, dB) + drift_k
+        x_star = x + np.einsum("...ij,...j->...i", Bk.X, dB) + drift_k
         Bs = _bundle(system, cids, x_star, level_s)
-        x_plus = (x + 0.5 * contract("...ij,...j->...i", Bk.X + Bs.X, dB)
+        x_plus = (x + 0.5 * np.einsum("...ij,...j->...i", Bk.X + Bs.X, dB)
                   + 0.5 * (Bk.A + Bs.A) * dt)
 
         bad = ~np.isfinite(x_plus).all(axis=-1)
         if np.isfinite(guard):
-            bad |= np.linalg.norm(x_plus, axis=-1) > guard
+            with np.errstate(over="ignore"):  # a norm that overflows is beyond it
+                bad |= np.linalg.norm(x_plus, axis=-1) > guard
         upd = alive & ~bad
         alive = upd.copy()
         x_plus = _mwhere(upd, x_plus, x)
@@ -495,8 +499,8 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             if has_drift:
                 DGk = DGk + Bk.DA * dt
                 DGs = DGs + Bs.DA * dt
-            DGJ = contract(_MM, DGk, J)
-            new["J"] = J + 0.5 * (DGJ + contract(_MM, DGs, J + DGJ))
+            DGJ = np.einsum(_MM, DGk, J)
+            new["J"] = J + 0.5 * (DGJ + np.einsum(_MM, DGs, J + DGJ))
 
         # bundle at the corrected point (pre chart switch)
         Bp = _bundle(system, cids, x_plus, level)
@@ -512,7 +516,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                 par_lw_new = _rk4_transport(*mats, st["par_lw"])
                 new["par_lw"] = _isometrize(par_lw_new, Bp.g, g0, ginv0)
             if "par_adj" in st:
-                mats = (-contract("...ikj,...j->...ik", gam, dx) for gam in gammas)  # -G(., dx)
+                mats = (-np.einsum("...ikj,...j->...ik", gam, dx) for gam in gammas)  # -G(., dx)
                 par_adj_new = _rk4_transport(*mats, st["par_adj"])
                 if adj_metric:
                     par_adj_new = _isometrize(par_adj_new, Bp.g, g0, ginv0)
@@ -521,20 +525,20 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # Ito sums at the left point
         if "par_lw" in st:
             inv_lw = _isometry_inverse(st["par_lw"], Bk.g, ginv0)
-            dBbreve = contract("...ij,...jk,...k->...i", inv_lw, Bk.X, dB)
+            dBbreve = np.einsum("...ij,...jk,...k->...i", inv_lw, Bk.X, dB)
         if "What" in st or "Vhat" in st:
             inv_adj = inv_adj_at(st["par_adj"], Bk)
         if decompose:
-            dBtilde = contract("...j,ij->...i", dBbreve, Y0)
+            dBtilde = np.einsum("...j,ij->...i", dBbreve, Y0)
             if F0 is not None:
-                dbeta = contract("ij,...kj,...k->...i", F0, F, dB)
+                dbeta = np.einsum("ij,...kj,...k->...i", F0, F, dB)
             else:
                 dbeta = np.zeros_like(dBtilde)
             dBbar = dBtilde + dbeta
             # reconstruction through the full transport, kept honest term by term
-            tan = contract("...ij,...jk,kl,...l->...i", Bk.Y, st["par_lw"], X0, dBbar)
+            tan = np.einsum("...ij,...jk,kl,...l->...i", Bk.Y, st["par_lw"], X0, dBbar)
             if F0 is not None:
-                nor = contract("...ij,kj,...k->...i", F, F0, dBbar)
+                nor = np.einsum("...ij,kj,...k->...i", F, F0, dBbar)
             else:
                 nor = 0.0
             inc.update(b_raw=dB, b_breve=dBbreve, beta=dbeta, b_bar=dBbar,
@@ -543,15 +547,15 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
         # covariant Ito derivative flow in the adjoint-transported frame
         if "Vhat" in st:
-            Vk = contract(_MM, st["par_adj"], st["Vhat"])
+            Vk = np.einsum(_MM, st["par_adj"], st["Vhat"])
             G_noise = _middle(Bk.gradX, dB)
             M_ito = G_noise - 0.5 * dt * Bk.ric_sharp + dt * Bk.nabla_a
-            new["Vhat"] = st["Vhat"] + contract(_MM, inv_adj, contract(_MM, M_ito, Vk))
+            new["Vhat"] = st["Vhat"] + np.einsum(_MM, inv_adj, np.einsum(_MM, M_ito, Vk))
 
         # Bismut integrand <//~^-1 W_s v0, dB_breve>_{g0}, linear in v0
         if "bismut_vec" in st:
-            Wk = contract(_MM, st["par_adj"], st["What"])
-            inc["bismut_vec"] = contract("...ba,bc,...c->...a", contract(_MM, inv_lw, Wk),
+            Wk = np.einsum(_MM, st["par_adj"], st["What"])
+            inc["bismut_vec"] = np.einsum("...ba,bc,...c->...a", np.einsum(_MM, inv_lw, Wk),
                                          g0, dBbreve)
 
         # filtered flow, RK2 on What' = L(s) What
@@ -560,10 +564,10 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             inv_adj_new = inv_adj_at(new["par_adj"], Bp)
             damp_k = -0.5 * Bk.ric_sharp + Bk.nabla_a
             damp_p = -0.5 * Bp.ric_sharp + Bp.nabla_a
-            Lk = contract(_MM, inv_adj, contract(_MM, damp_k, st["par_adj"]))
-            Lp = contract(_MM, inv_adj_new, contract(_MM, damp_p, new["par_adj"]))
-            LW = contract(_MM, Lk, What)
-            new["What"] = What + 0.5 * dt * (LW + contract(_MM, Lp, What + dt * LW))
+            Lk = np.einsum(_MM, inv_adj, np.einsum(_MM, damp_k, st["par_adj"]))
+            Lp = np.einsum(_MM, inv_adj_new, np.einsum(_MM, damp_p, new["par_adj"]))
+            LW = np.einsum(_MM, Lk, What)
+            new["What"] = What + 0.5 * dt * (LW + np.einsum(_MM, Lp, What + dt * LW))
 
         # moment-form integrals at the left point
         if hp:
@@ -579,7 +583,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
         # normal frame: project forward, renormalize by the polar factor
         if F is not None:
-            F = _mwhere(upd, in_layout_of(F, _polar_columns(contract(_MM, Bp.PN, F))), F)
+            F = _mwhere(upd, in_layout_of(F, _polar_columns(np.einsum(_MM, Bp.PN, F))), F)
 
         # chart switches / group recentering carry the tangent frames along
         tangent = [name for name in _TANGENT_FRAMES if name in st]
@@ -589,7 +593,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             if tangent:
                 M = system.group_recenter_jacobian(x_plus)
                 for name in tangent:
-                    st[name] = _mwhere(upd, contract(_MM, M, st[name]), st[name])
+                    st[name] = _mwhere(upd, np.einsum(_MM, M, st[name]), st[name])
             x = _mwhere(upd, np.zeros_like(x), x_plus)
             bundle = origin_bundle
         else:
@@ -604,7 +608,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                 if tangent:
                     M = system.transition_jacobian(cids[rows], target, x_sw)
                     for name in tangent:
-                        st[name][rows] = contract(_MM, M, as_engine(st[name][rows]))
+                        st[name][rows] = np.einsum(_MM, M, as_engine(st[name][rows]))
                 x_sw = in_layout_of(x_sw, system.transition(cids[rows], target, x_sw))
                 x[rows] = x_sw
                 cids[rows] = target

@@ -333,6 +333,23 @@ def test_verify_so3(tmp_path):
     assert "ricci_comparison_zero" not in names
 
 
+def test_verify_ricci_rows_keep_their_margin_on_the_three_sphere():
+    # both rows compare finite-difference Ricci tensors, so their residual is
+    # rounding noise of X and g; it must stay well inside the 1e-6 tolerance,
+    # or a change that only rounds differently could flip a verdict
+    worst = {}
+    for seed in range(12):
+        rep = cli.run_config({
+            "command": "verify", "n_probes": 12, "seed": seed,
+            "scenario": {"name": "sphere-gradient", "params": {"n": 3}}})
+        for row in rep["identities"]:
+            if row["name"].startswith("ricci_comparison"):
+                ratio = row["residual"] / row["tolerance"]
+                worst[row["name"]] = max(worst.get(row["name"], 0.0), ratio)
+    assert set(worst) == {"ricci_comparison_psd", "ricci_comparison_zero"}
+    assert max(worst.values()) <= 0.5, worst
+
+
 def test_verify_twisted_plane(tmp_path):
     code, rep = run(tmp_path, {
         "command": "verify",
@@ -560,6 +577,34 @@ def test_estimate_dead_paths_exit_one(tmp_path):
     })
     assert code == 1
     assert rep["status"] == "failed"
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def test_simulate_with_every_path_dead_writes_a_strict_report(tmp_path, capsys):
+    # x0 near the largest float: every path leaves the guard radius (its norm
+    # overflows) in the first step, so no terminal statistic can be formed
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, {
+            "command": "simulate", "scenario": {"name": "flat", "params": {"n": 2}},
+            "x0": [1e308, 0.0], "n_paths": 100, "t": 0.1, "dt": 1e-2, "seed": 0})
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    rep = json.loads((tmp_path / "report.json").read_text(), parse_constant=_no_constant)
+    assert rep["status"] == "failed"
+    assert rep["reason"].startswith("only 0 of 100 paths alive")
+
+
+def test_non_finite_report_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_config", lambda cfg: {"status": "passed", "x": float("nan")})
+    code, rep = run(tmp_path, {"command": "verify", "scenario": {"name": "flat"}})
+    assert code == 3
+    assert rep is None
+    assert "internal error: ValueError" in capsys.readouterr().err
 
 
 def test_reports_reproducible_across_thread_counts(tmp_path):

@@ -287,9 +287,10 @@ def test_bundle_on_mixed_charts_equals_per_chart_point_data(n, level):
 def test_bundle_keeps_the_engine_layout(name, params, level):
     # on engine-layout points every bundle field has the path axis fastest
     # in memory: one C-ordered field would put einsum on its slow path in
-    # every product it enters.  The C-ordered route agrees to rounding,
-    # relative to the field's largest entry or to 1, the identity's, since
-    # PN = I - PT cancels to rounding where m = n.
+    # every product it enters.  The same points in C order take the same
+    # einsums, which may sum in another order there, so the two agree to
+    # rounding, relative to the field's largest entry or to 1, the
+    # identity's, since PN = I - PT cancels to rounding where m = n.
     sys = system_of(name, params)
     x = np.random.default_rng(4).uniform(-0.6, 0.6, size=(7, sys.n))
     cids = np.resize([c.cid for c in sys.charts], 7)

@@ -21,8 +21,8 @@ of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
 twisted-plane, ``generator`` and ``oneform`` on custom over three engine
 blocks, CLI ``simulate`` plain and recorded, CLI ``verify`` and ``tensors``
 on sphere-gradient at configured points in charts n, s, n plus sampled
-points, the sha256 of the ``--dump-paths`` CSV of a recorded sphere-gradient
-run whose paths change chart, the API-only checks
+points, the sha256 and the numeric cells of the ``--dump-paths`` CSV of a
+recorded sphere-gradient run whose paths change chart, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
 Christoffel field on each scenario at one point and at a batch, the
@@ -122,13 +122,18 @@ def configs() -> list[tuple[str, dict]]:
     return out
 
 
-def dump_csv_report() -> tuple[str, dict]:
-    """(label, {exit code, sha256}) of the ``--dump-paths`` CSV, one row per
-    path and step, of a recorded sphere run written by the CLI; started near
-    the switching radius (|u| = 2), so its rows are in both charts."""
+def dump_csv() -> tuple[tuple[str, dict], tuple[str, dict]]:
+    """The ``--dump-paths`` CSV, one row per path and step, of a recorded
+    sphere run written by the CLI; started near the switching radius
+    (|u| = 2), so its rows are in both charts.  Returns (label, {exit code,
+    sha256}) and (label, {column: array}) of its numeric cells, every column
+    but ``chart``, so a dump shows how far the file's numbers moved."""
     import contextlib
+    import csv
     import io
     import tempfile
+
+    import numpy as np
 
     import flowgeom.cli as cli
 
@@ -142,9 +147,13 @@ def dump_csv_report() -> tuple[str, dict]:
         with contextlib.redirect_stdout(io.StringIO()):  # the run's summary table
             code = cli.main(["simulate", cfg_path, "--dump-paths", csv_path])
         with open(csv_path, "rb") as fh:
-            sha = hashlib.sha256(fh.read()).hexdigest()
-    return ("simulate sphere-gradient record=True switching dump-paths CSV",
-            {"exit_code": code, "csv_sha256": sha})
+            raw = fh.read()
+    head, *rows = csv.reader(io.StringIO(raw.decode()))
+    cells = {name: np.array([float(row[k]) for row in rows])
+             for k, name in enumerate(head) if name != "chart"}
+    label = "simulate sphere-gradient record=True switching dump-paths CSV"
+    return ((label, {"exit_code": code, "csv_sha256": hashlib.sha256(raw).hexdigest()}),
+            (f"{label} cells", cells))
 
 
 def api_reports() -> list[tuple[str, dict]]:
@@ -324,9 +333,10 @@ def main(argv=None) -> int:
         except Exception as exc:  # a raising config is compared by its error
             report = {"error": f"{type(exc).__name__}: {exc}"}
         emit(label, report)
-    for label, report in api_reports() + [dump_csv_report()]:
+    csv_report, csv_cells = dump_csv()
+    for label, report in api_reports() + [csv_report]:
         emit(label, report)
-    for label, arrays in oracle_arrays() + exact_arrays() + engine_arrays():
+    for label, arrays in oracle_arrays() + exact_arrays() + engine_arrays() + [csv_cells]:
         emit(label, {k: _sha(v) for k, v in arrays.items()}, arrays)
     if args.dump:
         with open(os.path.join(args.dump, "labels.json"), "w") as fh:
