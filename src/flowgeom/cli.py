@@ -52,18 +52,16 @@ from .estimators import (
 )
 from .geometry import (
     TSS_TOL,
+    GeometryPoint,
     PointData,
     _g_frame_eigvalsh,
-    christoffel,
     connection_routes_residual,
     curvature_from_christoffel,
-    curvature_lw_direct,
     defining_property_residual,
     geometry_point,
     metricity_residual,
     moment_form_extremes,
     pairing_derivative_residual,
-    point_data,
     ricci_bilinear,
     ricci_sharp,
     scalar_from_expr,
@@ -213,7 +211,9 @@ def cmd_verify(cfg: dict) -> dict:
     """Geometry identity suite: max residual per identity over probe points.
 
     Each identity is evaluated once, on all probe points as one batch with
-    one chart per point.
+    one chart per point.  The identities take one ``GeometryPoint`` on that
+    batch, so the op computes its ``PointData`` and Levi-Civita field once
+    there; the tss row takes a second one at the start point.
     """
     t0 = time.perf_counter()
     system = _build_system(cfg)
@@ -232,14 +232,13 @@ def cmd_verify(cfg: dict) -> dict:
         scale = np.maximum(_max_abs(fd), _max_abs(exact))
         return _max_abs(exact - fd) / np.where(scale > 0.0, scale, 1.0)
 
-    pd = point_data(system, cid, xs)
-    gamma = pd.gamma
-    T = gamma - np.swapaxes(gamma, -1, -2)
+    gp = GeometryPoint(system, cid, xs)
+    pd, T = gp.pd, gp.torsion
     v1, v2 = brackets[:, :, 0], brackets[:, :, 1]  # (P, 2, n)
     tb = torsion_via_bracket(system, cid[:, None], xs[:, None, :], v1, v2)
     R = curvature_from_christoffel(system, cid, xs, kind="lw")
-    lw_val, lc_val = scalar_generator(system, cid, xs, scalar_from_expr(system, cid, f_src))
-    s = stratonovich_term(system, cid, xs)
+    lw_val, lc_val = scalar_generator(gp, scalar_from_expr(system, cid, f_src))
+    s = stratonovich_term(gp)
     # per identity, the largest residual over the probe points
     worst = {k: float(np.max(r)) for k, r in {
         # the engine's DX and DA (coeff_dx, coeff_da) against the oracle's
@@ -248,32 +247,30 @@ def cmd_verify(cfg: dict) -> dict:
         "coeff_da": _rel_gap(
             system.coeff_da(cid, xs),
             system.oracle.jacobian(lambda y: system.coeff_a(cid, y), xs)),
-        "defining_property": defining_property_residual(system, cid, xs),
-        "metricity_lw": metricity_residual(system, cid, xs, kind="lw"),
-        "metricity_adjoint": metricity_residual(system, cid, xs, kind="adjoint"),
-        "pairing_derivative": pairing_derivative_residual(system, cid, xs),
-        "christoffel_routes": connection_routes_residual(system, cid, xs),
+        "defining_property": defining_property_residual(gp),
+        "metricity_lw": metricity_residual(gp, kind="lw"),
+        "metricity_adjoint": metricity_residual(gp, kind="adjoint"),
+        "pairing_derivative": pairing_derivative_residual(gp),
+        "christoffel_routes": connection_routes_residual(gp),
         "torsion_routes": np.maximum(
             _max_abs(T - torsion_via_dy(system, cid, xs)),
             _max_abs(tb - np.einsum("...ijk,...j,...k->...i", T[:, None], v1, v2))),
-        "curvature_routes": _max_abs(R - curvature_lw_direct(pd.gradX, pd.g)),
+        "curvature_routes": _max_abs(R - gp.curvature_lw),
         "generator_routes": np.abs(lw_val - lc_val),
         "stratonovich_lw": np.sqrt(np.einsum("...i,...ij,...j->...", s, pd.g, s)),
     }.items()}
     curvature_max = float(np.max(np.abs(R)))
-    gamma_gap = float(np.max(np.abs(gamma - christoffel(system, cid, xs, "lc"))))
+    gamma_gap = float(np.max(np.abs(pd.gamma - gp.gamma_lc)))
 
     # Levi-Civita Ricci minus induced Ricci, eigenvalues in a g-frame
     R_lc = curvature_from_christoffel(system, cid, xs, kind="lc")
-    ric_diff = (ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g)
-                - ricci_bilinear(pd.ric_sharp, pd.g))
+    ric_diff = ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g) - gp.ricci_lw
     ric_diff = 0.5 * (ric_diff + np.swapaxes(ric_diff, -1, -2))
     eigs = _g_frame_eigvalsh(ric_diff, pd.g)
     ricci_min_eig = float(eigs.min())
     ricci_max_abs = float(np.max(np.abs(eigs)))
 
-    start_cid, start_x = system.start()
-    tss, tss_res, tss_alt = tss_check(system, start_cid, start_x)
+    tss, tss_res, tss_alt = tss_check(GeometryPoint(system, *system.start()))
     lw_equals_lc = gamma_gap < 1e-6
 
     tolerances = {

@@ -28,6 +28,7 @@ import numpy as np
 from . import expr as ex
 from .errors import BadParams, NotApplicable, TooFewAlivePaths
 from .geometry import (
+    GeometryPoint,
     _g_frame_eigvalsh,
     _torsion_skew,
     moment_form,
@@ -478,7 +479,7 @@ def moment_sandwich(cfg: McConfig, p: float = 2.0) -> McReport:
     """
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
-    ok, resid, _, _ = _torsion_skew(cfg.system, cid, x0)
+    ok, resid, _ = _torsion_skew(GeometryPoint(cfg.system, cid, x0))
     if not ok:
         raise NotApplicable(
             f"adjoint connection is not metric here (torsion skew residual {resid:.3g})")
@@ -547,7 +548,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
     f = scalar_from_expr(cfg.system, cid, f_source)
-    lw_val, lc_val = scalar_generator(cfg.system, cid, x0, f)
+    lw_val, lc_val = scalar_generator(GeometryPoint(cfg.system, cid, x0), f)
 
     rows = [CheckRow(
         name="generator route agreement (induced vs Levi-Civita)",
@@ -614,10 +615,11 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
 
-    gen_direct = one_form_generator(system, cid, x0, phi0, v0)
+    gp0 = GeometryPoint(system, cid, x0)
+    gen_direct = one_form_generator(gp0, phi0, v0)
     rows: list[CheckRow] = []
     if not system.has_drift:
-        gen_hodge = one_form_generator_hodge(system, cid, x0, phi0, v0)
+        gen_hodge = one_form_generator_hodge(gp0, phi0, v0)
         rows.append(CheckRow(
             name="trace-Hessian vs codifferential route",
             estimate=gen_direct - gen_hodge, se=0.0, reference=0.0,
@@ -627,7 +629,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
         f = scalar_from_expr(system, cid, phi_spec["d_of"])
 
         def a0(y: np.ndarray) -> np.ndarray:
-            return scalar_generator(system, cid, y, f)[0][..., None]
+            return scalar_generator(GeometryPoint(system, cid, y), f)[0][..., None]
 
         da0_v = float(system.oracle.directional(a0, x0, v0)[0])
         rows.append(CheckRow(

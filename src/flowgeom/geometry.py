@@ -30,6 +30,7 @@ Every finite difference goes through the system's one oracle,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -343,6 +344,58 @@ def sectional_curvature(R: np.ndarray, g: np.ndarray, u: np.ndarray, v: np.ndarr
 
 
 # ---------------------------------------------------------------------------
+# the point argument of the identities
+# ---------------------------------------------------------------------------
+
+
+@dataclass(eq=False)
+class GeometryPoint:
+    """A (batch of) point(s) ``x`` of ``system`` in chart(s) ``cid``, and its
+    ``PointData``, Levi-Civita Christoffels, torsion, and induced curvature
+    and Ricci form, each computed once, on first read, and never written to.
+    The identity checks and generators take one as their point argument; the
+    second routes they are compared with take ``(system, cid, x)`` and never
+    read it, so no check compares a value with itself.
+    """
+
+    system: SdeSystem
+    cid: str | np.ndarray
+    x: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.x = np.asarray(self.x, dtype=float)
+
+    @cached_property
+    def pd(self) -> PointData:
+        return point_data(self.system, self.cid, self.x)
+
+    @cached_property
+    def gamma_lc(self) -> np.ndarray:
+        return levi_civita_christoffel(self.system, self.cid, self.x)
+
+    @cached_property
+    def torsion(self) -> np.ndarray:
+        return torsion_from_christoffel(self.pd.gamma)
+
+    @cached_property
+    def curvature_lw(self) -> np.ndarray:
+        return curvature_lw_direct(self.pd.gradX, self.pd.g)
+
+    @cached_property
+    def ricci_lw(self) -> np.ndarray:
+        return ricci_bilinear(self.pd.ric_sharp, self.pd.g)
+
+
+def geometry_point(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray) -> GeometryPoint:
+    """The ``GeometryPoint`` at ``x``, after a rank check that raises
+    ``DegenerateX`` naming the first point (in row-major order) where X
+    loses rank, with its chart."""
+    gp = GeometryPoint(system, cid, x)
+    system.check_rank(cid, gp.x)
+    return gp
+
+
+# ---------------------------------------------------------------------------
 # identity checks (probe-based residuals)
 # ---------------------------------------------------------------------------
 
@@ -363,9 +416,11 @@ def _gnorm(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...pi,...ij,...pj->...p", w, g, w))
 
 
-# Probe-based identity checks take points ``x`` of shape ``(..., n)``, with
-# ``cid`` one chart name or one per point, and return one residual per point,
-# an array over the leading axes of ``x`` (a numpy scalar for a single point).
+# Probe-based identity checks take a ``GeometryPoint`` at points ``x`` of
+# shape ``(..., n)``, with ``cid`` one chart name or one per point, and return
+# one residual per point, an array over the leading axes of ``x`` (a numpy
+# scalar for a single point); checks on one ``GeometryPoint`` share its
+# ``PointData`` and Levi-Civita Christoffels.
 # The probe vectors come from one seeded stream shared by every point, drawn
 # in the order a single point uses them; they sit on a probe axis after the
 # point axes (``x[..., None, :]``, charts ``_on_probes(cid)``), and every
@@ -378,44 +433,41 @@ def _on_probes(cid: str | np.ndarray) -> str | np.ndarray:
     return cid if np.ndim(cid) == 0 else np.asarray(cid)[..., None]
 
 
-def defining_property_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                               n_probes: int = 8, seed: int = 0) -> np.ndarray:
+def defining_property_residual(gp: GeometryPoint, n_probes: int = 8,
+                               seed: int = 0) -> np.ndarray:
     """max |nab (X(.)e)(v)|_g over probes with e in the row space of X(x).
 
     The induced connection is characterized by this vanishing.  One residual
-    per point of ``x`` (shape ``(..., n)``); probes whose ``e`` vanishes at a
-    point are skipped there.
+    per point of ``gp.x`` (shape ``(..., n)``); probes whose ``e`` vanishes
+    at a point are skipped there.
     """
-    x = np.asarray(x, dtype=float)
-    pd = point_data(system, cid, x)
+    system, pd = gp.system, gp.pd
     rng = np.random.default_rng(seed)
     u, v = _probes(n_probes, lambda: (_unit(rng, system.m), _unit(rng, system.n)))
     e = np.einsum("...rs,ps->...pr", pd.PT, u)                 # (..., K, m)
     nrm = np.linalg.norm(e, axis=-1)
     keep = nrm >= 1e-12
     e = e / np.where(keep, nrm, 1.0)[..., None]
-    pcid = _on_probes(cid)
+    pcid = _on_probes(gp.cid)
     z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(pcid, y), e)
-    nab = covariant_derivative(system, pcid, x[..., None, :], z_field, v,
+    nab = covariant_derivative(system, pcid, gp.x[..., None, :], z_field, v,
                                gamma=pd.gamma[..., None, :, :, :])
     return np.max(np.where(keep, _gnorm(nab, pd.g), 0.0), axis=-1)
 
 
-def pairing_derivative_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                                kind: str = "lw", n_probes: int = 8,
-                                seed: int = 1) -> np.ndarray:
+def pairing_derivative_residual(gp: GeometryPoint, kind: str = "lw",
+                                n_probes: int = 8, seed: int = 1) -> np.ndarray:
     """Vector-form metric compatibility through the coefficient fields:
 
     sum_i X^i <Z, nab_v X^i>_g + sum_i nab_v X^i <Z, X^i>_g = 0
     for metric connections; returns the max residual norm over probes, per
-    point of ``x`` (shape ``(..., n)``).
+    point of ``gp.x`` (shape ``(..., n)``).
     """
-    x = np.asarray(x, dtype=float)
-    pd = point_data(system, cid, x)
-    gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind)
+    pd = gp.pd
+    gamma = pd.gamma if kind == "lw" else christoffel(gp.system, gp.cid, gp.x, kind)
     gradX = _grad_x(pd.DX, gamma, pd.X)
     rng = np.random.default_rng(seed)
-    z, v = _probes(n_probes, lambda: (_unit(rng, system.n), _unit(rng, system.n)))
+    z, v = _probes(n_probes, lambda: (_unit(rng, gp.system.n), _unit(rng, gp.system.n)))
     nabv = np.einsum("...aij,pj->...pai", gradX, v)           # columns nab_v X^i
     gz = np.einsum("...ab,pb->...pa", pd.g, z)
     w1 = np.einsum("...pai,...pa->...pi", nabv, gz)           # <Z, nab_v X^i>_g
@@ -433,15 +485,14 @@ def _linear_fields(x: np.ndarray, z0: np.ndarray, mat: np.ndarray) -> Callable:
     return lambda y: z0 + np.einsum("...ij,...j->...i", mat, y - xk)
 
 
-def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                       kind: str = "lw", n_probes: int = 8, seed: int = 2) -> np.ndarray:
+def metricity_residual(gp: GeometryPoint, kind: str = "lw", n_probes: int = 8,
+                       seed: int = 2) -> np.ndarray:
     """max over probe fields of |d<Z,Z>_g(v) - 2 <nab_v Z, Z>_g|, per point
-    of ``x`` (shape ``(..., n)``)."""
-    x = np.asarray(x, dtype=float)
+    of ``gp.x`` (shape ``(..., n)``), for ``christoffel(kind)``'s connection."""
+    system, x = gp.system, gp.x
     oracle = system.oracle
-    gamma = christoffel(system, cid, x, kind)
-    g = _metric_field(system, cid)(x)
-    g_of = _metric_field(system, _on_probes(cid))
+    gamma = christoffel(system, gp.cid, x, kind)
+    g_of = _metric_field(system, _on_probes(gp.cid))
     rng = np.random.default_rng(seed)
     n = system.n
     z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
@@ -456,81 +507,73 @@ def metricity_residual(system: SdeSystem, cid: str, x: np.ndarray,
     lhs = oracle.directional(sq_field, xk, v)
     nab = (oracle.directional(z_field, xk, v)
            + np.einsum("...ijk,pj,pk->...pi", gamma, v, z0))
-    rhs = 2.0 * np.einsum("...pi,...ij,pj->...p", nab, g, z0)
+    rhs = 2.0 * np.einsum("...pi,...ij,pj->...p", nab, gp.pd.g, z0)
     return np.max(np.abs(lhs - rhs), axis=-1)
 
 
 TSS_TOL = 1e-6  # the skew-torsion verdict, on either tss_check route
 
 
-def _torsion_skew(system: SdeSystem, cid: str, x: np.ndarray) -> tuple:
-    """The torsion route of ``tss_check``: (verdict, residual, point data,
-    probes).
+def _torsion_skew(gp: GeometryPoint) -> tuple:
+    """The torsion route of ``tss_check``: (verdict, residual, probes).
 
     The residual is max |<T(u,v),w>_g + <T(w,v),u>_g| over 8 probe triples
-    ``(u, v, w)`` (seed 3), per point of ``x``; the verdict is that it is
+    ``(u, v, w)`` (seed 3), per point of ``gp.x``; the verdict is that it is
     below ``TSS_TOL``, i.e. the torsion is skew-symmetric.
     """
-    pd = point_data(system, cid, x)
-    T = torsion_from_christoffel(pd.gamma)
+    g = gp.pd.g
     rng = np.random.default_rng(3)
-    u, v, w = _probes(8, lambda: tuple(_unit(rng, system.n) for _ in range(3)))
-    tuv = np.einsum("...ijk,pj,pk->...pi", T, u, v)
-    twv = np.einsum("...ijk,pj,pk->...pi", T, w, v)
-    skew = (np.einsum("...pi,...ij,pj->...p", tuv, pd.g, w)
-            + np.einsum("...pi,...ij,pj->...p", twv, pd.g, u))
+    u, v, w = _probes(8, lambda: tuple(_unit(rng, gp.system.n) for _ in range(3)))
+    tuv = np.einsum("...ijk,pj,pk->...pi", gp.torsion, u, v)
+    twv = np.einsum("...ijk,pj,pk->...pi", gp.torsion, w, v)
+    skew = (np.einsum("...pi,...ij,pj->...p", tuv, g, w)
+            + np.einsum("...pi,...ij,pj->...p", twv, g, u))
     worst = np.max(np.abs(skew), axis=-1)
-    return worst < TSS_TOL, worst, pd, (u, v, w)
+    return worst < TSS_TOL, worst, (u, v, w)
 
 
-def tss_check(system: SdeSystem, cid: str, x: np.ndarray) -> tuple:
+def tss_check(gp: GeometryPoint) -> tuple:
     """Is the torsion skew-symmetric: <T(u,v),w>_g = -<T(w,v),u>_g?
 
     Returns (verdict, residual, alt_residual), each over the leading axes of
-    ``x``, where ``alt_residual`` comes from the equivalent criterion that
+    ``gp.x``, where ``alt_residual`` comes from the equivalent criterion that
     v |-> X(.)Y(x)v has Levi-Civita covariant derivative with vanishing
     symmetric part.  The verdict is ``residual < TSS_TOL``.
     """
-    x = np.asarray(x, dtype=float)
-    oracle = system.oracle
-    ok, worst, pd, (u, v, w) = _torsion_skew(system, cid, x)
-    gamma_lc = levi_civita_christoffel(system, cid, x)
+    oracle = gp.system.oracle
+    ok, worst, (u, v, w) = _torsion_skew(gp)
     # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
-    yv = np.einsum("...ri,pi->...pr", pd.Y, v)
-    pcid = _on_probes(cid)
-    z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(pcid, y), yv)
-    xk = x[..., None, :]
+    yv = np.einsum("...ri,pi->...pr", gp.pd.Y, v)
+    pcid = _on_probes(gp.cid)
+    z_field = lambda y: np.einsum("...ir,...r->...i", gp.system.coeff_x(pcid, y), yv)
+    xk = gp.x[..., None, :]
     nab_u = (oracle.directional(z_field, xk, u)
-             + np.einsum("...ijk,pj,pk->...pi", gamma_lc, u, v))
+             + np.einsum("...ijk,pj,pk->...pi", gp.gamma_lc, u, v))
     nab_w = (oracle.directional(z_field, xk, w)
-             + np.einsum("...ijk,pj,pk->...pi", gamma_lc, w, v))
-    alt = (np.einsum("...pi,...ij,pj->...p", nab_u, pd.g, w)
-           + np.einsum("...pi,...ij,pj->...p", nab_w, pd.g, u))
+             + np.einsum("...ijk,pj,pk->...pi", gp.gamma_lc, w, v))
+    alt = (np.einsum("...pi,...ij,pj->...p", nab_u, gp.pd.g, w)
+           + np.einsum("...pi,...ij,pj->...p", nab_w, gp.pd.g, u))
     return (ok, worst, np.max(np.abs(alt), axis=-1))
 
 
-def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                         n_probes: int = 6, seed: int = 4) -> tuple:
+def lw_lc_split_residual(gp: GeometryPoint, n_probes: int = 6, seed: int = 4) -> tuple:
     """On torsion-skew-symmetric systems the Levi-Civita connection is the
     induced one minus half its torsion::
 
         nab_v Z = nab~_v Z - T(v, Z(x)) / 2
 
     Returns (identity residual, max_i |nab X^i (X^i)|_g with nab Levi-Civita),
-    each over the leading axes of ``x``.
+    each over the leading axes of ``gp.x``.
     """
-    x = np.asarray(x, dtype=float)
-    pd = point_data(system, cid, x)
-    gamma_lc = levi_civita_christoffel(system, cid, x)
-    T = torsion_from_christoffel(pd.gamma)
+    pd, gamma_lc = gp.pd, gp.gamma_lc
     rng = np.random.default_rng(seed)
-    n = system.n
+    n = gp.system.n
     z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
                                             _unit(rng, n)))
-    dz = system.oracle.directional(_linear_fields(x, z0, mat), x[..., None, :], v)
+    dz = gp.system.oracle.directional(_linear_fields(gp.x, z0, mat), gp.x[..., None, :], v)
     lc = dz + np.einsum("...ijk,pj,pk->...pi", gamma_lc, v, z0)
     lw = dz + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0)
-    half_t = 0.5 * np.einsum("...ijk,pj,pk->...pi", T, v, z0)
+    half_t = 0.5 * np.einsum("...ijk,pj,pk->...pi", gp.torsion, v, z0)
     worst = np.max(_gnorm(lc - (lw - half_t), pd.g), axis=-1)
     # summed autoparallel form: sum_i nab_{X^i} X^i vanishes (Levi-Civita)
     summed = _autoparallel_sum(pd, gamma_lc)
@@ -538,35 +581,31 @@ def lw_lc_split_residual(system: SdeSystem, cid: str, x: np.ndarray,
     return worst, norm
 
 
-def stratonovich_term(system: SdeSystem, cid: str, x: np.ndarray,
-                      kind: str = "lw") -> np.ndarray:
+def stratonovich_term(gp: GeometryPoint, kind: str = "lw") -> np.ndarray:
     """sum_i nab_{X^i} X^i for the named connection, shape ``(..., n)``."""
-    x = np.asarray(x, dtype=float)
-    pd = point_data(system, cid, x)
-    gamma = pd.gamma if kind == "lw" else christoffel(system, cid, x, kind)
-    return _autoparallel_sum(pd, gamma)
+    gamma = gp.pd.gamma if kind == "lw" else christoffel(gp.system, gp.cid, gp.x, kind)
+    return _autoparallel_sum(gp.pd, gamma)
 
 
-def connection_routes_residual(system: SdeSystem, cid: str, x: np.ndarray,
-                               n_probes: int = 4, seed: int = 5) -> np.ndarray:
+def connection_routes_residual(gp: GeometryPoint, n_probes: int = 4,
+                               seed: int = 5) -> np.ndarray:
     """Cross-check the Christoffel formula against two equivalent routes:
 
     (a) nab_v Z = X(x) d/dt [ Y(c(t)) Z(c(t)) ] at t=0 along c(t) = x + t v;
     (b) nab_v Z = sum_i [X^i, V](x) <X^i, Z>_g + [V, Z](x) for any extension
         V of v (tested with a random linear extension).
 
-    Returns the max over probes and both routes, per point of ``x`` (shape
-    ``(..., n)``).
+    Returns the max over probes and both routes, per point of ``gp.x``
+    (shape ``(..., n)``).
     """
-    x = np.asarray(x, dtype=float)
+    system, x, pd = gp.system, gp.x, gp.pd
     oracle = system.oracle
-    pd = point_data(system, cid, x)
     rng = np.random.default_rng(seed)
     n = system.n
     z0, mat, vmat, v = _probes(n_probes, lambda: (
         _unit(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n)), _unit(rng, n)))
     xk = np.broadcast_to(x[..., None, :], x.shape[:-1] + (n_probes, n))
-    pcid = _on_probes(cid)
+    pcid = _on_probes(gp.cid)
     z_field = _linear_fields(x, z0, mat)
     ref = (oracle.directional(z_field, xk, v)
            + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0))
@@ -740,7 +779,7 @@ def _pairing(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ g @ b[..., None])[..., 0, 0]
 
 
-def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
+def scalar_generator(gp: GeometryPoint,
                      f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Generator of the diffusion applied to a scalar, by two routes:
 
@@ -749,20 +788,18 @@ def scalar_generator(system: SdeSystem, cid: str, x: np.ndarray,
     - Levi-Civita form: Laplace-Beltrami/2 + <sum_i nab X^i(X^i)/2 + A, grad f>_g.
 
     Returns (induced_value, levi_civita_value), each over the leading axes of
-    ``x`` (shape ``(..., n)``); ``f`` must map ``(..., n)`` to ``(...)``.
+    ``gp.x`` (shape ``(..., n)``); ``f`` must map ``(..., n)`` to ``(...)``.
     """
-    x = np.asarray(x, dtype=float)
-    oracle = system.oracle
-    pd = point_data(system, cid, x)
+    oracle = gp.system.oracle
+    pd, gamma_lc = gp.pd, gp.gamma_lc
 
     def gradf(y: np.ndarray) -> np.ndarray:
-        Xy = system.coeff_x(cid, y)
+        Xy = gp.system.coeff_x(gp.cid, y)
         df = oracle.jacobian(f, y)
         return np.einsum("...ir,...jr,...j->...i", Xy, Xy, df)  # ginv = X X^T
 
-    gf = gradf(x)
-    dgf = oracle.jacobian(gradf, x)
-    gamma_lc = levi_civita_christoffel(system, cid, x)
+    gf = gradf(gp.x)
+    dgf = oracle.jacobian(gradf, gp.x)
     trace = np.trace(dgf, axis1=-2, axis2=-1)
     tr_lw = trace + np.einsum("...iik,...k->...", pd.gamma, gf)
     tr_lc = trace + np.einsum("...iik,...k->...", gamma_lc, gf)
@@ -819,8 +856,9 @@ def codifferential_1form(system: SdeSystem, cid: str, x: np.ndarray,
     return -np.einsum("...jk,...jk->...", ginv, S)
 
 
-def codifferential_1form_lie(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable) -> float:
-    """Same codifferential through Lie derivatives: -sum_i (L_{X^i} phi)(X^i)."""
+def codifferential_1form_lie(system: SdeSystem, cid: str, x: np.ndarray,
+                             phi: Callable) -> np.ndarray:
+    """Same codifferential through Lie derivatives, batched: -sum_i (L_{X^i} phi)(X^i)."""
     x = np.asarray(x, dtype=float)
     oracle = system.oracle
     X = system.coeff_x(cid, x)
@@ -829,7 +867,7 @@ def codifferential_1form_lie(system: SdeSystem, cid: str, x: np.ndarray, phi: Ca
     p = phi(x)
     term1 = np.einsum("...ji,...kj,...ki->...", X, dphi, X)
     term2 = np.einsum("...j,...jik,...ki->...", p, DX, X)
-    return float(-(term1 + term2))
+    return -(term1 + term2)
 
 
 def exterior_derivative_1form(phi: Callable, x: np.ndarray, oracle: DerivOracle) -> np.ndarray:
@@ -838,19 +876,17 @@ def exterior_derivative_1form(phi: Callable, x: np.ndarray, oracle: DerivOracle)
     return np.swapaxes(dphi, -1, -2) - dphi
 
 
-def one_form_generator(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
-                       v: np.ndarray) -> float:
+def one_form_generator(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> float:
     """Generator on 1-forms at (x, v): half the adjoint-connection trace
     Hessian, minus half the curvature term phi(Ric# v), plus the drift Lie
     term::
 
         (G phi)(v) = (trace nab^2 phi)(v)/2 - phi(Ric# v)/2 + (L_A phi)(v)
     """
-    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    oracle = system.oracle
-    pd = point_data(system, cid, x)
-    S_field = _hat_nabla_1form(system, cid, phi)
+    x, pd = gp.x, gp.pd
+    oracle = gp.system.oracle
+    S_field = _hat_nabla_1form(gp.system, gp.cid, phi)
     S = S_field(x)
     dS = oracle.jacobian(S_field, x)  # [j, k, l] = d_l S_{jk}
     dlSjk = np.moveaxis(dS, -1, -3)   # [l, j, k]
@@ -860,7 +896,7 @@ def one_form_generator(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable
     lap = np.einsum("...lj,...ljk->...k", pd.ginv, T2)
     ric_term = np.einsum("...a,...ab,...b->...", phi(x), pd.ric_sharp, v)
     lie_a = 0.0
-    if system.has_drift:
+    if gp.system.has_drift:
         dphi = oracle.jacobian(phi, x)
         lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
                    + np.einsum("...j,...jk->...k", phi(x), pd.DA))
@@ -868,12 +904,11 @@ def one_form_generator(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable
     return float(0.5 * lap @ v - 0.5 * ric_term + lie_a)
 
 
-def one_form_generator_hodge(system: SdeSystem, cid: str, x: np.ndarray, phi: Callable,
-                             v: np.ndarray) -> float:
+def one_form_generator_hodge(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> float:
     """Same operator through the codifferential: -(delta-bar d + d delta-bar)/2
     plus the drift Lie term."""
-    x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
+    system, cid, x = gp.system, gp.cid, gp.x
     oracle = system.oracle
 
     dbar = lambda y: codifferential_1form(system, cid, y, phi)
@@ -895,47 +930,8 @@ def one_form_generator_hodge(system: SdeSystem, cid: str, x: np.ndarray, phi: Ca
     dbar_dphi = -np.einsum("...lj,...ljk->...k", ginv, U)
     val = -0.5 * float((dbar_dphi + d_dbar) @ v)
     if system.has_drift:
-        pd = point_data(system, cid, x)
         dphi = oracle.jacobian(phi, x)
-        lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
-                   + np.einsum("...j,...jk->...k", phi(x), pd.DA))
+        lie_vec = (np.einsum("...j,...kj->...k", gp.pd.A, dphi)
+                   + np.einsum("...j,...jk->...k", phi(x), gp.pd.DA))
         val += float(lie_vec @ v)
     return val
-
-
-# ---------------------------------------------------------------------------
-# assembled per-point report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GeometryPoint:
-    """Everything the tensor report shows for a (batch of) point(s): the
-    ``PointData`` at ``x`` (metric, induced Christoffels, Ric#) plus what
-    it lacks."""
-
-    cid: str | np.ndarray
-    x: np.ndarray
-    pd: PointData
-    gamma_lc: np.ndarray
-    torsion: np.ndarray
-    curvature_lw: np.ndarray
-    ricci_lw: np.ndarray
-
-
-def geometry_point(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray) -> GeometryPoint:
-    """The tensor report's arrays at ``x``, batched over its leading axes;
-    ``cid`` is one chart name or one per point.
-
-    Raises ``DegenerateX`` naming the first point (in row-major order) where
-    X loses rank, with its chart.
-    """
-    x = np.asarray(x, dtype=float)
-    system.check_rank(cid, x)
-    pd = point_data(system, cid, x)
-    return GeometryPoint(
-        cid=cid, x=x, pd=pd, gamma_lc=levi_civita_christoffel(system, cid, x),
-        torsion=torsion_from_christoffel(pd.gamma),
-        curvature_lw=curvature_lw_direct(pd.gradX, pd.g),
-        ricci_lw=ricci_bilinear(pd.ric_sharp, pd.g),
-    )

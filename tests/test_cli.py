@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import flowgeom.cli as cli
+import flowgeom.geometry as geometry
 from flowgeom.cli import main
 from flowgeom.geometry import geometry_point, moment_form_extremes, point_data
 
@@ -405,6 +406,52 @@ def test_verify_fails_when_the_tss_routes_disagree(monkeypatch):
     rows = {row["name"]: row for row in rep["identities"]}
     assert not rows["tss"]["passed"]
     assert rep["status"] == "failed"
+
+
+# the scenarios of the benchmark's verify-all workload
+VERIFY_ALL = [
+    ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
+    ("sphere-gradient", {"n": 3}),
+    ("so3-left-invariant", {}),
+    ("twisted-plane", {"alpha": 0.5}),
+    ("circle", {}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
+]
+
+
+@pytest.mark.parametrize("name,params", VERIFY_ALL, ids=[s[0] for s in VERIFY_ALL])
+def test_each_op_computes_its_point_data_and_levi_civita_field_once(name, params,
+                                                                     monkeypatch):
+    # the shape of x at every point_data and levi_civita_christoffel call,
+    # wherever the op looks either up
+    shapes = {"point_data": [], "levi_civita_christoffel": []}
+    for fn, seen in shapes.items():
+        inner = getattr(geometry, fn)
+
+        def wrapped(system, cid, x, *a, _inner=inner, _seen=seen, **k):
+            _seen.append(np.shape(x))
+            return _inner(system, cid, x, *a, **k)
+
+        for module in (geometry, cli):
+            if hasattr(module, fn):
+                monkeypatch.setattr(module, fn, wrapped)
+    scenario = {"name": name, "params": params}
+    n = cli._build_system({"scenario": scenario}).n
+    probes = (5, n)  # the start point and 4 sampled ones
+
+    cli.run_config({"command": "verify", "scenario": scenario, "n_probes": 4, "seed": 23})
+    # the probe batch, then the start point for tss_check
+    assert shapes["point_data"] == [probes, (n,)]
+    # curvature_from_christoffel(kind="lc") differentiates its own field
+    assert shapes["levi_civita_christoffel"].count(probes) == 2
+
+    for seen in shapes.values():
+        seen.clear()
+    cli.run_config({"command": "tensors", "scenario": scenario, "n_probes": 4, "seed": 23})
+    assert shapes == {"point_data": [probes], "levi_civita_christoffel": [probes]}
 
 
 # -------------------------------------------------------------- simulate

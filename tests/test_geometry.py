@@ -9,15 +9,20 @@ Closed-form constants used as references (orthonormal frames, unit vectors):
   flat with drift a(x) = -x:    moment form = -2 on unit vectors, any p
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from flowgeom.errors import DegenerateX
 from flowgeom.geometry import (
+    GeometryPoint,
+    PointData,
     _grad_x,
     _gram_inverse,
     _induced_gamma,
     _ric_sharp,
+    _torsion_skew,
     christoffel,
     codifferential_1form,
     codifferential_1form_lie,
@@ -29,6 +34,7 @@ from flowgeom.geometry import (
     exterior_derivative_1form,
     geometry_point,
     induced_metric,
+    levi_civita_christoffel,
     lie_bracket,
     lw_lc_split_residual,
     metricity_residual,
@@ -131,13 +137,13 @@ def test_sphere_generator_on_coordinate_functions(sphere):
     emb = sphere.embed(cid, x)
     for i, src in enumerate(["x1", "x2", "x3"]):
         f = scalar_from_expr(sphere, cid, src)
-        lw, lc = scalar_generator(sphere, cid, x, f)
+        lw, lc = scalar_generator(GeometryPoint(sphere, cid, x), f)
         assert lw == pytest.approx(-emb[i], abs=1e-7)
         assert lw == pytest.approx(lc, abs=1e-9)
 
 
 def test_sphere_is_tss_with_zero_torsion(sphere):
-    ok, res, _ = tss_check(sphere, "n", np.array([0.2, 0.5]))
+    ok, res, _ = tss_check(GeometryPoint(sphere, "n", np.array([0.2, 0.5])))
     assert ok and res < 1e-8
     gamma = christoffel(sphere, "n", np.array([0.2, 0.5]), "lw")
     assert np.max(np.abs(torsion_from_christoffel(gamma))) < 1e-8
@@ -192,9 +198,9 @@ def test_so3_levi_civita_ricci_is_half_metric(so3):
 
 
 def test_so3_is_tss_and_adjoint_metric(so3):
-    ok, res, _ = tss_check(so3, "exp", np.zeros(3))
+    ok, res, _ = tss_check(GeometryPoint(so3, "exp", np.zeros(3)))
     assert ok and res < 1e-8
-    assert metricity_residual(so3, "exp", np.array([0.2, 0.1, -0.4]),
+    assert metricity_residual(GeometryPoint(so3, "exp", np.array([0.2, 0.1, -0.4])),
                               kind="adjoint") < 1e-8
 
 
@@ -215,22 +221,22 @@ CASES = [
 def test_defining_property(name, params):
     sys = system_of(name, params)
     for cid, x in [sys.start()] + sys.sample_points(np.random.default_rng(5), 3):
-        assert defining_property_residual(sys, cid, x) < 1e-7
+        assert defining_property_residual(GeometryPoint(sys, cid, x)) < 1e-7
 
 
 @pytest.mark.parametrize("name,params", CASES)
 def test_metricity_and_pairing(name, params):
     sys = system_of(name, params)
     cid, x = sys.sample_points(np.random.default_rng(6), 1)[0]
-    assert metricity_residual(sys, cid, x, kind="lw") < 1e-8
-    assert pairing_derivative_residual(sys, cid, x) < 1e-7
+    assert metricity_residual(GeometryPoint(sys, cid, x), kind="lw") < 1e-8
+    assert pairing_derivative_residual(GeometryPoint(sys, cid, x)) < 1e-7
 
 
 @pytest.mark.parametrize("name,params", CASES)
 def test_christoffel_route_equivalence(name, params):
     sys = system_of(name, params)
     cid, x = sys.sample_points(np.random.default_rng(8), 1)[0]
-    assert connection_routes_residual(sys, cid, x) < 1e-7
+    assert connection_routes_residual(GeometryPoint(sys, cid, x)) < 1e-7
 
 
 @pytest.mark.parametrize("name,params", CASES)
@@ -254,7 +260,7 @@ def test_stratonovich_term_vanishes(name, params):
     # identically zero, including on non-TSS systems
     sys = system_of(name, params)
     for cid, x in [sys.start()] + sys.sample_points(np.random.default_rng(11), 2):
-        s = stratonovich_term(sys, cid, x)
+        s = stratonovich_term(GeometryPoint(sys, cid, x))
         assert np.max(np.abs(s)) < 1e-9
 
 
@@ -265,19 +271,19 @@ def test_lw_lc_split(name, params):
     # so the non-TSS twisted plane is excluded
     sys = system_of(name, params)
     cid, x = sys.sample_points(np.random.default_rng(12), 1)[0]
-    identity_res, _ = lw_lc_split_residual(sys, cid, x)
+    identity_res, _ = lw_lc_split_residual(GeometryPoint(sys, cid, x))
     assert identity_res < 1e-6
 
 
 def test_lw_lc_split_detects_non_tss(twisted):
     cid, x = twisted.sample_points(np.random.default_rng(12), 1)[0]
-    identity_res, _ = lw_lc_split_residual(twisted, cid, x)
+    identity_res, _ = lw_lc_split_residual(GeometryPoint(twisted, cid, x))
     assert identity_res > 1e-3
 
 
 def test_twisted_plane_profile(twisted):
     cid, x = "plane", np.array([0.8, -0.4])
-    ok, _, _ = tss_check(twisted, cid, x)
+    ok, _, _ = tss_check(GeometryPoint(twisted, cid, x))
     assert not ok
     gamma_gap = np.max(np.abs(christoffel(twisted, cid, x, "lw")
                               - christoffel(twisted, cid, x, "lc")))
@@ -313,7 +319,7 @@ def test_generator_routes_flat_ou():
     sys = system_of("flat", {"n": 2, "drift": ["-x1", "-x2"]})
     x = np.array([0.5, -1.0])
     f = scalar_from_expr(sys, "u", "x1*x1")
-    lw, lc = scalar_generator(sys, "u", x, f)
+    lw, lc = scalar_generator(GeometryPoint(sys, "u", x), f)
     # a.grad f + (1/2) laplacian f = -2 x1^2 + 1
     assert lw == pytest.approx(-2 * x[0] ** 2 + 1.0, abs=1e-7)
     assert lw == pytest.approx(lc, abs=1e-9)
@@ -404,8 +410,9 @@ def test_one_form_generator_routes_agree(sphere):
     cid, x = "n", np.array([0.3, 0.1])
     phi = one_form_from_spec(sphere, cid, {"d_of": "x1"})
     v = np.array([0.7, -0.2])
-    direct = one_form_generator(sphere, cid, x, phi, v)
-    hodge = one_form_generator_hodge(sphere, cid, x, phi, v)
+    gp = GeometryPoint(sphere, cid, x)
+    direct = one_form_generator(gp, phi, v)
+    hodge = one_form_generator_hodge(gp, phi, v)
     assert direct == pytest.approx(hodge, abs=1e-7)
 
 
@@ -427,6 +434,12 @@ def test_codifferential_is_batch_safe(sphere):
     rows = np.array([codifferential_1form(sphere, cid, x, phi) for x in xs])
     assert batch.shape == (4,)
     assert np.array_equal(batch, rows)
+    # the Lie-derivative route batches the same way and agrees with it
+    lie = codifferential_1form_lie(sphere, cid, xs, phi)
+    lie_rows = np.array([codifferential_1form_lie(sphere, cid, x, phi) for x in xs])
+    assert lie.shape == (4,)
+    assert np.array_equal(lie, lie_rows)
+    np.testing.assert_allclose(lie, batch, rtol=0, atol=1e-6)
 
 
 def test_exterior_derivative_of_exact_form_vanishes(sphere):
@@ -487,18 +500,18 @@ def _identities(sys, cid, x, v1, v2):
     # the bracket's points carry a probe axis, and so do their charts
     bracket_cid = cid if np.ndim(cid) == 0 else np.asarray(cid)[..., None]
     return [
-        defining_property_residual(sys, cid, x),
-        metricity_residual(sys, cid, x, kind="lw"),
-        metricity_residual(sys, cid, x, kind="adjoint"),
-        pairing_derivative_residual(sys, cid, x),
-        pairing_derivative_residual(sys, cid, x, kind="lc"),
-        connection_routes_residual(sys, cid, x),
+        defining_property_residual(gp),
+        metricity_residual(gp, kind="lw"),
+        metricity_residual(gp, kind="adjoint"),
+        pairing_derivative_residual(gp),
+        pairing_derivative_residual(gp, kind="lc"),
+        connection_routes_residual(gp),
         torsion_via_bracket(sys, bracket_cid, x[..., None, :], v1, v2),
-        *tss_check(sys, cid, x),
-        *lw_lc_split_residual(sys, cid, x),
-        *scalar_generator(sys, cid, x, f),
-        stratonovich_term(sys, cid, x),
-        stratonovich_term(sys, cid, x, kind="lc"),
+        *tss_check(gp),
+        *lw_lc_split_residual(gp),
+        *scalar_generator(gp, f),
+        stratonovich_term(gp),
+        stratonovich_term(gp, kind="lc"),
         gp.pd.g, gp.pd.gamma, gp.gamma_lc, gp.torsion, gp.curvature_lw, gp.ricci_lw,
     ]
 
@@ -526,6 +539,41 @@ def test_identities_batched_agree_with_single_points(name, params):
                 assert np.array_equal(got, want), k
             else:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=str(k))
+
+
+def _assert_bundle_is_fresh(gp):
+    fresh = point_data(gp.system, gp.cid, gp.x)
+    for f in fields(PointData):
+        got, want = getattr(gp.pd, f.name), getattr(fresh, f.name)
+        assert (got is None and want is None) or np.array_equal(got, want), f.name
+    assert np.array_equal(gp.gamma_lc, levi_civita_christoffel(gp.system, gp.cid, gp.x))
+
+
+def test_identities_never_write_into_the_shared_bundle(sphere):
+    # every GeometryPoint-taking function, with each connection kind it
+    # takes, leaves the PointData and Levi-Civita field it shares as a fresh
+    # computation gives them; the verify digests rely on this
+    pts = [sphere.start()] + sphere.sample_points(np.random.default_rng(41), 5)
+    cids = np.array([cid for cid, _ in pts])
+    assert set(cids) == {"n", "s"}
+    gp = GeometryPoint(sphere, cids, np.array([x for _, x in pts]))
+    defining_property_residual(gp)
+    connection_routes_residual(gp)
+    _torsion_skew(gp)
+    tss_check(gp)
+    lw_lc_split_residual(gp)
+    scalar_generator(gp, scalar_from_expr(sphere, cids, "x1*x3"))
+    for kind in ("lw", "adjoint", "lc"):
+        pairing_derivative_residual(gp, kind=kind)
+        metricity_residual(gp, kind=kind)
+        stratonovich_term(gp, kind=kind)
+    _assert_bundle_is_fresh(gp)
+    # the 1-form generators take one point
+    one = GeometryPoint(sphere, "s", pts[1][1])
+    phi = one_form_from_spec(sphere, "s", {"d_of": "x2"})
+    one_form_generator(one, phi, np.array([0.4, -1.0]))
+    one_form_generator_hodge(one, phi, np.array([0.4, -1.0]))
+    _assert_bundle_is_fresh(one)
 
 
 # ------------------------------------------ matmul contractions, Gram inverse
