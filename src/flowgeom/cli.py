@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -52,7 +51,6 @@ from .estimators import (
 )
 from .geometry import (
     TSS_TOL,
-    GeometryPoint,
     PointData,
     _g_frame_eigvalsh,
     connection_routes_residual,
@@ -232,7 +230,7 @@ def cmd_verify(cfg: dict) -> dict:
         scale = np.maximum(_max_abs(fd), _max_abs(exact))
         return _max_abs(exact - fd) / np.where(scale > 0.0, scale, 1.0)
 
-    gp = GeometryPoint(system, cid, xs)
+    gp = geometry_point(system, cid, xs)
     pd, T = gp.pd, gp.torsion
     v1, v2 = brackets[:, :, 0], brackets[:, :, 1]  # (P, 2, n)
     tb = torsion_via_bracket(system, cid[:, None], xs[:, None, :], v1, v2)
@@ -270,7 +268,7 @@ def cmd_verify(cfg: dict) -> dict:
     ricci_min_eig = float(eigs.min())
     ricci_max_abs = float(np.max(np.abs(eigs)))
 
-    tss, tss_res, tss_alt = tss_check(GeometryPoint(system, *system.start()))
+    tss, tss_res, tss_alt = tss_check(geometry_point(system, *system.start()))
     lw_equals_lc = gamma_gap < 1e-6
 
     tolerances = {
@@ -340,7 +338,7 @@ def _mc_defaults(check: str) -> dict:
 
 def _mc_config(cfg: dict, check: str = "") -> McConfig:
     d = _mc_defaults(check)
-    threads = int(cfg.get("threads", os.cpu_count() or 1))
+    threads = int(cfg.get("threads", 1))
     return McConfig(
         system=_build_system(cfg),
         t=float(cfg.get("t", d["t"])),
@@ -355,6 +353,10 @@ def _mc_config(cfg: dict, check: str = "") -> McConfig:
     )
 
 
+# what _dump_paths_csv reads of a run besides the state
+_DUMP_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
+
+
 def cmd_simulate(cfg: dict):
     t0 = time.perf_counter()
     mc = _mc_config(cfg)
@@ -367,7 +369,8 @@ def cmd_simulate(cfg: dict):
                             f"most {BLOCK} paths, got n_paths={mc.n_paths}")
         at = range(_step_count(mc.t, mc.dt) + 1)
     res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
-                   x0=x0, cid=cid, threads=mc.threads, at=at)
+                   x0=x0, cid=cid, threads=mc.threads, at=at,
+                   need=_DUMP_NEEDS | {"recon_err"})  # what the report and the CSV read
     alive = res.alive
     n_alive = int(alive.sum())
     if n_alive < 2:  # the terminal standard error needs two paths
@@ -403,10 +406,6 @@ def cmd_simulate(cfg: dict):
         "wall_time": time.perf_counter() - t0,
     }
     return report, res, v0
-
-
-# what _dump_paths_csv reads of an unrecorded run besides the state
-_DUMP_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
 
 
 def _dump_paths_csv(path: str, res, v0: np.ndarray) -> None:

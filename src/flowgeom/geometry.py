@@ -146,21 +146,26 @@ def _autoparallel_sum(pd: PointData, gamma: np.ndarray) -> np.ndarray:
     return np.einsum("...aij,...ji->...a", _grad_x(pd.DX, gamma, pd.X), pd.X)
 
 
-def point_data(system: SdeSystem, cid: str, x: np.ndarray, *,
-               light: bool = False) -> PointData:
-    """Assemble coefficients and induced tensors at ``x`` (batched).
+def point_data(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray, *,
+               level: str = "full") -> PointData:
+    """Assemble coefficients and induced tensors at ``x`` (batched), in chart
+    ``cid`` or with the chart of each row in an array ``cid``.
 
-    ``DX`` and ``DA`` are the system's ``coeff_dx`` and ``coeff_da``: closed
-    forms or symbolic derivatives of the expressions, the oracle only where
-    the scenario has neither (``so3-left-invariant``'s DX).
+    ``level`` is how far: "coeff" fills X and A, "light" adds DX and DA,
+    "full" fills every field.  ``DX`` and ``DA`` are the system's
+    ``coeff_dx`` and ``coeff_da``: closed forms or symbolic derivatives of
+    the expressions, the oracle only where the scenario has neither
+    (``so3-left-invariant``'s DX).
     """
     x = np.asarray(x, dtype=float)
     X = system.coeff_x(cid, x)
     A = system.coeff_a(cid, x)
+    if level == "coeff":
+        return PointData(X=X, A=A, DX=None, DA=None)
     DX = system.coeff_dx(cid, x)
     DA = system.coeff_da(cid, x) if system.has_drift else None
     pd = PointData(X=X, A=A, DX=DX, DA=DA)
-    if light:
+    if level == "light":
         return pd
     pd.g, pd.ginv, pd.Y, pd.PT, pd.PN = induced_metric(X)
     pd.gamma = _induced_gamma(DX, pd.Y)
@@ -779,6 +784,11 @@ def _pairing(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ g @ b[..., None])[..., 0, 0]
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a . b over leading axes, with the single-point ``a @ b`` products."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 def scalar_generator(gp: GeometryPoint,
                      f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Generator of the diffusion applied to a scalar, by two routes:
@@ -876,12 +886,14 @@ def exterior_derivative_1form(phi: Callable, x: np.ndarray, oracle: DerivOracle)
     return np.swapaxes(dphi, -1, -2) - dphi
 
 
-def one_form_generator(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> float:
+def one_form_generator(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> np.ndarray:
     """Generator on 1-forms at (x, v): half the adjoint-connection trace
     Hessian, minus half the curvature term phi(Ric# v), plus the drift Lie
     term::
 
         (G phi)(v) = (trace nab^2 phi)(v)/2 - phi(Ric# v)/2 + (L_A phi)(v)
+
+    One value per point of ``gp.x``; ``v`` is one vector or one per point.
     """
     v = np.asarray(v, dtype=float)
     x, pd = gp.x, gp.pd
@@ -900,13 +912,13 @@ def one_form_generator(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> float
         dphi = oracle.jacobian(phi, x)
         lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
                    + np.einsum("...j,...jk->...k", phi(x), pd.DA))
-        lie_a = float(lie_vec @ v)
-    return float(0.5 * lap @ v - 0.5 * ric_term + lie_a)
+        lie_a = _dot(lie_vec, v)
+    return _dot(0.5 * lap, v) - 0.5 * ric_term + lie_a
 
 
-def one_form_generator_hodge(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> float:
+def one_form_generator_hodge(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> np.ndarray:
     """Same operator through the codifferential: -(delta-bar d + d delta-bar)/2
-    plus the drift Lie term."""
+    plus the drift Lie term, one value per point of ``gp.x``."""
     v = np.asarray(v, dtype=float)
     system, cid, x = gp.system, gp.cid, gp.x
     oracle = system.oracle
@@ -928,10 +940,10 @@ def one_form_generator_hodge(gp: GeometryPoint, phi: Callable, v: np.ndarray) ->
     X = system.coeff_x(cid, x)
     ginv = X @ np.swapaxes(X, -1, -2)
     dbar_dphi = -np.einsum("...lj,...ljk->...k", ginv, U)
-    val = -0.5 * float((dbar_dphi + d_dbar) @ v)
+    val = -0.5 * _dot(dbar_dphi + d_dbar, v)
     if system.has_drift:
         dphi = oracle.jacobian(phi, x)
         lie_vec = (np.einsum("...j,...kj->...k", gp.pd.A, dphi)
                    + np.einsum("...j,...jk->...k", phi(x), gp.pd.DA))
-        val += float(lie_vec @ v)
+        val += _dot(lie_vec, v)
     return val

@@ -6,7 +6,10 @@ adjoint, the covariant Ito form of the derivative flow, the filtered
 (damped) flow, and the noise decomposition with its exact discrete
 reconstruction.  Paths are independent given (seed, path index); worker
 threads split the index range into fixed blocks and results are merged in
-block order, so reports are identical for any thread count.
+block order, so reports are identical for any thread count.  The start data
+(``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``, ``F0``: the frames at ``x0``)
+is built once per run, from one ``GeometryPoint`` at ``x0``; a block
+integrates its paths and returns only their per-path fields.
 
 Demand-driven companions: ``simulate(..., need=...)`` names the result
 fields the caller reads, and the engine integrates only what they depend on.
@@ -91,12 +94,12 @@ import numpy as np
 
 from .errors import BadParams
 from .geometry import (
-    GeometryPoint,
     PointData,
     _gram_inverse,
     _induced_gamma,
     _torsion_skew,
     christoffel,
+    geometry_point,
     moment_form_extremes,
     point_data,
 )
@@ -201,21 +204,11 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# batched bundle evaluation, one chart name per row
+# bundle rows and transports
 # ---------------------------------------------------------------------------
 
 
 _FIELDS = tuple(f.name for f in fields(PointData))
-
-
-def _bundle(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray,
-            level: str) -> PointData:
-    """Bundle at one of three levels: "coeff" (X, A), "light" (+ DX, DA) or
-    "full" (all of ``point_data``), with the chart of each row in ``cids``."""
-    if level == "coeff":
-        return PointData(X=system.coeff_x(cids, x), A=system.coeff_a(cids, x),
-                         DX=None, DA=None)
-    return point_data(system, cids, x, light=level == "light")
 
 
 def _scatter_rows(dst: PointData, src: PointData, rows: np.ndarray) -> None:
@@ -228,7 +221,7 @@ def _scatter_rows(dst: PointData, src: PointData, rows: np.ndarray) -> None:
 
 def _gamma_light(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray) -> np.ndarray:
     """Induced-connection Christoffels from a light bundle evaluation."""
-    pd = _bundle(system, cids, x, "light")
+    pd = point_data(system, cids, x, level="light")
     return _induced_gamma(pd.DX, _gram_inverse(pd.X)[2])
 
 
@@ -387,30 +380,30 @@ def _closure(need: frozenset) -> set:
 
 
 def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
-               dt: float, cid0: str, x0: np.ndarray, hp_p: float | None,
-               need: frozenset, adj_metric: bool, coarsen: int,
-               at: tuple[int, ...]) -> dict:
-    """Integrate one block of paths; ``need`` is what ``_requested`` returns.
+               dt: float, start: dict, hp_p: float | None, on: set,
+               adj_metric: bool, coarsen: int, at: tuple[int, ...]) -> list[dict]:
+    """Integrate one block of paths from the run's ``start`` data (see
+    ``simulate``); ``on`` is the ``_closure`` of the requested fields.
 
     ``adj_metric`` says whether the adjoint connection is metric at the
     start, so that ``//^`` frames may be isometrized.
 
-    ``out["snapshots"]`` holds the same fields after each step count in
-    ``at``, copied since the engine updates some arrays in place.
+    Returns the block's per-path fields after each step count in ``at``, in
+    that order, then after the last step.  The entries before the last are
+    copies, since the engine updates some arrays in place.
     """
     n, m = system.n, system.m
     P = len(indices)
-    chart_names = tuple(c.cid for c in system.charts)
-    cid0_idx = chart_names.index(cid0)
+    chart_names, x0 = start["chart_names"], start["x0"]
+    g0, ginv0, X0, Y0, F0 = (start[k] for k in ("g0", "ginv0", "X0", "Y0", "F0"))
     noise = _block_noise(seed, indices, steps, dt, m, coarsen)
-    on = _closure(need)
     level = "full" if "full" in on else "light" if "light" in on else "coeff"
     level_s = "light" if "light" in on else "coeff"  # predictor bundle: J only
     decompose = not on.isdisjoint(_DECOMPOSITION)
     transport = "par_lw" in on or "par_adj" in on
 
     x = as_engine(np.broadcast_to(x0, (P, n)))
-    cid_idx = np.full(P, cid0_idx, dtype=np.int64)
+    cid_idx = np.full(P, chart_names.index(start["cid0"]), dtype=np.int64)
     centers = None
     if system.is_group:
         centers = np.broadcast_to(system.group_identity(), (P, 4)).copy()
@@ -421,12 +414,8 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
           if name in on}
 
     cids = np.asarray(chart_names)[cid_idx]  # chart name per row
-    bundle = _bundle(system, cids, x, level)
+    bundle = point_data(system, cids, x, level=level)
     origin_bundle = bundle if system.is_group else None
-    start = point_data(system, cid0, x0)  # one point: C-ordered constant operands
-    g0, ginv0, X0, Y0 = start.g, start.ginv, start.X, start.Y
-    L0 = np.linalg.cholesky(g0)
-    F0 = _null_frame(X0)
     F = None
     if decompose:
         if F0 is not None:
@@ -440,27 +429,8 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     if hp:
         st.update(hp_lo=np.zeros(P), hp_hi=np.zeros(P))
 
-    def fields_now() -> dict:
-        """The block's result fields at the current step."""
-        out = dict(st, chart_names=chart_names, cid0=cid0, x0=x0, g0=g0,
-                   ginv0=ginv0, X0=X0, Y0=Y0, L0=L0, F0=F0, cid_idx=cid_idx, x=x,
-                   centers=centers, alive=alive, F=F)
-        if decompose:
-            out["recon_err"] = np.max(np.abs(st["recon"] - st["b_raw"]), axis=-1)
-        if "g_T" in on:
-            out["g_T"] = (bundle.g.copy() if bundle.g.ndim == 3
-                          else np.broadcast_to(bundle.g, (P, n, n)).copy())
-        return out
-
-    kept: dict[int, dict] = {}  # step -> fields, for the steps in ``at``
-    wanted = frozenset(at)
-
-    def keep(k: int) -> None:
-        if k in wanted:
-            kept[k] = {key: val.copy() if isinstance(val, np.ndarray) else val
-                       for key, val in fields_now().items()}
-
-    keep(0)
+    kept: dict[int, dict] = {}  # step -> per-path fields, for ``at`` and the last step
+    wanted = frozenset(at) | {steps}
     guard = system.guard_radius if system.guard_radius is not None else np.inf
     has_drift = system.has_drift
 
@@ -471,14 +441,27 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             return _isometry_inverse(par, B.g, ginv0)
         return in_layout_of(par, np.linalg.inv(par))
 
-    for k in range(steps):
+    for k in range(steps + 1):
+        if k in wanted:
+            now = dict(st, cid_idx=cid_idx, x=x, centers=centers, alive=alive, F=F)
+            if decompose:
+                now["recon_err"] = np.max(np.abs(st["recon"] - st["b_raw"]), axis=-1)
+            if "g_T" in on:
+                now["g_T"] = (bundle.g.copy() if bundle.g.ndim == 3
+                              else np.broadcast_to(bundle.g, (P, n, n)).copy())
+            if k < steps:  # later steps update some of these arrays in place
+                now = {key: val.copy() if isinstance(val, np.ndarray) else val
+                       for key, val in now.items()}
+            kept[k] = now
+        if k == steps:
+            break
         dB = as_engine(noise[:, k, :])  # a step's copy: no second block-sized array
         Bk = bundle
 
         # predictor / corrector for the state
         drift_k = Bk.A * dt
         x_star = x + np.einsum("...ij,...j->...i", Bk.X, dB) + drift_k
-        Bs = _bundle(system, cids, x_star, level_s)
+        Bs = point_data(system, cids, x_star, level=level_s)
         x_plus = (x + 0.5 * np.einsum("...ij,...j->...i", Bk.X + Bs.X, dB)
                   + 0.5 * (Bk.A + Bs.A) * dt)
 
@@ -504,7 +487,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             new["J"] = J + 0.5 * (DGJ + np.einsum(_MM, DGs, J + DGJ))
 
         # bundle at the corrected point (pre chart switch)
-        Bp = _bundle(system, cids, x_plus, level)
+        Bp = point_data(system, cids, x_plus, level=level)
 
         # parallel transports, RK4 on dv/ds = -Gamma(x + s dx)(dx, v)
         if transport:
@@ -615,18 +598,16 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                 cids[rows] = target
                 cid_idx[rows] = [chart_names.index(c) for c in target]
                 # only the switched rows are evaluated again
-                _scatter_rows(bundle, _bundle(system, target, x_sw, level), rows)
-        keep(k + 1)
+                _scatter_rows(bundle, point_data(system, target, x_sw, level=level), rows)
 
-    out = fields_now()
-    out["snapshots"] = [kept[k] for k in at]
-    return out
+    return [kept[k] for k in at] + [kept[steps]]
 
 
-def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
+def _assemble(system: SdeSystem, start: dict, blocks: list[dict], need: frozenset,
               **run) -> SimResult:
-    """One ``SimResult`` from per-block field dicts, merged in block order;
-    ``run`` holds ``t``, ``dt``, ``steps``, ``seed``, ``n_paths`` and ``cid0``."""
+    """One ``SimResult`` from the run's ``start`` data and the blocks'
+    per-path fields at one step, merged in block order; ``run`` holds ``t``,
+    ``dt``, ``steps``, ``seed`` and ``n_paths``."""
 
     def cat(key):
         vals = [b.get(key) for b in blocks]
@@ -635,13 +616,11 @@ def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
         # [:n_paths] drops the second copy of a lone last path (see simulate)
         return np.concatenate([np.ascontiguousarray(v) for v in vals])[:run["n_paths"]]
 
-    first = blocks[0]
     alive = cat("alive")
     cid_idx = cat("cid_idx")
     x = cat("x")
     centers = cat("centers")
-    chart_names = first["chart_names"]
-    cids = np.asarray(chart_names)[cid_idx]
+    cids = np.asarray(start["chart_names"])[cid_idx]
     if system.is_group:
         emb = system.embed(cids, x, center=centers)
     else:
@@ -649,11 +628,8 @@ def _assemble(system: SdeSystem, blocks: list[dict], need: frozenset,
 
     companions = {name: cat(name) if name in need else None for name in _SIM_COMPANIONS}
     return SimResult(
-        **run, chart_names=chart_names, x0=first["x0"], g0=first["g0"],
-        ginv0=first["ginv0"], X0=first["X0"], Y0=first["Y0"], L0=first["L0"],
-        F0=first["F0"], cid_idx=cid_idx, x=x, centers=centers, embedded=emb,
-        alive=alive, n_dropped=int(run["n_paths"] - alive.sum()),
-        **companions,
+        **start, **run, cid_idx=cid_idx, x=x, centers=centers, embedded=emb,
+        alive=alive, n_dropped=int(run["n_paths"] - alive.sum()), **companions,
     )
 
 
@@ -679,11 +655,14 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
 
     ``coarsen = c`` drives the run with the Brownian paths of a run at
     ``dt / 2**c`` (see "Noise:" in the module docstring and ``_block_noise``).
+    A start point where X loses rank raises ``DegenerateX``.
 
     ``need`` names the ``SimResult`` fields the caller will read; ``None``
     means all of them.  The state, the alive mask, the charts, the group
     centres and the start data (``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``,
-    ``F0``) are always filled.  Only the companion processes the requested
+    ``F0``) are always filled; the start data is computed once per run, from
+    one ``GeometryPoint`` at ``x0``, and shared by every block, snapshot and
+    the terminal result.  Only the companion processes the requested
     fields depend on are integrated (see ``_NEEDS``), and every field not
     requested is ``None``; ``hp_lo`` and ``hp_hi`` also need ``hp_p``.  A
     requested field holds exactly the values a run with ``need=None`` gives.
@@ -717,10 +696,15 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     if not (isinstance(coarsen, (int, np.integer)) and coarsen >= 0):
         raise BadParams(f"coarsen={coarsen!r} is not a non-negative integer")
     need = _requested(need, hp_p)
+    on = _closure(need)
+    gp = geometry_point(system, cid, x0)  # DegenerateX if X loses rank at x0
+    pd0 = gp.pd
+    start = dict(chart_names=tuple(c.cid for c in system.charts), cid0=cid, x0=gp.x,
+                 g0=pd0.g, ginv0=pd0.ginv, X0=pd0.X, Y0=pd0.Y,
+                 L0=np.linalg.cholesky(pd0.g), F0=_null_frame(pd0.X))
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
-    adj_metric = ("par_adj" in _closure(need)
-                  and bool(_torsion_skew(GeometryPoint(system, cid, x0))[0]))
+    adj_metric = "par_adj" in on and bool(_torsion_skew(gp)[0])
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]
@@ -728,8 +712,8 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         blocks[-1] = np.repeat(blocks[-1], 2)
 
     def work(idx_block):
-        return _run_block(system, seed, idx_block, steps, dt, cid, x0, hp_p,
-                          need, adj_metric, coarsen, at)
+        return _run_block(system, seed, idx_block, steps, dt, start, hp_p, on,
+                          adj_metric, coarsen, at)
 
     if threads <= 1 or len(blocks) == 1:
         results = [work(b) for b in blocks]
@@ -737,11 +721,13 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(work, blocks))
 
-    run = dict(dt=dt, seed=seed, n_paths=n_paths, cid0=cid)
-    res = _assemble(system, results, need, t=t, steps=steps, **run)
-    res.snapshots = [_assemble(system, [r["snapshots"][i] for r in results], need,
-                               t=k * dt, steps=k, **run)
-                     for i, k in enumerate(at)]
+    # one assembly per entry of ``at``, then the terminal at the requested t
+    times = [(k * dt, k) for k in at] + [(t, steps)]
+    *snapshots, res = [
+        _assemble(system, start, [r[i] for r in results], need, t=t_k, steps=k,
+                  dt=dt, seed=seed, n_paths=n_paths)
+        for i, (t_k, k) in enumerate(times)]
+    res.snapshots = snapshots
     return res
 
 

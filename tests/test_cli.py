@@ -252,13 +252,33 @@ def test_tensors_batch_equals_per_point_reports(name, params, p):
         assert pt == want
 
 
-def test_tensors_degenerate_point_in_a_batch_is_named(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["tensors", "verify"])
+def test_tensors_degenerate_point_in_a_batch_is_named(tmp_path, capsys, command):
     code, _ = run(tmp_path, {
-        "command": "tensors",
+        "command": command,
         "scenario": {"name": "custom",
                      "params": {"n": 1, "m": 2, "x_entries": [["x1", "0"]]}},
         "points": [{"x": [0.5]}, {"x": [0.0]}, {"x": [0.7]}],
     })
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "X loses rank at u:[0.]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "estimate"])
+def test_degenerate_start_point_is_named(tmp_path, capsys, command):
+    # X = (x1, 0) loses rank at the scenario's start point x1 = 0, which
+    # verify's tss row and every engine run read
+    cfg = {"command": command,
+           "scenario": {"name": "custom",
+                        "params": {"n": 1, "m": 2, "x_entries": [["x1", "0"]]}},
+           "points": [{"x": [0.5]}, {"x": [0.7]}]}
+    if command != "verify":
+        cfg = {key: val for key, val in cfg.items() if key != "points"}
+        cfg.update(n_paths=100, t=0.1, dt=1e-2)
+    if command == "estimate":
+        cfg["check"] = "decompose"
+    code, _ = run(tmp_path, cfg)
     assert code == 2
     err = capsys.readouterr().err
     assert "X loses rank at u:[0.]" in err and "Traceback" not in err
@@ -472,6 +492,48 @@ def test_simulate_with_path_dump(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0].split(",")[:3] == ["path", "chart", "alive"]
     assert len(lines) == 121
+
+
+def _record_simulate_calls(monkeypatch):
+    """Wrap the CLI's ``simulate``; returns the list of (kwargs, result)."""
+    calls = []
+    real = cli.simulate
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((kwargs, res))
+        return res
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    return calls
+
+
+def test_cli_simulate_requests_only_what_it_reads(tmp_path, monkeypatch):
+    # neither the report nor the CSV reads the covariant-Ito flow or the
+    # Bismut integrand, so the run behind them integrates neither
+    calls = _record_simulate_calls(monkeypatch)
+    cfg = {"command": "simulate",
+           "scenario": {"name": "sphere-gradient", "params": {"n": 2}},
+           "t": 0.1, "dt": 1e-2, "n_paths": 100, "seed": 7}
+    code, _ = run(tmp_path, cfg, "--dump-paths", str(tmp_path / "paths.csv"))
+    assert code == 0
+    [(_, res)] = calls
+    assert res.Vhat is None and res.bismut_vec is None
+    assert all(getattr(res, name) is not None
+               for name in ("J", "par_adj", "What", "g_T", "recon_err"))
+
+
+def test_threads_default_to_one_whatever_the_cpu_count(tmp_path, monkeypatch):
+    # one engine thread is faster than two, so a config without "threads"
+    # runs on one, however many cores the machine reports
+    import os
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    calls = _record_simulate_calls(monkeypatch)
+    code, _ = run(tmp_path, {"command": "simulate", "scenario": {"name": "flat"},
+                             "t": 0.05, "dt": 1e-2, "n_paths": 100, "seed": 0})
+    assert code == 0
+    assert [kwargs["threads"] for kwargs, _ in calls] == [1]
 
 
 def test_simulate_recorded_dump(tmp_path):

@@ -442,6 +442,33 @@ def test_codifferential_is_batch_safe(sphere):
     np.testing.assert_allclose(lie, batch, rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("name, params, spec", [
+    ("sphere-gradient", {"n": 2}, {"d_of": "x2"}),
+    ("sphere-gradient", {"n": 3}, {"d_of": "x1*x4"}),
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}, {"d_of": "x1*x2"}),
+])
+def test_one_form_generators_are_batch_safe(name, params, spec):
+    # a batch of points, in mixed charts where the scenario has two, with
+    # one v per point, gives exactly the per-row values of both routes
+    sys = build_scenario(name, params).system
+    pts = [sys.start()] + sys.sample_points(np.random.default_rng(41), 3)
+    cids = np.array([cid for cid, _ in pts])
+    xs = np.array([x for _, x in pts])
+    vs = np.random.default_rng(1).normal(size=xs.shape)
+    gp = GeometryPoint(sys, cids, xs)
+    phi = one_form_from_spec(sys, cids, spec)
+    for generator in (one_form_generator, one_form_generator_hodge):
+        batch = generator(gp, phi, vs)
+        rows = np.array([generator(GeometryPoint(sys, cid, x),
+                                   one_form_from_spec(sys, cid, spec), v)
+                         for cid, x, v in zip(cids, xs, vs)])
+        assert batch.shape == (4,)
+        assert np.array_equal(batch, rows), generator.__name__
+
+
 def test_exterior_derivative_of_exact_form_vanishes(sphere):
     cid, x = "n", np.array([0.5, 0.2])
     phi = one_form_from_spec(sphere, cid, {"d_of": "x2"})
@@ -567,13 +594,10 @@ def test_identities_never_write_into_the_shared_bundle(sphere):
         pairing_derivative_residual(gp, kind=kind)
         metricity_residual(gp, kind=kind)
         stratonovich_term(gp, kind=kind)
+    phi = one_form_from_spec(sphere, cids, {"d_of": "x2"})
+    one_form_generator(gp, phi, np.array([0.4, -1.0]))
+    one_form_generator_hodge(gp, phi, np.array([0.4, -1.0]))
     _assert_bundle_is_fresh(gp)
-    # the 1-form generators take one point
-    one = GeometryPoint(sphere, "s", pts[1][1])
-    phi = one_form_from_spec(sphere, "s", {"d_of": "x2"})
-    one_form_generator(one, phi, np.array([0.4, -1.0]))
-    one_form_generator_hodge(one, phi, np.array([0.4, -1.0]))
-    _assert_bundle_is_fresh(one)
 
 
 # ------------------------------------------ matmul contractions, Gram inverse

@@ -14,7 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from flowgeom import geometry
+from flowgeom import geometry, stochastic
 from flowgeom.errors import BadParams
 from flowgeom.geometry import PointData, _metric_field, point_data
 from flowgeom.linalg import as_engine, path_fastest
@@ -23,7 +23,6 @@ from flowgeom.stochastic import (
     BLOCK,
     SimResult,
     _block_noise,
-    _bundle,
     _isometrize,
     _isometry_inverse,
     _polar_snap,
@@ -262,10 +261,10 @@ def test_bundle_on_mixed_charts_equals_per_chart_point_data(n, level):
     sys = system_of("sphere-gradient", {"n": n})
     x = np.random.default_rng(8).uniform(-1.5, 1.5, size=(10, n))
     cids = np.array(["n", "s", "s", "n", "n", "s", "n", "s", "s", "n"])
-    got = _bundle(sys, cids, x, level)
+    got = point_data(sys, cids, x, level=level)
     for cid in ("n", "s"):
         mask = cids == cid
-        want = point_data(sys, cid, x[mask], light=level != "full")
+        want = point_data(sys, cid, x[mask], level="full" if level == "full" else "light")
         filled = {f.name for f in fields(PointData) if getattr(want, f.name) is not None}
         if level == "coeff":
             filled = {"X", "A"}
@@ -294,8 +293,8 @@ def test_bundle_keeps_the_engine_layout(name, params, level):
     sys = system_of(name, params)
     x = np.random.default_rng(4).uniform(-0.6, 0.6, size=(7, sys.n))
     cids = np.resize([c.cid for c in sys.charts], 7)
-    got = _bundle(sys, cids, as_engine(x), level)
-    want = _bundle(sys, cids, x, level)
+    got = point_data(sys, cids, as_engine(x), level=level)
+    want = point_data(sys, cids, x, level=level)
     for f in fields(PointData):
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert (a is None) == (b is None), f.name
@@ -573,6 +572,26 @@ def test_earlier_result_matches_a_separate_run(name, params, x0, need, hp_p):
         else:
             assert a == b, f.name
     assert not np.array_equal(early.embedded, res.embedded)  # the run went on
+
+
+@pytest.mark.parametrize("need", [("J", "par_adj", "What", "g_T"), ("J",)])
+def test_start_data_is_computed_once_per_run(sphere, monkeypatch, need):
+    # three blocks, the skew-torsion verdict and every snapshot share one
+    # PointData at the start point, the only point_data call at one point
+    starts = []
+    real = geometry.point_data
+
+    def counting(system, cid, x, **kwargs):
+        if np.ndim(x) == 1:
+            starts.append(np.array(x))
+        return real(system, cid, x, **kwargs)
+
+    for module in (geometry, stochastic):
+        monkeypatch.setattr(module, "point_data", counting)
+    res = simulate(sphere, t=0.02, dt=1e-2, n_paths=2 * BLOCK + 100, seed=3,
+                   need=need, at=(1,))
+    assert len(starts) == 1
+    np.testing.assert_array_equal(starts[0], res.x0)
 
 
 def test_at_must_list_steps_of_the_run(sphere):
