@@ -22,7 +22,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import fields
 from importlib import resources
 
 import jsonschema
@@ -39,6 +38,7 @@ from .errors import (
     UnknownScenario,
 )
 from .estimators import (
+    _FILTERED_NEEDS,
     McConfig,
     _resolve_v0,
     bismut_gradient,
@@ -51,7 +51,6 @@ from .estimators import (
 )
 from .geometry import (
     TSS_TOL,
-    PointData,
     _g_frame_eigvalsh,
     connection_routes_residual,
     curvature_from_christoffel,
@@ -149,38 +148,34 @@ def _probe_points(system, cfg: dict, default_samples: int) -> tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
-def _point_row(pd: PointData, row: int) -> PointData:
-    return PointData(**{f.name: None if getattr(pd, f.name) is None else getattr(pd, f.name)[row]
-                        for f in fields(PointData)})
-
-
 def cmd_tensors(cfg: dict) -> dict:
     t0 = time.perf_counter()
     system = _build_system(cfg)
     p = float(cfg.get("p", 2.0))
     charts, xs = _probe_points(system, cfg, default_samples=4)
-    gp = geometry_point(system, charts, xs)
-    pd = gp.pd
+    pd = geometry_point(system, charts, xs)
+    # the moment-form extremes below read g, Ric#, nab X and nab A of each
+    # row: computed here on the batch, so that each row's bundle slices them
+    pd.ric_sharp, pd.nabla_a
     entries = []
     for row, (cid, x) in enumerate(zip(charts, xs)):
-        # the extremes pick their method and stop by looking at their
-        # whole batch, so each point is solved on its own
-        h_lo, h_hi = moment_form_extremes(_point_row(pd, row), p)
-        entries.append({
+        entry = {
             "chart": str(cid),
             "x": x.tolist(),
             "g": pd.g[row].tolist(),
             "ginv": pd.ginv[row].tolist(),
             "gamma_lw": pd.gamma[row].tolist(),
             "gamma_adjoint": pd.gamma_adj[row].tolist(),
-            "gamma_lc": gp.gamma_lc[row].tolist(),
-            "torsion": gp.torsion[row].tolist(),
-            "curvature_lw": gp.curvature_lw[row].tolist(),
+            "gamma_lc": pd.gamma_lc[row].tolist(),
+            "torsion": pd.torsion[row].tolist(),
+            "curvature_lw": pd.curvature_lw[row].tolist(),
             "ric_sharp_lw": pd.ric_sharp[row].tolist(),
-            "ricci_lw": gp.ricci_lw[row].tolist(),
-            "h_lo": float(h_lo),
-            "h_hi": float(h_hi),
-        })
+            "ricci_lw": pd.ricci_lw[row].tolist(),
+        }
+        # the extremes pick their method and stop by looking at their
+        # whole batch, so each point is solved on its own
+        h_lo, h_hi = moment_form_extremes(pd[row], p)
+        entries.append(entry | {"h_lo": float(h_lo), "h_hi": float(h_hi)})
     return {
         "command": "tensors",
         "scenario": cfg["scenario"],
@@ -209,9 +204,10 @@ def cmd_verify(cfg: dict) -> dict:
     """Geometry identity suite: max residual per identity over probe points.
 
     Each identity is evaluated once, on all probe points as one batch with
-    one chart per point.  The identities take one ``GeometryPoint`` on that
-    batch, so the op computes its ``PointData`` and Levi-Civita field once
-    there; the tss row takes a second one at the start point.
+    one chart per point.  The identities take one ``PointData`` on that
+    batch, so the op computes each of its fields, the Levi-Civita field
+    among them, at most once there; the tss row takes a second one at the
+    start point.
     """
     t0 = time.perf_counter()
     system = _build_system(cfg)
@@ -230,13 +226,13 @@ def cmd_verify(cfg: dict) -> dict:
         scale = np.maximum(_max_abs(fd), _max_abs(exact))
         return _max_abs(exact - fd) / np.where(scale > 0.0, scale, 1.0)
 
-    gp = geometry_point(system, cid, xs)
-    pd, T = gp.pd, gp.torsion
+    pd = geometry_point(system, cid, xs)
+    T = pd.torsion
     v1, v2 = brackets[:, :, 0], brackets[:, :, 1]  # (P, 2, n)
     tb = torsion_via_bracket(system, cid[:, None], xs[:, None, :], v1, v2)
     R = curvature_from_christoffel(system, cid, xs, kind="lw")
-    lw_val, lc_val = scalar_generator(gp, scalar_from_expr(system, cid, f_src))
-    s = stratonovich_term(gp)
+    lw_val, lc_val = scalar_generator(pd, scalar_from_expr(system, cid, f_src))
+    s = stratonovich_term(pd)
     # per identity, the largest residual over the probe points
     worst = {k: float(np.max(r)) for k, r in {
         # the engine's DX and DA (coeff_dx, coeff_da) against the oracle's
@@ -245,24 +241,24 @@ def cmd_verify(cfg: dict) -> dict:
         "coeff_da": _rel_gap(
             system.coeff_da(cid, xs),
             system.oracle.jacobian(lambda y: system.coeff_a(cid, y), xs)),
-        "defining_property": defining_property_residual(gp),
-        "metricity_lw": metricity_residual(gp, kind="lw"),
-        "metricity_adjoint": metricity_residual(gp, kind="adjoint"),
-        "pairing_derivative": pairing_derivative_residual(gp),
-        "christoffel_routes": connection_routes_residual(gp),
+        "defining_property": defining_property_residual(pd),
+        "metricity_lw": metricity_residual(pd, kind="lw"),
+        "metricity_adjoint": metricity_residual(pd, kind="adjoint"),
+        "pairing_derivative": pairing_derivative_residual(pd),
+        "christoffel_routes": connection_routes_residual(pd),
         "torsion_routes": np.maximum(
             _max_abs(T - torsion_via_dy(system, cid, xs)),
             _max_abs(tb - np.einsum("...ijk,...j,...k->...i", T[:, None], v1, v2))),
-        "curvature_routes": _max_abs(R - gp.curvature_lw),
+        "curvature_routes": _max_abs(R - pd.curvature_lw),
         "generator_routes": np.abs(lw_val - lc_val),
         "stratonovich_lw": np.sqrt(np.einsum("...i,...ij,...j->...", s, pd.g, s)),
     }.items()}
     curvature_max = float(np.max(np.abs(R)))
-    gamma_gap = float(np.max(np.abs(pd.gamma - gp.gamma_lc)))
+    gamma_gap = float(np.max(np.abs(pd.gamma - pd.gamma_lc)))
 
     # Levi-Civita Ricci minus induced Ricci, eigenvalues in a g-frame
     R_lc = curvature_from_christoffel(system, cid, xs, kind="lc")
-    ric_diff = ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g) - gp.ricci_lw
+    ric_diff = ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g) - pd.ricci_lw
     ric_diff = 0.5 * (ric_diff + np.swapaxes(ric_diff, -1, -2))
     eigs = _g_frame_eigvalsh(ric_diff, pd.g)
     ricci_min_eig = float(eigs.min())
@@ -353,10 +349,6 @@ def _mc_config(cfg: dict, check: str = "") -> McConfig:
     )
 
 
-# what _dump_paths_csv reads of a run besides the state
-_DUMP_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
-
-
 def cmd_simulate(cfg: dict):
     t0 = time.perf_counter()
     mc = _mc_config(cfg)
@@ -370,7 +362,7 @@ def cmd_simulate(cfg: dict):
         at = range(_step_count(mc.t, mc.dt) + 1)
     res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
                    x0=x0, cid=cid, threads=mc.threads, at=at,
-                   need=_DUMP_NEEDS | {"recon_err"})  # what the report and the CSV read
+                   need=_FILTERED_NEEDS | {"recon_err"})  # what the report and the CSV read
     alive = res.alive
     n_alive = int(alive.sum())
     if n_alive < 2:  # the terminal standard error needs two paths
@@ -594,7 +586,7 @@ def _run(args) -> int:
                 cid, x0 = mc.start()
                 res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths,
                                seed=mc.seed, x0=x0, cid=cid, threads=mc.threads,
-                               need=_DUMP_NEEDS)
+                               need=_FILTERED_NEEDS)
                 _dump_paths_csv(dump, res, _resolve_v0(mc, res))
     except (ConfigError, BadParams, UnknownScenario, ExprError, DegenerateX) as exc:
         # DegenerateX: X loses rank at a point the config names or samples

@@ -21,14 +21,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import sqrt
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import expr as ex
 from .errors import BadParams, NotApplicable, TooFewAlivePaths
 from .geometry import (
-    GeometryPoint,
     _g_frame_eigvalsh,
     _torsion_skew,
     moment_form,
@@ -60,7 +59,8 @@ __all__ = [
 
 ALIVE_FRACTION = 0.9
 
-# what the filtered check reads: J, W = //^ What and the terminal metric
+# what the readers of W read (the filtered check, the CLI's simulate report
+# and path dump): J, W = //^ What and the terminal metric
 _FILTERED_NEEDS = frozenset(("J", "par_adj", "What", "g_T"))
 
 
@@ -229,6 +229,25 @@ def _simulate(cfg: McConfig, need: set[str], *, t: float | None = None,
         need=need,
         at=at,
     )
+
+
+def _halving_run(cfg: McConfig, need: set[str]) -> SimResult:
+    """A run to t that also keeps its state after half its steps (at least
+    one), for ``_halving_quotient``."""
+    return _simulate(cfg, need, at=(max(1, _step_count(cfg.t, cfg.dt) // 2),))
+
+
+def _halving_quotient(res: SimResult, alive: np.ndarray,
+                      value: Callable[[SimResult], np.ndarray],
+                      start: float) -> tuple[float, float, float]:
+    """(est, se, bias_allow) of the short-time quotient (E value - start)/t
+    over the ``alive`` paths of a ``_halving_run``: ``bias_allow`` is
+    2|est - est_h| with ``est_h`` the same quotient at t/2, read from the
+    first half of the t-run."""
+    est, se = _mean_se((value(res)[alive] - start) / res.t)
+    res_h = res.snapshots[0]
+    est_h = float(np.mean((value(res_h)[res_h.alive] - start) / res_h.t))
+    return est, se, 2.0 * abs(est - est_h)
 
 
 def _alive_gate(res: SimResult) -> np.ndarray:
@@ -479,7 +498,7 @@ def moment_sandwich(cfg: McConfig, p: float = 2.0) -> McReport:
     """
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
-    ok, resid, _ = _torsion_skew(GeometryPoint(cfg.system, cid, x0))
+    ok, resid, _ = _torsion_skew(point_data(cfg.system, cid, x0))
     if not ok:
         raise NotApplicable(
             f"adjoint connection is not metric here (torsion skew residual {resid:.3g})")
@@ -548,27 +567,18 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
     f = scalar_from_expr(cfg.system, cid, f_source)
-    lw_val, lc_val = scalar_generator(GeometryPoint(cfg.system, cid, x0), f)
+    lw_val, lc_val = scalar_generator(point_data(cfg.system, cid, x0), f)
 
     rows = [CheckRow(
         name="generator route agreement (induced vs Levi-Civita)",
         estimate=lw_val - lc_val, se=0.0, reference=0.0,
         provenance="analytic", tolerance=1e-6)]
 
-    half_steps = max(1, _step_count(cfg.t, cfg.dt) // 2)
-    res = _simulate(cfg, set(), at=(half_steps,))
+    res = _halving_run(cfg, set())
     alive = _alive_gate(res)
     k = cfg.k_se
-    f0 = _scalar_at_start(cfg, f_source)
-    fT = _terminal_scalar(res, f_source)[alive]
-    est, se = _mean_se((fT - f0) / cfg.t)
-
-    # the t/2 run is the first half of the t-run
-    t_half = half_steps * cfg.dt
-    res_h = res.snapshots[0]
-    fT_h = _terminal_scalar(res_h, f_source)[res_h.alive]
-    est_h = float(np.mean((fT_h - f0) / t_half))
-    bias_allow = 2.0 * abs(est - est_h)
+    est, se, bias_allow = _halving_quotient(
+        res, alive, lambda r: _terminal_scalar(r, f_source), _scalar_at_start(cfg, f_source))
 
     # 1e-6 floor covers the finite-difference error of the reference itself
     for label, ref in (("induced form", lw_val), ("Levi-Civita form", lc_val)):
@@ -609,17 +619,16 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
     system = cfg.system
     phi0 = one_form_from_spec(system, cid, phi_spec)
 
-    half_steps = max(1, _step_count(cfg.t, cfg.dt) // 2)
-    res = _simulate(cfg, {"J"}, at=(half_steps,))
+    res = _halving_run(cfg, {"J"})
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
 
-    gp0 = GeometryPoint(system, cid, x0)
-    gen_direct = one_form_generator(gp0, phi0, v0)
+    pd0 = point_data(system, cid, x0)
+    gen_direct = one_form_generator(pd0, phi0, v0)
     rows: list[CheckRow] = []
     if not system.has_drift:
-        gen_hodge = one_form_generator_hodge(gp0, phi0, v0)
+        gen_hodge = one_form_generator_hodge(pd0, phi0, v0)
         rows.append(CheckRow(
             name="trace-Hessian vs codifferential route",
             estimate=gen_direct - gen_hodge, se=0.0, reference=0.0,
@@ -629,7 +638,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
         f = scalar_from_expr(system, cid, phi_spec["d_of"])
 
         def a0(y: np.ndarray) -> np.ndarray:
-            return scalar_generator(GeometryPoint(system, cid, y), f)[0][..., None]
+            return scalar_generator(point_data(system, cid, y), f)[0][..., None]
 
         da0_v = float(system.oracle.directional(a0, x0, v0)[0])
         rows.append(CheckRow(
@@ -638,16 +647,9 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
             provenance="analytic", tolerance=1e-5,
             note="compares the 1-form generator on df with d(scalar generator f)"))
 
-    pair = _terminal_one_form_pairing(cfg, res, phi_spec, res.J @ v0)[alive]
-    phi0_v0 = float(phi0(x0) @ v0)
-    est, se = _mean_se((pair - phi0_v0) / cfg.t)
-
-    # the t/2 run is the first half of the t-run
-    t_half = half_steps * cfg.dt
-    res_h = res.snapshots[0]
-    pair_h = _terminal_one_form_pairing(cfg, res_h, phi_spec, res_h.J @ v0)[res_h.alive]
-    est_h = float(np.mean((pair_h - phi0_v0) / t_half))
-    bias_allow = 2.0 * abs(est - est_h)
+    est, se, bias_allow = _halving_quotient(
+        res, alive, lambda r: _terminal_one_form_pairing(cfg, r, phi_spec, r.J @ v0),
+        float(phi0(x0) @ v0))
 
     # 1e-6 floor covers the finite-difference error of the reference itself
     rows.append(CheckRow(

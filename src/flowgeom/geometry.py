@@ -29,7 +29,6 @@ Every finite difference goes through the system's one oracle,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -41,7 +40,7 @@ from .linalg import DerivOracle, in_layout_of, sym
 from .model import SdeSystem
 
 __all__ = [
-    "PointData", "point_data", "induced_metric", "lw_christoffel",
+    "PointData", "point_data", "lw_christoffel",
     "adjoint_christoffel", "levi_civita_christoffel", "christoffel",
     "covariant_derivative", "torsion_from_christoffel", "torsion_via_dy",
     "torsion_via_bracket", "curvature_from_christoffel", "curvature_lw_direct",
@@ -52,7 +51,7 @@ __all__ = [
     "moment_quadratic", "moment_form", "moment_form_extremes",
     "scalar_generator", "one_form_generator", "one_form_generator_hodge",
     "codifferential_1form", "codifferential_1form_lie", "exterior_derivative_1form",
-    "one_form_from_spec", "scalar_from_expr", "GeometryPoint", "geometry_point",
+    "one_form_from_spec", "scalar_from_expr", "geometry_point",
 ]
 
 _EYE_CACHE: dict[int, np.ndarray] = {}
@@ -67,26 +66,6 @@ def _eye(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pointwise data bundle
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class PointData:
-    """Coefficients and derived tensors at a (batch of) point(s)."""
-
-    X: np.ndarray            # (..., n, m)
-    A: np.ndarray            # (..., n)
-    DX: np.ndarray | None    # (..., n, m, n)
-    DA: np.ndarray | None    # (..., n, n); DA[i, j] = d A^i / d x^j
-    g: np.ndarray | None = None        # (..., n, n)
-    ginv: np.ndarray | None = None
-    Y: np.ndarray | None = None        # (..., m, n)
-    PT: np.ndarray | None = None       # (..., m, m)
-    PN: np.ndarray | None = None
-    gamma: np.ndarray | None = None    # LW Christoffels
-    gamma_adj: np.ndarray | None = None
-    gradX: np.ndarray | None = None    # (..., n, m, n): nab X^i, direction last
-    ric_sharp: np.ndarray | None = None  # (..., n, n)
-    nabla_a: np.ndarray | None = None    # (..., n, n): nab A, direction last
 
 
 def _gram_inverse(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,14 +90,6 @@ def _gram_inverse(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     else:
         g = in_layout_of(gram, np.linalg.inv(gram))
     return gram, g, np.einsum("...ir,...ij->...rj", X, g)
-
-
-def induced_metric(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(g, ginv, Y, PT, PN) from the coefficient matrix."""
-    ginv, g, Y = _gram_inverse(X)
-    PT = np.einsum("...ri,...is->...rs", Y, X)
-    PN = _eye(X.shape[-1]) - PT
-    return g, ginv, Y, PT, PN
 
 
 def _induced_gamma(DX: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -146,36 +117,137 @@ def _autoparallel_sum(pd: PointData, gamma: np.ndarray) -> np.ndarray:
     return np.einsum("...aij,...ji->...a", _grad_x(pd.DX, gamma, pd.X), pd.X)
 
 
-def point_data(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray, *,
-               level: str = "full") -> PointData:
-    """Assemble coefficients and induced tensors at ``x`` (batched), in chart
-    ``cid`` or with the chart of each row in an array ``cid``.
+class PointData:
+    """Coefficients and induced tensors at a (batch of) point(s) ``x`` of
+    ``system``, in chart ``cid`` or with the chart of each row in an array
+    ``cid``; each field is computed on its first read and kept, so a caller
+    pays only for what it reads, and is written to only by ``scatter``.
 
-    ``level`` is how far: "coeff" fills X and A, "light" adds DX and DA,
-    "full" fills every field.  ``DX`` and ``DA`` are the system's
-    ``coeff_dx`` and ``coeff_da``: closed forms or symbolic derivatives of
-    the expressions, the oracle only where the scenario has neither
-    (``so3-left-invariant``'s DX).
+    DX (``(..., n, m, n)``) and DA (``(..., n, n)``, None without drift) are
+    the system's ``coeff_dx`` and ``coeff_da``: closed forms or symbolic
+    derivatives of the expressions, the oracle only where the scenario has
+    neither (``so3-left-invariant``'s DX).  ``gradX`` and ``nabla_a`` hold
+    nab X^i and nab A, direction last.  The identity checks and generators
+    take one as their point argument; the second routes they are compared
+    with take ``(system, cid, x)`` and never read it, so no check compares a
+    value with itself.
     """
-    x = np.asarray(x, dtype=float)
-    X = system.coeff_x(cid, x)
-    A = system.coeff_a(cid, x)
-    if level == "coeff":
-        return PointData(X=X, A=A, DX=None, DA=None)
-    DX = system.coeff_dx(cid, x)
-    DA = system.coeff_da(cid, x) if system.has_drift else None
-    pd = PointData(X=X, A=A, DX=DX, DA=DA)
-    if level == "light":
-        return pd
-    pd.g, pd.ginv, pd.Y, pd.PT, pd.PN = induced_metric(X)
-    pd.gamma = _induced_gamma(DX, pd.Y)
-    pd.gamma_adj = np.swapaxes(pd.gamma, -1, -2)
-    pd.gradX = _grad_x(DX, pd.gamma, X)
-    pd.ric_sharp = _ric_sharp(pd.gradX)
-    if DA is not None:
-        pd.nabla_a = DA + np.einsum("...ajk,...k->...aj", pd.gamma, A)
-    else:
-        pd.nabla_a = np.zeros_like(pd.g)
+
+    def __init__(self, system: SdeSystem, cid: str | np.ndarray, x: np.ndarray):
+        self.system, self.cid, self.x = system, cid, x
+
+    @cached_property
+    def X(self) -> np.ndarray:
+        return self.system.coeff_x(self.cid, self.x)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return self.system.coeff_a(self.cid, self.x)
+
+    @cached_property
+    def DX(self) -> np.ndarray:
+        return self.system.coeff_dx(self.cid, self.x)
+
+    @cached_property
+    def DA(self) -> np.ndarray | None:
+        return self.system.coeff_da(self.cid, self.x) if self.system.has_drift else None
+
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _gram_inverse(self.X)
+
+    ginv = property(lambda self: self._gram[0])  # X X^T
+    g = property(lambda self: self._gram[1])     # the induced metric (X X^T)^-1
+    Y = property(lambda self: self._gram[2])     # X^T g
+
+    @cached_property
+    def PT(self) -> np.ndarray:
+        return np.einsum("...ri,...is->...rs", self.Y, self.X)
+
+    @cached_property
+    def PN(self) -> np.ndarray:
+        return _eye(self.X.shape[-1]) - self.PT
+
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return _induced_gamma(self.DX, self.Y)
+
+    gamma_adj = property(lambda self: adjoint_christoffel(self.gamma))  # a view
+
+    @cached_property
+    def gradX(self) -> np.ndarray:
+        return _grad_x(self.DX, self.gamma, self.X)
+
+    @cached_property
+    def ric_sharp(self) -> np.ndarray:
+        return _ric_sharp(self.gradX)
+
+    @cached_property
+    def nabla_a(self) -> np.ndarray:
+        if self.DA is None:
+            return np.zeros_like(self.g)
+        return self.DA + np.einsum("...ajk,...k->...aj", self.gamma, self.A)
+
+    @cached_property
+    def gamma_lc(self) -> np.ndarray:
+        return levi_civita_christoffel(self.system, self.cid, self.x)
+
+    @cached_property
+    def torsion(self) -> np.ndarray:
+        return torsion_from_christoffel(self.gamma)
+
+    @cached_property
+    def curvature_lw(self) -> np.ndarray:
+        return curvature_lw_direct(self.gradX, self.g)
+
+    @cached_property
+    def ricci_lw(self) -> np.ndarray:
+        return ricci_bilinear(self.ric_sharp, self.g)
+
+    def _computed(self) -> list[tuple[str, np.ndarray | tuple | None]]:
+        """(name, value) of each cached field computed so far."""
+        return [(name, val) for name, val in vars(self).items()
+                if isinstance(getattr(PointData, name, None), cached_property)]
+
+    def __getitem__(self, rows) -> PointData:
+        """The bundle at ``x[rows]``, holding those rows of every field
+        computed so far; ``cid`` is one chart name per point."""
+        out = PointData(self.system, self.cid[rows], self.x[rows])
+        for name, val in self._computed():
+            if isinstance(val, tuple):
+                val = tuple(v[rows] for v in val)
+            elif val is not None:
+                val = val[rows]
+            out.__dict__[name] = val
+        return out
+
+    def scatter(self, rows: np.ndarray, src: PointData) -> None:
+        """Write ``src``, a bundle at the points ``x[rows]`` (in their charts
+        ``cid[rows]``), into ``rows`` of every field computed so far; a field
+        first read later is computed from ``x`` and ``cid``, whose rows the
+        caller updates in place to match."""
+        for name, val in self._computed():
+            if val is None:
+                continue
+            new = getattr(src, name)
+            for d, s in zip(val, new) if isinstance(val, tuple) else ((val, new),):
+                d[rows] = s
+
+
+def point_data(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray) -> PointData:
+    """The ``PointData`` at ``x`` (batched), in chart ``cid`` or with the
+    chart of each row in an array ``cid``; it computes nothing yet."""
+    return PointData(system, cid, np.asarray(x, dtype=float))
+
+
+def geometry_point(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray) -> PointData:
+    """The ``PointData`` at a point set the user names, checked: a rank
+    check raises ``DegenerateX`` naming the first point (in row-major order)
+    where X loses rank, with its chart, and DX and DA are read at once, so a
+    derivative that fails there fails before any run."""
+    pd = point_data(system, cid, x)
+    system.check_rank(cid, pd.x)
+    pd.DX, pd.DA  # computed now, so that a failing derivative fails here
     return pd
 
 
@@ -349,58 +421,6 @@ def sectional_curvature(R: np.ndarray, g: np.ndarray, u: np.ndarray, v: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# the point argument of the identities
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class GeometryPoint:
-    """A (batch of) point(s) ``x`` of ``system`` in chart(s) ``cid``, and its
-    ``PointData``, Levi-Civita Christoffels, torsion, and induced curvature
-    and Ricci form, each computed once, on first read, and never written to.
-    The identity checks and generators take one as their point argument; the
-    second routes they are compared with take ``(system, cid, x)`` and never
-    read it, so no check compares a value with itself.
-    """
-
-    system: SdeSystem
-    cid: str | np.ndarray
-    x: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-
-    @cached_property
-    def pd(self) -> PointData:
-        return point_data(self.system, self.cid, self.x)
-
-    @cached_property
-    def gamma_lc(self) -> np.ndarray:
-        return levi_civita_christoffel(self.system, self.cid, self.x)
-
-    @cached_property
-    def torsion(self) -> np.ndarray:
-        return torsion_from_christoffel(self.pd.gamma)
-
-    @cached_property
-    def curvature_lw(self) -> np.ndarray:
-        return curvature_lw_direct(self.pd.gradX, self.pd.g)
-
-    @cached_property
-    def ricci_lw(self) -> np.ndarray:
-        return ricci_bilinear(self.pd.ric_sharp, self.pd.g)
-
-
-def geometry_point(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray) -> GeometryPoint:
-    """The ``GeometryPoint`` at ``x``, after a rank check that raises
-    ``DegenerateX`` naming the first point (in row-major order) where X
-    loses rank, with its chart."""
-    gp = GeometryPoint(system, cid, x)
-    system.check_rank(cid, gp.x)
-    return gp
-
-
-# ---------------------------------------------------------------------------
 # identity checks (probe-based residuals)
 # ---------------------------------------------------------------------------
 
@@ -421,11 +441,10 @@ def _gnorm(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...pi,...ij,...pj->...p", w, g, w))
 
 
-# Probe-based identity checks take a ``GeometryPoint`` at points ``x`` of
-# shape ``(..., n)``, with ``cid`` one chart name or one per point, and return
-# one residual per point, an array over the leading axes of ``x`` (a numpy
-# scalar for a single point); checks on one ``GeometryPoint`` share its
-# ``PointData`` and Levi-Civita Christoffels.
+# Probe-based identity checks take a ``PointData`` at points ``x`` of shape
+# ``(..., n)``, with ``cid`` one chart name or one per point, and return one
+# residual per point, an array over the leading axes of ``x`` (a numpy scalar
+# for a single point); checks on one ``PointData`` share its fields.
 # The probe vectors come from one seeded stream shared by every point, drawn
 # in the order a single point uses them; they sit on a probe axis after the
 # point axes (``x[..., None, :]``, charts ``_on_probes(cid)``), and every
@@ -438,41 +457,40 @@ def _on_probes(cid: str | np.ndarray) -> str | np.ndarray:
     return cid if np.ndim(cid) == 0 else np.asarray(cid)[..., None]
 
 
-def defining_property_residual(gp: GeometryPoint, n_probes: int = 8,
+def defining_property_residual(pd: PointData, n_probes: int = 8,
                                seed: int = 0) -> np.ndarray:
     """max |nab (X(.)e)(v)|_g over probes with e in the row space of X(x).
 
     The induced connection is characterized by this vanishing.  One residual
-    per point of ``gp.x`` (shape ``(..., n)``); probes whose ``e`` vanishes
+    per point of ``pd.x`` (shape ``(..., n)``); probes whose ``e`` vanishes
     at a point are skipped there.
     """
-    system, pd = gp.system, gp.pd
+    system = pd.system
     rng = np.random.default_rng(seed)
     u, v = _probes(n_probes, lambda: (_unit(rng, system.m), _unit(rng, system.n)))
     e = np.einsum("...rs,ps->...pr", pd.PT, u)                 # (..., K, m)
     nrm = np.linalg.norm(e, axis=-1)
     keep = nrm >= 1e-12
     e = e / np.where(keep, nrm, 1.0)[..., None]
-    pcid = _on_probes(gp.cid)
+    pcid = _on_probes(pd.cid)
     z_field = lambda y: np.einsum("...ir,...r->...i", system.coeff_x(pcid, y), e)
-    nab = covariant_derivative(system, pcid, gp.x[..., None, :], z_field, v,
+    nab = covariant_derivative(system, pcid, pd.x[..., None, :], z_field, v,
                                gamma=pd.gamma[..., None, :, :, :])
     return np.max(np.where(keep, _gnorm(nab, pd.g), 0.0), axis=-1)
 
 
-def pairing_derivative_residual(gp: GeometryPoint, kind: str = "lw",
+def pairing_derivative_residual(pd: PointData, kind: str = "lw",
                                 n_probes: int = 8, seed: int = 1) -> np.ndarray:
     """Vector-form metric compatibility through the coefficient fields:
 
     sum_i X^i <Z, nab_v X^i>_g + sum_i nab_v X^i <Z, X^i>_g = 0
     for metric connections; returns the max residual norm over probes, per
-    point of ``gp.x`` (shape ``(..., n)``).
+    point of ``pd.x`` (shape ``(..., n)``).
     """
-    pd = gp.pd
-    gamma = pd.gamma if kind == "lw" else christoffel(gp.system, gp.cid, gp.x, kind)
+    gamma = pd.gamma if kind == "lw" else christoffel(pd.system, pd.cid, pd.x, kind)
     gradX = _grad_x(pd.DX, gamma, pd.X)
     rng = np.random.default_rng(seed)
-    z, v = _probes(n_probes, lambda: (_unit(rng, gp.system.n), _unit(rng, gp.system.n)))
+    z, v = _probes(n_probes, lambda: (_unit(rng, pd.system.n), _unit(rng, pd.system.n)))
     nabv = np.einsum("...aij,pj->...pai", gradX, v)           # columns nab_v X^i
     gz = np.einsum("...ab,pb->...pa", pd.g, z)
     w1 = np.einsum("...pai,...pa->...pi", nabv, gz)           # <Z, nab_v X^i>_g
@@ -490,14 +508,14 @@ def _linear_fields(x: np.ndarray, z0: np.ndarray, mat: np.ndarray) -> Callable:
     return lambda y: z0 + np.einsum("...ij,...j->...i", mat, y - xk)
 
 
-def metricity_residual(gp: GeometryPoint, kind: str = "lw", n_probes: int = 8,
+def metricity_residual(pd: PointData, kind: str = "lw", n_probes: int = 8,
                        seed: int = 2) -> np.ndarray:
     """max over probe fields of |d<Z,Z>_g(v) - 2 <nab_v Z, Z>_g|, per point
-    of ``gp.x`` (shape ``(..., n)``), for ``christoffel(kind)``'s connection."""
-    system, x = gp.system, gp.x
+    of ``pd.x`` (shape ``(..., n)``), for ``christoffel(kind)``'s connection."""
+    system, x = pd.system, pd.x
     oracle = system.oracle
-    gamma = christoffel(system, gp.cid, x, kind)
-    g_of = _metric_field(system, _on_probes(gp.cid))
+    gamma = christoffel(system, pd.cid, x, kind)
+    g_of = _metric_field(system, _on_probes(pd.cid))
     rng = np.random.default_rng(seed)
     n = system.n
     z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
@@ -512,73 +530,73 @@ def metricity_residual(gp: GeometryPoint, kind: str = "lw", n_probes: int = 8,
     lhs = oracle.directional(sq_field, xk, v)
     nab = (oracle.directional(z_field, xk, v)
            + np.einsum("...ijk,pj,pk->...pi", gamma, v, z0))
-    rhs = 2.0 * np.einsum("...pi,...ij,pj->...p", nab, gp.pd.g, z0)
+    rhs = 2.0 * np.einsum("...pi,...ij,pj->...p", nab, pd.g, z0)
     return np.max(np.abs(lhs - rhs), axis=-1)
 
 
 TSS_TOL = 1e-6  # the skew-torsion verdict, on either tss_check route
 
 
-def _torsion_skew(gp: GeometryPoint) -> tuple:
+def _torsion_skew(pd: PointData) -> tuple:
     """The torsion route of ``tss_check``: (verdict, residual, probes).
 
     The residual is max |<T(u,v),w>_g + <T(w,v),u>_g| over 8 probe triples
-    ``(u, v, w)`` (seed 3), per point of ``gp.x``; the verdict is that it is
+    ``(u, v, w)`` (seed 3), per point of ``pd.x``; the verdict is that it is
     below ``TSS_TOL``, i.e. the torsion is skew-symmetric.
     """
-    g = gp.pd.g
+    g = pd.g
     rng = np.random.default_rng(3)
-    u, v, w = _probes(8, lambda: tuple(_unit(rng, gp.system.n) for _ in range(3)))
-    tuv = np.einsum("...ijk,pj,pk->...pi", gp.torsion, u, v)
-    twv = np.einsum("...ijk,pj,pk->...pi", gp.torsion, w, v)
+    u, v, w = _probes(8, lambda: tuple(_unit(rng, pd.system.n) for _ in range(3)))
+    tuv = np.einsum("...ijk,pj,pk->...pi", pd.torsion, u, v)
+    twv = np.einsum("...ijk,pj,pk->...pi", pd.torsion, w, v)
     skew = (np.einsum("...pi,...ij,pj->...p", tuv, g, w)
             + np.einsum("...pi,...ij,pj->...p", twv, g, u))
     worst = np.max(np.abs(skew), axis=-1)
     return worst < TSS_TOL, worst, (u, v, w)
 
 
-def tss_check(gp: GeometryPoint) -> tuple:
+def tss_check(pd: PointData) -> tuple:
     """Is the torsion skew-symmetric: <T(u,v),w>_g = -<T(w,v),u>_g?
 
     Returns (verdict, residual, alt_residual), each over the leading axes of
-    ``gp.x``, where ``alt_residual`` comes from the equivalent criterion that
+    ``pd.x``, where ``alt_residual`` comes from the equivalent criterion that
     v |-> X(.)Y(x)v has Levi-Civita covariant derivative with vanishing
     symmetric part.  The verdict is ``residual < TSS_TOL``.
     """
-    oracle = gp.system.oracle
-    ok, worst, (u, v, w) = _torsion_skew(gp)
+    oracle = pd.system.oracle
+    ok, worst, (u, v, w) = _torsion_skew(pd)
     # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
-    yv = np.einsum("...ri,pi->...pr", gp.pd.Y, v)
-    pcid = _on_probes(gp.cid)
-    z_field = lambda y: np.einsum("...ir,...r->...i", gp.system.coeff_x(pcid, y), yv)
-    xk = gp.x[..., None, :]
+    yv = np.einsum("...ri,pi->...pr", pd.Y, v)
+    pcid = _on_probes(pd.cid)
+    z_field = lambda y: np.einsum("...ir,...r->...i", pd.system.coeff_x(pcid, y), yv)
+    xk = pd.x[..., None, :]
     nab_u = (oracle.directional(z_field, xk, u)
-             + np.einsum("...ijk,pj,pk->...pi", gp.gamma_lc, u, v))
+             + np.einsum("...ijk,pj,pk->...pi", pd.gamma_lc, u, v))
     nab_w = (oracle.directional(z_field, xk, w)
-             + np.einsum("...ijk,pj,pk->...pi", gp.gamma_lc, w, v))
-    alt = (np.einsum("...pi,...ij,pj->...p", nab_u, gp.pd.g, w)
-           + np.einsum("...pi,...ij,pj->...p", nab_w, gp.pd.g, u))
+             + np.einsum("...ijk,pj,pk->...pi", pd.gamma_lc, w, v))
+    alt = (np.einsum("...pi,...ij,pj->...p", nab_u, pd.g, w)
+           + np.einsum("...pi,...ij,pj->...p", nab_w, pd.g, u))
     return (ok, worst, np.max(np.abs(alt), axis=-1))
 
 
-def lw_lc_split_residual(gp: GeometryPoint, n_probes: int = 6, seed: int = 4) -> tuple:
+def lw_lc_split_residual(pd: PointData, n_probes: int = 6, seed: int = 4) -> tuple:
     """On torsion-skew-symmetric systems the Levi-Civita connection is the
     induced one minus half its torsion::
 
         nab_v Z = nab~_v Z - T(v, Z(x)) / 2
 
     Returns (identity residual, max_i |nab X^i (X^i)|_g with nab Levi-Civita),
-    each over the leading axes of ``gp.x``.
+    each over the leading axes of ``pd.x``.
     """
-    pd, gamma_lc = gp.pd, gp.gamma_lc
+    gamma_lc = pd.gamma_lc
     rng = np.random.default_rng(seed)
-    n = gp.system.n
+    n = pd.system.n
     z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
                                             _unit(rng, n)))
-    dz = gp.system.oracle.directional(_linear_fields(gp.x, z0, mat), gp.x[..., None, :], v)
+    dz = pd.system.oracle.directional(_linear_fields(pd.x, z0, mat), pd.x[..., None, :], v)
     lc = dz + np.einsum("...ijk,pj,pk->...pi", gamma_lc, v, z0)
     lw = dz + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0)
-    half_t = 0.5 * np.einsum("...ijk,pj,pk->...pi", gp.torsion, v, z0)
+    half_t = 0.5 * np.einsum("...ijk,pj,pk->...pi", pd.torsion, v, z0)
     worst = np.max(_gnorm(lc - (lw - half_t), pd.g), axis=-1)
     # summed autoparallel form: sum_i nab_{X^i} X^i vanishes (Levi-Civita)
     summed = _autoparallel_sum(pd, gamma_lc)
@@ -586,13 +604,13 @@ def lw_lc_split_residual(gp: GeometryPoint, n_probes: int = 6, seed: int = 4) ->
     return worst, norm
 
 
-def stratonovich_term(gp: GeometryPoint, kind: str = "lw") -> np.ndarray:
+def stratonovich_term(pd: PointData, kind: str = "lw") -> np.ndarray:
     """sum_i nab_{X^i} X^i for the named connection, shape ``(..., n)``."""
-    gamma = gp.pd.gamma if kind == "lw" else christoffel(gp.system, gp.cid, gp.x, kind)
-    return _autoparallel_sum(gp.pd, gamma)
+    gamma = pd.gamma if kind == "lw" else christoffel(pd.system, pd.cid, pd.x, kind)
+    return _autoparallel_sum(pd, gamma)
 
 
-def connection_routes_residual(gp: GeometryPoint, n_probes: int = 4,
+def connection_routes_residual(pd: PointData, n_probes: int = 4,
                                seed: int = 5) -> np.ndarray:
     """Cross-check the Christoffel formula against two equivalent routes:
 
@@ -600,17 +618,17 @@ def connection_routes_residual(gp: GeometryPoint, n_probes: int = 4,
     (b) nab_v Z = sum_i [X^i, V](x) <X^i, Z>_g + [V, Z](x) for any extension
         V of v (tested with a random linear extension).
 
-    Returns the max over probes and both routes, per point of ``gp.x``
+    Returns the max over probes and both routes, per point of ``pd.x``
     (shape ``(..., n)``).
     """
-    system, x, pd = gp.system, gp.x, gp.pd
+    system, x = pd.system, pd.x
     oracle = system.oracle
     rng = np.random.default_rng(seed)
     n = system.n
     z0, mat, vmat, v = _probes(n_probes, lambda: (
         _unit(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n)), _unit(rng, n)))
     xk = np.broadcast_to(x[..., None, :], x.shape[:-1] + (n_probes, n))
-    pcid = _on_probes(gp.cid)
+    pcid = _on_probes(pd.cid)
     z_field = _linear_fields(x, z0, mat)
     ref = (oracle.directional(z_field, xk, v)
            + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0))
@@ -789,7 +807,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def scalar_generator(gp: GeometryPoint,
+def scalar_generator(pd: PointData,
                      f: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Generator of the diffusion applied to a scalar, by two routes:
 
@@ -798,18 +816,18 @@ def scalar_generator(gp: GeometryPoint,
     - Levi-Civita form: Laplace-Beltrami/2 + <sum_i nab X^i(X^i)/2 + A, grad f>_g.
 
     Returns (induced_value, levi_civita_value), each over the leading axes of
-    ``gp.x`` (shape ``(..., n)``); ``f`` must map ``(..., n)`` to ``(...)``.
+    ``pd.x`` (shape ``(..., n)``); ``f`` must map ``(..., n)`` to ``(...)``.
     """
-    oracle = gp.system.oracle
-    pd, gamma_lc = gp.pd, gp.gamma_lc
+    oracle = pd.system.oracle
+    gamma_lc = pd.gamma_lc
 
     def gradf(y: np.ndarray) -> np.ndarray:
-        Xy = gp.system.coeff_x(gp.cid, y)
+        Xy = pd.system.coeff_x(pd.cid, y)
         df = oracle.jacobian(f, y)
         return np.einsum("...ir,...jr,...j->...i", Xy, Xy, df)  # ginv = X X^T
 
-    gf = gradf(gp.x)
-    dgf = oracle.jacobian(gradf, gp.x)
+    gf = gradf(pd.x)
+    dgf = oracle.jacobian(gradf, pd.x)
     trace = np.trace(dgf, axis1=-2, axis2=-1)
     tr_lw = trace + np.einsum("...iik,...k->...", pd.gamma, gf)
     tr_lc = trace + np.einsum("...iik,...k->...", gamma_lc, gf)
@@ -886,19 +904,19 @@ def exterior_derivative_1form(phi: Callable, x: np.ndarray, oracle: DerivOracle)
     return np.swapaxes(dphi, -1, -2) - dphi
 
 
-def one_form_generator(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> np.ndarray:
+def one_form_generator(pd: PointData, phi: Callable, v: np.ndarray) -> np.ndarray:
     """Generator on 1-forms at (x, v): half the adjoint-connection trace
     Hessian, minus half the curvature term phi(Ric# v), plus the drift Lie
     term::
 
         (G phi)(v) = (trace nab^2 phi)(v)/2 - phi(Ric# v)/2 + (L_A phi)(v)
 
-    One value per point of ``gp.x``; ``v`` is one vector or one per point.
+    One value per point of ``pd.x``; ``v`` is one vector or one per point.
     """
     v = np.asarray(v, dtype=float)
-    x, pd = gp.x, gp.pd
-    oracle = gp.system.oracle
-    S_field = _hat_nabla_1form(gp.system, gp.cid, phi)
+    x = pd.x
+    oracle = pd.system.oracle
+    S_field = _hat_nabla_1form(pd.system, pd.cid, phi)
     S = S_field(x)
     dS = oracle.jacobian(S_field, x)  # [j, k, l] = d_l S_{jk}
     dlSjk = np.moveaxis(dS, -1, -3)   # [l, j, k]
@@ -908,7 +926,7 @@ def one_form_generator(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> np.nd
     lap = np.einsum("...lj,...ljk->...k", pd.ginv, T2)
     ric_term = np.einsum("...a,...ab,...b->...", phi(x), pd.ric_sharp, v)
     lie_a = 0.0
-    if gp.system.has_drift:
+    if pd.system.has_drift:
         dphi = oracle.jacobian(phi, x)
         lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
                    + np.einsum("...j,...jk->...k", phi(x), pd.DA))
@@ -916,11 +934,11 @@ def one_form_generator(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> np.nd
     return _dot(0.5 * lap, v) - 0.5 * ric_term + lie_a
 
 
-def one_form_generator_hodge(gp: GeometryPoint, phi: Callable, v: np.ndarray) -> np.ndarray:
+def one_form_generator_hodge(pd: PointData, phi: Callable, v: np.ndarray) -> np.ndarray:
     """Same operator through the codifferential: -(delta-bar d + d delta-bar)/2
-    plus the drift Lie term, one value per point of ``gp.x``."""
+    plus the drift Lie term, one value per point of ``pd.x``."""
     v = np.asarray(v, dtype=float)
-    system, cid, x = gp.system, gp.cid, gp.x
+    system, cid, x = pd.system, pd.cid, pd.x
     oracle = system.oracle
 
     dbar = lambda y: codifferential_1form(system, cid, y, phi)
@@ -943,7 +961,7 @@ def one_form_generator_hodge(gp: GeometryPoint, phi: Callable, v: np.ndarray) ->
     val = -0.5 * _dot(dbar_dphi + d_dbar, v)
     if system.has_drift:
         dphi = oracle.jacobian(phi, x)
-        lie_vec = (np.einsum("...j,...kj->...k", gp.pd.A, dphi)
-                   + np.einsum("...j,...jk->...k", phi(x), gp.pd.DA))
+        lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
+                   + np.einsum("...j,...jk->...k", phi(x), pd.DA))
         val += _dot(lie_vec, v)
     return val

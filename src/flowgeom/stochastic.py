@@ -8,23 +8,28 @@ reconstruction.  Paths are independent given (seed, path index); worker
 threads split the index range into fixed blocks and results are merged in
 block order, so reports are identical for any thread count.  The start data
 (``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``, ``F0``: the frames at ``x0``)
-is built once per run, from one ``GeometryPoint`` at ``x0``; a block
+is built once per run, from one ``PointData`` at ``x0``; a block
 integrates its paths and returns only their per-path fields.
 
 Demand-driven companions: ``simulate(..., need=...)`` names the result
 fields the caller reads, and the engine integrates only what they depend on.
 The state, alive mask, chart switches and group re-centring always run.
-The dependency table (``_NEEDS``), requested field -> what it forces on:
+Each bundle (``PointData``) computes a field on its first read, so a run
+evaluates only the bundle fields its companions read.  The dependency table
+(``_NEEDS``), requested field -> the companions it forces on, and what the
+bundles compute for it:
 
-    (always)            state and start data; coefficient-level bundles (X, A)
-    J                   light bundles (adds DX, DA)
-    par_lw, par_adj     full bundles, midpoint Christoffels, the isometry snap
-    What, Vhat          par_adj
+    (always)            the state: X and A at each step's point and predictor
+    J                   DX and DA there
+    par_lw, par_adj     the induced Christoffels at each step's ends and
+                        midpoint, and g for the isometry snap
+    What, Vhat          par_adj; Ric# and nab A
     bismut_vec          par_lw, par_adj, What
     b_raw, b_breve, beta, b_bar, recon_err, qv, cross, F
                         one noise-decomposition companion: par_lw and the
-                        normal frame
-    g_T, hp_lo, hp_hi   full bundles (hp_lo/hp_hi only with hp_p)
+                        normal frame (Y, PN)
+    g_T                 g at the point of the step
+    hp_lo, hp_hi        the moment form's extremes (only with hp_p)
 
 A requested field holds exactly the values of a run with ``need=None``; a
 field not requested is None.
@@ -95,8 +100,6 @@ import numpy as np
 from .errors import BadParams
 from .geometry import (
     PointData,
-    _gram_inverse,
-    _induced_gamma,
     _torsion_skew,
     christoffel,
     geometry_point,
@@ -204,25 +207,8 @@ class SimResult:
 
 
 # ---------------------------------------------------------------------------
-# bundle rows and transports
+# transports
 # ---------------------------------------------------------------------------
-
-
-_FIELDS = tuple(f.name for f in fields(PointData))
-
-
-def _scatter_rows(dst: PointData, src: PointData, rows: np.ndarray) -> None:
-    for name in _FIELDS:
-        d = getattr(dst, name)
-        s = getattr(src, name)
-        if d is not None and s is not None:
-            d[rows] = s
-
-
-def _gamma_light(system: SdeSystem, cids: str | np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Induced-connection Christoffels from a light bundle evaluation."""
-    pd = point_data(system, cids, x, level="light")
-    return _induced_gamma(pd.DX, _gram_inverse(pd.X)[2])
 
 
 _MM = "...ij,...jk->...ik"   # the per-row matrix product
@@ -338,20 +324,12 @@ _DECOMPOSITION = ("F", "b_raw", "b_breve", "beta", "b_bar", "recon_err", "qv",
 # frames of tangent vectors at the current point, pushed through chart changes
 _TANGENT_FRAMES = ("J", "par_lw", "par_adj")
 
-# The dependency table: what a requested field forces on, as other fields and
-# bundle levels.  The state alone evaluates coefficients only (X, A); "light"
-# bundles add DX and DA, "full" ones are all of point_data.
+# The dependency table: the companions a requested field forces on.  Each
+# bundle computes only the fields the running companions read of it.
 _NEEDS = {
-    "J": ("light",),
-    "par_lw": ("full",),
-    "par_adj": ("full",),
     "What": ("par_adj",),
     "Vhat": ("par_adj",),
     "bismut_vec": ("par_lw", "par_adj", "What"),
-    "g_T": ("full",),
-    "hp_lo": ("full",),
-    "hp_hi": ("full",),
-    "full": ("light",),
     **dict.fromkeys(_DECOMPOSITION, ("par_lw",)),
 }
 
@@ -397,8 +375,6 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     chart_names, x0 = start["chart_names"], start["x0"]
     g0, ginv0, X0, Y0, F0 = (start[k] for k in ("g0", "ginv0", "X0", "Y0", "F0"))
     noise = _block_noise(seed, indices, steps, dt, m, coarsen)
-    level = "full" if "full" in on else "light" if "light" in on else "coeff"
-    level_s = "light" if "light" in on else "coeff"  # predictor bundle: J only
     decompose = not on.isdisjoint(_DECOMPOSITION)
     transport = "par_lw" in on or "par_adj" in on
 
@@ -414,8 +390,9 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
           if name in on}
 
     cids = np.asarray(chart_names)[cid_idx]  # chart name per row
-    bundle = point_data(system, cids, x, level=level)
-    origin_bundle = bundle if system.is_group else None
+    bundle = point_data(system, cids, x)
+    if system.is_group:  # every step after the first starts at u = 0
+        origin_bundle = point_data(system, cids, as_engine(np.zeros((P, n))))
     F = None
     if decompose:
         if F0 is not None:
@@ -447,8 +424,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             if decompose:
                 now["recon_err"] = np.max(np.abs(st["recon"] - st["b_raw"]), axis=-1)
             if "g_T" in on:
-                now["g_T"] = (bundle.g.copy() if bundle.g.ndim == 3
-                              else np.broadcast_to(bundle.g, (P, n, n)).copy())
+                now["g_T"] = bundle.g.copy()
             if k < steps:  # later steps update some of these arrays in place
                 now = {key: val.copy() if isinstance(val, np.ndarray) else val
                        for key, val in now.items()}
@@ -461,7 +437,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # predictor / corrector for the state
         drift_k = Bk.A * dt
         x_star = x + np.einsum("...ij,...j->...i", Bk.X, dB) + drift_k
-        Bs = point_data(system, cids, x_star, level=level_s)
+        Bs = point_data(system, cids, x_star)
         x_plus = (x + 0.5 * np.einsum("...ij,...j->...i", Bk.X + Bs.X, dB)
                   + 0.5 * (Bk.A + Bs.A) * dt)
 
@@ -487,12 +463,12 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
             new["J"] = J + 0.5 * (DGJ + np.einsum(_MM, DGs, J + DGJ))
 
         # bundle at the corrected point (pre chart switch)
-        Bp = point_data(system, cids, x_plus, level=level)
+        Bp = point_data(system, cids, x_plus)
 
         # parallel transports, RK4 on dv/ds = -Gamma(x + s dx)(dx, v)
         if transport:
             dx = x_plus - x
-            gamma_mid = _gamma_light(system, cids, x + 0.5 * dx)
+            gamma_mid = point_data(system, cids, x + 0.5 * dx).gamma
 
             gammas = (Bk.gamma, gamma_mid, Bp.gamma)
             if "par_lw" in st:
@@ -556,8 +532,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
         # moment-form integrals at the left point
         if hp:
             lo, hi = _hp_extremes(Bk, hp_p)
-            st["hp_lo"] = st["hp_lo"] + np.where(upd, lo * dt, 0.0)
-            st["hp_hi"] = st["hp_hi"] + np.where(upd, hi * dt, 0.0)
+            inc.update(hp_lo=lo * dt, hp_hi=hi * dt)
 
         # commit masked updates
         for name, val in new.items():
@@ -597,8 +572,10 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                 x[rows] = x_sw
                 cids[rows] = target
                 cid_idx[rows] = [chart_names.index(c) for c in target]
-                # only the switched rows are evaluated again
-                _scatter_rows(bundle, point_data(system, target, x_sw, level=level), rows)
+                # only the switched rows are evaluated again; ``bundle`` shares
+                # ``x`` and ``cids``, so a field it has not computed yet is
+                # computed at the switched points when first read
+                bundle.scatter(rows, point_data(system, target, x_sw))
 
     return [kept[k] for k in at] + [kept[steps]]
 
@@ -661,7 +638,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     means all of them.  The state, the alive mask, the charts, the group
     centres and the start data (``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``,
     ``F0``) are always filled; the start data is computed once per run, from
-    one ``GeometryPoint`` at ``x0``, and shared by every block, snapshot and
+    one ``PointData`` at ``x0``, and shared by every block, snapshot and
     the terminal result.  Only the companion processes the requested
     fields depend on are integrated (see ``_NEEDS``), and every field not
     requested is ``None``; ``hp_lo`` and ``hp_hi`` also need ``hp_p``.  A
@@ -697,14 +674,13 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         raise BadParams(f"coarsen={coarsen!r} is not a non-negative integer")
     need = _requested(need, hp_p)
     on = _closure(need)
-    gp = geometry_point(system, cid, x0)  # DegenerateX if X loses rank at x0
-    pd0 = gp.pd
-    start = dict(chart_names=tuple(c.cid for c in system.charts), cid0=cid, x0=gp.x,
+    pd0 = geometry_point(system, cid, x0)  # DegenerateX if X loses rank at x0
+    start = dict(chart_names=tuple(c.cid for c in system.charts), cid0=cid, x0=pd0.x,
                  g0=pd0.g, ginv0=pd0.ginv, X0=pd0.X, Y0=pd0.Y,
                  L0=np.linalg.cholesky(pd0.g), F0=_null_frame(pd0.X))
     # the induced connection is always metric; its adjoint only under
     # skew-symmetric torsion, so only then may //^ frames be isometrized
-    adj_metric = "par_adj" in on and bool(_torsion_skew(gp)[0])
+    adj_metric = "par_adj" in on and bool(_torsion_skew(pd0)[0])
 
     blocks = [np.arange(lo, min(lo + BLOCK, n_paths))
               for lo in range(0, n_paths, BLOCK)]

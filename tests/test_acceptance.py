@@ -20,7 +20,6 @@ from flowgeom.estimators import (
     one_form_semigroup_check,
 )
 from flowgeom.geometry import (
-    GeometryPoint,
     christoffel,
     connection_routes_residual,
     curvature_from_christoffel,
@@ -86,7 +85,7 @@ def test_criterion_01_defining_property():
         sys = system_of(name, params)
         for cid, x in points_of(sys, 9, seed=101):  # 10 points x 10 probes
             worst = max(worst, defining_property_residual(
-                GeometryPoint(sys, cid, x), n_probes=10))
+                point_data(sys, cid, x), n_probes=10))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-6
     assert elapsed < 10.0
@@ -99,7 +98,7 @@ def test_criterion_02_metricity():
     for name, params in ALL_SCENARIOS:
         sys = system_of(name, params)
         for cid, x in points_of(sys, 4, seed=102):
-            worst_lw = max(worst_lw, metricity_residual(GeometryPoint(sys, cid, x), kind="lw"))
+            worst_lw = max(worst_lw, metricity_residual(point_data(sys, cid, x), kind="lw"))
     assert worst_lw < 1e-6
     worst_adj = 0.0
     for name, params in [("sphere-gradient", {"n": 2}),
@@ -107,7 +106,7 @@ def test_criterion_02_metricity():
         sys = system_of(name, params)
         for cid, x in points_of(sys, 4, seed=103):
             worst_adj = max(worst_adj,
-                            metricity_residual(GeometryPoint(sys, cid, x), kind="adjoint"))
+                            metricity_residual(point_data(sys, cid, x), kind="adjoint"))
     assert worst_adj < 1e-6
     announce(2, f"induced-connection metricity {worst_lw:.3g} on all "
                 f"scenarios, adjoint metricity {worst_adj:.3g} on the "
@@ -122,7 +121,7 @@ def test_criterion_03_route_equivalences():
         sys = system_of(name, params)
         for cid, x in points_of(sys, 3, seed=104):
             worst["christoffel"] = max(
-                worst["christoffel"], connection_routes_residual(GeometryPoint(sys, cid, x)))
+                worst["christoffel"], connection_routes_residual(point_data(sys, cid, x)))
             gamma = christoffel(sys, cid, x, "lw")
             worst["torsion"] = max(worst["torsion"], float(np.max(np.abs(
                 torsion_from_christoffel(gamma) - torsion_via_dy(sys, cid, x)))))
@@ -131,7 +130,7 @@ def test_criterion_03_route_equivalences():
                 curvature_from_christoffel(sys, cid, x, "lw")
                 - curvature_lw_direct(pd.gradX, pd.g)))))
             f = scalar_from_expr(sys, cid, "x1")
-            lw, lc = scalar_generator(GeometryPoint(sys, cid, x), f)
+            lw, lc = scalar_generator(point_data(sys, cid, x), f)
             worst["generator"] = max(worst["generator"], abs(lw - lc))
     elapsed = time.perf_counter() - t0
     assert worst["christoffel"] < 1e-5
@@ -159,7 +158,7 @@ def test_criterion_04_gradient_system():
         k = sectional_curvature(R, pd.g, rng.normal(size=2), rng.normal(size=2))
         sec_err = max(sec_err, abs(float(k) - 1.0))
     assert sec_err < 1e-3
-    strat = max(float(np.max(np.abs(stratonovich_term(GeometryPoint(sys, cid, x)))))
+    strat = max(float(np.max(np.abs(stratonovich_term(point_data(sys, cid, x)))))
                 for cid, x in pts[:8])
     assert strat < 1e-6
     announce(4, f"sphere gradient system: connection gap {gap:.2g}, "
@@ -173,13 +172,13 @@ def test_criterion_05_lie_group():
     for cid, x in points_of(sys, 5, seed=107):
         r_max = max(r_max, float(np.max(np.abs(
             curvature_from_christoffel(sys, cid, x, "lw")))))
-        adj = max(adj, metricity_residual(GeometryPoint(sys, cid, x), kind="adjoint"))
+        adj = max(adj, metricity_residual(point_data(sys, cid, x), kind="adjoint"))
     gamma0 = christoffel(sys, "exp", np.zeros(3), "lw")
     T0 = torsion_from_christoffel(gamma0)
     t_err = float(np.max(np.abs(T0[:, 0, 1] - np.array([0.0, 0.0, -1.0]))))
     assert r_max < 1e-4
     assert t_err < 1e-6
-    ok, _, _ = tss_check(GeometryPoint(sys, "exp", np.zeros(3)))
+    ok, _, _ = tss_check(point_data(sys, "exp", np.zeros(3)))
     assert ok
     assert adj < 1e-6
     announce(5, f"so(3): curvature {r_max:.2g}, torsion(e1,e2)+e3 "

@@ -242,11 +242,11 @@ def test_tensors_batch_equals_per_point_reports(name, params, p):
         gp = geometry_point(system, cid, x)
         h_lo, h_hi = moment_form_extremes(point_data(system, cid, x), p)
         want = {"chart": cid, "x": x.tolist(),
-                "g": gp.pd.g.tolist(), "ginv": gp.pd.ginv.tolist(),
-                "gamma_lw": gp.pd.gamma.tolist(), "gamma_adjoint": gp.pd.gamma_adj.tolist(),
+                "g": gp.g.tolist(), "ginv": gp.ginv.tolist(),
+                "gamma_lw": gp.gamma.tolist(), "gamma_adjoint": gp.gamma_adj.tolist(),
                 "gamma_lc": gp.gamma_lc.tolist(), "torsion": gp.torsion.tolist(),
                 "curvature_lw": gp.curvature_lw.tolist(),
-                "ric_sharp_lw": gp.pd.ric_sharp.tolist(), "ricci_lw": gp.ricci_lw.tolist(),
+                "ric_sharp_lw": gp.ric_sharp.tolist(), "ricci_lw": gp.ricci_lw.tolist(),
                 "h_lo": float(h_lo), "h_hi": float(h_hi)}
         assert list(pt) == list(want)  # the report's key order
         assert pt == want

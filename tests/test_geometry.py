@@ -9,14 +9,13 @@ Closed-form constants used as references (orthonormal frames, unit vectors):
   flat with drift a(x) = -x:    moment form = -2 on unit vectors, any p
 """
 
-from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 import pytest
 
 from flowgeom.errors import DegenerateX
 from flowgeom.geometry import (
-    GeometryPoint,
     PointData,
     _grad_x,
     _gram_inverse,
@@ -33,7 +32,6 @@ from flowgeom.geometry import (
     defining_property_residual,
     exterior_derivative_1form,
     geometry_point,
-    induced_metric,
     levi_civita_christoffel,
     lie_bracket,
     lw_lc_split_residual,
@@ -87,7 +85,8 @@ def twisted():
 
 def test_sphere_metric_is_conformal(sphere):
     u = np.array([0.3, -0.2])
-    g, ginv, Y, PT, PN = induced_metric(sphere.coeff_x("n", u))
+    pd = point_data(sphere, "n", u)
+    g, ginv, PT, PN = pd.g, pd.ginv, pd.PT, pd.PN
     s = 1.0 + u @ u
     np.testing.assert_allclose(g, (4.0 / s**2) * np.eye(2), atol=1e-12)
     np.testing.assert_allclose(g @ ginv, np.eye(2), atol=1e-12)
@@ -106,7 +105,7 @@ def test_sphere_sectional_curvature_is_one(sphere):
     for cid, x in sphere.sample_points(np.random.default_rng(2), 8):
         gp = geometry_point(sphere, cid, x)
         u, v = rng.normal(size=2), rng.normal(size=2)
-        k = sectional_curvature(gp.curvature_lw, gp.pd.g, u, v)
+        k = sectional_curvature(gp.curvature_lw, gp.g, u, v)
         assert k == pytest.approx(1.0, abs=1e-6)
 
 
@@ -114,8 +113,8 @@ def test_sphere_ricci_is_g(sphere):
     # unit S^2 carries Ric = (n-1) g = g
     cid, x = sphere.sample_points(np.random.default_rng(3), 1)[0]
     gp = geometry_point(sphere, cid, x)
-    np.testing.assert_allclose(gp.ricci_lw, gp.pd.g, atol=1e-7)
-    np.testing.assert_allclose(gp.pd.ric_sharp, np.eye(2), atol=1e-7)
+    np.testing.assert_allclose(gp.ricci_lw, gp.g, atol=1e-7)
+    np.testing.assert_allclose(gp.ric_sharp, np.eye(2), atol=1e-7)
 
 
 def test_sphere_moment_form_is_p_minus_n(sphere):
@@ -137,13 +136,13 @@ def test_sphere_generator_on_coordinate_functions(sphere):
     emb = sphere.embed(cid, x)
     for i, src in enumerate(["x1", "x2", "x3"]):
         f = scalar_from_expr(sphere, cid, src)
-        lw, lc = scalar_generator(GeometryPoint(sphere, cid, x), f)
+        lw, lc = scalar_generator(point_data(sphere, cid, x), f)
         assert lw == pytest.approx(-emb[i], abs=1e-7)
         assert lw == pytest.approx(lc, abs=1e-9)
 
 
 def test_sphere_is_tss_with_zero_torsion(sphere):
-    ok, res, _ = tss_check(GeometryPoint(sphere, "n", np.array([0.2, 0.5])))
+    ok, res, _ = tss_check(point_data(sphere, "n", np.array([0.2, 0.5])))
     assert ok and res < 1e-8
     gamma = christoffel(sphere, "n", np.array([0.2, 0.5]), "lw")
     assert np.max(np.abs(torsion_from_christoffel(gamma))) < 1e-8
@@ -198,9 +197,9 @@ def test_so3_levi_civita_ricci_is_half_metric(so3):
 
 
 def test_so3_is_tss_and_adjoint_metric(so3):
-    ok, res, _ = tss_check(GeometryPoint(so3, "exp", np.zeros(3)))
+    ok, res, _ = tss_check(point_data(so3, "exp", np.zeros(3)))
     assert ok and res < 1e-8
-    assert metricity_residual(GeometryPoint(so3, "exp", np.array([0.2, 0.1, -0.4])),
+    assert metricity_residual(point_data(so3, "exp", np.array([0.2, 0.1, -0.4])),
                               kind="adjoint") < 1e-8
 
 
@@ -221,22 +220,22 @@ CASES = [
 def test_defining_property(name, params):
     sys = system_of(name, params)
     for cid, x in [sys.start()] + sys.sample_points(np.random.default_rng(5), 3):
-        assert defining_property_residual(GeometryPoint(sys, cid, x)) < 1e-7
+        assert defining_property_residual(point_data(sys, cid, x)) < 1e-7
 
 
 @pytest.mark.parametrize("name,params", CASES)
 def test_metricity_and_pairing(name, params):
     sys = system_of(name, params)
     cid, x = sys.sample_points(np.random.default_rng(6), 1)[0]
-    assert metricity_residual(GeometryPoint(sys, cid, x), kind="lw") < 1e-8
-    assert pairing_derivative_residual(GeometryPoint(sys, cid, x)) < 1e-7
+    assert metricity_residual(point_data(sys, cid, x), kind="lw") < 1e-8
+    assert pairing_derivative_residual(point_data(sys, cid, x)) < 1e-7
 
 
 @pytest.mark.parametrize("name,params", CASES)
 def test_christoffel_route_equivalence(name, params):
     sys = system_of(name, params)
     cid, x = sys.sample_points(np.random.default_rng(8), 1)[0]
-    assert connection_routes_residual(GeometryPoint(sys, cid, x)) < 1e-7
+    assert connection_routes_residual(point_data(sys, cid, x)) < 1e-7
 
 
 @pytest.mark.parametrize("name,params", CASES)
@@ -260,7 +259,7 @@ def test_stratonovich_term_vanishes(name, params):
     # identically zero, including on non-TSS systems
     sys = system_of(name, params)
     for cid, x in [sys.start()] + sys.sample_points(np.random.default_rng(11), 2):
-        s = stratonovich_term(GeometryPoint(sys, cid, x))
+        s = stratonovich_term(point_data(sys, cid, x))
         assert np.max(np.abs(s)) < 1e-9
 
 
@@ -271,19 +270,19 @@ def test_lw_lc_split(name, params):
     # so the non-TSS twisted plane is excluded
     sys = system_of(name, params)
     cid, x = sys.sample_points(np.random.default_rng(12), 1)[0]
-    identity_res, _ = lw_lc_split_residual(GeometryPoint(sys, cid, x))
+    identity_res, _ = lw_lc_split_residual(point_data(sys, cid, x))
     assert identity_res < 1e-6
 
 
 def test_lw_lc_split_detects_non_tss(twisted):
     cid, x = twisted.sample_points(np.random.default_rng(12), 1)[0]
-    identity_res, _ = lw_lc_split_residual(GeometryPoint(twisted, cid, x))
+    identity_res, _ = lw_lc_split_residual(point_data(twisted, cid, x))
     assert identity_res > 1e-3
 
 
 def test_twisted_plane_profile(twisted):
     cid, x = "plane", np.array([0.8, -0.4])
-    ok, _, _ = tss_check(GeometryPoint(twisted, cid, x))
+    ok, _, _ = tss_check(point_data(twisted, cid, x))
     assert not ok
     gamma_gap = np.max(np.abs(christoffel(twisted, cid, x, "lw")
                               - christoffel(twisted, cid, x, "lc")))
@@ -319,7 +318,7 @@ def test_generator_routes_flat_ou():
     sys = system_of("flat", {"n": 2, "drift": ["-x1", "-x2"]})
     x = np.array([0.5, -1.0])
     f = scalar_from_expr(sys, "u", "x1*x1")
-    lw, lc = scalar_generator(GeometryPoint(sys, "u", x), f)
+    lw, lc = scalar_generator(point_data(sys, "u", x), f)
     # a.grad f + (1/2) laplacian f = -2 x1^2 + 1
     assert lw == pytest.approx(-2 * x[0] ** 2 + 1.0, abs=1e-7)
     assert lw == pytest.approx(lc, abs=1e-9)
@@ -410,7 +409,7 @@ def test_one_form_generator_routes_agree(sphere):
     cid, x = "n", np.array([0.3, 0.1])
     phi = one_form_from_spec(sphere, cid, {"d_of": "x1"})
     v = np.array([0.7, -0.2])
-    gp = GeometryPoint(sphere, cid, x)
+    gp = point_data(sphere, cid, x)
     direct = one_form_generator(gp, phi, v)
     hodge = one_form_generator_hodge(gp, phi, v)
     assert direct == pytest.approx(hodge, abs=1e-7)
@@ -458,11 +457,11 @@ def test_one_form_generators_are_batch_safe(name, params, spec):
     cids = np.array([cid for cid, _ in pts])
     xs = np.array([x for _, x in pts])
     vs = np.random.default_rng(1).normal(size=xs.shape)
-    gp = GeometryPoint(sys, cids, xs)
+    gp = point_data(sys, cids, xs)
     phi = one_form_from_spec(sys, cids, spec)
     for generator in (one_form_generator, one_form_generator_hodge):
         batch = generator(gp, phi, vs)
-        rows = np.array([generator(GeometryPoint(sys, cid, x),
+        rows = np.array([generator(point_data(sys, cid, x),
                                    one_form_from_spec(sys, cid, spec), v)
                          for cid, x, v in zip(cids, xs, vs)])
         assert batch.shape == (4,)
@@ -539,7 +538,7 @@ def _identities(sys, cid, x, v1, v2):
         *scalar_generator(gp, f),
         stratonovich_term(gp),
         stratonovich_term(gp, kind="lc"),
-        gp.pd.g, gp.pd.gamma, gp.gamma_lc, gp.torsion, gp.curvature_lw, gp.ricci_lw,
+        gp.g, gp.gamma, gp.gamma_lc, gp.torsion, gp.curvature_lw, gp.ricci_lw,
     ]
 
 
@@ -568,22 +567,29 @@ def test_identities_batched_agree_with_single_points(name, params):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-10, err_msg=str(k))
 
 
+# every field a PointData computes on first read
+BUNDLE_FIELDS = tuple(name for name, attr in vars(PointData).items()
+                      if isinstance(attr, (property, cached_property))
+                      and not name.startswith("_"))
+
+
 def _assert_bundle_is_fresh(gp):
     fresh = point_data(gp.system, gp.cid, gp.x)
-    for f in fields(PointData):
-        got, want = getattr(gp.pd, f.name), getattr(fresh, f.name)
-        assert (got is None and want is None) or np.array_equal(got, want), f.name
+    assert len(BUNDLE_FIELDS) == 18
+    for name in BUNDLE_FIELDS:
+        got, want = getattr(gp, name), getattr(fresh, name)
+        assert (got is None and want is None) or np.array_equal(got, want), name
     assert np.array_equal(gp.gamma_lc, levi_civita_christoffel(gp.system, gp.cid, gp.x))
 
 
 def test_identities_never_write_into_the_shared_bundle(sphere):
-    # every GeometryPoint-taking function, with each connection kind it
-    # takes, leaves the PointData and Levi-Civita field it shares as a fresh
-    # computation gives them; the verify digests rely on this
+    # every PointData-taking function, with each connection kind it takes,
+    # leaves each field of the PointData it shares as a fresh computation
+    # gives it; the verify digests rely on this
     pts = [sphere.start()] + sphere.sample_points(np.random.default_rng(41), 5)
     cids = np.array([cid for cid, _ in pts])
     assert set(cids) == {"n", "s"}
-    gp = GeometryPoint(sphere, cids, np.array([x for _, x in pts]))
+    gp = point_data(sphere, cids, np.array([x for _, x in pts]))
     defining_property_residual(gp)
     connection_routes_residual(gp)
     _torsion_skew(gp)

@@ -254,22 +254,31 @@ def test_sphere_chart_switching_preserves_the_point(sphere):
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
+# the bundle fields the engine reads, by group: the state's coefficients, the
+# Jacobian's derivatives too, and every induced tensor
+FIELD_GROUPS = {
+    "coeff": ("X", "A"),
+    "light": ("X", "A", "DX", "DA"),
+    "full": ("X", "A", "DX", "DA", "ginv", "g", "Y", "PT", "PN", "gamma",
+             "gamma_adj", "gradX", "ric_sharp", "nabla_a"),
+}
+
+
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("level", ["coeff", "light", "full"])
-def test_bundle_on_mixed_charts_equals_per_chart_point_data(n, level):
-    # one bundle call on rows of both charts gives each chart's own rows
+@pytest.mark.parametrize("group", FIELD_GROUPS)
+def test_bundle_on_mixed_charts_equals_per_chart_point_data(n, group):
+    # one bundle on rows of both charts gives each chart's own rows
     sys = system_of("sphere-gradient", {"n": n})
     x = np.random.default_rng(8).uniform(-1.5, 1.5, size=(10, n))
     cids = np.array(["n", "s", "s", "n", "n", "s", "n", "s", "s", "n"])
-    got = point_data(sys, cids, x, level=level)
+    got = point_data(sys, cids, x)
     for cid in ("n", "s"):
         mask = cids == cid
-        want = point_data(sys, cid, x[mask], level="full" if level == "full" else "light")
-        filled = {f.name for f in fields(PointData) if getattr(want, f.name) is not None}
-        if level == "coeff":
-            filled = {"X", "A"}
-        assert {f.name for f in fields(PointData) if getattr(got, f.name) is not None} == filled
-        for name in filled:
+        want = point_data(sys, cid, x[mask])
+        for name in FIELD_GROUPS[group]:
+            if getattr(want, name) is None:  # DA without drift
+                assert getattr(got, name) is None, name
+                continue
             np.testing.assert_array_equal(getattr(got, name)[mask], getattr(want, name),
                                           err_msg=name)
 
@@ -282,8 +291,8 @@ def test_bundle_on_mixed_charts_equals_per_chart_point_data(n, level):
     ("custom", CUSTOM_BENCH),
     ("so3-left-invariant", {}),
 ])
-@pytest.mark.parametrize("level", ["coeff", "light", "full"])
-def test_bundle_keeps_the_engine_layout(name, params, level):
+@pytest.mark.parametrize("group", FIELD_GROUPS)
+def test_bundle_keeps_the_engine_layout(name, params, group):
     # on engine-layout points every bundle field has the path axis fastest
     # in memory: one C-ordered field would put einsum on its slow path in
     # every product it enters.  The same points in C order take the same
@@ -293,14 +302,96 @@ def test_bundle_keeps_the_engine_layout(name, params, level):
     sys = system_of(name, params)
     x = np.random.default_rng(4).uniform(-0.6, 0.6, size=(7, sys.n))
     cids = np.resize([c.cid for c in sys.charts], 7)
-    got = point_data(sys, cids, as_engine(x), level=level)
-    want = point_data(sys, cids, x, level=level)
-    for f in fields(PointData):
-        a, b = getattr(got, f.name), getattr(want, f.name)
-        assert (a is None) == (b is None), f.name
+    got = point_data(sys, cids, as_engine(x))
+    want = point_data(sys, cids, x)
+    for f in FIELD_GROUPS[group]:
+        a, b = getattr(got, f), getattr(want, f)
+        assert (a is None) == (b is None), f
         if a is not None:
-            assert path_fastest(a), f"{f.name} has strides {a.strides}"
-            assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1.0), f.name
+            assert path_fastest(a), f"{f} has strides {a.strides}"
+            assert np.max(np.abs(a - b)) <= 1e-13 * max(np.max(np.abs(b)), 1.0), f
+
+
+def test_state_only_run_reads_no_derivatives_after_the_start(sphere, monkeypatch):
+    # the state reads X and A alone: DX is read once, at the start point,
+    # where a derivative that fails must fail before any run
+    shapes = []
+    real = sphere.coeff_dx
+
+    def counting(cid, x):
+        shapes.append(np.shape(x))
+        return real(cid, x)
+
+    monkeypatch.setattr(sphere, "coeff_dx", counting)
+    r = simulate(sphere, t=0.2, dt=1e-2, n_paths=64, seed=3, x0=np.array([1.9, 0.4]),
+                 need=())
+    assert set(r.cid_idx.tolist()) == {0, 1}  # paths switched chart
+    assert shapes == [(2,)]
+
+
+def test_jacobian_run_computes_no_christoffels(sphere, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("_induced_gamma called")
+
+    monkeypatch.setattr(geometry, "_induced_gamma", refuse)
+    r = simulate(sphere, t=0.2, dt=1e-2, n_paths=64, seed=3, x0=np.array([1.9, 0.4]),
+                 need={"J"})
+    assert r.J is not None and r.par_lw is None
+
+
+@pytest.mark.parametrize("need", [{"par_lw", "g_T"}, {"J", "par_adj", "What", "g_T"}])
+def test_switched_bundle_equals_a_fresh_bundle(sphere, monkeypatch, need):
+    # after a chart switch a bundle holds the fields it had computed, written
+    # over on the switched rows (the Gram triple among them), and computes
+    # the others when first read from its updated points and charts: every
+    # field it holds at the end of the run, from before the switch or after,
+    # equals a fresh bundle at its points, bit for bit
+    switched = []
+    real = PointData.scatter
+
+    def recording(self, rows, src):
+        real(self, rows, src)
+        before = {name for name, _ in self._computed()}
+        switched.append((self, np.array(self.cid), np.array(self.x), before))
+
+    monkeypatch.setattr(PointData, "scatter", recording)
+    simulate(sphere, t=0.2, dt=1e-2, n_paths=64, seed=3, x0=np.array([1.9, 0.4]),
+             need=need)
+    assert len(switched) > 3
+    read_after = set()
+    for bundle, cid, x, before in switched:
+        assert "_gram" in before
+        fresh = point_data(sphere, cid, x)
+        for name, val in bundle._computed():
+            want = getattr(fresh, name)
+            if val is None:
+                assert want is None, name
+                continue
+            for a, b in zip(val, want) if isinstance(val, tuple) else [(val, want)]:
+                assert np.array_equal(a, b), name
+        read_after |= {name for name, _ in bundle._computed()} - before
+    assert read_after  # some field was first read after its switch
+
+
+def test_so3_steps_after_recentring_start_at_the_identity():
+    # after each step the state is recentred to u = 0, so every later step
+    # evaluates X there: a hand-written Heun with recentring, from x0 != 0
+    so3 = system_of("so3-left-invariant")
+    x0, steps, dt, P = np.array([0.3, -0.2, 0.1]), 5, 1e-2, 4
+    r = simulate(so3, t=steps * dt, dt=dt, n_paths=P, seed=1, x0=x0, need=())
+    noise = _block_noise(1, np.arange(P), steps, dt, so3.m)
+    x = np.broadcast_to(x0, (P, 3))
+    centers = np.broadcast_to(so3.group_identity(), (P, 4))
+    for k in range(steps):
+        dB = noise[:, k]
+        Xk, Ak = so3.coeff_x("exp", x), so3.coeff_a("exp", x)
+        x_star = x + np.einsum("pij,pj->pi", Xk, dB) + Ak * dt
+        Xs, As = so3.coeff_x("exp", x_star), so3.coeff_a("exp", x_star)
+        x_plus = x + 0.5 * np.einsum("pij,pj->pi", Xk + Xs, dB) + 0.5 * (Ak + As) * dt
+        centers = so3.group_compose(centers, x_plus)
+        x = np.zeros((P, 3))
+    np.testing.assert_allclose(r.centers, centers, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(r.x, x)
 
 
 def test_guard_radius_kills_escaping_paths():
