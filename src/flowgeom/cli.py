@@ -11,7 +11,9 @@ Exit codes: 0 when every requested check passes (a check whose
 preconditions fail reports not_applicable and still exits 0), 1 on a
 check failure, 2 on a config error (including a start chart the scenario
 lacks, or a probe point of the wrong length, in a chart the scenario lacks,
-or where X loses rank), 3 on a runtime or numeric error or on any other
+or where X loses rank; an all-zero v0; a test function or 1-form whose
+expression uses a variable beyond its dimension, refused before any
+run), 3 on a runtime or numeric error or on any other
 exception (reported as an internal error, without a traceback).
 """
 
@@ -212,7 +214,7 @@ def cmd_verify(cfg: dict) -> dict:
     t0 = time.perf_counter()
     system = _build_system(cfg)
     cid, xs = _probe_points(system, cfg, default_samples=8)
-    f_src = cfg.get("f", "x1")
+    f = scalar_from_expr(system, cid, cfg.get("f", "x1"))  # a bad f exits before any geometry
     # two (v1, v2) bracket pairs per point, drawn in probe order
     brackets = np.random.default_rng(cfg.get("seed", 0) + 1).normal(
         size=(len(xs), 2, 2, system.n))
@@ -231,7 +233,7 @@ def cmd_verify(cfg: dict) -> dict:
     v1, v2 = brackets[:, :, 0], brackets[:, :, 1]  # (P, 2, n)
     tb = torsion_via_bracket(system, cid[:, None], xs[:, None, :], v1, v2)
     R = curvature_from_christoffel(system, cid, xs, kind="lw")
-    lw_val, lc_val = scalar_generator(pd, scalar_from_expr(system, cid, f_src))
+    lw_val, lc_val = scalar_generator(pd, f)
     s = stratonovich_term(pd)
     # per identity, the largest residual over the probe points
     worst = {k: float(np.max(r)) for k, r in {

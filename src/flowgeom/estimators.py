@@ -94,6 +94,8 @@ class McConfig:
             val = getattr(self, name)
             if val is not None:
                 setattr(self, name, self.system.check_vector(name, val))
+        if self.v0 is not None and not self.v0.any():
+            raise BadParams("v0 is the zero vector; the checks need a nonzero one")
 
     def start(self) -> tuple[str, np.ndarray]:
         cid_d, x0_d = self.system.start()
@@ -270,26 +272,7 @@ def _resolve_v0(cfg: McConfig, res: SimResult) -> np.ndarray:
     return _frame0(res)[:, 0]
 
 
-def _terminal_scalar(res: SimResult, source: str) -> np.ndarray:
-    """Evaluate an embedded-coordinate expression at each terminal point."""
-    tree = ex.parse(source)
-    d = res.embedded.shape[-1]
-    if ex.max_var_index(tree) >= d:
-        raise BadParams(
-            f"test function {source!r} uses x{ex.max_var_index(tree) + 1} but the "
-            f"embedding has dimension {d}")
-    vals = ex.evaluate(tree, np.moveaxis(res.embedded, -1, 0))
-    return np.broadcast_to(np.asarray(vals, dtype=float), res.embedded.shape[:-1]).copy()
-
-
-def _scalar_at_start(cfg: McConfig, source: str) -> float:
-    cid, x0 = cfg.start()
-    f = scalar_from_expr(cfg.system, cid, source)
-    return float(f(x0))
-
-
-def _default_panel(res: SimResult, max_coords: int = 3) -> list[str]:
-    d = res.embedded.shape[-1]
+def _default_panel(d: int, max_coords: int = 3) -> list[str]:
     names = [f"x{k + 1}" for k in range(min(d, max_coords))]
     if d >= 2:
         names.append("x1*x2")
@@ -346,12 +329,14 @@ def filtered_expectation_check(cfg: McConfig,
     min(N, 256) paths at dt/2 and the same Brownian paths at dt.
     """
     t0 = time.perf_counter()
+    d = cfg.system.embed_dim
+    fs = [(src, ex.field(src, d))
+          for src in (test_functions if test_functions is not None else _default_panel(d))]
     res = _simulate(cfg, _FILTERED_NEEDS)
     alive = _alive_gate(res)
     k = cfg.k_se
     v0 = _resolve_v0(cfg, res)
     frame = _frame0(res)
-    fs = test_functions if test_functions is not None else _default_panel(res)
 
     dv, inner = _filtered_pairing(res, v0, frame, alive)
     pathwise = _gradx_vanishes(cfg.system, cfg)
@@ -359,8 +344,8 @@ def filtered_expectation_check(cfg: McConfig,
     bias_allow = pmax if pathwise else 0.0
 
     rows: list[CheckRow] = []
-    for src in fs:
-        fv = _terminal_scalar(res, src)[alive]
+    for src, f in fs:
+        fv = f(res.embedded)[alive]
         for a in range(frame.shape[1]):
             est, se = _mean_se(fv * inner[:, a])
             rows.append(CheckRow(
@@ -412,19 +397,19 @@ def filtered_expectation_check(cfg: McConfig,
 # ---------------------------------------------------------------------------
 
 
-def _circle_ptf_derivative(theta0: float, t: float, tree, n_terms: int = 7,
+def _circle_ptf_derivative(theta0: float, t: float,
+                           f: Callable[[np.ndarray], np.ndarray], n_terms: int = 7,
                            grid: int = 4096) -> float:
     """d/dtheta0 of P_t f on the circle via the wrapped Gaussian kernel.
 
-    f is an expression in the embedded coordinates (cos theta, sin theta);
+    f is a field of the embedded coordinates (cos theta, sin theta);
     the kernel derivative keeps ``n_terms`` images of the Gaussian.
     """
     th = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
     ks = np.arange(-(n_terms // 2), n_terms // 2 + 1)
     z = theta0 - th[None, :] + 2.0 * np.pi * ks[:, None]
     dkernel = np.sum(-z / t * np.exp(-z * z / (2.0 * t)), axis=0) / sqrt(2.0 * np.pi * t)
-    fvals = np.asarray(ex.evaluate(tree, [np.cos(th), np.sin(th)]), dtype=float)
-    fvals = np.broadcast_to(fvals, th.shape)
+    fvals = f(np.stack([np.cos(th), np.sin(th)]).T)  # (grid, 2), each column contiguous
     return float(np.sum(fvals * dkernel) * (2.0 * np.pi / grid))
 
 
@@ -439,6 +424,7 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4) -
     paths at dt/2 and the same Brownian paths at dt.
     """
     t0 = time.perf_counter()
+    f = ex.field(f_source, cfg.system.embed_dim)
     res = _simulate(cfg, {"bismut_vec"})
     alive = _alive_gate(res)
     k = cfg.k_se
@@ -446,7 +432,7 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4) -
     cid, x0 = cfg.start()
 
     def samples(run: SimResult) -> np.ndarray:
-        return _terminal_scalar(run, f_source) * (run.bismut_vec @ v0) / cfg.t
+        return f(run.embedded) * (run.bismut_vec @ v0) / cfg.t
 
     est, se = _mean_se(samples(res)[alive])
 
@@ -459,8 +445,7 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4) -
     res_p = _simulate(cfg, set(), x0=x0 + eps * v0)
     res_m = _simulate(cfg, set(), x0=x0 - eps * v0)
     both = res_p.alive & res_m.alive
-    fd_samples = (_terminal_scalar(res_p, f_source)[both]
-                  - _terminal_scalar(res_m, f_source)[both]) / (2.0 * eps)
+    fd_samples = (f(res_p.embedded)[both] - f(res_m.embedded)[both]) / (2.0 * eps)
     fd, fd_se = _mean_se(fd_samples)
 
     rows = [CheckRow(
@@ -472,7 +457,7 @@ def bismut_gradient(cfg: McConfig, f_source: str = "x1", *, eps: float = 1e-4) -
 
     notes: dict = {"fd": fd, "fd_se": fd_se, "bias_allowance": bias_allow}
     if cfg.system.dim_one and res.embedded.shape[-1] == 2:
-        ref = _circle_ptf_derivative(float(x0[0]), cfg.t, ex.parse(f_source)) * float(v0[0])
+        ref = _circle_ptf_derivative(float(x0[0]), cfg.t, f) * float(v0[0])
         rows.append(CheckRow(
             name="vs wrapped-Gaussian kernel series (7 terms)",
             estimate=est, se=se, reference=ref,
@@ -567,6 +552,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
     f = scalar_from_expr(cfg.system, cid, f_source)
+    f_emb = ex.field(f_source, cfg.system.embed_dim)
     lw_val, lc_val = scalar_generator(point_data(cfg.system, cid, x0), f)
 
     rows = [CheckRow(
@@ -578,7 +564,7 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
     alive = _alive_gate(res)
     k = cfg.k_se
     est, se, bias_allow = _halving_quotient(
-        res, alive, lambda r: _terminal_scalar(r, f_source), _scalar_at_start(cfg, f_source))
+        res, alive, lambda r: f_emb(r.embedded), float(f(x0)))
 
     # 1e-6 floor covers the finite-difference error of the reference itself
     for label, ref in (("induced form", lw_val), ("Levi-Civita form", lc_val)):
@@ -595,13 +581,6 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
 # ---------------------------------------------------------------------------
 # semigroup on 1-forms
 # ---------------------------------------------------------------------------
-
-
-def _terminal_one_form_pairing(cfg: McConfig, res: SimResult, phi_spec,
-                               vec: np.ndarray) -> np.ndarray:
-    """phi_{x_T}(vec) per path, evaluating phi in each terminal chart."""
-    phi = one_form_from_spec(cfg.system, np.asarray(res.chart_names)[res.cid_idx], phi_spec)
-    return np.einsum("pi,pi->p", phi(res.x), vec)
 
 
 def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
@@ -647,9 +626,12 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
             provenance="analytic", tolerance=1e-5,
             note="compares the 1-form generator on df with d(scalar generator f)"))
 
-    est, se, bias_allow = _halving_quotient(
-        res, alive, lambda r: _terminal_one_form_pairing(cfg, r, phi_spec, r.J @ v0),
-        float(phi0(x0) @ v0))
+    def pairing(r: SimResult) -> np.ndarray:
+        """phi_{x_T}(J v0) per path, evaluating phi in each terminal chart."""
+        phi = one_form_from_spec(system, np.asarray(r.chart_names)[r.cid_idx], phi_spec)
+        return np.einsum("pi,pi->p", phi(r.x), r.J @ v0)
+
+    est, se, bias_allow = _halving_quotient(res, alive, pairing, float(phi0(x0) @ v0))
 
     # 1e-6 floor covers the finite-difference error of the reference itself
     rows.append(CheckRow(
@@ -777,10 +759,11 @@ def decomposition_check(cfg: McConfig) -> McReport:
 def se_scaling_check(cfg: McConfig, f_source: str = "x1") -> McReport:
     """Doubling the path count shrinks the standard error by sqrt(2) +- 10%."""
     t0 = time.perf_counter()
+    f = ex.field(f_source, cfg.system.embed_dim)
     res1 = _simulate(cfg, set())
     res2 = _simulate(cfg, set(), n_paths=2 * cfg.n_paths)
-    _, se1 = _mean_se(_terminal_scalar(res1, f_source)[res1.alive])
-    _, se2 = _mean_se(_terminal_scalar(res2, f_source)[res2.alive])
+    _, se1 = _mean_se(f(res1.embedded)[res1.alive])
+    _, se2 = _mean_se(f(res2.embedded)[res2.alive])
     ratio = se1 / se2 if se2 > 0 else float("inf")
     rows = [CheckRow(
         name=f"SE(N)/SE(2N) for f={f_source}",
@@ -866,16 +849,15 @@ def weak_order_check(cfg: McConfig) -> McReport:
     Carlo noise cancelled; their ratio should be near 2.
     """
     t0 = time.perf_counter()
+    fs = [(src, ex.field(src, cfg.system.embed_dim)) for src in ("x1", "x1*x2", "x1*x1")]
     res1, res2, res4 = (_simulate(cfg, set(), dt=cfg.dt / 2**h, coarsen=2 - h)
                         for h in range(3))
     ok = res1.alive & res2.alive & res4.alive
 
     rows = []
     details = {}
-    for src in ("x1", "x1*x2", "x1*x1"):
-        f1 = _terminal_scalar(res1, src)[ok]
-        f2 = _terminal_scalar(res2, src)[ok]
-        f4 = _terminal_scalar(res4, src)[ok]
+    for src, f in fs:
+        f1, f2, f4 = (f(run.embedded)[ok] for run in (res1, res2, res4))
         d12, d12_se = _mean_se(f1 - f2)
         d24, d24_se = _mean_se(f2 - f4)
         details[src] = {"d12": d12, "d12_se": d12_se, "d24": d24, "d24_se": d24_se}

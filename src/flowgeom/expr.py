@@ -14,7 +14,8 @@ Functions: sin cos tan exp log sqrt abs tanh sign.  Constants: pi, e.
 
 Evaluation is plain IEEE double arithmetic and accepts scalar points or
 batches (each variable an array); it is deterministic bit-for-bit for a
-given input.
+given input.  ``field(source, dim)`` is the one route from an expression to
+values on a batch of points ``(..., dim)``.
 
 ``derivative(t, j)`` is the symbolic partial derivative of a tree in ``x{j+1}``
 with constant folding (sums and products with 0 or 1, constant operands):
@@ -34,15 +35,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ArityError, DomainError, ExprSyntaxError, UnknownIdentifier
+from .errors import ArityError, BadParams, DomainError, ExprSyntaxError, UnknownIdentifier
 
 __all__ = [
     "Expr", "Num", "Var", "Const", "Unary", "Binary", "Call",
-    "parse", "evaluate", "to_source", "max_var_index", "derivative",
+    "parse", "evaluate", "field", "to_source", "max_var_index", "derivative",
 ]
 
 
@@ -257,6 +258,25 @@ def evaluate(e: Expr, point) -> float | np.ndarray:
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def field(source: str | Expr, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``source`` (a string or a tree), parsed once, as a field on R^dim:
+    ``f(y)`` maps ``y`` of shape ``(..., dim)`` to ``(...)``, a constant
+    broadcast over the batch.  A variable beyond ``x{dim}`` raises
+    ``BadParams`` here, before any point is seen."""
+    tree = parse(source) if isinstance(source, str) else source
+    top = max_var_index(tree) + 1
+    if top > dim:
+        text = source if isinstance(source, str) else to_source(tree)
+        raise BadParams(f"expression {text!r} uses x{top} but its points have "
+                        f"dimension {dim}")
+
+    def f(y: np.ndarray) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        return np.broadcast_to(evaluate(tree, np.moveaxis(y, -1, 0)), y.shape[:-1])
+
+    return f
 
 
 def _check_finite(value, what: str):

@@ -246,7 +246,7 @@ def geometry_point(system: SdeSystem, cid: str | np.ndarray, x: np.ndarray) -> P
     where X loses rank, with its chart, and DX and DA are read at once, so a
     derivative that fails there fails before any run."""
     pd = point_data(system, cid, x)
-    system.check_rank(cid, pd.x)
+    system.check_rank(cid, pd.x, pd.X)
     pd.DX, pd.DA  # computed now, so that a failing derivative fails here
     return pd
 
@@ -782,19 +782,10 @@ def moment_form_extremes(pd: PointData, p: float, *,
 
 def scalar_from_expr(system: SdeSystem, cid: str, source: str) -> Callable[[np.ndarray], np.ndarray]:
     """Scalar field on the chart, defined by an expression in the embedded
-    coordinates (x1..xD of ``system.embed``)."""
-    tree = ex.parse(source) if isinstance(source, str) else source
-    if ex.max_var_index(tree) >= system.embed_dim:
-        raise BadParams(
-            f"test function uses x{ex.max_var_index(tree) + 1} but the embedding "
-            f"has dimension {system.embed_dim}")
-
-    def f(y: np.ndarray) -> np.ndarray:
-        emb = system.embed(cid, np.asarray(y, dtype=float))
-        val = ex.evaluate(tree, np.moveaxis(emb, -1, 0))
-        return np.broadcast_to(np.asarray(val, dtype=float), np.asarray(y).shape[:-1])
-
-    return f
+    coordinates (x1..xD of ``system.embed``): ``expr.field`` over the
+    embedding, so a bad expression raises here."""
+    f = ex.field(source, system.embed_dim)
+    return lambda y: f(system.embed(cid, np.asarray(y, dtype=float)))
 
 
 def _pairing(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -840,24 +831,18 @@ def scalar_generator(pd: PointData,
 def one_form_from_spec(system: SdeSystem, cid: str, spec) -> Callable[[np.ndarray], np.ndarray]:
     """Build a covector field y -> (phi_1..phi_n) from a config spec:
     {"d_of": expr} for the differential of an embedded scalar, or
-    {"components": [expr, ...]} for chart components (single-chart systems)."""
+    {"components": [expr, ...]} for chart components (single-chart systems),
+    each an expression in the n chart coordinates."""
     if isinstance(spec, dict) and "d_of" in spec:
         f = scalar_from_expr(system, cid, spec["d_of"])
         return lambda y: system.oracle.jacobian(f, y)
     if isinstance(spec, dict) and "components" in spec:
-        comps = [ex.parse(s) for s in spec["components"]]
-        if len(comps) != system.n:
+        if len(spec["components"]) != system.n:
             raise BadParams(f"one-form needs {system.n} components")
         if len(system.charts) > 1:
             raise BadParams("component-defined one-forms need a single-chart scenario")
-
-        def phi(y: np.ndarray) -> np.ndarray:
-            y = np.asarray(y, dtype=float)
-            vals = [np.broadcast_to(ex.evaluate(c, np.moveaxis(y, -1, 0)), y.shape[:-1])
-                    for c in comps]
-            return np.stack(vals, axis=-1)
-
-        return phi
+        comps = [ex.field(s, system.n) for s in spec["components"]]
+        return lambda y: np.stack([c(y) for c in comps], axis=-1)
     raise BadParams("one-form spec needs 'd_of' or 'components'")
 
 

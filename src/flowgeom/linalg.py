@@ -138,11 +138,8 @@ class DerivOracle:
     richardson_levels: number of extrapolation levels (0 = plain central
         difference).
 
-    Both derivatives call their field on a stencil stacked along a new
-    leading axis (``x + h_l d`` then ``x - h_l d`` for ``h_l = h / 2**l``,
-    ``l = 0..richardson_levels``): ``jacobian`` once per coordinate column
-    (``d = e_j``), ``directional`` once in all (``d = v / |v|``).  Their
-    fields must map ``(..., n)`` to ``(..., S)`` for any leading axes.
+    Both derivatives evaluate the one stencil of the module docstring,
+    ``jacobian`` along each ``e_j`` in turn.
     """
 
     h0: float = 1e-4
@@ -151,6 +148,25 @@ class DerivOracle:
     def _step(self, x: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
         return self.h0 * np.maximum(1.0, nrm)
+
+    def _levels(self, x: np.ndarray) -> np.ndarray:
+        """The steps ``h / 2**l`` of the Richardson levels at ``x``: ``(L + 1, ...)``."""
+        h = self._step(x)
+        return np.stack([h / 2.0**lvl for lvl in range(self.richardson_levels + 1)])
+
+    def _central(self, f: Callable, x: np.ndarray, hl: np.ndarray, d: np.ndarray,
+                 col: int | None) -> np.ndarray:
+        """The extrapolated central difference of ``f`` at ``x`` along the
+        unit direction(s) ``d`` with the level steps ``hl``, from one call of
+        ``f`` on the stencil; ``col`` names a Jacobian column in error messages."""
+        levels = len(hl)
+        step = hl[..., None] * d
+        stencil = np.stack([x + step, x - step], axis=1)  # (levels, 2, ..., n)
+        out = _call(f, stencil.reshape((2 * levels,) + x.shape), x, col)
+        out = out.reshape((levels, 2) + out.shape[1:])
+        hdiv = np.reshape(hl[0], np.shape(hl[0]) + (1,) * (out.ndim - 1 - np.ndim(hl)))
+        return _richardson([(out[lvl, 0] - out[lvl, 1]) / (2.0 * hdiv / 2.0**lvl)
+                            for lvl in range(levels)])
 
     def directional(self, f: Callable, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Directional derivative ``D f(x)(v)``; linear in ``v``, batched.
@@ -161,42 +177,20 @@ class DerivOracle:
         zeros.
         """
         x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-        levels = self.richardson_levels + 1
         vnorm = np.linalg.norm(v, axis=-1)
         vhat = v / np.where(vnorm == 0.0, 1.0, vnorm)[..., None]
-        h = self._step(x)
-        step = np.stack([h / 2.0**lvl for lvl in range(levels)])[..., None] * vhat
-        stencil = np.stack([x + step, x - step], axis=1)  # (levels, 2, ..., n)
-        out = _call(f, stencil.reshape((2 * levels,) + x.shape), x)
-        out = out.reshape((levels, 2) + out.shape[1:])
-        trail = (1,) * (out.ndim - 2 - np.ndim(h))
-        hdiv = np.reshape(h, np.shape(h) + trail)
-        return np.reshape(vnorm, np.shape(vnorm) + trail) * _richardson(
-            [(out[lvl, 0] - out[lvl, 1]) / (2.0 * hdiv / 2.0**lvl) for lvl in range(levels)])
+        out = self._central(f, x, self._levels(x), vhat, None)
+        return np.reshape(vnorm, vnorm.shape + (1,) * (out.ndim - vnorm.ndim)) * out
 
     def jacobian(self, f: Callable, x: np.ndarray) -> np.ndarray:
         """Coordinate Jacobian, batched over leading axes of ``x``.
 
         ``f`` maps ``(..., n)`` arrays to ``(..., S)`` arrays; the result has
         shape ``(..., S, n)`` with the differentiation axis last.  Column ``j``
-        is one call of ``f`` on a ``(2 (L + 1), ..., n)`` stencil.
+        is the directional stencil along ``e_j``, freed before the next
+        column's call, which keeps the peak memory of a batch low.
         """
         x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        levels = self.richardson_levels + 1
-        h = self._step(x)
-        hl = np.stack([h / 2.0**lvl for lvl in range(levels)])
-
-        def column(j: int) -> np.ndarray:
-            # the stencil and f's output of one column are freed before the
-            # next column's call, which keeps the peak memory of a batch low
-            step = np.zeros(hl.shape + (n,))
-            step[..., j] = hl
-            stencil = np.stack([x + step, x - step], axis=1)  # (levels, 2, ..., n)
-            out = _call(f, stencil.reshape((2 * levels,) + x.shape), x, j)
-            out = out.reshape((levels, 2) + out.shape[1:])
-            hdiv = np.reshape(h, np.shape(h) + (1,) * (out.ndim - 2 - np.ndim(h)))
-            return _richardson([(out[lvl, 0] - out[lvl, 1]) / (2.0 * hdiv / 2.0**lvl)
-                                for lvl in range(levels)])
-
-        return np.stack([column(j) for j in range(n)], axis=-1)
+        hl = self._levels(x)
+        columns = [self._central(f, x, hl, e, j) for j, e in enumerate(np.eye(x.shape[-1]))]
+        return np.stack(columns, axis=-1)

@@ -28,8 +28,8 @@ Built-in scenarios:
   orthogonal projection of the ambient basis onto the tangent space, i.e.
   the gradient system of the standard embedding.
 - ``so3-left-invariant``: SO(3) driven by left-invariant fields, state kept
-  as a unit quaternion; geometry lives in exponential charts re-centered
-  whenever the coordinate norm exceeds 0.5.
+  as a unit quaternion; geometry lives in exponential charts, and the
+  engine re-centres each path's chart at its current point after every step.
 - ``twisted-plane(alpha)``: R^2 with X a rotation by ``alpha * x1``; the
   induced metric is Euclidean but the induced connection carries torsion
   that is not skew-symmetric.
@@ -152,12 +152,12 @@ class SdeSystem:
         """Deterministic probe points spread over the atlas."""
         raise NotImplementedError
 
-    def check_rank(self, cid: str | np.ndarray, x: np.ndarray) -> None:
+    def check_rank(self, cid: str | np.ndarray, x: np.ndarray, X: np.ndarray) -> None:
         """Raise ``DegenerateX`` naming the first point of ``x`` (in row-major
-        order) and its chart where X loses rank (smallest singular value at
-        most 1e-8); one batched SVD over all of ``x``."""
+        order) and its chart where ``X``, the coefficients there, loses rank
+        (smallest singular value at most 1e-8); one batched SVD over ``X``."""
         x = np.asarray(x, dtype=float)
-        sv_min = np.linalg.svd(self.coeff_x(cid, x), compute_uv=False).min(axis=-1).reshape(-1)
+        sv_min = np.linalg.svd(X, compute_uv=False).min(axis=-1).reshape(-1)
         bad = np.flatnonzero(sv_min <= 1e-8)
         if bad.size:
             k = bad[0]
@@ -167,7 +167,8 @@ class SdeSystem:
 
     def validate(self) -> None:
         """Check non-degeneracy of X at 16 sampled points."""
-        self.check_rank(*_stack_points(self.sample_points(np.random.default_rng(7), 16)))
+        cids, xs = _stack_points(self.sample_points(np.random.default_rng(7), 16))
+        self.check_rank(cids, xs, self.coeff_x(cids, xs))
 
 
 def _stack_points(pts: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:

@@ -302,13 +302,6 @@ def _mwhere(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
     return np.where(mask.reshape(mask.shape + (1,) * (new.ndim - 1)), new, old)
 
 
-def _hp_extremes(bundle: PointData, p: float) -> tuple[np.ndarray, np.ndarray]:
-    # gradX = 0 kills the quartic term, so the p = 2 eigensolve covers any p
-    if float(np.max(np.abs(bundle.gradX))) < 1e-12:
-        p = 2.0
-    return moment_form_extremes(bundle, p, grid=128)
-
-
 # Fields every run fills, whatever it requests: the state, the alive mask,
 # the charts, the group centres and the start data.
 _CORE = frozenset((
@@ -531,7 +524,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
         # moment-form integrals at the left point
         if hp:
-            lo, hi = _hp_extremes(Bk, hp_p)
+            lo, hi = moment_form_extremes(Bk, hp_p, grid=128)
             inc.update(hp_lo=lo * dt, hp_hi=hi * dt)
 
         # commit masked updates

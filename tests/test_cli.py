@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import flowgeom.cli as cli
+import flowgeom.estimators as estimators
 import flowgeom.geometry as geometry
 from flowgeom.cli import main
 from flowgeom.geometry import geometry_point, moment_form_extremes, point_data
@@ -664,6 +665,68 @@ def test_estimate_dump_uses_config_v0(tmp_path):
     default = tmp_path / "default.csv"
     _dump_paths_csv(str(default), res, np.linalg.inv(res.L0).T[:, 0])
     assert dump.read_bytes() != default.read_bytes()
+
+
+def _count_engine_runs(monkeypatch):
+    """Wrap the checks' ``simulate``; returns the list of its keyword arguments."""
+    calls = []
+    real = estimators.simulate
+    monkeypatch.setattr(estimators, "simulate",
+                        lambda *a, **k: calls.append(k) or real(*a, **k))
+    return calls
+
+
+SPHERE2 = {"name": "sphere-gradient", "params": {"n": 2}}
+
+
+@pytest.mark.parametrize("check, entry, bad", [
+    ("filtered", {"test_functions": ["x1", "x9"]}, "x9"),
+    ("bismut", {"f": "x5"}, "x5"),
+], ids=["filtered-test-functions", "bismut-f"])
+def test_bad_test_function_exits_two_before_any_engine_run(tmp_path, capsys, monkeypatch,
+                                                           check, entry, bad):
+    # S^2 embeds in R^3: the expression is refused before the 4096-path run
+    runs = _count_engine_runs(monkeypatch)
+    code, _ = run(tmp_path, {"command": "estimate", "check": check, "scenario": SPHERE2,
+                             "n_paths": 4096, "seed": 0, **entry})
+    assert code == 2
+    assert len(runs) == 0
+    assert capsys.readouterr().err.startswith(
+        f"config error: expression {bad!r} uses {bad} but its points have dimension 3")
+
+
+def test_one_form_component_beyond_the_chart_dimension_exits_two(tmp_path, capsys,
+                                                                 monkeypatch):
+    # components are in the n chart coordinates: x3 does not exist on flat n = 2
+    runs = _count_engine_runs(monkeypatch)
+    code, _ = run(tmp_path, {"command": "estimate", "check": "oneform",
+                             "scenario": {"name": "flat", "params": {"n": 2}},
+                             "n_paths": 100, "phi": {"components": ["x3", "x1"]}})
+    assert code == 2
+    assert len(runs) == 0
+    assert capsys.readouterr().err.startswith(
+        "config error: expression 'x3' uses x3 but its points have dimension 2")
+
+
+def test_verify_refuses_a_bad_test_function_before_any_geometry(tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setattr(cli, "geometry_point", lambda *a: pytest.fail("geometry ran"))
+    code, _ = run(tmp_path, {"command": "verify", "scenario": SPHERE2, "f": "x1 + x4"})
+    assert code == 2
+    assert "expression 'x1 + x4' uses x4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["moments", "bochner"])
+def test_zero_v0_exits_two_without_warnings(tmp_path, capsys, check):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(tmp_path, {"command": "estimate", "check": check, "scenario": SPHERE2,
+                                 "n_paths": 200, "seed": 0, "v0": [0.0, 0.0]})
+    assert code == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error: v0 is the zero vector")
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def test_estimate_not_applicable_exits_zero(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 from flowgeom.errors import (
-    DomainError, EvalFailure, ExprError, ExprSyntaxError, UnknownIdentifier)
+    BadParams, DomainError, EvalFailure, ExprError, ExprSyntaxError, UnknownIdentifier)
 from flowgeom.expr import (
     Binary,
     Call,
@@ -19,6 +19,7 @@ from flowgeom.expr import (
     Var,
     derivative,
     evaluate,
+    field,
     max_var_index,
     parse,
     to_source,
@@ -28,6 +29,26 @@ from flowgeom.linalg import DerivOracle
 
 def ev(src, *xs):
     return evaluate(parse(src), xs)
+
+
+def test_field_keeps_the_leading_shape_of_a_batch():
+    ys = np.arange(24.0).reshape(3, 4, 2)
+    out = field("x1 * x2 + 1", 2)(ys)
+    assert out.shape == (3, 4)
+    np.testing.assert_array_equal(out, ys[..., 0] * ys[..., 1] + 1.0)
+    assert float(field(parse("x2"), 3)(np.array([1.0, 2.0, 3.0]))) == 2.0
+
+
+def test_field_broadcasts_a_constant_over_the_batch():
+    out = field("2 * pi", 2)(np.zeros((5, 2)))
+    assert out.shape == (5,)
+    np.testing.assert_array_equal(out, np.full(5, 2.0 * math.pi))
+
+
+def test_field_refuses_a_variable_beyond_its_dimension_before_any_point():
+    with pytest.raises(BadParams, match=r"expression 'x1 \+ x3' uses x3 but its points "
+                                        r"have dimension 2"):
+        field("x1 + x3", 2)
 
 
 def test_literals_and_variables():

@@ -493,6 +493,18 @@ def test_degenerate_coefficient_detected():
         geometry_point(sys, sys.start()[0], np.zeros(1))
 
 
+def test_geometry_point_evaluates_the_coefficients_once(sphere, monkeypatch):
+    # the rank check tests the bundle's own X
+    calls = []
+    inner = sphere.coeff_x
+    monkeypatch.setattr(sphere, "coeff_x", lambda cid, x: calls.append(cid) or inner(cid, x))
+    xs = np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]])
+    gp = geometry_point(sphere, np.array(["n", "s", "n"]), xs)
+    gp.X, gp.g, gp.gamma  # the bundle reads X in turn
+    assert len(calls) == 1
+    np.testing.assert_array_equal(gp.X, inner(gp.cid, xs))
+
+
 def test_christoffel_batched_points(sphere):
     xs = np.array([[0.1, 0.2], [0.3, -0.1], [0.0, 0.4]])
     gammas = christoffel(sphere, "n", xs, "lw")

@@ -308,11 +308,12 @@ def test_rank_check_names_the_bad_row_and_its_own_chart():
     sys = _PinchedSphere(2)
     cids = np.array(["n", "s", "s", "n"])
     xs = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    sys.check_rank(cids[[0, 1, 3]], xs[[0, 1, 3]])  # full rank, chart n at the origin
+    ok = [0, 1, 3]
+    sys.check_rank(cids[ok], xs[ok], sys.coeff_x(cids[ok], xs[ok]))  # full rank, chart n at the origin
     with pytest.raises(DegenerateX, match=r"X loses rank at s:\[0\. 0\.\] \(min sv 0\.00e\+00\)"):
-        sys.check_rank(cids, xs)
+        sys.check_rank(cids, xs, sys.coeff_x(cids, xs))
     with pytest.raises(DegenerateX, match=r"at s:\[0\. 0\.\]"):
-        sys.check_rank("s", xs[1:])  # one chart name for every row
+        sys.check_rank("s", xs[1:], sys.coeff_x("s", xs[1:]))  # one chart name for every row
 
 
 def test_validate_names_the_chart_and_point_where_x_loses_rank():
