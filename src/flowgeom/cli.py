@@ -2,8 +2,10 @@
 
 One run = one JSON config naming a command (tensors, verify, simulate,
 estimate) plus a scenario block and numeric parameters.  The config is
-validated against the published schema before anything executes; a few
-scalar fields can be overridden from the command line for convenience.
+validated against the packaged schema (``schemas/config.schema.json``, JSON
+Schema 2020-12) by ``flowgeom.schema`` before anything executes, so the
+front end needs no schema library; a few scalar fields can be overridden
+from the command line for convenience.
 Reports go to --out as JSON, a summary table goes to stdout, and bulk
 per-path data goes to --dump-paths as CSV.
 
@@ -24,9 +26,9 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from .errors import (
@@ -71,6 +73,7 @@ from .geometry import (
     tss_check,
 )
 from .model import _stack_points, build_scenario
+from .schema import Validator
 from .stochastic import BLOCK, _step_count, simulate
 
 __all__ = ["main", "load_config", "run_config"]
@@ -93,13 +96,17 @@ INDEX_CONVENTION = {
 # ---------------------------------------------------------------------------
 
 
-def _schema() -> dict:
+@cache
+def _validator() -> Validator:
+    """The packaged config schema, read and checked once per process."""
     path = resources.files("flowgeom") / "schemas" / "config.schema.json"
-    return json.loads(path.read_text())
+    return Validator(json.loads(path.read_text()))
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
-    """Read, schema-validate, and apply command-line overrides."""
+    """Read, apply command-line overrides, and schema-validate.  Every
+    integer-typed field comes back as an ``int``, also when the file writes
+    it as a float such as ``2.0`` (an integer under the schema)."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
@@ -109,12 +116,13 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if overrides:
         cfg = {**cfg, **{k: v for k, v in overrides.items() if v is not None}}
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
-    if errors:
-        where = errors[0].json_path
-        raise ConfigError(f"config {path!r} invalid at {where}: {errors[0].message}")
-    return cfg
+    validator = _validator()
+    error = validator.first_error(cfg)
+    if error is not None:
+        where, message = error
+        raise ConfigError(f"config {path!r} invalid at {where}: {message}")
+    integer = {k for k, s in validator.schema["properties"].items() if s.get("type") == "integer"}
+    return {k: int(v) if k in integer else v for k, v in cfg.items()}
 
 
 def _build_system(cfg: dict):

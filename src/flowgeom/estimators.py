@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from math import sqrt
 from typing import Callable, Iterable
 
@@ -31,11 +32,11 @@ from .geometry import (
     _g_frame_eigvalsh,
     _torsion_skew,
     moment_form,
-    one_form_from_spec,
+    on_charts,
+    one_form_field,
     one_form_generator,
     one_form_generator_hodge,
     point_data,
-    scalar_from_expr,
     scalar_generator,
 )
 from .model import SdeSystem, _stack_points
@@ -551,8 +552,8 @@ def generator_check(cfg: McConfig, f_source: str = "x1") -> McReport:
     """
     t0 = time.perf_counter()
     cid, x0 = cfg.start()
-    f = scalar_from_expr(cfg.system, cid, f_source)
     f_emb = ex.field(f_source, cfg.system.embed_dim)
+    f = partial(on_charts(cfg.system, f_emb), cid)
     lw_val, lc_val = scalar_generator(point_data(cfg.system, cid, x0), f)
 
     rows = [CheckRow(
@@ -596,7 +597,8 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
         phi_spec = {"d_of": "x1"}
     cid, x0 = cfg.start()
     system = cfg.system
-    phi0 = one_form_from_spec(system, cid, phi_spec)
+    phi_at, f_at = one_form_field(system, phi_spec)  # each expression parsed once
+    phi0 = partial(phi_at, cid)
 
     res = _halving_run(cfg, {"J"})
     alive = _alive_gate(res)
@@ -613,8 +615,8 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
             estimate=gen_direct - gen_hodge, se=0.0, reference=0.0,
             provenance="analytic", tolerance=1e-6))
 
-    if isinstance(phi_spec, dict) and "d_of" in phi_spec:
-        f = scalar_from_expr(system, cid, phi_spec["d_of"])
+    if f_at is not None:  # an exact form d f
+        f = partial(f_at, cid)
 
         def a0(y: np.ndarray) -> np.ndarray:
             return scalar_generator(point_data(system, cid, y), f)[0][..., None]
@@ -628,8 +630,8 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
 
     def pairing(r: SimResult) -> np.ndarray:
         """phi_{x_T}(J v0) per path, evaluating phi in each terminal chart."""
-        phi = one_form_from_spec(system, np.asarray(r.chart_names)[r.cid_idx], phi_spec)
-        return np.einsum("pi,pi->p", phi(r.x), r.J @ v0)
+        return np.einsum("pi,pi->p", phi_at(np.asarray(r.chart_names)[r.cid_idx], r.x),
+                         r.J @ v0)
 
     est, se, bias_allow = _halving_quotient(res, alive, pairing, float(phi0(x0) @ v0))
 

@@ -29,7 +29,7 @@ Every finite difference goes through the system's one oracle,
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -51,7 +51,7 @@ __all__ = [
     "moment_quadratic", "moment_form", "moment_form_extremes",
     "scalar_generator", "one_form_generator", "one_form_generator_hodge",
     "codifferential_1form", "codifferential_1form_lie", "exterior_derivative_1form",
-    "one_form_from_spec", "scalar_from_expr", "geometry_point",
+    "one_form_field", "one_form_from_spec", "on_charts", "scalar_from_expr", "geometry_point",
 ]
 
 _EYE_CACHE: dict[int, np.ndarray] = {}
@@ -780,12 +780,18 @@ def moment_form_extremes(pd: PointData, p: float, *,
 # ---------------------------------------------------------------------------
 
 
+def on_charts(system: SdeSystem, f_emb: Callable[[np.ndarray], np.ndarray]) -> Callable:
+    """A field on the embedding space (an ``expr.field`` over
+    ``system.embed_dim``) as the scalar ``(cid, y) -> f_emb(embed(cid, y))``
+    on the charts, so one built field serves any chart or chart array."""
+    return lambda cid, y: f_emb(system.embed(cid, np.asarray(y, dtype=float)))
+
+
 def scalar_from_expr(system: SdeSystem, cid: str, source: str) -> Callable[[np.ndarray], np.ndarray]:
     """Scalar field on the chart, defined by an expression in the embedded
     coordinates (x1..xD of ``system.embed``): ``expr.field`` over the
     embedding, so a bad expression raises here."""
-    f = ex.field(source, system.embed_dim)
-    return lambda y: f(system.embed(cid, np.asarray(y, dtype=float)))
+    return partial(on_charts(system, ex.field(source, system.embed_dim)), cid)
 
 
 def _pairing(a: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -828,22 +834,30 @@ def scalar_generator(pd: PointData,
     return lw_val, lc_val
 
 
-def one_form_from_spec(system: SdeSystem, cid: str, spec) -> Callable[[np.ndarray], np.ndarray]:
-    """Build a covector field y -> (phi_1..phi_n) from a config spec:
+def one_form_field(system: SdeSystem, spec) -> tuple[Callable, Callable | None]:
+    """The covector field ``(cid, y) -> (phi_1..phi_n)`` of a config spec,
+    its expressions parsed and checked once, so charts bind afterwards:
     {"d_of": expr} for the differential of an embedded scalar, or
     {"components": [expr, ...]} for chart components (single-chart systems),
-    each an expression in the n chart coordinates."""
+    each an expression in the n chart coordinates.  Also returns, for
+    ``d_of``, the scalar ``(cid, y) -> f`` it differentiates (else None)."""
     if isinstance(spec, dict) and "d_of" in spec:
-        f = scalar_from_expr(system, cid, spec["d_of"])
-        return lambda y: system.oracle.jacobian(f, y)
+        f = on_charts(system, ex.field(spec["d_of"], system.embed_dim))
+        return (lambda cid, y: system.oracle.jacobian(partial(f, cid), y)), f
     if isinstance(spec, dict) and "components" in spec:
         if len(spec["components"]) != system.n:
             raise BadParams(f"one-form needs {system.n} components")
         if len(system.charts) > 1:
             raise BadParams("component-defined one-forms need a single-chart scenario")
         comps = [ex.field(s, system.n) for s in spec["components"]]
-        return lambda y: np.stack([c(y) for c in comps], axis=-1)
+        return (lambda cid, y: np.stack([c(y) for c in comps], axis=-1)), None
     raise BadParams("one-form spec needs 'd_of' or 'components'")
+
+
+def one_form_from_spec(system: SdeSystem, cid: str, spec) -> Callable[[np.ndarray], np.ndarray]:
+    """``one_form_field`` of ``spec`` in the chart (or chart array) ``cid``:
+    the covector field y -> (phi_1..phi_n)."""
+    return partial(one_form_field(system, spec)[0], cid)
 
 
 def _hat_nabla_1form(system: SdeSystem, cid: str,

@@ -1,5 +1,6 @@
 """Config-driven entry point: schema gate, commands, exit codes, reports."""
 
+import copy
 import json
 import warnings
 from importlib import resources
@@ -7,12 +8,15 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import flowgeom.cli as cli
 import flowgeom.estimators as estimators
 import flowgeom.geometry as geometry
 from flowgeom.cli import main
 from flowgeom.geometry import geometry_point, moment_form_extremes, point_data
+from flowgeom.schema import Validator
 
 
 def write_cfg(tmp_path, name, payload):
@@ -179,6 +183,137 @@ def test_estimate_requires_check(tmp_path):
     code, _ = run(tmp_path, {"command": "estimate",
                              "scenario": {"name": "flat"}})
     assert code == 2
+
+
+def _without_wall_time(report):
+    if isinstance(report, dict):
+        return {k: _without_wall_time(v) for k, v in report.items() if k != "wall_time"}
+    if isinstance(report, list):
+        return [_without_wall_time(v) for v in report]
+    return report
+
+
+FLAT2 = {"name": "flat", "params": {"n": 2}}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "verify", "scenario": FLAT2, "seed": 1, "n_probes": 2},
+    {"command": "tensors", "scenario": FLAT2, "n_probes": 2},
+    {"command": "estimate", "check": "decompose", "scenario": FLAT2, "seed": 1,
+     "n_paths": 200, "threads": 2, "t": 0.01, "dt": 1e-3},
+], ids=["verify", "tensors", "estimate"])
+def test_integer_fields_written_as_floats_run_as_integers(tmp_path, cfg):
+    # 2.0 is an integer under JSON Schema 2020-12, so the schema accepts it;
+    # load_config hands the commands an int, and the report is the one of
+    # the integer twin
+    integers = [k for k in ("seed", "n_probes", "n_paths", "threads") if k in cfg]
+    as_floats = {**cfg, **{k: float(cfg[k]) for k in integers}}
+    loaded = cli.load_config(write_cfg(tmp_path, "floats.json", as_floats))
+    assert all(type(loaded[k]) is int and loaded[k] == cfg[k] for k in integers)
+    code, report = run(tmp_path, cfg)
+    code_f, report_f = run(tmp_path, as_floats)
+    assert code == code_f == 0
+    assert _without_wall_time(report_f) == _without_wall_time(report)
+
+
+SCHEMA = json.loads((resources.files("flowgeom") / "schemas" / "config.schema.json").read_text())
+
+# valid configs that between them use every key of the schema
+VALID_CONFIGS = [
+    {"command": "estimate", "check": "oneform", "scenario": {"name": "flat", "params": {"n": 2}},
+     "phi": {"d_of": "x1*x2"}, "n_paths": 200, "seed": 3, "threads": 1, "t": 0.1,
+     "dt": 0.01, "k_se": 3.0, "x0": [0.1, 0.2], "v0": [1.0, 0.0], "chart": "u",
+     "p": 2, "eps": 1e-4},
+    {"command": "estimate", "check": "filtered", "scenario": {"name": "sphere-gradient"},
+     "phi": {"components": ["x2", "x1"]}, "test_functions": ["x1", "x1*x2"], "f": "x1",
+     "record": False, "out": "report.json", "dump_paths": "paths.csv"},
+    {"command": "verify", "scenario": {"name": "flat"}, "n_probes": 3,
+     "points": [{"x": [0.0, 1.0]}, {"chart": "n", "x": [0.5, -2]}]},
+    {"command": "simulate", "scenario": {"name": "circle"}, "record": True, "seed": 0},
+    {"command": "tensors", "scenario": {"name": "so3-left-invariant"}},
+]
+
+REPLACEMENTS = [
+    None, True, False, 0, -1, 1, 1.0, 2.0, 0.5, 99, 100.0, 2**64, 1e20,
+    float("nan"), float("inf"), -float("inf"), "", "x1", "estimate", "oneform",
+    [], [1.0], ["x1"], [{"x": [1.0]}], {}, {"x": []}, {"name": "flat"},
+    {"d_of": "x1"}, {"components": []}, {"d_of": 1}, {"d_of": "x1", "components": ["x1"]},
+    {"components": ["x1"], "scale": 2},
+]
+# what a number is replaced by: out of range, non-finite, non-integer, another type
+NUMBERS = [-1, 0, -0.0, 1e-300, 0.5, 1.0, 2.0, 99, 100, 100.5, 2**64 - 1, 2**64,
+           1.8446744073709552e19, float("nan"), float("inf"), -float("inf"),
+           True, False, "1", None, [1]]
+
+
+def _nodes(value, path=()):
+    """Every (path, value) of a config tree, the root first."""
+    yield path, value
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from _nodes(v, path + (k,))
+    elif isinstance(value, list):
+        for k, v in enumerate(value):
+            yield from _nodes(v, path + (k,))
+
+
+def _mutated(cfg, data):
+    """``cfg`` after one to three random edits: a key or item dropped, an
+    unknown key added, or a value replaced by one of ``NUMBERS`` if it is a
+    number and of ``REPLACEMENTS`` otherwise."""
+    cfg = copy.deepcopy(cfg)
+    for _ in range(data.draw(hst.integers(1, 3))):
+        path, node = data.draw(hst.sampled_from(list(_nodes(cfg))))
+        edit = data.draw(hst.sampled_from(["drop", "add", "replace"]))
+        if edit == "drop" and isinstance(node, (dict, list)) and node:
+            del node[data.draw(hst.sampled_from(list(node.keys() if isinstance(node, dict)
+                                                     else range(len(node)))))]
+        elif edit == "add" and isinstance(node, dict):
+            node[data.draw(hst.sampled_from(["n_probess", "zz", "x"]))] = 1
+        elif edit == "replace":
+            number = isinstance(node, (int, float)) and not isinstance(node, bool)
+            new = copy.deepcopy(data.draw(hst.sampled_from(NUMBERS if number else REPLACEMENTS)))
+            if not path:
+                cfg = new
+            else:
+                parent = cfg
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = new
+    return cfg
+
+
+def _jsonschema_first_error(cfg):
+    errors = sorted(jsonschema.Draft202012Validator(SCHEMA).iter_errors(cfg),
+                    key=lambda e: list(e.absolute_path))
+    return (errors[0].json_path, errors[0].message) if errors else None
+
+
+def test_valid_configs_are_valid():
+    for cfg in VALID_CONFIGS:
+        assert _jsonschema_first_error(cfg) is None
+        assert cli._validator().first_error(cfg) is None
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=hst.data())
+def test_schema_validator_agrees_with_jsonschema(data):
+    # the in-package validator against jsonschema, the independent route:
+    # the same verdict, the same first error path and the same message
+    cfg = _mutated(data.draw(hst.sampled_from(VALID_CONFIGS)), data)
+    assert cli._validator().first_error(cfg) == _jsonschema_first_error(cfg)
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "object", "patternProperties": {"^x": {"type": "number"}}},
+    {"properties": {"a": {"type": "string", "format": "date"}}},
+    {"oneOf": [{"type": "array", "uniqueItems": True}]},
+    {"items": {"$ref": "#"}},
+    {"additionalProperties": {"type": "number"}},
+], ids=["patternProperties", "nested-format", "in-oneOf", "ref", "additional-as-schema"])
+def test_schema_validator_refuses_what_it_does_not_implement(schema):
+    with pytest.raises(ValueError, match="not supported"):
+        Validator(schema)
 
 
 # --------------------------------------------------------------- tensors

@@ -199,6 +199,22 @@ def test_one_form_semigroup_sphere():
     assert rep.passed
 
 
+@pytest.mark.parametrize("check, arg, parses", [
+    (one_form_semigroup_check, {"d_of": "x1*x2"}, 1),
+    (one_form_semigroup_check, {"components": ["x2", "x1"]}, 2),
+    (generator_check, "x1*x2", 1),
+], ids=["oneform-d_of", "oneform-components", "generator"])
+def test_checks_parse_each_expression_once(monkeypatch, check, arg, parses):
+    # each field is built once and bound to the start chart and to every
+    # terminal chart array afterwards, not re-parsed at each read
+    import flowgeom.expr as ex
+    calls = []
+    parse = ex.parse
+    monkeypatch.setattr(ex, "parse", lambda source: calls.append(source) or parse(source))
+    check(cfg_for("flat", {"n": 2}, t=0.02, dt=1e-2, n_paths=200, seed=0), arg)
+    assert len(calls) == parses
+
+
 def test_bochner_decay_sphere_and_ou():
     cfg = cfg_for("sphere-gradient", {"n": 2},
                   t=2.0, dt=1e-2, n_paths=400, seed=10)
