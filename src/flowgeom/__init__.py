@@ -13,10 +13,10 @@ import sys as _sys
 
 # The package's linear algebra is batched over points and paths on n <= 4
 # dimensional matrices, far below the size at which OpenBLAS splits a call
-# across threads, and the engine runs its own thread pool over path blocks.
-# The BLAS pool would only cost: its workers busy-wait for about 0.1 s after
-# they start, on cores the first run wants.  So, unless the caller chose a
-# count or NumPy is already loaded, OpenBLAS starts with one thread.
+# across threads.  The BLAS pool would only cost: its workers busy-wait for
+# about 0.1 s after they start, on cores the first run wants.  So, unless the
+# caller chose a count or NumPy is already loaded, OpenBLAS starts with one
+# thread.
 if "numpy" not in _sys.modules:
     _os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -4,9 +4,9 @@ One noise grid drives everything: the state (Stratonovich Heun), the
 variational Jacobian, parallel transports for the induced connection and its
 adjoint, the covariant Ito form of the derivative flow, the filtered
 (damped) flow, and the noise decomposition with its exact discrete
-reconstruction.  Paths are independent given (seed, path index); worker
-threads split the index range into fixed blocks and results are merged in
-block order, so reports are identical for any thread count.  The start data
+reconstruction.  Paths are independent given (seed, path index); the index
+range is split into fixed blocks of ``BLOCK`` paths, run one after another on
+the calling thread and merged in block order.  The start data
 (``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``, ``F0``: the frames at ``x0``)
 is built once per run, from one ``PointData`` at ``x0``; a block
 integrates its paths and returns only their per-path fields.
@@ -90,7 +90,6 @@ left-point Euler on the same grid.
 from __future__ import annotations
 
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from math import sqrt
 from typing import Iterable
@@ -111,7 +110,12 @@ from .model import SdeSystem
 
 __all__ = ["SimResult", "simulate", "transport_along"]
 
-BLOCK = 2048  # paths per worker block; fixed so thread count cannot matter
+# Paths per block.  Blocks run one after another, so this caps the memory of
+# a run: every array of a block (noise, frames, bundle fields) is sized by
+# it, and one block of 4096 or 8192 rows peaked about 6 MiB above blocks of
+# 2048 on the benchmark workloads.  It is also the unit noise is drawn in: a
+# block builds one Philox and re-keys it to each of its paths.
+BLOCK = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +631,14 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     ``dt / 2**c`` (see "Noise:" in the module docstring and ``_block_noise``).
     A start point where X loses rank raises ``DegenerateX``.
 
+    ``threads`` must be a positive integer and does not change the run: the
+    blocks run one after another on the calling thread.  A block's work is
+    mostly ``np.einsum`` calls over its paths, and einsum holds the
+    interpreter lock, so a thread pool made runs slower, not faster (two
+    threads took about 1.6 times as long as one).  The count is still
+    checked, so that configs which set it keep working and it can later
+    count worker processes.
+
     ``need`` names the ``SimResult`` fields the caller will read; ``None``
     means all of them.  The state, the alive mask, the charts, the group
     centres and the start data (``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``,
@@ -665,6 +677,9 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
         raise BadParams(f"seed={seed} is outside 0..2**64-1")
     if not (isinstance(coarsen, (int, np.integer)) and coarsen >= 0):
         raise BadParams(f"coarsen={coarsen!r} is not a non-negative integer")
+    if not (isinstance(threads, (int, np.integer)) and not isinstance(threads, bool)
+            and threads >= 1):
+        raise BadParams(f"threads={threads!r} is not a positive integer")
     need = _requested(need, hp_p)
     on = _closure(need)
     pd0 = geometry_point(system, cid, x0)  # DegenerateX if X loses rank at x0
@@ -680,15 +695,8 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     if len(blocks[-1]) == 1:  # never a one-row block: a lone path runs twice
         blocks[-1] = np.repeat(blocks[-1], 2)
 
-    def work(idx_block):
-        return _run_block(system, seed, idx_block, steps, dt, start, hp_p, on,
-                          adj_metric, coarsen, at)
-
-    if threads <= 1 or len(blocks) == 1:
-        results = [work(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, blocks))
+    results = [_run_block(system, seed, b, steps, dt, start, hp_p, on, adj_metric,
+                          coarsen, at) for b in blocks]
 
     # one assembly per entry of ``at``, then the terminal at the requested t
     times = [(k * dt, k) for k in at] + [(t, steps)]

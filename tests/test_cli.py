@@ -224,19 +224,29 @@ VALID_CONFIGS = [
      "phi": {"d_of": "x1*x2"}, "n_paths": 200, "seed": 3, "threads": 1, "t": 0.1,
      "dt": 0.01, "k_se": 3.0, "x0": [0.1, 0.2], "v0": [1.0, 0.0], "chart": "u",
      "p": 2, "eps": 1e-4},
-    {"command": "estimate", "check": "filtered", "scenario": {"name": "sphere-gradient"},
+    {"command": "estimate", "check": "filtered",
+     "scenario": {"name": "sphere-gradient", "params": {"n": 2}},
      "phi": {"components": ["x2", "x1"]}, "test_functions": ["x1", "x1*x2"], "f": "x1",
      "record": False, "out": "report.json", "dump_paths": "paths.csv"},
     {"command": "verify", "scenario": {"name": "flat"}, "n_probes": 3,
      "points": [{"x": [0.0, 1.0]}, {"chart": "n", "x": [0.5, -2]}]},
-    {"command": "simulate", "scenario": {"name": "circle"}, "record": True, "seed": 0},
-    {"command": "tensors", "scenario": {"name": "so3-left-invariant"}},
+    {"command": "simulate", "scenario": {"name": "circle", "params": {}}, "record": True,
+     "seed": 0},
+    {"command": "tensors", "scenario": {"name": "so3-left-invariant", "params": {}}},
+    {"command": "tensors", "scenario": {"name": "flat", "params": {
+        "n": 2, "drift": ["-x1", "-x2"], "guard_radius": 10.0}}},
+    {"command": "verify", "scenario": {"name": "twisted-plane", "params": {
+        "alpha": 0.5, "guard_radius": 1e6}}},
+    {"command": "tensors", "scenario": {"name": "custom", "params": {
+        "n": 1, "m": 2, "x_entries": [["x1", "0.3"]], "a_entries": ["-x1"], "guard_radius": 5}}},
 ]
 
 REPLACEMENTS = [
     None, True, False, 0, -1, 1, 1.0, 2.0, 0.5, 99, 100.0, 2**64, 1e20,
     float("nan"), float("inf"), -float("inf"), "", "x1", "estimate", "oneform",
-    [], [1.0], ["x1"], [{"x": [1.0]}], {}, {"x": []}, {"name": "flat"},
+    "circle", "custom", "twisted-plane", "sphere-gradient",
+    [], [1.0], ["x1"], [["x1"]], [[1.0]], [{"x": [1.0]}], {}, {"x": []}, {"name": "flat"},
+    {"n": 2}, {"alpha": 0.5},
     {"d_of": "x1"}, {"components": []}, {"d_of": 1}, {"d_of": "x1", "components": ["x1"]},
     {"components": ["x1"], "scale": 2},
 ]
@@ -258,9 +268,10 @@ def _nodes(value, path=()):
 
 
 def _mutated(cfg, data):
-    """``cfg`` after one to three random edits: a key or item dropped, an
-    unknown key added, or a value replaced by one of ``NUMBERS`` if it is a
-    number and of ``REPLACEMENTS`` otherwise."""
+    """``cfg`` after one to three random edits: a key or item dropped, a
+    key added (unknown, or a scenario parameter), or a value replaced by one
+    of ``NUMBERS`` if it is a number and of ``REPLACEMENTS`` otherwise (a
+    scenario name among them, so one scenario's params meet another's)."""
     cfg = copy.deepcopy(cfg)
     for _ in range(data.draw(hst.integers(1, 3))):
         path, node = data.draw(hst.sampled_from(list(_nodes(cfg))))
@@ -269,7 +280,7 @@ def _mutated(cfg, data):
             del node[data.draw(hst.sampled_from(list(node.keys() if isinstance(node, dict)
                                                      else range(len(node)))))]
         elif edit == "add" and isinstance(node, dict):
-            node[data.draw(hst.sampled_from(["n_probess", "zz", "x"]))] = 1
+            node[data.draw(hst.sampled_from(["n_probess", "zz", "x", "n", "alpha"]))] = 1
         elif edit == "replace":
             number = isinstance(node, (int, float)) and not isinstance(node, bool)
             new = copy.deepcopy(data.draw(hst.sampled_from(NUMBERS if number else REPLACEMENTS)))
@@ -314,6 +325,28 @@ def test_schema_validator_agrees_with_jsonschema(data):
 def test_schema_validator_refuses_what_it_does_not_implement(schema):
     with pytest.raises(ValueError, match="not supported"):
         Validator(schema)
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"name": "twisted-plane", "params": {"alpha": "x"}},
+     "$.scenario.params.alpha: 'x' is not of type 'number'"),
+    ({"name": "flat", "params": {"n": 2.5}}, "$.scenario.params.n: 2.5 is not of type 'integer'"),
+    ({"name": "flat", "params": {"n": True}},
+     "$.scenario.params.n: True is not of type 'integer'"),
+    ({"name": "circle", "params": {"bogus": 1}},
+     "$.scenario.params: Additional properties are not allowed ('bogus' was unexpected)"),
+    ({"name": "custom", "params": {"n": 1, "m": 1, "x_entries": [[0.3]]}},
+     "$.scenario.params.x_entries[0][0]: 0.3 is not of type 'string'"),
+    ({"name": "flat", "params": {"guard_radius": 0}},
+     "$.scenario.params.guard_radius: 0 is less than or equal to the minimum of 0"),
+], ids=["alpha-string", "n-fraction", "n-bool", "unknown-key", "entry-number",
+        "guard-zero"])
+def test_scenario_params_are_checked_by_the_schema(tmp_path, capsys, scenario, message):
+    # each scenario's params have their own keys and types, read as the
+    # scenario builders read them; anything else is a config error
+    code, report = run(tmp_path, {"command": "tensors", "scenario": scenario})
+    assert (code, report) == (2, None)
+    assert f"invalid at {message}" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- tensors

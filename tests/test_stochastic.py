@@ -9,6 +9,7 @@ Frozen references:
   so(3):               J equals the adjoint-transport at integrator order
 """
 
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -165,6 +166,30 @@ def test_simulate_thread_count_invariant(sphere):
     np.testing.assert_array_equal(a.bismut_vec, b.bismut_vec)
 
 
+def test_blocks_run_one_after_another_on_the_calling_thread(ou, monkeypatch):
+    # whatever ``threads`` says, no thread is started and every block runs on
+    # the caller's thread, in block order
+    ran_on, started = [], []
+    run_block, start = stochastic._run_block, threading.Thread.start
+
+    def recording_run_block(*args):
+        ran_on.append((threading.get_ident(), len(args[2])))
+        return run_block(*args)
+
+    def recording_start(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(stochastic, "_run_block", recording_run_block)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    res = simulate(ou, t=2e-2, dt=1e-2, n_paths=2 * BLOCK + 100, seed=5, threads=4,
+                   need=set())
+    me = threading.get_ident()
+    assert ran_on == [(me, BLOCK), (me, BLOCK), (me, 100)]
+    assert started == []
+    assert res.x.shape == (2 * BLOCK + 100, 2)
+
+
 def test_simulate_seed_controls_everything(sphere):
     a = simulate(sphere, t=0.2, dt=1e-2, n_paths=50, seed=1)
     b = simulate(sphere, t=0.2, dt=1e-2, n_paths=50, seed=1)
@@ -191,9 +216,14 @@ def test_time_grid_validation(sphere):
     ("flat", {"t": 1.0, "dt": 1e-320}, "t=1.0 is not an integer multiple of dt=1e-320"),
     ("flat", {"coarsen": -1}, "coarsen=-1 is not a non-negative integer"),
     ("flat", {"coarsen": 1.5}, "coarsen=1.5 is not a non-negative integer"),
+    ("flat", {"threads": 0}, "threads=0 is not a positive integer"),
+    ("flat", {"threads": "x"}, "threads='x' is not a positive integer"),
+    ("flat", {"threads": 2.0}, "threads=2.0 is not a positive integer"),
+    ("flat", {"threads": True}, "threads=True is not a positive integer"),
 ], ids=["chart", "x0-shape", "no-paths", "negative-seed", "nan-dt",
         "inf-t", "zero-t", "negative-dt", "t/dt-overflows", "coarsen-negative",
-        "coarsen-fraction"])
+        "coarsen-fraction", "threads-zero", "threads-string", "threads-float",
+        "threads-bool"])
 def test_simulate_rejects_bad_input(name, bad, message):
     run = {"t": 0.1, "dt": 1e-2, "n_paths": 4, "seed": 0, **bad}
     with pytest.raises(BadParams) as exc:
