@@ -274,9 +274,15 @@ def field(source: str | Expr, dim: int) -> Callable[[np.ndarray], np.ndarray]:
 
     def f(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return np.broadcast_to(evaluate(tree, np.moveaxis(y, -1, 0)), y.shape[:-1])
+        return np.broadcast_to(evaluate(tree, _coordinates(y)), y.shape[:-1])
 
     return f
+
+
+def _coordinates(y: np.ndarray) -> list[np.ndarray]:
+    """A batch ``y`` of shape ``(..., n)`` as the point ``evaluate`` takes:
+    its ``n`` coordinates, each a view ``y[..., k]``."""
+    return [y[..., k] for k in range(y.shape[-1])]
 
 
 def _check_finite(value, what: str):

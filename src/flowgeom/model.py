@@ -13,7 +13,8 @@ memory, give engine-layout arrays, C-ordered points C-ordered ones.
 ``A``: closed forms on flat, sphere-gradient, twisted-plane and circle; on
 expression-defined coefficients (``custom`` and the flat drift) the
 symbolic derivative of each entry, taken once when the system is built
-(``expr.derivative``) and evaluated like the entry itself; the
+(``expr.derivative``) and evaluated like the entry itself (each grid's
+constant entries are evaluated once, when the system is built); the
 finite-difference oracle on ``so3-left-invariant``, whose derivative has no
 closed form here.
 
@@ -182,41 +183,69 @@ def _stack_points(pts: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np.nda
 # --------------------------------------------------------------------------
 
 
-def _eval_grid(trees: list, x: np.ndarray, shape: tuple[int, ...],
-               names: list[str] | None = None) -> np.ndarray:
-    """Evaluate expression trees at the points ``x`` (shape ``(..., n)``) into
-    an array of shape ``(..., *shape)``; ``trees`` lists its entries in C order.
+class _Grid:
+    """The expression trees of an array of shape ``shape``, its entries in C
+    order, split once, when the system is built, into constants and the
+    entries that vary with x.  A constant is evaluated here, once; one whose
+    evaluation faults (``log(0)``) stays among the varying entries, so it
+    raises where and as any other entry does.  ``names``, one per tree, marks
+    a grid of derivative trees (see ``_eval_grid``)."""
 
-    A tree that leaves its domain raises ``DomainError``.  Derivative trees
+    def __init__(self, trees: list[ex.Expr], shape: tuple[int, ...],
+                 names: list[str] | None = None):
+        self.shape, self.names = shape, names
+        self.const = np.zeros(shape)
+        self.varying: list[tuple[tuple[int, ...], int, ex.Expr]] = []  # (entry, k, tree)
+        for k, (entry, tree) in enumerate(zip(np.ndindex(*shape), trees)):
+            if ex.max_var_index(tree) < 0:
+                try:
+                    value = ex.evaluate(tree, ())
+                except DomainError:
+                    pass
+                else:
+                    self.const[entry] = value
+                    continue
+            self.varying.append((entry, k, tree))
+
+
+def _eval_grid(grid: _Grid, x: np.ndarray) -> np.ndarray:
+    """Evaluate ``grid`` at the points ``x`` (shape ``(..., n)``) into an array
+    of shape ``(..., *grid.shape)``: its constants, evaluated once per system,
+    broadcast over the batch, then one ``expr.evaluate`` call per varying
+    entry on the coordinates of ``x``.
+
+    A tree that leaves its domain raises ``DomainError``.  Derivative grids
     come with ``names``, one per tree: there a tree that leaves its domain or
     gives a non-finite value raises ``EvalFailure`` naming its entry and the
     point, as the oracle's field calls do, so a run fails the same way on
     either route.
     """
     x = np.asarray(x, dtype=float)
-    comps = np.moveaxis(x, -1, 0)
-    out = rows_like(x, shape)
-    for k, (entry, tree) in enumerate(zip(np.ndindex(*shape), trees)):
+    comps = ex._coordinates(x)
+    out = rows_like(x, grid.shape)
+    out[...] = grid.const
+    names = grid.names
+    for entry, k, tree in grid.varying:
         try:
-            # entries that do not depend on x (constants) broadcast here
             out[(...,) + entry] = ex.evaluate(tree, comps)
         except DomainError as exc:
             if names is None:
                 raise
             raise EvalFailure(f"{names[k]} failed near {_where(x, None)}: {exc}") from exc
     if names is not None and not np.isfinite(out).all():
-        k = int(np.argmin(np.isfinite(out).reshape(-1, len(trees)).all(axis=0)))
+        k = int(np.argmin(np.isfinite(out).reshape(-1, len(names)).all(axis=0)))
         raise EvalFailure(f"{names[k]} returned non-finite values near {_where(x, None)}")
     return out
 
 
-def _drift_derivatives(drift: list, field: str) -> tuple[list, list[str]]:
-    """The trees of ``d A^i / d x^j`` in C order over ``(i, j)``, and their
-    names; ``field`` is the config field that lists the drift."""
+def _drift_grids(drift: list, field: str) -> tuple[_Grid, _Grid]:
+    """The grid of the drift ``A^i`` and that of its derivatives
+    ``d A^i / d x^j`` (C order over ``(i, j)``); ``field`` is the config
+    field that lists the drift."""
     n = len(drift)
     trees = [ex.derivative(e, j) for e in drift for j in range(n)]
     names = [f"the derivative of {field}[{i}] in x{j + 1}" for i in range(n) for j in range(n)]
-    return trees, names
+    return _Grid(drift, (n,)), _Grid(trees, (n, n), names)
 
 
 # --------------------------------------------------------------------------
@@ -230,15 +259,15 @@ class FlatSystem(SdeSystem):
         self.n = self.m = self.embed_dim = n
         self.guard_radius = guard_radius
         self._charts = (Chart("u"),)
-        self._drift = [ex.parse(s) for s in drift] if drift else None
-        if self._drift is not None:
-            if len(self._drift) != n:
-                raise BadParams(f"drift needs {n} entries, got {len(self._drift)}")
-            for e in self._drift:
+        if drift:
+            trees = [ex.parse(s) for s in drift]
+            if len(trees) != n:
+                raise BadParams(f"drift needs {n} entries, got {len(trees)}")
+            for e in trees:
                 if ex.max_var_index(e) >= n:
                     raise BadParams("drift expression uses a variable beyond x%d" % n)
-            self._da, self._da_names = _drift_derivatives(self._drift, "drift")
-        self.has_drift = self._drift is not None
+            self._a, self._da = _drift_grids(trees, "drift")
+        self.has_drift = bool(drift)
 
     @property
     def charts(self) -> tuple[Chart, ...]:
@@ -253,14 +282,14 @@ class FlatSystem(SdeSystem):
         return rows_like(np.asarray(x, dtype=float), (self.n, self.n, self.n), 0.0)
 
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if self._drift is None:
+        if not self.has_drift:
             return super().coeff_a(cid, x)
-        return _eval_grid(self._drift, x, (self.n,))
+        return _eval_grid(self._a, x)
 
     def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if self._drift is None:
+        if not self.has_drift:
             return rows_like(np.asarray(x, dtype=float), (self.n, self.n), 0.0)
-        return _eval_grid(self._da, x, (self.n, self.n), self._da_names)
+        return _eval_grid(self._da, x)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -525,40 +554,41 @@ class CustomSystem(SdeSystem):
         self._charts = (Chart("u"),)
         if len(x_entries) != n or any(len(row) != m for row in x_entries):
             raise BadParams(f"x_entries must be {n} rows of {m} expressions")
-        self._x = [ex.parse(s) for row in x_entries for s in row]  # C order over (i, r)
-        self._a = [ex.parse(s) for s in a_entries] if a_entries else None
-        if self._a is not None and len(self._a) != n:
-            raise BadParams(f"a_entries needs {n} entries, got {len(self._a)}")
-        for e in self._x + (self._a or []):
+        x_trees = [ex.parse(s) for row in x_entries for s in row]  # C order over (i, r)
+        a_trees = [ex.parse(s) for s in a_entries] if a_entries else []
+        if a_entries and len(a_trees) != n:
+            raise BadParams(f"a_entries needs {n} entries, got {len(a_trees)}")
+        for e in x_trees + a_trees:
             if ex.max_var_index(e) >= n:
                 raise BadParams(f"expression uses a variable beyond x{n}")
         # differentiated once, here; coeff_dx and coeff_da evaluate the trees
-        self._dx = [ex.derivative(e, j) for e in self._x for j in range(n)]
-        self._dx_names = [f"the derivative of x_entries[{i}][{r}] in x{j + 1}"
-                          for i in range(n) for r in range(m) for j in range(n)]
-        if self._a is not None:
-            self._da, self._da_names = _drift_derivatives(self._a, "a_entries")
-        self.has_drift = self._a is not None
+        self._x = _Grid(x_trees, (n, m))
+        self._dx = _Grid([ex.derivative(e, j) for e in x_trees for j in range(n)], (n, m, n),
+                         [f"the derivative of x_entries[{i}][{r}] in x{j + 1}"
+                          for i in range(n) for r in range(m) for j in range(n)])
+        if a_entries:
+            self._a, self._da = _drift_grids(a_trees, "a_entries")
+        self.has_drift = bool(a_entries)
 
     @property
     def charts(self) -> tuple[Chart, ...]:
         return self._charts
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return _eval_grid(self._x, x, (self.n, self.m))
+        return _eval_grid(self._x, x)
 
     def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return _eval_grid(self._dx, x, (self.n, self.m, self.n), self._dx_names)
+        return _eval_grid(self._dx, x)
 
     def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if self._a is None:
+        if not self.has_drift:
             return super().coeff_a(cid, x)
-        return _eval_grid(self._a, x, (self.n,))
+        return _eval_grid(self._a, x)
 
     def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if self._a is None:
+        if not self.has_drift:
             return rows_like(np.asarray(x, dtype=float), (self.n, self.n), 0.0)
-        return _eval_grid(self._da, x, (self.n, self.n), self._da_names)
+        return _eval_grid(self._da, x)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)

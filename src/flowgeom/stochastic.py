@@ -44,11 +44,14 @@ Noise: path ``i`` of a run seeded ``s`` draws from
 increments are ``standard_normal((steps, m)) * sqrt(dt)``.  Philox is
 counter-based, so the stream depends only on ``(s, i)``, and its first steps
 do not depend on ``steps``.  A block builds one Philox and re-keys it to each
-of its paths in turn.  ``simulate(..., coarsen=c)`` runs at ``dt`` on the
-Brownian path of a run at ``dt / 2**c``: each path draws its stream for
-``steps * 2**c`` steps of ``dt / 2**c`` and sums adjacent pairs of
-increments ``c`` times, so runs at dt, dt/2 and dt/4 with ``coarsen`` 2, 1
-and 0 share their Brownian paths (the multilevel Monte Carlo coupling).
+of its paths in turn: it keeps numpy's own start state as plain Python ints
+and sets the key's second word to the path index, because the ``state``
+setter converts its values one element at a time, about twice as fast from
+ints as from numpy array elements.  ``simulate(..., coarsen=c)`` runs at
+``dt`` on the Brownian path of a run at ``dt / 2**c``: each path draws its
+stream for ``steps * 2**c`` steps of ``dt / 2**c`` and sums adjacent pairs
+of increments ``c`` times, so runs at dt, dt/2 and dt/4 with ``coarsen`` 2,
+1 and 0 share their Brownian paths (the multilevel Monte Carlo coupling).
 
 Derivatives and frames: the bundles take DX and DA from the model's
 ``coeff_dx`` and ``coeff_da`` (closed forms on flat, sphere-gradient,
@@ -127,24 +130,30 @@ def _block_noise(seed: int, indices: np.ndarray, steps: int, dt: float, m: int,
                  coarsen: int = 0) -> np.ndarray:
     """Increments (len(indices), steps, m) of the listed paths.
 
-    One Philox serves the block: before each row it gets back the state it
-    was built in, with only the key replaced by (seed, index), the state a
-    fresh ``Philox(key=[seed, index])`` starts in, so a row depends on its
-    index alone.  With ``coarsen = c`` the rows are drawn at ``dt / 2**c``
-    for ``steps * 2**c`` steps, then adjacent pairs are summed ``c`` times.
+    One Philox serves the block: before each row it is set back to the
+    state a fresh ``Philox(key=[seed, index])`` starts in, so a row depends
+    on its index alone.  That state is numpy's own start state with the key
+    replaced, kept as plain Python ints: the ``state`` setter converts its
+    values one element at a time, about twice as fast from ints as from
+    numpy array elements.  With ``coarsen = c`` the rows are drawn at
+    ``dt / 2**c`` for ``steps * 2**c`` steps, then adjacent pairs are summed
+    ``c`` times.
     """
     steps, dt = steps << coarsen, dt / 2**coarsen
     # an explicit uint64 key: a plain list would pass seeds >= 2**63 through
     # float64, so neighbouring seeds would share a stream; a given key also
     # spares the OS-entropy seed a keyless Philox draws
     bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    fresh = bits.state
-    rng = np.random.Generator(bits)
+    start = bits.state
+    fresh = dict(start, state={k: v.tolist() for k, v in start["state"].items()},
+                 buffer=start["buffer"].tolist())
+    key = fresh["state"]["key"]
+    draw = np.random.Generator(bits).standard_normal
     out = np.empty((len(indices), steps, m))
-    for row, idx in enumerate(indices):
-        fresh["state"]["key"] = np.array([seed, idx], dtype=np.uint64)
+    for row, idx in zip(out, indices.tolist()):
+        key[1] = idx
         bits.state = fresh
-        rng.standard_normal((steps, m), out=out[row])
+        draw(out=row)
     out *= sqrt(dt)
     for _ in range(coarsen):
         out = out.reshape(len(indices), -1, 2, m).sum(axis=2)
@@ -303,6 +312,10 @@ def _null_frame(X0: np.ndarray) -> np.ndarray | None:
 
 
 def _mwhere(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``new`` on the rows where ``mask`` holds, ``old`` on the others; ``new``
+    itself when every row holds, which the engine may then write in place."""
+    if mask.all():
+        return new
     return np.where(mask.reshape(mask.shape + (1,) * (new.ndim - 1)), new, old)
 
 

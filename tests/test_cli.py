@@ -173,6 +173,16 @@ def test_overflowing_entry_is_a_config_error(tmp_path, capsys, entry):
     assert capsys.readouterr().err.startswith("config error: overflow: overflow encountered")
 
 
+def test_faulting_constant_entry_is_a_config_error(tmp_path, capsys):
+    # a constant entry whose evaluation faults is evaluated with the entries
+    # that vary, so it fails where they would: when the scenario is built
+    code, _ = run(tmp_path, {"command": "tensors", "scenario": {
+        "name": "custom", "params": {"n": 2, "m": 2, "x_entries": [
+            ["1 + x1*0", "log(0)"], ["0.2", "cos(x2)"]]}}})
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: log of a non-positive value")
+
+
 def test_subcommand_must_match_config(tmp_path):
     code, _ = run(tmp_path, {"command": "verify",
                              "scenario": {"name": "flat"}}, sub="tensors")

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import flowgeom.expr as ex
 from flowgeom.errors import BadParams, DegenerateX, OutOfOverlap, UnknownScenario
+from flowgeom.linalg import as_engine, path_fastest
 from flowgeom.model import SdeSystem, SphereSystem, build_scenario, scenario_names
 
 rng = np.random.default_rng(0)
@@ -280,6 +282,53 @@ def test_coeff_da_without_drift_is_zero(name, params):
     system = build_scenario(name, params).system
     x = np.zeros((3, system.n))
     np.testing.assert_array_equal(system.coeff_da("u", x), np.zeros((3, system.n, system.n)))
+
+
+GRID_SCENARIOS = [
+    # the benchmark's custom system: constants 0.3, 0.2 and -0.5, zero derivatives
+    ("custom", {"n": 2, "m": 3,
+                "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"],
+                              ["0.2*x1", "cos(x2)", "sin(x2)"]],
+                "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
+    ("flat", {"n": 2, "drift": ["-x1", "-0.5*sin(x2) + 1"]}),
+]
+
+
+def _entrywise(trees, x, shape):
+    """One ``expr.evaluate`` call per tree on the coordinates of ``x``, the
+    trees in C order over ``shape``: the route before any constant split."""
+    comps = np.moveaxis(x, -1, 0)
+    vals = [np.broadcast_to(ex.evaluate(t, comps), x.shape[:-1]) for t in trees]
+    return np.stack(vals, axis=-1).reshape(x.shape[:-1] + shape)
+
+
+@pytest.mark.parametrize("name,params", GRID_SCENARIOS)
+@pytest.mark.parametrize("layout", ["C", "engine"])
+def test_expression_grids_equal_entrywise_evaluation(name, params, layout):
+    system = build_scenario(name, params).system
+    n, m = system.n, system.m
+    x = np.random.default_rng(8).uniform(-0.7, 0.7, size=(6, n))
+    if layout == "engine":
+        x = as_engine(x)
+    if name == "custom":
+        x_trees = [ex.parse(s) for row in params["x_entries"] for s in row]
+        a_trees = [ex.parse(s) for s in params["a_entries"]]
+        want_x = _entrywise(x_trees, x, (n, m))
+        want_dx = _entrywise([ex.derivative(e, j) for e in x_trees for j in range(n)],
+                             x, (n, m, n))
+    else:
+        a_trees = [ex.parse(s) for s in params["drift"]]
+        want_x = np.broadcast_to(np.eye(n), (6, n, n))
+        want_dx = np.zeros((6, n, n, n))
+    want_a = _entrywise(a_trees, x, (n,))
+    want_da = _entrywise([ex.derivative(e, j) for e in a_trees for j in range(n)], x, (n, n))
+    for got, want in [(system.coeff_x("u", x), want_x), (system.coeff_dx("u", x), want_dx),
+                      (system.coeff_a("u", x), want_a), (system.coeff_da("u", x), want_da)]:
+        assert got.shape == want.shape
+        assert path_fastest(got) == (layout == "engine")
+        # bit for bit, the sign of every zero included
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("n", [2, 3])
