@@ -14,8 +14,9 @@ Functions: sin cos tan exp log sqrt abs tanh sign.  Constants: pi, e.
 
 Evaluation is plain IEEE double arithmetic and accepts scalar points or
 batches (each variable an array); it is deterministic bit-for-bit for a
-given input.  ``field(source, dim)`` is the one route from an expression to
-values on a batch of points ``(..., dim)``.
+given input.  ``field(source, dim)`` is the one route from a config
+expression, or a nested list of them, to values on a batch of points
+``(..., dim)``: test functions, 1-forms and coefficient entries alike.
 
 ``derivative(t, j)`` is the symbolic partial derivative of a tree in ``x{j+1}``
 with constant folding (sums and products with 0 or 1, constant operands):
@@ -39,7 +40,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import ArityError, BadParams, DomainError, ExprSyntaxError, UnknownIdentifier
+from .errors import (ArityError, BadParams, DomainError, EvalFailure, ExprSyntaxError,
+                     UnknownIdentifier)
+from .linalg import _where, rows_like
 
 __all__ = [
     "Expr", "Num", "Var", "Const", "Unary", "Binary", "Call",
@@ -260,29 +263,72 @@ def evaluate(e: Expr, point) -> float | np.ndarray:
     return out
 
 
-def field(source: str | Expr, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """``source`` (a string or a tree), parsed once, as a field on R^dim:
-    ``f(y)`` maps ``y`` of shape ``(..., dim)`` to ``(...)``, a constant
-    broadcast over the batch.  A variable beyond ``x{dim}`` raises
-    ``BadParams`` here, before any point is seen."""
-    tree = parse(source) if isinstance(source, str) else source
-    top = max_var_index(tree) + 1
-    if top > dim:
-        text = source if isinstance(source, str) else to_source(tree)
-        raise BadParams(f"expression {text!r} uses x{top} but its points have "
-                        f"dimension {dim}")
+def field(source, dim: int, names: list[str] | None = None
+          ) -> Callable[[np.ndarray], np.ndarray]:
+    """``source`` as a field on R^dim: a string or a tree, or a nested list of
+    them of shape ``shape``, each parsed once.  ``f(y)`` maps ``y`` of shape
+    ``(..., dim)`` to ``(..., *shape)`` in the layout of ``y``
+    (``linalg.rows_like``).  A variable beyond ``x{dim}`` raises
+    ``BadParams`` here, before any point is seen.
+
+    An entry free of x is evaluated here, once, and broadcast over the batch;
+    one whose evaluation faults (``log(0)``) is left to raise when ``f`` is
+    called, as any other entry does.  Every other entry is one ``evaluate``
+    call per call of ``f``, on the coordinates of ``y``, and an entry that
+    leaves its domain raises ``DomainError``.  ``names``, one per entry in C
+    order, marks a field of derivatives: there an entry that leaves its domain
+    or gives a non-finite value raises ``EvalFailure`` naming the entry and
+    the point, as the oracle's field calls do."""
+    sources, shape = _entries(source)
+    trees = [parse(s) if isinstance(s, str) else s for s in sources]
+    for src, tree in zip(sources, trees):
+        top = max_var_index(tree) + 1
+        if top > dim:
+            text = src if isinstance(src, str) else to_source(tree)
+            raise BadParams(f"expression {text!r} uses x{top} but its points have "
+                            f"dimension {dim}")
+    const = np.zeros(shape)
+    varying = []  # (entry, k, tree)
+    for k, (entry, tree) in enumerate(zip(np.ndindex(*shape), trees)):
+        if max_var_index(tree) < 0:
+            try:
+                const[entry] = evaluate(tree, ())
+                continue
+            except DomainError:
+                pass
+        varying.append((entry, k, tree))
 
     def f(y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        return np.broadcast_to(evaluate(tree, _coordinates(y)), y.shape[:-1])
+        coords = [y[..., i] for i in range(y.shape[-1])]
+        out = rows_like(y, shape)
+        out[...] = const
+        for entry, k, tree in varying:
+            try:
+                out[(...,) + entry] = evaluate(tree, coords)
+            except DomainError as exc:
+                if names is None:
+                    raise
+                raise EvalFailure(f"{names[k]} failed near {_where(y, None)}: {exc}") from exc
+        if names is not None and not np.isfinite(out).all():
+            k = int(np.argmin(np.isfinite(out).reshape(-1, len(names)).all(axis=0)))
+            raise EvalFailure(f"{names[k]} returned non-finite values near {_where(y, None)}")
+        return out
 
     return f
 
 
-def _coordinates(y: np.ndarray) -> list[np.ndarray]:
-    """A batch ``y`` of shape ``(..., n)`` as the point ``evaluate`` takes:
-    its ``n`` coordinates, each a view ``y[..., k]``."""
-    return [y[..., k] for k in range(y.shape[-1])]
+def _entries(source) -> tuple[list, tuple[int, ...]]:
+    """The entries of ``source``, a string or tree or a nested list of them,
+    in C order, and the shape of the list; ``BadParams`` if it is ragged."""
+    if not isinstance(source, (list, tuple)):
+        return [source], ()
+    parts = [_entries(s) for s in source]
+    shapes = {shape for _, shape in parts}
+    if len(shapes) > 1:
+        raise BadParams(f"expression array {source!r} is ragged")
+    inner = shapes.pop() if shapes else ()
+    return [e for entries, _ in parts for e in entries], (len(parts),) + inner
 
 
 def _check_finite(value, what: str):

@@ -125,8 +125,9 @@ class PointData:
 
     DX (``(..., n, m, n)``) and DA (``(..., n, n)``, None without drift) are
     the system's ``coeff_dx`` and ``coeff_da``: closed forms or symbolic
-    derivatives of the expressions, the oracle only where the scenario has
-    neither (``so3-left-invariant``'s DX).  ``gradX`` and ``nabla_a`` hold
+    derivatives of the expressions (``expr.field`` fields built with the
+    system), the oracle only where the scenario has neither
+    (``so3-left-invariant``'s DX).  ``gradX`` and ``nabla_a`` hold
     nab X^i and nab A, direction last.  The identity checks and generators
     take one as their point argument; the second routes they are compared
     with take ``(system, cid, x)`` and never read it, so no check compares a
@@ -839,7 +840,7 @@ def one_form_field(system: SdeSystem, spec) -> tuple[Callable, Callable | None]:
     its expressions parsed and checked once, so charts bind afterwards:
     {"d_of": expr} for the differential of an embedded scalar, or
     {"components": [expr, ...]} for chart components (single-chart systems),
-    each an expression in the n chart coordinates.  Also returns, for
+    one ``expr.field`` over the n chart coordinates.  Also returns, for
     ``d_of``, the scalar ``(cid, y) -> f`` it differentiates (else None)."""
     if isinstance(spec, dict) and "d_of" in spec:
         f = on_charts(system, ex.field(spec["d_of"], system.embed_dim))
@@ -849,8 +850,8 @@ def one_form_field(system: SdeSystem, spec) -> tuple[Callable, Callable | None]:
             raise BadParams(f"one-form needs {system.n} components")
         if len(system.charts) > 1:
             raise BadParams("component-defined one-forms need a single-chart scenario")
-        comps = [ex.field(s, system.n) for s in spec["components"]]
-        return (lambda cid, y: np.stack([c(y) for c in comps], axis=-1)), None
+        phi = ex.field(spec["components"], system.n)
+        return (lambda cid, y: phi(y)), None
     raise BadParams("one-form spec needs 'd_of' or 'components'")
 
 

@@ -13,10 +13,13 @@ memory, give engine-layout arrays, C-ordered points C-ordered ones.
 ``A``: closed forms on flat, sphere-gradient, twisted-plane and circle; on
 expression-defined coefficients (``custom`` and the flat drift) the
 symbolic derivative of each entry, taken once when the system is built
-(``expr.derivative``) and evaluated like the entry itself (each grid's
-constant entries are evaluated once, when the system is built); the
-finite-difference oracle on ``so3-left-invariant``, whose derivative has no
-closed form here.
+(``expr.derivative``); the finite-difference oracle for the DX of
+``so3-left-invariant``, which has no closed form here.  An expression
+array, its entries or their derivatives, is an ``expr.field`` built once
+with the system, which evaluates its constant entries there.  The drift
+lives in the base class: ``SdeSystem`` holds the fields of an expression
+drift and its derivative, and gives exact zeros for ``A`` and ``DA``
+without one.
 
 There is one derivative oracle, ``SdeSystem.oracle``: a class attribute
 holding a frozen ``DerivOracle`` that every system shares.  The geometry
@@ -47,9 +50,8 @@ import numpy as np
 
 from . import expr as ex
 from . import quat
-from .errors import (BadParams, DegenerateX, DomainError, EvalFailure, OutOfOverlap,
-                     UnknownScenario)
-from .linalg import DerivOracle, _where, in_layout_of, rows_like
+from .errors import BadParams, DegenerateX, OutOfOverlap, UnknownScenario
+from .linalg import DerivOracle, in_layout_of, rows_like
 
 __all__ = ["Chart", "SdeSystem", "Scenario", "build_scenario", "scenario_names"]
 
@@ -74,9 +76,13 @@ class SdeSystem:
     embed_dim: int = 0  # dimension of the diagnostic embedding
     dim_one: bool = False
     is_group: bool = False
-    has_drift: bool = False
+    _drift: tuple[Callable, Callable] | None = None  # the fields of A and DA
     guard_radius: float | None = None  # kill paths beyond this coordinate norm
     oracle: DerivOracle = DerivOracle()  # frozen, so every system shares it
+
+    @property
+    def has_drift(self) -> bool:
+        return self._drift is not None
 
     # -- chart bookkeeping -------------------------------------------------
     @property
@@ -111,9 +117,12 @@ class SdeSystem:
         raise NotImplementedError
 
     def coeff_a(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """The drift A at ``x`` in chart(s) ``cid``, shape ``(..., n)``."""
+        """The drift A at ``x`` in chart(s) ``cid``, shape ``(..., n)``: the
+        expression drift's field, or zeros without one."""
         x = np.asarray(x, dtype=float)
-        return rows_like(x, x.shape[-1:], 0.0)
+        if self._drift is None:
+            return rows_like(x, x.shape[-1:], 0.0)
+        return self._drift[0](x)
 
     def coeff_dx(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """DX[..., i, r, j] = d X^{ir} / d x^j, shape ``(..., n, m, n)``.
@@ -125,13 +134,25 @@ class SdeSystem:
         return in_layout_of(x, self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x))
 
     def coeff_da(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """DA[..., i, j] = d A^i / d x^j, shape ``(..., n, n)``.
-
-        The default differentiates ``coeff_a`` with ``SdeSystem.oracle``;
-        scenarios with expression drifts override it.
-        """
+        """DA[..., i, j] = d A^i / d x^j, shape ``(..., n, n)``: the symbolic
+        derivative of the expression drift, or exact zeros without one."""
         x = np.asarray(x, dtype=float)
-        return in_layout_of(x, self.oracle.jacobian(lambda y: self.coeff_a(cid, y), x))
+        if self._drift is None:
+            return rows_like(x, x.shape[-1:] * 2, 0.0)
+        return self._drift[1](x)
+
+    def _set_drift(self, entries: list[str], key: str) -> None:
+        """Give the system the expression drift ``entries``, listed by the
+        config field ``key``: the fields of ``A^i`` and of its derivatives
+        ``d A^i / d x^j``, differentiated once, here."""
+        trees = [ex.parse(s) for s in entries]
+        n = self.n
+        if len(trees) != n:
+            raise BadParams(f"{key} needs {n} entries, got {len(trees)}")
+        names = [f"the derivative of {key}[{i}] in x{j + 1}" for i in range(n) for j in range(n)]
+        self._drift = (ex.field(trees, n),
+                       ex.field([[ex.derivative(e, j) for j in range(n)] for e in trees], n,
+                                names))
 
     # -- transitions ---------------------------------------------------------
     def switch_mask(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -179,76 +200,6 @@ def _stack_points(pts: list[tuple[str, np.ndarray]]) -> tuple[np.ndarray, np.nda
 
 
 # --------------------------------------------------------------------------
-# expression-defined coefficients
-# --------------------------------------------------------------------------
-
-
-class _Grid:
-    """The expression trees of an array of shape ``shape``, its entries in C
-    order, split once, when the system is built, into constants and the
-    entries that vary with x.  A constant is evaluated here, once; one whose
-    evaluation faults (``log(0)``) stays among the varying entries, so it
-    raises where and as any other entry does.  ``names``, one per tree, marks
-    a grid of derivative trees (see ``_eval_grid``)."""
-
-    def __init__(self, trees: list[ex.Expr], shape: tuple[int, ...],
-                 names: list[str] | None = None):
-        self.shape, self.names = shape, names
-        self.const = np.zeros(shape)
-        self.varying: list[tuple[tuple[int, ...], int, ex.Expr]] = []  # (entry, k, tree)
-        for k, (entry, tree) in enumerate(zip(np.ndindex(*shape), trees)):
-            if ex.max_var_index(tree) < 0:
-                try:
-                    value = ex.evaluate(tree, ())
-                except DomainError:
-                    pass
-                else:
-                    self.const[entry] = value
-                    continue
-            self.varying.append((entry, k, tree))
-
-
-def _eval_grid(grid: _Grid, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``grid`` at the points ``x`` (shape ``(..., n)``) into an array
-    of shape ``(..., *grid.shape)``: its constants, evaluated once per system,
-    broadcast over the batch, then one ``expr.evaluate`` call per varying
-    entry on the coordinates of ``x``.
-
-    A tree that leaves its domain raises ``DomainError``.  Derivative grids
-    come with ``names``, one per tree: there a tree that leaves its domain or
-    gives a non-finite value raises ``EvalFailure`` naming its entry and the
-    point, as the oracle's field calls do, so a run fails the same way on
-    either route.
-    """
-    x = np.asarray(x, dtype=float)
-    comps = ex._coordinates(x)
-    out = rows_like(x, grid.shape)
-    out[...] = grid.const
-    names = grid.names
-    for entry, k, tree in grid.varying:
-        try:
-            out[(...,) + entry] = ex.evaluate(tree, comps)
-        except DomainError as exc:
-            if names is None:
-                raise
-            raise EvalFailure(f"{names[k]} failed near {_where(x, None)}: {exc}") from exc
-    if names is not None and not np.isfinite(out).all():
-        k = int(np.argmin(np.isfinite(out).reshape(-1, len(names)).all(axis=0)))
-        raise EvalFailure(f"{names[k]} returned non-finite values near {_where(x, None)}")
-    return out
-
-
-def _drift_grids(drift: list, field: str) -> tuple[_Grid, _Grid]:
-    """The grid of the drift ``A^i`` and that of its derivatives
-    ``d A^i / d x^j`` (C order over ``(i, j)``); ``field`` is the config
-    field that lists the drift."""
-    n = len(drift)
-    trees = [ex.derivative(e, j) for e in drift for j in range(n)]
-    names = [f"the derivative of {field}[{i}] in x{j + 1}" for i in range(n) for j in range(n)]
-    return _Grid(drift, (n,)), _Grid(trees, (n, n), names)
-
-
-# --------------------------------------------------------------------------
 # flat space
 # --------------------------------------------------------------------------
 
@@ -260,14 +211,7 @@ class FlatSystem(SdeSystem):
         self.guard_radius = guard_radius
         self._charts = (Chart("u"),)
         if drift:
-            trees = [ex.parse(s) for s in drift]
-            if len(trees) != n:
-                raise BadParams(f"drift needs {n} entries, got {len(trees)}")
-            for e in trees:
-                if ex.max_var_index(e) >= n:
-                    raise BadParams("drift expression uses a variable beyond x%d" % n)
-            self._a, self._da = _drift_grids(trees, "drift")
-        self.has_drift = bool(drift)
+            self._set_drift(drift, "drift")
 
     @property
     def charts(self) -> tuple[Chart, ...]:
@@ -280,16 +224,6 @@ class FlatSystem(SdeSystem):
 
     def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
         return rows_like(np.asarray(x, dtype=float), (self.n, self.n, self.n), 0.0)
-
-    def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if not self.has_drift:
-            return super().coeff_a(cid, x)
-        return _eval_grid(self._a, x)
-
-    def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if not self.has_drift:
-            return rows_like(np.asarray(x, dtype=float), (self.n, self.n), 0.0)
-        return _eval_grid(self._da, x)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -554,41 +488,25 @@ class CustomSystem(SdeSystem):
         self._charts = (Chart("u"),)
         if len(x_entries) != n or any(len(row) != m for row in x_entries):
             raise BadParams(f"x_entries must be {n} rows of {m} expressions")
-        x_trees = [ex.parse(s) for row in x_entries for s in row]  # C order over (i, r)
-        a_trees = [ex.parse(s) for s in a_entries] if a_entries else []
-        if a_entries and len(a_trees) != n:
-            raise BadParams(f"a_entries needs {n} entries, got {len(a_trees)}")
-        for e in x_trees + a_trees:
-            if ex.max_var_index(e) >= n:
-                raise BadParams(f"expression uses a variable beyond x{n}")
-        # differentiated once, here; coeff_dx and coeff_da evaluate the trees
-        self._x = _Grid(x_trees, (n, m))
-        self._dx = _Grid([ex.derivative(e, j) for e in x_trees for j in range(n)], (n, m, n),
-                         [f"the derivative of x_entries[{i}][{r}] in x{j + 1}"
-                          for i in range(n) for r in range(m) for j in range(n)])
+        x_trees = [[ex.parse(s) for s in row] for row in x_entries]
+        self._x = ex.field(x_trees, n)
+        # differentiated once, here
+        self._dx = ex.field([[[ex.derivative(e, j) for j in range(n)] for e in row]
+                             for row in x_trees], n,
+                            [f"the derivative of x_entries[{i}][{r}] in x{j + 1}"
+                             for i in range(n) for r in range(m) for j in range(n)])
         if a_entries:
-            self._a, self._da = _drift_grids(a_trees, "a_entries")
-        self.has_drift = bool(a_entries)
+            self._set_drift(a_entries, "a_entries")
 
     @property
     def charts(self) -> tuple[Chart, ...]:
         return self._charts
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return _eval_grid(self._x, x)
+        return self._x(x)
 
     def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return _eval_grid(self._dx, x)
-
-    def coeff_a(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if not self.has_drift:
-            return super().coeff_a(cid, x)
-        return _eval_grid(self._a, x)
-
-    def coeff_da(self, cid: str, x: np.ndarray) -> np.ndarray:
-        if not self.has_drift:
-            return rows_like(np.asarray(x, dtype=float), (self.n, self.n), 0.0)
-        return _eval_grid(self._da, x)
+        return self._dx(x)
 
     def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)

@@ -857,20 +857,29 @@ def _count_engine_runs(monkeypatch):
 SPHERE2 = {"name": "sphere-gradient", "params": {"n": 2}}
 
 
-@pytest.mark.parametrize("check, entry, bad", [
-    ("filtered", {"test_functions": ["x1", "x9"]}, "x9"),
-    ("bismut", {"f": "x5"}, "x5"),
-], ids=["filtered-test-functions", "bismut-f"])
+@pytest.mark.parametrize("check, entry, bad, dim", [
+    ("filtered", {"test_functions": ["x1", "x9"]}, "x9", 3),
+    ("bismut", {"f": "x5"}, "x5", 3),
+    ("filtered", {"scenario": {"name": "custom", "params": {
+        "n": 2, "m": 2, "x_entries": [["1", "x3"], ["0.5", "1"]]}}}, "x3", 2),
+    ("filtered", {"scenario": {"name": "custom", "params": {
+        "n": 2, "m": 2, "x_entries": [["1", "0"], ["0", "1"]], "a_entries": ["-x1", "x3"]}}},
+     "x3", 2),
+    ("filtered", {"scenario": {"name": "flat", "params": {"n": 2, "drift": ["-x1", "x3"]}}},
+     "x3", 2),
+], ids=["filtered-test-functions", "bismut-f", "custom-x_entries", "custom-a_entries",
+        "flat-drift"])
 def test_bad_test_function_exits_two_before_any_engine_run(tmp_path, capsys, monkeypatch,
-                                                           check, entry, bad):
-    # S^2 embeds in R^3: the expression is refused before the 4096-path run
+                                                           check, entry, bad, dim):
+    # S^2 embeds in R^3, and coefficient entries are expressions in the n = 2
+    # chart coordinates: the expression is refused before the 4096-path run
     runs = _count_engine_runs(monkeypatch)
     code, _ = run(tmp_path, {"command": "estimate", "check": check, "scenario": SPHERE2,
                              "n_paths": 4096, "seed": 0, **entry})
     assert code == 2
     assert len(runs) == 0
     assert capsys.readouterr().err.startswith(
-        f"config error: expression {bad!r} uses {bad} but its points have dimension 3")
+        f"config error: expression {bad!r} uses {bad} but its points have dimension {dim}")
 
 
 def test_one_form_component_beyond_the_chart_dimension_exits_two(tmp_path, capsys,

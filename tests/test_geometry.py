@@ -55,7 +55,8 @@ from flowgeom.geometry import (
     torsion_via_dy,
     tss_check,
 )
-from flowgeom.linalg import DerivOracle
+from flowgeom.expr import evaluate, parse
+from flowgeom.linalg import DerivOracle, as_engine, path_fastest
 from flowgeom.model import build_scenario
 
 rng = np.random.default_rng(7)
@@ -480,6 +481,20 @@ def test_one_form_component_spec():
     phi = one_form_from_spec(sys, "u", {"components": ["x2", "x1"]})
     np.testing.assert_allclose(phi(np.array([3.0, 4.0])), [4.0, 3.0],
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["C", "engine"])
+def test_component_one_form_equals_per_component_evaluation(layout):
+    sys = system_of("custom", {"n": 2, "m": 2, "x_entries": [["1", "0"], ["0", "1"]]})
+    components = ["x2*cos(x1)", "0.5 - x1*x2"]
+    ys = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 2))
+    if layout == "engine":
+        ys = as_engine(ys)
+    got = one_form_from_spec(sys, "u", {"components": components})(ys)
+    want = np.stack([evaluate(parse(s), [ys[:, 0], ys[:, 1]]) for s in components], axis=-1)
+    assert path_fastest(got) == (layout == "engine")
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 # ----------------------------------------------------------------- guards

@@ -273,15 +273,25 @@ def test_coeff_da_matches_the_oracle(name, params, lead):
     exact = system.coeff_da("u", x)
     assert exact.shape == lead + (system.n, system.n)
     assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
-    # the base-class default is the oracle itself, bit for bit
-    np.testing.assert_array_equal(SdeSystem.coeff_da(system, "u", x), fd)
 
 
-@pytest.mark.parametrize("name,params", [("flat", {"n": 2}), ("custom", DX_SCENARIOS[-1][1])])
+@pytest.mark.parametrize("name,params", [
+    ("flat", {"n": 2}), ("custom", DX_SCENARIOS[-1][1]), ("sphere-gradient", {"n": 2}),
+    ("so3-left-invariant", {}), ("twisted-plane", {"alpha": 0.5}), ("circle", {})])
 def test_coeff_da_without_drift_is_zero(name, params):
     system = build_scenario(name, params).system
-    x = np.zeros((3, system.n))
-    np.testing.assert_array_equal(system.coeff_da("u", x), np.zeros((3, system.n, system.n)))
+    assert not system.has_drift
+    cid = system.charts[0].cid
+    x = np.random.default_rng(4).uniform(-0.7, 0.7, size=(3, system.n))
+    zeros = np.zeros((3, system.n, system.n))
+    for layout, pts in (("C_CONTIGUOUS", x), ("F_CONTIGUOUS", as_engine(x))):
+        da = system.coeff_da(cid, pts)
+        np.testing.assert_array_equal(da, zeros)
+        np.testing.assert_array_equal(np.signbit(da), np.signbit(zeros))
+        assert da.flags[layout]
+        # what the oracle gives on the zero drift, bit for bit
+        np.testing.assert_array_equal(
+            da, system.oracle.jacobian(lambda y: system.coeff_a(cid, y), pts))
 
 
 GRID_SCENARIOS = [

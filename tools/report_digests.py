@@ -19,7 +19,7 @@ largest difference per label between two such directories.
 Covered: the benchmark's workload configs at seeds 0 and 1, CLI ``estimate``
 of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
 twisted-plane, ``generator`` and ``oneform`` on custom over three engine
-blocks, CLI ``simulate`` plain and recorded, CLI ``verify`` and ``tensors``
+blocks (``oneform`` once more with a 1-form given by its components), CLI ``simulate`` plain and recorded, CLI ``verify`` and ``tensors``
 on sphere-gradient at configured points in charts n, s, n plus sampled
 points, the sha256 and the numeric cells of the ``--dump-paths`` CSV of a
 recorded sphere-gradient run whose paths change chart, the API-only checks
@@ -109,6 +109,12 @@ def configs() -> list[tuple[str, dict]]:
                     {"command": "estimate", "check": check,
                      "scenario": {"name": "custom", "params": SCENARIOS[-1][1]},
                      "n_paths": 4500, **MC}))
+    # a 1-form given by its chart components rather than as d of a scalar
+    out.append(("estimate oneform custom phi components",
+                {"command": "estimate", "check": "oneform",
+                 "scenario": {"name": "custom", "params": SCENARIOS[-1][1]},
+                 "phi": {"components": ["x2*cos(x1)", "0.5 - x1*x2"]},
+                 "n_paths": 4500, **MC}))
     for record in (False, True):
         out.append((f"simulate sphere-gradient record={record}",
                     {"command": "simulate", "scenario": SPHERE, "n_paths": 300,
