@@ -62,7 +62,7 @@ from .geometry import (
     tss_check,
 )
 from .linalg import DerivOracle
-from .model import Chart, SdeSystem, build_scenario, scenario_names
+from .model import SdeSystem, build_scenario, scenario_names
 from .stochastic import (
     SimResult,
     simulate,
@@ -88,7 +88,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadParams",
-    "Chart",
     "CheckRow",
     "McConfig",
     "McReport",

@@ -126,8 +126,7 @@ class PointData:
     DX (``(..., n, m, n)``) and DA (``(..., n, n)``, None without drift) are
     the system's ``coeff_dx`` and ``coeff_da``: closed forms or symbolic
     derivatives of the expressions (``expr.field`` fields built with the
-    system), the oracle only where the scenario has neither
-    (``so3-left-invariant``'s DX).  ``gradX`` and ``nabla_a`` hold
+    system), so a bundle never calls the oracle.  ``gradX`` and ``nabla_a`` hold
     nab X^i and nab A, direction last.  The identity checks and generators
     take one as their point argument; the second routes they are compared
     with take ``(system, cid, x)`` and never read it, so no check compares a
@@ -732,7 +731,7 @@ def moment_form_extremes(pd: PointData, p: float, *,
         f = objective(y)
         dth = np.pi / grid
 
-        def refine(idx, mode):
+        def refine(idx):
             f0 = np.take_along_axis(f, ((idx - 1) % grid)[..., None], -1)[..., 0]
             f1 = np.take_along_axis(f, idx[..., None], -1)[..., 0]
             f2 = np.take_along_axis(f, ((idx + 1) % grid)[..., None], -1)[..., 0]
@@ -743,8 +742,8 @@ def moment_form_extremes(pd: PointData, p: float, *,
             yref = np.stack([np.cos(t), np.sin(t)], axis=-1)[..., None, :]
             return objective(yref)[..., 0]
 
-        hi = refine(np.argmax(f, axis=-1), "max")
-        lo = refine(np.argmin(f, axis=-1), "min")
+        hi = refine(np.argmax(f, axis=-1))
+        lo = refine(np.argmin(f, axis=-1))
         return lo, hi
 
     # generic: projected gradient from fixed restarts
@@ -904,6 +903,15 @@ def exterior_derivative_1form(phi: Callable, x: np.ndarray, oracle: DerivOracle)
     return np.swapaxes(dphi, -1, -2) - dphi
 
 
+def _drift_lie(pd: PointData, phi: Callable, v: np.ndarray) -> np.ndarray:
+    """The drift Lie term (L_A phi)(v) of both 1-form generators, one value
+    per point of ``pd.x``: ``A^j d_j phi_k + phi_j d_k A^j``, paired with ``v``."""
+    dphi = pd.system.oracle.jacobian(phi, pd.x)
+    lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
+               + np.einsum("...j,...jk->...k", phi(pd.x), pd.DA))
+    return _dot(lie_vec, v)
+
+
 def one_form_generator(pd: PointData, phi: Callable, v: np.ndarray) -> np.ndarray:
     """Generator on 1-forms at (x, v): half the adjoint-connection trace
     Hessian, minus half the curvature term phi(Ric# v), plus the drift Lie
@@ -925,12 +933,7 @@ def one_form_generator(pd: PointData, phi: Callable, v: np.ndarray) -> np.ndarra
           - np.einsum("...plk,...jp->...ljk", pd.gamma_adj, S))
     lap = np.einsum("...lj,...ljk->...k", pd.ginv, T2)
     ric_term = np.einsum("...a,...ab,...b->...", phi(x), pd.ric_sharp, v)
-    lie_a = 0.0
-    if pd.system.has_drift:
-        dphi = oracle.jacobian(phi, x)
-        lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
-                   + np.einsum("...j,...jk->...k", phi(x), pd.DA))
-        lie_a = _dot(lie_vec, v)
+    lie_a = _drift_lie(pd, phi, v) if pd.system.has_drift else 0.0
     return _dot(0.5 * lap, v) - 0.5 * ric_term + lie_a
 
 
@@ -960,8 +963,5 @@ def one_form_generator_hodge(pd: PointData, phi: Callable, v: np.ndarray) -> np.
     dbar_dphi = -np.einsum("...lj,...ljk->...k", ginv, U)
     val = -0.5 * _dot(dbar_dphi + d_dbar, v)
     if system.has_drift:
-        dphi = oracle.jacobian(phi, x)
-        lie_vec = (np.einsum("...j,...kj->...k", pd.A, dphi)
-                   + np.einsum("...j,...jk->...k", phi(x), pd.DA))
-        val += _dot(lie_vec, v)
+        val += _drift_lie(pd, phi, v)
     return val

@@ -9,21 +9,23 @@ charts.  The maps are pointwise: a row's values do not depend on the other
 rows or their charts, and their outputs follow the layout of their input
 (``linalg.path_fastest``): engine-layout points, path axis fastest in
 memory, give engine-layout arrays, C-ordered points C-ordered ones.
-``coeff_dx`` and ``coeff_da`` are the chart derivatives of ``X`` and
-``A``: closed forms on flat, sphere-gradient, twisted-plane and circle; on
-expression-defined coefficients (``custom`` and the flat drift) the
-symbolic derivative of each entry, taken once when the system is built
-(``expr.derivative``); the finite-difference oracle for the DX of
-``so3-left-invariant``, which has no closed form here.  An expression
-array, its entries or their derivatives, is an ``expr.field`` built once
-with the system, which evaluates its constant entries there.  The drift
-lives in the base class: ``SdeSystem`` holds the fields of an expression
-drift and its derivative, and gives exact zeros for ``A`` and ``DA``
-without one.
+Every system supplies ``coeff_x`` and ``coeff_dx``, the chart derivative
+of ``X``; the base class has no default for either.  ``coeff_dx`` is a
+closed form on flat, sphere-gradient, so3-left-invariant
+(``quat.right_jacobian_inv_grad``), twisted-plane and circle, and on
+``custom`` the symbolic derivative of each entry, taken once when the
+system is built (``expr.derivative``).  An expression array, its entries
+or their derivatives, is an ``expr.field`` built once with the system,
+which evaluates its constant entries there.  The drift lives in the base
+class: ``SdeSystem`` holds the fields of an expression drift and its
+derivative, and gives exact zeros for ``A`` and ``DA`` without one.
+Charts are plain names, listed in ``SdeSystem.charts``; the base class's
+``embed`` is the identity on the coordinates.
 
 There is one derivative oracle, ``SdeSystem.oracle``: a class attribute
-holding a frozen ``DerivOracle`` that every system shares.  The geometry
-reads it from the system it is given; no function takes another.
+holding a frozen ``DerivOracle`` that every system shares.  It serves only
+the second routes of the geometry, which read it from the system they are
+given; no function takes another.
 
 Built-in scenarios:
 
@@ -53,14 +55,7 @@ from . import quat
 from .errors import BadParams, DegenerateX, OutOfOverlap, UnknownScenario
 from .linalg import DerivOracle, in_layout_of, rows_like
 
-__all__ = ["Chart", "SdeSystem", "Scenario", "build_scenario", "scenario_names"]
-
-
-@dataclass(frozen=True)
-class Chart:
-    """A coordinate chart, named by its identifier."""
-
-    cid: str
+__all__ = ["SdeSystem", "Scenario", "build_scenario", "scenario_names"]
 
 
 class SdeSystem:
@@ -76,6 +71,7 @@ class SdeSystem:
     embed_dim: int = 0  # dimension of the diagnostic embedding
     dim_one: bool = False
     is_group: bool = False
+    charts: tuple[str, ...] = ("u",)  # chart names; the first is the default start
     _drift: tuple[Callable, Callable] | None = None  # the fields of A and DA
     guard_radius: float | None = None  # kill paths beyond this coordinate norm
     oracle: DerivOracle = DerivOracle()  # frozen, so every system shares it
@@ -85,20 +81,15 @@ class SdeSystem:
         return self._drift is not None
 
     # -- chart bookkeeping -------------------------------------------------
-    @property
-    def charts(self) -> tuple[Chart, ...]:
-        raise NotImplementedError
-
     def start(self) -> tuple[str, np.ndarray]:
         """Default start point (chart id, coordinates)."""
-        return self.charts[0].cid, np.zeros(self.n)
+        return self.charts[0], np.zeros(self.n)
 
     def check_chart(self, cid: str) -> None:
         """Raise ``BadParams`` unless ``cid`` names one of the charts."""
-        names = [c.cid for c in self.charts]
-        if cid not in names:
+        if cid not in self.charts:
             raise BadParams(f"scenario {self.name!r} has no chart {cid!r}; "
-                            f"its charts are {', '.join(names)}")
+                            f"its charts are {', '.join(self.charts)}")
 
     def check_vector(self, name: str, val) -> np.ndarray:
         """``val`` as a finite float array of shape ``(n,)`` (a point or a tangent
@@ -125,13 +116,8 @@ class SdeSystem:
         return self._drift[0](x)
 
     def coeff_dx(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """DX[..., i, r, j] = d X^{ir} / d x^j, shape ``(..., n, m, n)``.
-
-        The default differentiates ``coeff_x`` with ``SdeSystem.oracle``;
-        scenarios with a closed form override it.
-        """
-        x = np.asarray(x, dtype=float)
-        return in_layout_of(x, self.oracle.jacobian(lambda y: self.coeff_x(cid, y), x))
+        """DX[..., i, r, j] = d X^{ir} / d x^j, shape ``(..., n, m, n)``."""
+        raise NotImplementedError
 
     def coeff_da(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
         """DA[..., i, j] = d A^i / d x^j, shape ``(..., n, n)``: the symbolic
@@ -167,8 +153,9 @@ class SdeSystem:
 
     # -- diagnostics ---------------------------------------------------------
     def embed(self, cid: str | np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Map chart coordinates to the diagnostic embedding of M."""
-        raise NotImplementedError
+        """Map chart coordinates to the diagnostic embedding of M; the
+        identity on the coordinates unless a scenario overrides it."""
+        return np.asarray(x, dtype=float)
 
     def sample_points(self, rng: np.random.Generator, k: int) -> list[tuple[str, np.ndarray]]:
         """Deterministic probe points spread over the atlas."""
@@ -209,13 +196,8 @@ class FlatSystem(SdeSystem):
         self.name = "flat"
         self.n = self.m = self.embed_dim = n
         self.guard_radius = guard_radius
-        self._charts = (Chart("u"),)
         if drift:
             self._set_drift(drift, "drift")
-
-    @property
-    def charts(self) -> tuple[Chart, ...]:
-        return self._charts
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         out = rows_like(np.asarray(x, dtype=float), (self.n, self.n))
@@ -224,9 +206,6 @@ class FlatSystem(SdeSystem):
 
     def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
         return rows_like(np.asarray(x, dtype=float), (self.n, self.n, self.n), 0.0)
-
-    def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)
 
     def sample_points(self, rng, k):
         return [("u", rng.uniform(-1.0, 1.0, size=self.n)) for _ in range(k)]
@@ -242,15 +221,12 @@ class SphereSystem(SdeSystem):
     south pole at u = 0), 's' from the south pole.  The induced metric is the
     round one, conformal factor 4 / (1 + |u|^2)^2."""
 
+    charts = ("n", "s")
+
     def __init__(self, n: int):
         self.name = "sphere-gradient"
         self.n = n
         self.m = self.embed_dim = n + 1
-        self._charts = (Chart("n"), Chart("s"))
-
-    @property
-    def charts(self) -> tuple[Chart, ...]:
-        return self._charts
 
     @staticmethod
     def _sign(cid: str | np.ndarray) -> np.ndarray:
@@ -350,6 +326,7 @@ class So3System(SdeSystem):
     to the inverse right Jacobian, independent of the center."""
 
     is_group = True
+    charts = ("exp",)
 
     def __init__(self):
         self.name = "so3-left-invariant"
@@ -357,13 +334,13 @@ class So3System(SdeSystem):
         self.embed_dim = 9
         self._identity = (1.0, 0.0, 0.0, 0.0)
 
-    @property
-    def charts(self) -> tuple[Chart, ...]:
-        return (Chart("exp"),)
-
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return in_layout_of(x, quat.right_jacobian_inv(x))
+
+    def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        return in_layout_of(x, quat.right_jacobian_inv_grad(x))
 
     def embed(self, cid: str, x: np.ndarray, center: np.ndarray | None = None) -> np.ndarray:
         q0 = np.asarray(center if center is not None else self._identity, dtype=float)
@@ -403,11 +380,6 @@ class TwistedPlaneSystem(SdeSystem):
         self.alpha = float(alpha)
         self.n = self.m = self.embed_dim = 2
         self.guard_radius = guard_radius
-        self._charts = (Chart("u"),)
-
-    @property
-    def charts(self) -> tuple[Chart, ...]:
-        return self._charts
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -432,9 +404,6 @@ class TwistedPlaneSystem(SdeSystem):
         out[..., 1, 1, 0] = -s
         return out
 
-    def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)
-
     def sample_points(self, rng, k):
         return [("u", rng.uniform(-1.0, 1.0, size=2)) for _ in range(k)]
 
@@ -446,16 +415,12 @@ class TwistedPlaneSystem(SdeSystem):
 
 class CircleSystem(SdeSystem):
     dim_one = True
+    charts = ("theta",)
 
     def __init__(self):
         self.name = "circle"
         self.n = self.m = 1
         self.embed_dim = 2
-        self._charts = (Chart("theta"),)
-
-    @property
-    def charts(self) -> tuple[Chart, ...]:
-        return self._charts
 
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         return rows_like(np.asarray(x, dtype=float), (1, 1), 1.0)
@@ -485,7 +450,6 @@ class CustomSystem(SdeSystem):
         self.name = "custom"
         self.n, self.m, self.embed_dim = n, m, n
         self.guard_radius = guard_radius
-        self._charts = (Chart("u"),)
         if len(x_entries) != n or any(len(row) != m for row in x_entries):
             raise BadParams(f"x_entries must be {n} rows of {m} expressions")
         x_trees = [[ex.parse(s) for s in row] for row in x_entries]
@@ -498,18 +462,11 @@ class CustomSystem(SdeSystem):
         if a_entries:
             self._set_drift(a_entries, "a_entries")
 
-    @property
-    def charts(self) -> tuple[Chart, ...]:
-        return self._charts
-
     def coeff_x(self, cid: str, x: np.ndarray) -> np.ndarray:
         return self._x(x)
 
     def coeff_dx(self, cid: str, x: np.ndarray) -> np.ndarray:
         return self._dx(x)
-
-    def embed(self, cid: str, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)
 
     def sample_points(self, rng, k):
         return [("u", rng.uniform(-0.8, 0.8, size=self.n)) for _ in range(k)]
@@ -525,10 +482,8 @@ class Scenario:
     """A built system plus analytic reference facts used by tests/reports."""
 
     name: str
-    params: dict[str, Any]
     system: SdeSystem
     reference: dict[str, Any] = field(default_factory=dict)
-    notes: str = ""
 
 
 def _build_flat(params: dict[str, Any]) -> Scenario:
@@ -538,7 +493,7 @@ def _build_flat(params: dict[str, Any]) -> Scenario:
     sys_ = FlatSystem(n, params.get("drift"), float(params.get("guard_radius", 1e6)))
     # the drift does not enter the connection; X = I keeps it flat and torsion-free
     ref = {"lw_equals_lc": True, "tss": True, "curvature_zero": True}
-    return Scenario("flat", params, sys_, ref)
+    return Scenario("flat", sys_, ref)
 
 
 def _build_sphere(params: dict[str, Any]) -> Scenario:
@@ -548,16 +503,14 @@ def _build_sphere(params: dict[str, Any]) -> Scenario:
     sys_ = SphereSystem(n)
     ref = {"lw_equals_lc": True, "tss": True, "curvature_zero": False,
            "sectional": 1.0, "ricci_sharp_factor": float(n - 1)}
-    return Scenario("sphere-gradient", params, sys_, ref,
-                    notes="gradient system of the unit-sphere embedding")
+    return Scenario("sphere-gradient", sys_, ref)
 
 
 def _build_so3(params: dict[str, Any]) -> Scenario:
     sys_ = So3System()
     ref = {"lw_equals_lc": False, "tss": True, "curvature_zero": True,
            "torsion_e1_e2": [0.0, 0.0, -1.0]}
-    return Scenario("so3-left-invariant", params, sys_, ref,
-                    notes="flat left-invariant connection; torsion = -[.,.]")
+    return Scenario("so3-left-invariant", sys_, ref)
 
 
 def _build_twisted(params: dict[str, Any]) -> Scenario:
@@ -565,14 +518,14 @@ def _build_twisted(params: dict[str, Any]) -> Scenario:
     sys_ = TwistedPlaneSystem(alpha, float(params.get("guard_radius", 1e6)))
     ref = {"lw_equals_lc": alpha == 0.0, "tss": alpha == 0.0,
            "curvature_zero": True}
-    return Scenario("twisted-plane", params, sys_, ref)
+    return Scenario("twisted-plane", sys_, ref)
 
 
 def _build_circle(params: dict[str, Any]) -> Scenario:
     sys_ = CircleSystem()
     ref = {"lw_equals_lc": True, "tss": True, "curvature_zero": True,
            "dim_one": True}
-    return Scenario("circle", params, sys_, ref)
+    return Scenario("circle", sys_, ref)
 
 
 def _build_custom(params: dict[str, Any]) -> Scenario:
@@ -587,7 +540,7 @@ def _build_custom(params: dict[str, Any]) -> Scenario:
     sys_ = CustomSystem(n, m, x_entries, params.get("a_entries"),
                         float(params.get("guard_radius", 1e6)))
     sys_.validate()
-    return Scenario("custom", params, sys_, {})
+    return Scenario("custom", sys_, {})
 
 
 _REGISTRY: dict[str, Callable[[dict[str, Any]], Scenario]] = {

@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "hat", "qmul", "qexp", "qrotmat",
-    "right_jacobian", "right_jacobian_inv",
+    "right_jacobian", "right_jacobian_inv", "right_jacobian_inv_grad",
 ]
 
 _EPS = 1e-4
@@ -116,3 +116,33 @@ def right_jacobian_inv(u: np.ndarray) -> np.ndarray:
     h = hat(u)
     eye = np.broadcast_to(np.eye(3), h.shape)
     return eye + 0.5 * h + d[..., None, None] * (h @ h)
+
+
+def right_jacobian_inv_grad(u: np.ndarray) -> np.ndarray:
+    """Partials of ``right_jacobian_inv``, differentiation axis last:
+    ``out[..., i, r, j] = d Jr^-1(u)[i, r] / d u_j``.
+
+    With ``Jr^-1 = I + hat(u)/2 + d(t) hat(u)^2`` and ``t = |u|``, the j-th
+    partial is ``hat(e_j)/2 + d (hat(e_j) hat(u) + hat(u) hat(e_j))
+    + (d'(t)/t) u_j hat(u)^2``, where ``hat(e_j) hat(u) + hat(u) hat(e_j)
+    = e_j u^T + u e_j^T - 2 u_j I``; below ``eps``, d'(t)/t = 1/360 + t^2/7560.
+    """
+    u = np.asarray(u, dtype=float)
+    theta = np.linalg.norm(u, axis=-1)
+    _, _, d = _coeffs(theta)
+    small = theta < _EPS
+    t2 = theta * theta
+    safe = np.where(small, 1.0, theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # d = 1/t^2 - cot(t/2)/(2 t) gives d'/t = (1/(4 sin^2(t/2)) - 1/t^2 - d) / t^2
+        dd = np.where(small, 1.0 / 360.0 + t2 / 7560.0,
+                      (0.25 / np.sin(0.5 * safe) ** 2 - 1.0 / safe**2 - d) / safe**2)
+    h = hat(u)
+    eye = np.eye(3)
+    du = d[..., None] * u
+    out = (dd[..., None, None] * (h @ h))[..., None] * u[..., None, None, :]
+    out += 0.5 * np.moveaxis(hat(eye), 0, -1)
+    out += eye[:, None, :] * du[..., None, :, None]          # d e_j u^T
+    out += du[..., :, None, None] * eye                      # d u e_j^T
+    out -= 2.0 * eye[:, :, None] * du[..., None, None, :]    # -2 d u_j I
+    return out

@@ -55,9 +55,9 @@ of increments ``c`` times, so runs at dt, dt/2 and dt/4 with ``coarsen`` 2,
 
 Derivatives and frames: the bundles take DX and DA from the model's
 ``coeff_dx`` and ``coeff_da`` (closed forms on flat, sphere-gradient,
-twisted-plane and circle, symbolic derivatives of the expressions on
-``custom`` and the flat drift, the finite-difference oracle only for the DX
-of so3-left-invariant).  After each RK4 transport step a frame
+so3-left-invariant, twisted-plane and circle, symbolic derivatives of the
+expressions on ``custom`` and the flat drift), so a run never calls the
+finite-difference oracle.  After each RK4 transport step a frame
 of a metric connection is snapped to a g-isometry, ``par^T g par = g0``, by
 two Newton-Schulz polar steps ``par <- par (3 I - g0^-1 par^T g par) / 2``
 (``_isometrize``; rows with a defect above ``_SNAP_NS_MAX`` take the exact
@@ -696,7 +696,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     need = _requested(need, hp_p)
     on = _closure(need)
     pd0 = geometry_point(system, cid, x0)  # DegenerateX if X loses rank at x0
-    start = dict(chart_names=tuple(c.cid for c in system.charts), cid0=cid, x0=pd0.x,
+    start = dict(chart_names=system.charts, cid0=cid, x0=pd0.x,
                  g0=pd0.g, ginv0=pd0.ginv, X0=pd0.X, Y0=pd0.Y,
                  L0=np.linalg.cholesky(pd0.g), F0=_null_frame(pd0.X))
     # the induced connection is always metric; its adjoint only under

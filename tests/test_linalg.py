@@ -135,7 +135,7 @@ def _fields(system, cid):
 @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
 def test_jacobian_matches_column_at_a_time_reference(name, params, batched):
     system = build_scenario(name, params).system
-    cid = system.charts[0].cid
+    cid = system.charts[0]
     pts = np.array([x for c, x in system.sample_points(np.random.default_rng(3), 6) if c == cid])
     x = pts if batched else pts[0]
     for label, f in _fields(system, cid).items():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import flowgeom.expr as ex
+from flowgeom import quat
 from flowgeom.errors import BadParams, DegenerateX, OutOfOverlap, UnknownScenario
 from flowgeom.linalg import as_engine, path_fastest
-from flowgeom.model import SdeSystem, SphereSystem, build_scenario, scenario_names
+from flowgeom.model import SphereSystem, build_scenario, scenario_names
 
 rng = np.random.default_rng(0)
 
@@ -238,20 +239,25 @@ DX_SCENARIOS = [
 ]
 
 
+SO3_RADII = (1e-7, 1e-5, 0.5 * quat._EPS, 2.0 * quat._EPS, 1e-3, 0.1, 1.0, 2.0, 3.5)
+
+
 @pytest.mark.parametrize("name,params", DX_SCENARIOS)
 @pytest.mark.parametrize("lead", [(), (2, 4)])
 def test_coeff_dx_matches_the_oracle(name, params, lead):
     system = build_scenario(name, params).system
     gen = np.random.default_rng(5)
     for chart in system.charts:  # both stereographic charts on the sphere
-        x = gen.uniform(-0.7, 0.7, size=lead + (system.n,))
-        fd = system.oracle.jacobian(lambda y: system.coeff_x(chart.cid, y), x)
-        exact = system.coeff_dx(chart.cid, x)
-        assert exact.shape == lead + (system.n, system.m, system.n)
-        assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
-        # the base-class default is the oracle itself, bit for bit
-        base = SdeSystem.coeff_dx(system, chart.cid, x)
-        np.testing.assert_array_equal(base, fd)
+        x0 = gen.uniform(-0.7, 0.7, size=lead + (system.n,))
+        points = [x0]
+        if system.is_group:  # so3: the same directions at radii on either side of quat._EPS
+            unit = x0 / np.linalg.norm(x0, axis=-1, keepdims=True)
+            points += [r * unit for r in SO3_RADII]
+        for x in points:
+            fd = system.oracle.jacobian(lambda y: system.coeff_x(chart, y), x)
+            exact = system.coeff_dx(chart, x)
+            assert exact.shape == lead + (system.n, system.m, system.n)
+            assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
 
 
 DA_SCENARIOS = [
@@ -281,7 +287,7 @@ def test_coeff_da_matches_the_oracle(name, params, lead):
 def test_coeff_da_without_drift_is_zero(name, params):
     system = build_scenario(name, params).system
     assert not system.has_drift
-    cid = system.charts[0].cid
+    cid = system.charts[0]
     x = np.random.default_rng(4).uniform(-0.7, 0.7, size=(3, system.n))
     zeros = np.zeros((3, system.n, system.n))
     for layout, pts in (("C_CONTIGUOUS", x), ("F_CONTIGUOUS", as_engine(x))):

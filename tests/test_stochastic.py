@@ -18,7 +18,7 @@ import pytest
 from flowgeom import geometry, stochastic
 from flowgeom.errors import BadParams
 from flowgeom.geometry import PointData, _metric_field, point_data
-from flowgeom.linalg import as_engine, path_fastest
+from flowgeom.linalg import DerivOracle, as_engine, path_fastest
 from flowgeom.model import build_scenario
 from flowgeom.stochastic import (
     BLOCK,
@@ -145,7 +145,7 @@ def test_a_path_does_not_depend_on_its_block_length(name, params, cid, x0, need)
     run = dict(t=0.2, dt=1e-2, seed=17, cid=cid, x0=x0, need=need)
     block = simulate(sys, n_paths=BLOCK, **run)
     if name == "sphere-gradient":
-        assert np.any(block.cid_idx[:5] != [c.cid for c in sys.charts].index(cid))
+        assert np.any(block.cid_idx[:5] != list(sys.charts).index(cid))
     for n_paths in (1, 5):
         short = simulate(sys, n_paths=n_paths, **run)
         for field_name in ("x", "cid_idx", "alive") + need:
@@ -331,7 +331,7 @@ def test_bundle_keeps_the_engine_layout(name, params, group):
     # identity's, since PN = I - PT cancels to rounding where m = n.
     sys = system_of(name, params)
     x = np.random.default_rng(4).uniform(-0.6, 0.6, size=(7, sys.n))
-    cids = np.resize([c.cid for c in sys.charts], 7)
+    cids = np.resize(list(sys.charts), 7)
     got = point_data(sys, cids, as_engine(x))
     want = point_data(sys, cids, x)
     for f in FIELD_GROUPS[group]:
@@ -666,6 +666,24 @@ def test_requested_fields_match_full_run(name, hp_p, threads, n_paths, t, record
 def test_unknown_requested_field_rejected(sphere):
     with pytest.raises(BadParams):
         simulate(sphere, t=0.1, dt=1e-2, n_paths=4, seed=0, need={"Jacobian"})
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_the_engine_never_calls_the_oracle(name, monkeypatch):
+    # every system gives its own DX and DA, so a run with every companion and
+    # the moment form takes no finite difference, chart switches included
+    params, x0 = SCENARIOS[name]
+    calls = []
+    for attr in ("jacobian", "directional"):
+        def counting(self, *args, real=getattr(DerivOracle, attr), attr=attr):
+            calls.append(attr)
+            return real(self, *args)
+        monkeypatch.setattr(DerivOracle, attr, counting)
+    r = simulate(system_of(name, params), t=0.1, dt=1e-2, n_paths=24, seed=5, hp_p=2.0,
+                 x0=None if x0 is None else np.asarray(x0))
+    if name == "sphere-gradient":
+        assert set(r.cid_idx.tolist()) == {0, 1}
+    assert r.hp_lo is not None and calls == []
 
 
 @pytest.mark.parametrize("name, params, x0", [

@@ -211,7 +211,7 @@ def oracle_arrays() -> list[tuple[str, dict]]:
     out = []
     for name, params in SCENARIOS:
         system = build_scenario(name, params).system
-        cid = system.charts[0].cid
+        cid = system.start()[0]
         pts = np.array([x for c, x in system.sample_points(np.random.default_rng(11), 8)
                         if c == cid])
         fields = {
