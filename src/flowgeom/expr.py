@@ -309,10 +309,10 @@ def field(source, dim: int, names: list[str] | None = None
             except DomainError as exc:
                 if names is None:
                     raise
-                raise EvalFailure(f"{names[k]} failed near {_where(y, None)}: {exc}") from exc
+                raise EvalFailure(f"{names[k]} failed near {_where(y)}: {exc}") from exc
         if names is not None and not np.isfinite(out).all():
             k = int(np.argmin(np.isfinite(out).reshape(-1, len(names)).all(axis=0)))
-            raise EvalFailure(f"{names[k]} returned non-finite values near {_where(y, None)}")
+            raise EvalFailure(f"{names[k]} returned non-finite values near {_where(y)}")
         return out
 
     return f

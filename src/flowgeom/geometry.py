@@ -563,17 +563,15 @@ def tss_check(pd: PointData) -> tuple:
     v |-> X(.)Y(x)v has Levi-Civita covariant derivative with vanishing
     symmetric part.  The verdict is ``residual < TSS_TOL``.
     """
-    oracle = pd.system.oracle
     ok, worst, (u, v, w) = _torsion_skew(pd)
     # Levi-Civita derivative of Z^v(y) = X(y) Y(x) v, symmetric part
-    yv = np.einsum("...ri,pi->...pr", pd.Y, v)
-    pcid = _on_probes(pd.cid)
+    # one derivative along the stacked directions (u, w): axes (..., 2, probe, n)
+    yv = np.einsum("...ri,pi->...pr", pd.Y, v)[..., None, :, :]
+    pcid = _on_probes(_on_probes(pd.cid))
     z_field = lambda y: np.einsum("...ir,...r->...i", pd.system.coeff_x(pcid, y), yv)
-    xk = pd.x[..., None, :]
-    nab_u = (oracle.directional(z_field, xk, u)
-             + np.einsum("...ijk,pj,pk->...pi", pd.gamma_lc, u, v))
-    nab_w = (oracle.directional(z_field, xk, w)
-             + np.einsum("...ijk,pj,pk->...pi", pd.gamma_lc, w, v))
+    dz = pd.system.oracle.directional(z_field, pd.x[..., None, None, :], np.stack([u, w]))
+    nab_u = dz[..., 0, :, :] + np.einsum("...ijk,pj,pk->...pi", pd.gamma_lc, u, v)
+    nab_w = dz[..., 1, :, :] + np.einsum("...ijk,pj,pk->...pi", pd.gamma_lc, w, v)
     alt = (np.einsum("...pi,...ij,pj->...p", nab_u, pd.g, w)
            + np.einsum("...pi,...ij,pj->...p", nab_w, pd.g, u))
     return (ok, worst, np.max(np.abs(alt), axis=-1))
@@ -642,13 +640,17 @@ def connection_routes_residual(pd: PointData, n_probes: int = 4,
     d_pair = oracle.directional(curve_pairing, t0, np.ones_like(t0))
     route_a = np.einsum("...ir,...pr->...pi", pd.X, d_pair)
 
-    v_field = _linear_fields(x, v, vmat)
+    # [X^i, V] and [V, Z] from two derivatives: of V along the columns of
+    # [X | Z](x), stacked before the probe axis, and of [X | Z] along V(x)
+    xz_field = lambda y: np.concatenate([system.coeff_x(pcid, y), z_field(y)[..., None]], -1)
+    dv = oracle.directional(_linear_fields(x[..., None, :], v, vmat), xk[..., None, :, :],
+                            np.moveaxis(xz_field(xk), -1, -3))
+    dxz = oracle.directional(xz_field, xk, _linear_fields(x, v, vmat)(xk))
     yz = np.einsum("...ri,pi->...pr", pd.Y, z0)  # <X^i, Z>_g
     acc = np.zeros_like(ref)
     for i in range(system.m):
-        xi_field = lambda y, i=i: system.coeff_x(pcid, y)[..., i]
-        acc = acc + lie_bracket(xi_field, v_field, xk, oracle) * yz[..., i, None]
-    route_b = acc + lie_bracket(v_field, z_field, xk, oracle)
+        acc = acc + (dv[..., i, :, :] - dxz[..., i]) * yz[..., i, None]
+    route_b = acc + (dxz[..., -1] - dv[..., -1, :, :])
     return np.maximum(np.max(np.linalg.norm(route_a - ref, axis=-1), axis=-1),
                       np.max(np.linalg.norm(route_b - ref, axis=-1), axis=-1))
 

@@ -21,14 +21,14 @@ keeps every array it holds.  ``path_fastest`` tells them apart and
 keep the layout they are given; ``as_engine`` lays a batch out that way
 and ``in_layout_of`` copies a result back into its points' layout.
 
-Both derivatives make one field call per stencil: the +/- pair at each of the
-``L + 1`` Richardson levels is stacked along a new leading axis of length
+Both derivatives make one field call on one stencil: the +/- pair at each of
+the ``L + 1`` Richardson levels is stacked along a new leading axis of length
 ``2 (L + 1)``, ordered ``x + h d, x - h d, x + h/2 d, x - h/2 d, ...``.
-``DerivOracle.jacobian`` makes one such call per coordinate column
-(``d = e_j``); ``DerivOracle.directional`` makes a single call with
-``d = v / |v|``, over every point and direction of its batch at once.  A
-field handed to either must therefore accept extra leading axes and keep
-them in its output.
+``DerivOracle.directional`` takes ``d = v / |v|`` over every point and
+direction of its batch; ``DerivOracle.jacobian`` is the same derivative along
+the coordinate axes ``d = e_j``, which sit on a second axis of length ``n``
+right after the stencil axis.  A field handed to either must therefore accept
+extra leading axes and keep them in its output.
 
 >>> import numpy as np
 >>> oracle = DerivOracle()
@@ -90,29 +90,28 @@ def in_layout_of(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return as_engine(a) if path_fastest(x) else a
 
 
-def _where(x: np.ndarray, col: int | None) -> str:
-    """Short description of the point (and column) a derivative was asked at."""
-    at = np.array2string(np.asarray(x), threshold=8, edgeitems=2, precision=6)
-    return at if col is None else f"{at} (column {col})"
+def _where(x: np.ndarray) -> str:
+    """Short description of the point a derivative was asked at."""
+    return np.array2string(np.asarray(x), threshold=8, edgeitems=2, precision=6)
 
 
-def _call(f: Callable, y: np.ndarray, x: np.ndarray, col: int | None = None) -> np.ndarray:
+def _call(f: Callable, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate a field at the probe points ``y``, normalizing output to floats.
 
-    ``x`` (and ``col``) name the point the derivative was asked at in error
-    messages.  The output must keep the leading axes of ``y``.
+    ``x`` names the point the derivative was asked at in error messages.  The
+    output must keep the leading axes of ``y``.
     """
     try:
         out = np.asarray(f(y), dtype=float)
     except Exception as exc:  # field blew up at a probe point
-        raise EvalFailure(f"field evaluation failed near {_where(x, col)}: {exc}") from exc
+        raise EvalFailure(f"field evaluation failed near {_where(x)}: {exc}") from exc
     if out.shape[:y.ndim - 1] != y.shape[:-1]:
         raise EvalFailure(
             f"field output of shape {out.shape} does not keep the leading axes {y.shape[:-1]} "
-            f"of its input near {_where(x, col)}; a field handed to jacobian or "
+            f"of its input near {_where(x)}; a field handed to jacobian or "
             f"directional must map (..., n) arrays to (..., S) arrays")
     if not np.all(np.isfinite(out)):
-        raise EvalFailure(f"field returned non-finite values near {_where(x, col)}")
+        raise EvalFailure(f"field returned non-finite values near {_where(x)}")
     return out
 
 
@@ -138,8 +137,8 @@ class DerivOracle:
     richardson_levels: number of extrapolation levels (0 = plain central
         difference).
 
-    Both derivatives evaluate the one stencil of the module docstring,
-    ``jacobian`` along each ``e_j`` in turn.
+    Both derivatives evaluate the one stencil of the module docstring in one
+    field call, ``jacobian`` along every ``e_j`` at once.
     """
 
     h0: float = 1e-4
@@ -149,23 +148,23 @@ class DerivOracle:
         nrm = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
         return self.h0 * np.maximum(1.0, nrm)
 
-    def _levels(self, x: np.ndarray) -> np.ndarray:
-        """The steps ``h / 2**l`` of the Richardson levels at ``x``: ``(L + 1, ...)``."""
-        h = self._step(x)
-        return np.stack([h / 2.0**lvl for lvl in range(self.richardson_levels + 1)])
-
-    def _central(self, f: Callable, x: np.ndarray, hl: np.ndarray, d: np.ndarray,
-                 col: int | None) -> np.ndarray:
+    def _central(self, f: Callable, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The extrapolated central difference of ``f`` at ``x`` along the
-        unit direction(s) ``d`` with the level steps ``hl``, from one call of
-        ``f`` on the stencil; ``col`` names a Jacobian column in error messages."""
-        levels = len(hl)
-        step = hl[..., None] * d
-        stencil = np.stack([x + step, x - step], axis=1)  # (levels, 2, ..., n)
-        out = _call(f, stencil.reshape((2 * levels,) + x.shape), x, col)
-        out = out.reshape((levels, 2) + out.shape[1:])
-        hdiv = np.reshape(hl[0], np.shape(hl[0]) + (1,) * (out.ndim - 1 - np.ndim(hl)))
-        return _richardson([(out[lvl, 0] - out[lvl, 1]) / (2.0 * hdiv / 2.0**lvl)
+        unit direction(s) ``d``, which broadcast against ``x``: one call of
+        ``f`` on the stencil, written in place level by level."""
+        h = self._step(x)
+        levels = self.richardson_levels + 1
+        shape = np.broadcast_shapes(x.shape, d.shape)
+        stencil = np.empty((2 * levels,) + shape)
+        for lvl in range(levels):
+            step = (h / 2.0**lvl)[..., None] * d
+            np.add(x, step, out=stencil[2 * lvl])
+            np.subtract(x, step, out=stencil[2 * lvl + 1])
+        del step
+        out = _call(f, stencil, x)
+        del stencil
+        hdiv = np.reshape(h, np.shape(h) + (1,) * (out.ndim - len(shape)))
+        return _richardson([(out[2 * lvl] - out[2 * lvl + 1]) / (2.0 * hdiv / 2.0**lvl)
                             for lvl in range(levels)])
 
     def directional(self, f: Callable, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -179,18 +178,19 @@ class DerivOracle:
         x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
         vnorm = np.linalg.norm(v, axis=-1)
         vhat = v / np.where(vnorm == 0.0, 1.0, vnorm)[..., None]
-        out = self._central(f, x, self._levels(x), vhat, None)
+        out = self._central(f, x, vhat)
         return np.reshape(vnorm, vnorm.shape + (1,) * (out.ndim - vnorm.ndim)) * out
 
     def jacobian(self, f: Callable, x: np.ndarray) -> np.ndarray:
         """Coordinate Jacobian, batched over leading axes of ``x``.
 
-        ``f`` maps ``(..., n)`` arrays to ``(..., S)`` arrays; the result has
-        shape ``(..., S, n)`` with the differentiation axis last.  Column ``j``
-        is the directional stencil along ``e_j``, freed before the next
-        column's call, which keeps the peak memory of a batch low.
+        ``f`` maps ``(..., n)`` arrays to ``(..., S)`` arrays; the result is
+        C-contiguous, of shape ``(..., S, n)`` with the differentiation axis
+        last.  It is ``directional``'s stencil along every ``e_j`` at once:
+        one call of ``f`` on a ``(2 (L + 1), n) + x.shape`` array, written in
+        place so that a large batch does not also hold a stacked copy of it.
         """
         x = np.asarray(x, dtype=float)
-        hl = self._levels(x)
-        columns = [self._central(f, x, hl, e, j) for j, e in enumerate(np.eye(x.shape[-1]))]
-        return np.stack(columns, axis=-1)
+        n = x.shape[-1]
+        out = self._central(f, x, np.eye(n).reshape((n,) + (1,) * (x.ndim - 1) + (n,)))
+        return np.ascontiguousarray(np.moveaxis(out, 0, -1))

@@ -260,6 +260,41 @@ def test_coeff_dx_matches_the_oracle(name, params, lead):
             assert np.max(np.abs(exact - fd)) <= 1e-8 * max(1.0, np.max(np.abs(fd)))
 
 
+def _jr_inv_series(u: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """Jr^-1(u) = sum_k B_k / k! (-hat u)^k from the Bernoulli series, and
+    its partials term by term (d/du_j H^k = sum_a H^a hat(e_j) H^(k-1-a)),
+    differentiation axis last."""
+    from fractions import Fraction
+    from math import comb, factorial
+
+    bern = [Fraction(1)]
+    for k in range(1, terms + 1):
+        bern.append(-sum(comb(k + 1, i) * bern[i] for i in range(k)) / (k + 1))
+    h = -quat.hat(u)
+    powers = [np.eye(3)]
+    for _ in range(terms):
+        powers.append(powers[-1] @ h)
+    value = np.eye(3)
+    grad = np.zeros((3, 3, 3))
+    for k in range(1, terms + 1):
+        c = float(bern[k] / factorial(k))
+        value += c * powers[k]
+        for j, ej in enumerate(-quat.hat(np.eye(3))):
+            grad[:, :, j] += c * sum(powers[a] @ ej @ powers[k - 1 - a] for a in range(k))
+    return value, grad
+
+
+@pytest.mark.parametrize("radius", [1.0001e-4, 2e-4, 1e-3, 0.0999, 0.1001, 0.5])
+def test_so3_coefficients_match_the_bernoulli_series(radius):
+    # just above quat._EPS the closed forms of d and d'(t)/t cancel; their
+    # series branches reach up to quat._D_SERIES instead
+    u = radius * np.array([0.48, -0.6, 0.64])
+    want_x, want_dx = _jr_inv_series(u)
+    system = build_scenario("so3-left-invariant", {}).system
+    for got, want in ((system.coeff_x("u", u), want_x), (system.coeff_dx("u", u), want_dx)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 DA_SCENARIOS = [
     ("flat", {"n": 2, "drift": ["-x1", "-x2"]}),
     ("flat", {"n": 3, "drift": ["sin(x2) - x1^3", "x1*x3", "exp(-x3^2)/2"]}),

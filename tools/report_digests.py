@@ -25,7 +25,10 @@ points, the sha256 and the numeric cells of the ``--dump-paths`` CSV of a
 recorded sphere-gradient run whose paths change chart, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
-Christoffel field on each scenario at one point and at a batch, the
+Christoffel field on each scenario at one point and at a batch, the nested
+oracle routes (``curvature_from_christoffel`` of the ``lw`` and ``lc``
+Christoffels and ``torsion_via_dy``) on sphere-gradient n = 3 and
+so3-left-invariant at one point and at a batch, the
 exact ``coeff_dx`` and ``coeff_da`` of the expression-defined systems
 (``coeff_dx`` on custom, ``coeff_da`` on flat with drift and on custom with
 drift) at one point and at a batch, every array of a default ``simulate``
@@ -225,6 +228,31 @@ def oracle_arrays() -> list[tuple[str, dict]]:
     return out
 
 
+def nested_arrays() -> list[tuple[str, dict]]:
+    """(label, {route: array}) of the routes that nest one oracle ``jacobian``
+    in another or differentiate a derived field: ``curvature_from_christoffel``
+    of the induced (``lw``) and Levi-Civita (``lc``) Christoffels and
+    ``torsion_via_dy``, on sphere-gradient (n = 3) and so3-left-invariant, at
+    one point and at a batch of points of the first chart."""
+    import numpy as np
+
+    from flowgeom.geometry import curvature_from_christoffel, torsion_via_dy
+    from flowgeom.model import build_scenario
+
+    out = []
+    for name, params in (SCENARIOS[2], SCENARIOS[3]):
+        system = build_scenario(name, params).system
+        cid = system.start()[0]
+        pts = np.array([x for c, x in system.sample_points(np.random.default_rng(13), 6)
+                        if c == cid])
+        for where, x in (("single", pts[0]), ("batch", pts)):
+            out.append((f"nested {name} {params} {where}", {
+                "curvature_lw": curvature_from_christoffel(system, cid, x, "lw"),
+                "curvature_lc": curvature_from_christoffel(system, cid, x, "lc"),
+                "torsion_via_dy": torsion_via_dy(system, cid, x)}))
+    return out
+
+
 def exact_arrays() -> list[tuple[str, dict]]:
     """(label, {field: array}) of the exact derivatives of the expression-defined
     coefficients, at the points of ``oracle_arrays``."""
@@ -342,7 +370,8 @@ def main(argv=None) -> int:
     csv_report, csv_cells = dump_csv()
     for label, report in api_reports() + [csv_report]:
         emit(label, report)
-    for label, arrays in oracle_arrays() + exact_arrays() + engine_arrays() + [csv_cells]:
+    for label, arrays in (oracle_arrays() + nested_arrays() + exact_arrays()
+                          + engine_arrays() + [csv_cells]):
         emit(label, {k: _sha(v) for k, v in arrays.items()}, arrays)
     if args.dump:
         with open(os.path.join(args.dump, "labels.json"), "w") as fh:
