@@ -56,11 +56,13 @@ from .estimators import (
 from .geometry import (
     TSS_TOL,
     _g_frame_eigvalsh,
+    _metricity_residuals,
+    adjoint_christoffel,
     connection_routes_residual,
     curvature_from_christoffel,
     defining_property_residual,
     geometry_point,
-    metricity_residual,
+    lw_christoffel,
     moment_form_extremes,
     pairing_derivative_residual,
     ricci_bilinear,
@@ -164,12 +166,19 @@ def cmd_tensors(cfg: dict) -> dict:
     p = float(cfg.get("p", 2.0))
     charts, xs = _probe_points(system, cfg, default_samples=4)
     pd = geometry_point(system, charts, xs)
-    # the moment-form extremes below read g, Ric#, nab X and nab A of each
-    # row: computed here on the batch, so that each row's bundle slices them
-    pd.ric_sharp, pd.nabla_a
+    if p == 2.0:
+        # one symmetric eigenproblem per point, all solved on the batch
+        h_lo, h_hi = moment_form_extremes(pd, p)
+    else:
+        # otherwise the extremes pick their method and stop by looking at
+        # their whole batch, so each point is solved on its own; g, Ric#,
+        # nab X and nab A are computed here on the batch, so that each row's
+        # bundle slices them
+        pd.ric_sharp, pd.nabla_a
+        h_lo, h_hi = np.array([moment_form_extremes(pd[row], p) for row in range(len(xs))]).T
     entries = []
     for row, (cid, x) in enumerate(zip(charts, xs)):
-        entry = {
+        entries.append({
             "chart": str(cid),
             "x": x.tolist(),
             "g": pd.g[row].tolist(),
@@ -181,11 +190,9 @@ def cmd_tensors(cfg: dict) -> dict:
             "curvature_lw": pd.curvature_lw[row].tolist(),
             "ric_sharp_lw": pd.ric_sharp[row].tolist(),
             "ricci_lw": pd.ricci_lw[row].tolist(),
-        }
-        # the extremes pick their method and stop by looking at their
-        # whole batch, so each point is solved on its own
-        h_lo, h_hi = moment_form_extremes(pd[row], p)
-        entries.append(entry | {"h_lo": float(h_lo), "h_hi": float(h_hi)})
+            "h_lo": float(h_lo[row]),
+            "h_hi": float(h_hi[row]),
+        })
     return {
         "command": "tensors",
         "scenario": cfg["scenario"],
@@ -217,7 +224,9 @@ def cmd_verify(cfg: dict) -> dict:
     one chart per point.  The identities take one ``PointData`` on that
     batch, so the op computes each of its fields, the Levi-Civita field
     among them, at most once there; the tss row takes a second one at the
-    start point.
+    start point.  The oracle's induced Christoffels (``lw_christoffel``) are
+    computed once on the batch too, for the curvature route and both
+    metricity rows, which also share their probe derivatives.
     """
     t0 = time.perf_counter()
     system = _build_system(cfg)
@@ -240,7 +249,10 @@ def cmd_verify(cfg: dict) -> dict:
     T = pd.torsion
     v1, v2 = brackets[:, :, 0], brackets[:, :, 1]  # (P, 2, n)
     tb = torsion_via_bracket(system, cid[:, None], xs[:, None, :], v1, v2)
-    R = curvature_from_christoffel(system, cid, xs, kind="lw")
+    gamma_lw = lw_christoffel(system, cid, xs)
+    R = curvature_from_christoffel(system, cid, xs, kind="lw", gamma=gamma_lw)
+    metricity_lw, metricity_adjoint = _metricity_residuals(
+        pd, [gamma_lw, adjoint_christoffel(gamma_lw)])
     lw_val, lc_val = scalar_generator(pd, f)
     s = stratonovich_term(pd)
     # per identity, the largest residual over the probe points
@@ -252,8 +264,8 @@ def cmd_verify(cfg: dict) -> dict:
             system.coeff_da(cid, xs),
             system.oracle.jacobian(lambda y: system.coeff_a(cid, y), xs)),
         "defining_property": defining_property_residual(pd),
-        "metricity_lw": metricity_residual(pd, kind="lw"),
-        "metricity_adjoint": metricity_residual(pd, kind="adjoint"),
+        "metricity_lw": metricity_lw,
+        "metricity_adjoint": metricity_adjoint,
         "pairing_derivative": pairing_derivative_residual(pd),
         "christoffel_routes": connection_routes_residual(pd),
         "torsion_routes": np.maximum(
@@ -267,7 +279,7 @@ def cmd_verify(cfg: dict) -> dict:
     gamma_gap = float(np.max(np.abs(pd.gamma - pd.gamma_lc)))
 
     # Levi-Civita Ricci minus induced Ricci, eigenvalues in a g-frame
-    R_lc = curvature_from_christoffel(system, cid, xs, kind="lc")
+    R_lc = curvature_from_christoffel(system, cid, xs, kind="lc", gamma=pd.gamma_lc)
     ric_diff = ricci_bilinear(ricci_sharp(R_lc, pd.ginv), pd.g) - pd.ricci_lw
     ric_diff = 0.5 * (ric_diff + np.swapaxes(ric_diff, -1, -2))
     eigs = _g_frame_eigvalsh(ric_diff, pd.g)

@@ -20,9 +20,10 @@ Levi-Civita connection of the induced metric ``g = (X X^T)^{-1}``.
 All raw-array helpers broadcast over leading axes, so the same code serves
 single points and batched Monte Carlo sweeps.  The contractions of the
 induced connection (its Christoffels, ``nab X^i`` and ``Ric#``) and the
-Gram inverse are one einsum each, whatever the memory layout of their
-input; their results keep that layout (see ``linalg``).  ``_gram_inverse``
-is the one home of ``g = (X X^T)^{-1}`` and ``Y``.
+Gram products are one einsum each, whatever the memory layout of their
+input; their results keep that layout (see ``linalg``).  ``_gram_matrix`` is
+the one home of ``X X^T``, and ``_gram_inverse`` of ``g = (X X^T)^{-1}`` (the
+adjugate over the determinant for n <= 3) and ``Y``.
 Every finite difference goes through the system's one oracle,
 ``system.oracle``.
 """
@@ -68,25 +69,53 @@ def _eye(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _adjugate_inverse(M: np.ndarray) -> np.ndarray:
+    """The inverse of each n x n matrix of ``M`` (n <= 3), its adjugate over
+    its determinant, in the layout of ``M``; an exactly singular one raises
+    ``np.linalg.LinAlgError("Singular matrix")``."""
+    n = M.shape[-1]
+    adj = np.empty_like(M)  # adj[i, j] is the cofactor of entry (j, i)
+    if n == 1:
+        adj[...] = 1.0
+    elif n == 2:
+        adj[..., 0, 0] = M[..., 1, 1]
+        adj[..., 1, 1] = M[..., 0, 0]
+        adj[..., 0, 1] = -M[..., 0, 1]
+        adj[..., 1, 0] = -M[..., 1, 0]
+    else:
+        # entry by entry, so that no temporary outgrows one entry's batch;
+        # the cyclic order of (a, b) and (c, d) carries the sign
+        for i in range(3):
+            a, b = (i + 1) % 3, (i + 2) % 3
+            for j in range(3):
+                c, d = (j + 1) % 3, (j + 2) % 3
+                adj[..., i, j] = M[..., c, a] * M[..., d, b] - M[..., c, b] * M[..., d, a]
+    det = M[..., 0, 0] * adj[..., 0, 0]
+    for k in range(1, n):
+        det = det + M[..., 0, k] * adj[..., k, 0]
+    if np.any(det == 0.0):
+        raise np.linalg.LinAlgError("Singular matrix")
+    adj /= det[..., None, None]
+    return adj
+
+
+def _gram_matrix(X: np.ndarray) -> np.ndarray:
+    """X X^T, the inverse of the induced metric, batched over the leading
+    axes of X and in its layout."""
+    return np.einsum("...ir,...jr->...ij", X, X)
+
+
 def _gram_inverse(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(X X^T, its inverse g, Y = X^T g), batched over the leading axes of X.
 
-    For n = 2 the inverse is the closed-form adjugate over the determinant;
-    otherwise ``np.linalg.inv``.  Either way an exactly singular row raises
-    ``np.linalg.LinAlgError("Singular matrix")``.  The results keep the
-    layout of ``X``.
+    For n <= 3 the inverse is the closed-form adjugate over the determinant
+    (``_adjugate_inverse``); otherwise ``np.linalg.inv``.  Either way an
+    exactly singular row raises ``np.linalg.LinAlgError("Singular matrix")``.
+    The results keep the layout of ``X``.
     """
-    gram = np.einsum("...ir,...jr->...ij", X, X)
-    if gram.shape[-1] == 2:
-        det = gram[..., 0, 0] * gram[..., 1, 1] - gram[..., 0, 1] * gram[..., 1, 0]
-        if np.any(det == 0.0):
-            raise np.linalg.LinAlgError("Singular matrix")
-        g = np.empty_like(gram)
-        g[..., 0, 0] = gram[..., 1, 1]
-        g[..., 1, 1] = gram[..., 0, 0]
-        g[..., 0, 1] = -gram[..., 0, 1]
-        g[..., 1, 0] = -gram[..., 1, 0]
-        g /= det[..., None, None]
+    gram = _gram_matrix(X)
+    if gram.shape[-1] <= 3:
+        g = _adjugate_inverse(gram)
     else:
         g = in_layout_of(gram, np.linalg.inv(gram))
     return gram, g, np.einsum("...ir,...ij->...rj", X, g)
@@ -286,7 +315,7 @@ def levi_civita_christoffel(system: SdeSystem, cid: str, x: np.ndarray) -> np.nd
     """G^i_{jk} = g^{il} (d_j g_{lk} + d_k g_{lj} - d_l g_{jk}) / 2."""
     x = np.asarray(x, dtype=float)
     g_of = _metric_field(system, cid)
-    ginv = _gram_inverse(system.coeff_x(cid, x))[0]  # g^-1 = X X^T, no inverse
+    ginv = _gram_matrix(system.coeff_x(cid, x))  # g^-1 = X X^T, no inverse
     dg = system.oracle.jacobian(g_of, x)  # (..., l, k, j): d_j g_{lk}
     djglk = np.moveaxis(dg, -1, -3)  # [j, l, k]
     gamma = 0.5 * (np.einsum("...il,...jlk->...ijk", ginv, djglk)
@@ -376,11 +405,16 @@ def lie_bracket(u_field: Callable, v_field: Callable, x: np.ndarray,
 
 
 def curvature_from_christoffel(system: SdeSystem, cid: str, x: np.ndarray,
-                               kind: str = "lw") -> np.ndarray:
-    """R^i_{jkl} = d_j G^i_{kl} - d_k G^i_{jl} + G^i_{jp} G^p_{kl} - G^i_{kp} G^p_{jl}."""
+                               kind: str = "lw", gamma: np.ndarray | None = None) -> np.ndarray:
+    """R^i_{jkl} = d_j G^i_{kl} - d_k G^i_{jl} + G^i_{jp} G^p_{kl} - G^i_{kp} G^p_{jl}.
+
+    ``gamma`` is ``christoffel(kind)`` at ``x`` when the caller has it; the
+    field is differentiated either way.
+    """
     x = np.asarray(x, dtype=float)
     gamma_field = lambda y: christoffel(system, cid, y, kind)
-    gamma = gamma_field(x)
+    if gamma is None:
+        gamma = gamma_field(x)
     dg = system.oracle.jacobian(gamma_field, x)  # (..., i, k, l, j): d_j G^i_{kl}
     djGikl = np.moveaxis(dg, -1, -4)      # [j, i, k, l]
     term_d = (np.einsum("...jikl->...ijkl", djGikl)
@@ -425,15 +459,24 @@ def sectional_curvature(R: np.ndarray, g: np.ndarray, u: np.ndarray, v: np.ndarr
 # ---------------------------------------------------------------------------
 
 
-def _unit(rng: np.random.Generator, n: int) -> np.ndarray:
-    v = rng.normal(size=n)
-    return v / np.linalg.norm(v)
-
-
-def _probes(n_probes: int, draw: Callable[[], tuple]) -> tuple[np.ndarray, ...]:
-    """Call ``draw`` once per probe, in order, and stack each of its outputs
-    along a leading probe axis of length ``n_probes``."""
-    return tuple(np.array(col) for col in zip(*(draw() for _ in range(n_probes))))
+def _probes(rng: np.random.Generator, n_probes: int, *parts) -> tuple[np.ndarray, ...]:
+    """``n_probes`` probes of ``parts``, each part on a leading probe axis: a
+    part ``k`` is a unit vector in R^k, a part ``(k, l)`` a matrix of
+    standard normals.  One block of normals holds every probe as a row, its
+    parts in order, so the values are those of drawing probe after probe and
+    part after part; a unit part is scaled by ``_dot``'s norm, which matches
+    ``np.linalg.norm`` of one vector bit for bit."""
+    sizes = [int(np.prod(part)) for part in parts]
+    block = rng.normal(size=(n_probes, sum(sizes)))
+    out, start = [], 0
+    for part, size in zip(parts, sizes):
+        v = block[:, start:start + size]
+        start += size
+        if np.ndim(part) == 0:
+            out.append(v / np.sqrt(_dot(v, v))[:, None])
+        else:
+            out.append(np.ascontiguousarray(v).reshape((n_probes, *part)))
+    return tuple(out)
 
 
 def _gnorm(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -467,7 +510,7 @@ def defining_property_residual(pd: PointData, n_probes: int = 8,
     """
     system = pd.system
     rng = np.random.default_rng(seed)
-    u, v = _probes(n_probes, lambda: (_unit(rng, system.m), _unit(rng, system.n)))
+    u, v = _probes(rng, n_probes, system.m, system.n)
     e = np.einsum("...rs,ps->...pr", pd.PT, u)                 # (..., K, m)
     nrm = np.linalg.norm(e, axis=-1)
     keep = nrm >= 1e-12
@@ -490,7 +533,7 @@ def pairing_derivative_residual(pd: PointData, kind: str = "lw",
     gamma = pd.gamma if kind == "lw" else christoffel(pd.system, pd.cid, pd.x, kind)
     gradX = _grad_x(pd.DX, gamma, pd.X)
     rng = np.random.default_rng(seed)
-    z, v = _probes(n_probes, lambda: (_unit(rng, pd.system.n), _unit(rng, pd.system.n)))
+    z, v = _probes(rng, n_probes, pd.system.n, pd.system.n)
     nabv = np.einsum("...aij,pj->...pai", gradX, v)           # columns nab_v X^i
     gz = np.einsum("...ab,pb->...pa", pd.g, z)
     w1 = np.einsum("...pai,...pa->...pi", nabv, gz)           # <Z, nab_v X^i>_g
@@ -512,14 +555,20 @@ def metricity_residual(pd: PointData, kind: str = "lw", n_probes: int = 8,
                        seed: int = 2) -> np.ndarray:
     """max over probe fields of |d<Z,Z>_g(v) - 2 <nab_v Z, Z>_g|, per point
     of ``pd.x`` (shape ``(..., n)``), for ``christoffel(kind)``'s connection."""
+    gamma = christoffel(pd.system, pd.cid, pd.x, kind)
+    return _metricity_residuals(pd, [gamma], n_probes, seed)[0]
+
+
+def _metricity_residuals(pd: PointData, gammas: list[np.ndarray], n_probes: int = 8,
+                         seed: int = 2) -> list[np.ndarray]:
+    """``metricity_residual`` of each connection in ``gammas`` (its
+    Christoffels at ``pd.x``), from one set of probe derivatives."""
     system, x = pd.system, pd.x
     oracle = system.oracle
-    gamma = christoffel(system, pd.cid, x, kind)
     g_of = _metric_field(system, _on_probes(pd.cid))
     rng = np.random.default_rng(seed)
     n = system.n
-    z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
-                                            _unit(rng, n)))
+    z0, mat, v = _probes(rng, n_probes, n, (n, n), n)
     z_field = _linear_fields(x, z0, mat)
 
     def sq_field(y: np.ndarray) -> np.ndarray:
@@ -528,10 +577,13 @@ def metricity_residual(pd: PointData, kind: str = "lw", n_probes: int = 8,
 
     xk = x[..., None, :]
     lhs = oracle.directional(sq_field, xk, v)
-    nab = (oracle.directional(z_field, xk, v)
-           + np.einsum("...ijk,pj,pk->...pi", gamma, v, z0))
-    rhs = 2.0 * np.einsum("...pi,...ij,pj->...p", nab, pd.g, z0)
-    return np.max(np.abs(lhs - rhs), axis=-1)
+    dz = oracle.directional(z_field, xk, v)
+    out = []
+    for gamma in gammas:
+        nab = dz + np.einsum("...ijk,pj,pk->...pi", gamma, v, z0)
+        rhs = 2.0 * np.einsum("...pi,...ij,pj->...p", nab, pd.g, z0)
+        out.append(np.max(np.abs(lhs - rhs), axis=-1))
+    return out
 
 
 TSS_TOL = 1e-6  # the skew-torsion verdict, on either tss_check route
@@ -546,7 +598,8 @@ def _torsion_skew(pd: PointData) -> tuple:
     """
     g = pd.g
     rng = np.random.default_rng(3)
-    u, v, w = _probes(8, lambda: tuple(_unit(rng, pd.system.n) for _ in range(3)))
+    n = pd.system.n
+    u, v, w = _probes(rng, 8, n, n, n)
     tuv = np.einsum("...ijk,pj,pk->...pi", pd.torsion, u, v)
     twv = np.einsum("...ijk,pj,pk->...pi", pd.torsion, w, v)
     skew = (np.einsum("...pi,...ij,pj->...p", tuv, g, w)
@@ -589,8 +642,7 @@ def lw_lc_split_residual(pd: PointData, n_probes: int = 6, seed: int = 4) -> tup
     gamma_lc = pd.gamma_lc
     rng = np.random.default_rng(seed)
     n = pd.system.n
-    z0, mat, v = _probes(n_probes, lambda: (_unit(rng, n), rng.normal(size=(n, n)),
-                                            _unit(rng, n)))
+    z0, mat, v = _probes(rng, n_probes, n, (n, n), n)
     dz = pd.system.oracle.directional(_linear_fields(pd.x, z0, mat), pd.x[..., None, :], v)
     lc = dz + np.einsum("...ijk,pj,pk->...pi", gamma_lc, v, z0)
     lw = dz + np.einsum("...ijk,pj,pk->...pi", pd.gamma, v, z0)
@@ -623,8 +675,7 @@ def connection_routes_residual(pd: PointData, n_probes: int = 4,
     oracle = system.oracle
     rng = np.random.default_rng(seed)
     n = system.n
-    z0, mat, vmat, v = _probes(n_probes, lambda: (
-        _unit(rng, n), rng.normal(size=(n, n)), rng.normal(size=(n, n)), _unit(rng, n)))
+    z0, mat, vmat, v = _probes(rng, n_probes, n, (n, n), (n, n), n)
     xk = np.broadcast_to(x[..., None, :], x.shape[:-1] + (n_probes, n))
     pcid = _on_probes(pd.cid)
     z_field = _linear_fields(x, z0, mat)

@@ -2,7 +2,8 @@
 
 Quaternions are ``(..., 4)`` arrays ``(w, x, y, z)``; rotation vectors are
 ``(..., 3)`` arrays (angle = norm, axis = direction).  Small-angle branches
-switch to series below ``eps = 1e-4`` to keep everything smooth.
+switch to series, below ``_EPS = 1e-4`` in ``qexp`` and below
+``_SERIES = 0.1`` in the Jacobians, whose closed forms cancel there.
 
 Conventions used by the group chart: a point near center ``q0`` has
 coordinates ``u`` with ``point(u) = q0 * qexp(u)``, and right-multiplication
@@ -21,9 +22,10 @@ __all__ = [
 ]
 
 _EPS = 1e-4
-# below this angle d and d'(t)/t use series, as their closed forms cancel; at
-# 0.1 both routes are within 1e-13 (d) and 5e-10 (d'(t)/t) relative
-_D_SERIES = 0.1
+# below this angle the Jacobian coefficients c1, c2, d and d'(t)/t use series,
+# as their closed forms cancel; at 0.1 the two routes are within 4e-14 (c1,
+# c2), 1e-13 (d) and 5e-10 (d'(t)/t) relative
+_SERIES = 0.1
 
 
 def hat(u: np.ndarray) -> np.ndarray:
@@ -85,29 +87,45 @@ def qrotmat(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _coeffs(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(1-cos)/t^2, (t-sin)/t^3, d = 1/t^2 - (1+cos)/(2 t sin) and d'(t)/t,
-    with series below ``_EPS`` (the first two) and ``_D_SERIES`` (the rest)."""
-    small = theta < _EPS
-    series = theta < _D_SERIES
-    t2 = theta * theta
-    safe = np.where(small, 1.0, theta)
+def _branches(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta < _SERIES, theta^2, theta with 1 where the series is taken)."""
+    series = theta < _SERIES
+    return series, theta * theta, np.where(series, 1.0, theta)
+
+
+def _c1_c2(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c1 = (1 - cos t)/t^2 and c2 = (t - sin t)/t^3, the coefficients of Jr."""
+    series, t2, safe = _branches(theta)
     with np.errstate(invalid="ignore", divide="ignore"):
-        c1 = np.where(small, 0.5 - t2 / 24.0, (1.0 - np.cos(safe)) / safe**2)
-        c2 = np.where(small, 1.0 / 6.0 - t2 / 120.0, (safe - np.sin(safe)) / safe**3)
-        d = np.where(series, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2**3 / 1209600.0,
-                     1.0 / safe**2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)))
+        c1 = np.where(series, 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2**3 / 40320.0
+                      + t2**4 / 3628800.0, (1.0 - np.cos(safe)) / safe**2)
+        c2 = np.where(series, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0 - t2**3 / 362880.0
+                      + t2**4 / 39916800.0, (safe - np.sin(safe)) / safe**3)
+    return c1, c2
+
+
+def _d(theta: np.ndarray) -> np.ndarray:
+    """d = 1/t^2 - (1+cos t)/(2 t sin t), the coefficient of Jr^-1."""
+    series, t2, safe = _branches(theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(series, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2**3 / 1209600.0,
+                        1.0 / safe**2 - (1.0 + np.cos(safe)) / (2.0 * safe * np.sin(safe)))
+
+
+def _d_prime_over_t(theta: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """d'(t)/t, given d = ``_d(theta)``."""
+    series, t2, safe = _branches(theta)
+    with np.errstate(invalid="ignore", divide="ignore"):
         # d = 1/t^2 - cot(t/2)/(2 t) gives d'/t = (1/(4 sin^2(t/2)) - 1/t^2 - d) / t^2
-        dd = np.where(series, 1.0 / 360.0 + t2 / 7560.0 + t2 * t2 / 201600.0,
-                      (0.25 / np.sin(0.5 * safe) ** 2 - 1.0 / safe**2 - d) / safe**2)
-    return c1, c2, d, dd
+        return np.where(series, 1.0 / 360.0 + t2 / 7560.0 + t2 * t2 / 201600.0,
+                        (0.25 / np.sin(0.5 * safe) ** 2 - 1.0 / safe**2 - d) / safe**2)
 
 
 def right_jacobian(u: np.ndarray) -> np.ndarray:
     """Jr(u) with qexp(u + d) ~ qexp(u) * qexp(Jr(u) d)."""
     u = np.asarray(u, dtype=float)
     theta = np.linalg.norm(u, axis=-1)
-    c1, c2, _, _ = _coeffs(theta)
+    c1, c2 = _c1_c2(theta)
     h = hat(u)
     eye = np.broadcast_to(np.eye(3), h.shape)
     return eye - c1[..., None, None] * h + c2[..., None, None] * (h @ h)
@@ -117,7 +135,7 @@ def right_jacobian_inv(u: np.ndarray) -> np.ndarray:
     """Closed-form inverse of ``right_jacobian``."""
     u = np.asarray(u, dtype=float)
     theta = np.linalg.norm(u, axis=-1)
-    _, _, d, _ = _coeffs(theta)
+    d = _d(theta)
     h = hat(u)
     eye = np.broadcast_to(np.eye(3), h.shape)
     return eye + 0.5 * h + d[..., None, None] * (h @ h)
@@ -130,11 +148,12 @@ def right_jacobian_inv_grad(u: np.ndarray) -> np.ndarray:
     With ``Jr^-1 = I + hat(u)/2 + d(t) hat(u)^2`` and ``t = |u|``, the j-th
     partial is ``hat(e_j)/2 + d (hat(e_j) hat(u) + hat(u) hat(e_j))
     + (d'(t)/t) u_j hat(u)^2``, where ``hat(e_j) hat(u) + hat(u) hat(e_j)
-    = e_j u^T + u e_j^T - 2 u_j I``; ``_coeffs`` gives d and d'(t)/t.
+    = e_j u^T + u e_j^T - 2 u_j I``.
     """
     u = np.asarray(u, dtype=float)
     theta = np.linalg.norm(u, axis=-1)
-    _, _, d, dd = _coeffs(theta)
+    d = _d(theta)
+    dd = _d_prime_over_t(theta, d)
     h = hat(u)
     eye = np.eye(3)
     du = d[..., None] * u

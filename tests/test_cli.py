@@ -624,9 +624,9 @@ VERIFY_ALL = [
 @pytest.mark.parametrize("name,params", VERIFY_ALL, ids=[s[0] for s in VERIFY_ALL])
 def test_each_op_computes_its_point_data_and_levi_civita_field_once(name, params,
                                                                      monkeypatch):
-    # the shape of x at every point_data and levi_civita_christoffel call,
-    # wherever the op looks either up
-    shapes = {"point_data": [], "levi_civita_christoffel": []}
+    # the shape of x at every point_data, levi_civita_christoffel and
+    # lw_christoffel call, wherever the op looks one up
+    shapes = {"point_data": [], "levi_civita_christoffel": [], "lw_christoffel": []}
     for fn, seen in shapes.items():
         inner = getattr(geometry, fn)
 
@@ -644,13 +644,16 @@ def test_each_op_computes_its_point_data_and_levi_civita_field_once(name, params
     cli.run_config({"command": "verify", "scenario": scenario, "n_probes": 4, "seed": 23})
     # the probe batch, then the start point for tss_check
     assert shapes["point_data"] == [probes, (n,)]
-    # curvature_from_christoffel(kind="lc") differentiates its own field
-    assert shapes["levi_civita_christoffel"].count(probes) == 2
+    # both curvature routes differentiate their own fields, but take their
+    # values at the batch from the op: each field is built there once
+    assert shapes["levi_civita_christoffel"].count(probes) == 1
+    assert shapes["lw_christoffel"].count(probes) == 1
 
     for seen in shapes.values():
         seen.clear()
     cli.run_config({"command": "tensors", "scenario": scenario, "n_probes": 4, "seed": 23})
-    assert shapes == {"point_data": [probes], "levi_civita_christoffel": [probes]}
+    assert shapes == {"point_data": [probes], "levi_civita_christoffel": [probes],
+                      "lw_christoffel": []}
 
 
 # -------------------------------------------------------------- simulate

@@ -20,6 +20,7 @@ from flowgeom.geometry import (
     _grad_x,
     _gram_inverse,
     _induced_gamma,
+    _probes,
     _ric_sharp,
     _torsion_skew,
     christoffel,
@@ -680,6 +681,31 @@ def test_gram_inverse_matches_linalg_inv(n, m, batch):
     assert _rel_gap(g, want) <= 1e-12
     assert _rel_gap(gram, X @ np.swapaxes(X, -1, -2)) <= 1e-15
     assert _rel_gap(Y, np.swapaxes(X, -1, -2) @ want) <= 1e-12
+
+
+def _probes_one_by_one(rng, n_probes, *parts):
+    """The reference draw: probe after probe, part after part, a unit vector
+    normalised by ``np.linalg.norm`` of that one vector."""
+    rows = []
+    for _ in range(n_probes):
+        row = []
+        for part in parts:
+            v = rng.normal(size=part)
+            row.append(v / np.linalg.norm(v) if np.ndim(part) == 0 else v)
+        rows.append(row)
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+@pytest.mark.parametrize("parts", [(1,), (2, 3), (3, (3, 3), 3),
+                                   (2, (2, 2), (2, 2), 2), (4, 4, 4), (5, (2, 3))], ids=str)
+@pytest.mark.parametrize("seed", range(6))
+def test_probes_match_a_draw_probe_by_probe(parts, seed):
+    got = _probes(np.random.default_rng(seed), 7, *parts)
+    want = _probes_one_by_one(np.random.default_rng(seed), 7, *parts)
+    assert len(got) == len(want) == len(parts)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.flags.c_contiguous
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

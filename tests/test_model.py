@@ -287,12 +287,35 @@ def _jr_inv_series(u: np.ndarray, terms: int = 24) -> tuple[np.ndarray, np.ndarr
 @pytest.mark.parametrize("radius", [1.0001e-4, 2e-4, 1e-3, 0.0999, 0.1001, 0.5])
 def test_so3_coefficients_match_the_bernoulli_series(radius):
     # just above quat._EPS the closed forms of d and d'(t)/t cancel; their
-    # series branches reach up to quat._D_SERIES instead
+    # series branches reach up to quat._SERIES instead
     u = radius * np.array([0.48, -0.6, 0.64])
     want_x, want_dx = _jr_inv_series(u)
     system = build_scenario("so3-left-invariant", {}).system
     for got, want in ((system.coeff_x("u", u), want_x), (system.coeff_dx("u", u), want_dx)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("radius", [1.0001e-4, 2e-4, 1e-3, 0.0999, 0.1001, 0.5])
+def test_so3_right_jacobian_matches_its_taylor_series(radius):
+    # c1 = (1 - cos t)/t^2 and c2 = (t - sin t)/t^3 cancel as closed forms at
+    # small t; their series branches reach up to quat._SERIES, and either
+    # branch must match the exact sums of their Taylor series
+    from fractions import Fraction
+    from math import factorial
+
+    t2 = Fraction(radius) ** 2
+    want = [float(sum((-t2) ** k / factorial(2 * k + j) for k in range(30))) for j in (2, 3)]
+    got = quat._c1_c2(np.array(radius))
+    for c, w in zip(got, want):
+        assert abs(c - w) <= 1e-13 * w
+    # Jr(u) = sum_k (-hat u)^k / (k+1)!
+    u = radius * np.array([0.48, -0.6, 0.64])
+    h = -quat.hat(u)
+    term, series = np.eye(3), np.eye(3)
+    for k in range(1, 30):
+        term = term @ h / (k + 1)
+        series = series + term
+    assert np.max(np.abs(quat.right_jacobian(u) - series)) <= 1e-14 * np.max(np.abs(series))
 
 
 DA_SCENARIOS = [

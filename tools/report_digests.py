@@ -21,7 +21,9 @@ of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
 twisted-plane, ``generator`` and ``oneform`` on custom over three engine
 blocks (``oneform`` once more with a 1-form given by its components), CLI ``simulate`` plain and recorded, CLI ``verify`` and ``tensors``
 on sphere-gradient at configured points in charts n, s, n plus sampled
-points, the sha256 and the numeric cells of the ``--dump-paths`` CSV of a
+points, CLI ``tensors`` at p = 3 on sphere-gradient n = 2 and n = 3 (the
+moment-form extremes solved point by point, by the angular grid and by the
+restarts), the sha256 and the numeric cells of the ``--dump-paths`` CSV of a
 recorded sphere-gradient run whose paths change chart, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
@@ -128,6 +130,13 @@ def configs() -> list[tuple[str, dict]]:
         out.append((f"{command} sphere-gradient points in charts n, s, n",
                     {"command": command, "scenario": SPHERE, "points": MIXED_POINTS,
                      "n_probes": 4, "seed": 3}))
+    # p != 2: the per-point moment-form solves, angular grid (n = 2) and
+    # restarts (n = 3)
+    for n in (2, 3):
+        out.append((f"tensors sphere-gradient n={n} p=3",
+                    {"command": "tensors",
+                     "scenario": {"name": "sphere-gradient", "params": {"n": n}},
+                     "p": 3.0, "n_probes": 4, "seed": 3}))
     return out
 
 
