@@ -166,16 +166,7 @@ def cmd_tensors(cfg: dict) -> dict:
     p = float(cfg.get("p", 2.0))
     charts, xs = _probe_points(system, cfg, default_samples=4)
     pd = geometry_point(system, charts, xs)
-    if p == 2.0:
-        # one symmetric eigenproblem per point, all solved on the batch
-        h_lo, h_hi = moment_form_extremes(pd, p)
-    else:
-        # otherwise the extremes pick their method and stop by looking at
-        # their whole batch, so each point is solved on its own; g, Ric#,
-        # nab X and nab A are computed here on the batch, so that each row's
-        # bundle slices them
-        pd.ric_sharp, pd.nabla_a
-        h_lo, h_hi = np.array([moment_form_extremes(pd[row], p) for row in range(len(xs))]).T
+    h_lo, h_hi = moment_form_extremes(pd, p)
     entries = []
     for row, (cid, x) in enumerate(zip(charts, xs)):
         entries.append({
@@ -343,6 +334,7 @@ def cmd_verify(cfg: dict) -> dict:
 
 
 def _mc_defaults(check: str) -> dict:
+    """The horizon and step of a check whose own differ from McConfig's."""
     if check in ("generator", "oneform"):
         return {"t": 0.01, "dt": 1e-3}
     if check == "bochner":
@@ -351,23 +343,23 @@ def _mc_defaults(check: str) -> dict:
         return {"t": 1.0, "dt": 1e-3}
     if check == "moments":
         return {"t": 1.0, "dt": 1e-2}
-    return {"t": 0.5, "dt": 1e-2}
+    return {}
 
 
 def _mc_config(cfg: dict, check: str = "") -> McConfig:
-    d = _mc_defaults(check)
-    threads = int(cfg.get("threads", 1))
+    """McConfig's defaults, then the check's horizon and step, then what the
+    config sets, converted so that a JSON ``"t": 1`` reads 1.0."""
+    kw = _mc_defaults(check)
+    for key, conv in (("t", float), ("dt", float), ("n_paths", int), ("seed", int),
+                      ("threads", int), ("k_se", float)):
+        if key in cfg:
+            kw[key] = conv(cfg[key])
     return McConfig(
         system=_build_system(cfg),
-        t=float(cfg.get("t", d["t"])),
-        dt=float(cfg.get("dt", d["dt"])),
-        n_paths=int(cfg.get("n_paths", 1000)),
-        seed=int(cfg.get("seed", 0)),
-        threads=threads,
         cid=cfg.get("chart"),
         x0=np.asarray(cfg["x0"], dtype=float) if "x0" in cfg else None,
         v0=np.asarray(cfg["v0"], dtype=float) if "v0" in cfg else None,
-        k_se=float(cfg.get("k_se", 3.0)),
+        **kw,
     )
 
 

@@ -238,18 +238,6 @@ class PointData:
         return [(name, val) for name, val in vars(self).items()
                 if isinstance(getattr(PointData, name, None), cached_property)]
 
-    def __getitem__(self, rows) -> PointData:
-        """The bundle at ``x[rows]``, holding those rows of every field
-        computed so far; ``cid`` is one chart name per point."""
-        out = PointData(self.system, self.cid[rows], self.x[rows])
-        for name, val in self._computed():
-            if isinstance(val, tuple):
-                val = tuple(v[rows] for v in val)
-            elif val is not None:
-                val = val[rows]
-            out.__dict__[name] = val
-        return out
-
     def scatter(self, rows: np.ndarray, src: PointData) -> None:
         """Write ``src``, a bundle at the points ``x[rows]`` (in their charts
         ``cid[rows]``), into ``rows`` of every field computed so far; a field
@@ -750,13 +738,15 @@ def _g_frame_eigvalsh(M: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def moment_form_extremes(pd: PointData, p: float, *,
                          grid: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """(min, max) of H_p over |v|_g = 1, batched.
+    """(min, max) of H_p over |v|_g = 1, batched; each row is decided by its
+    own values alone, so a row's result does not depend on its batch.
 
-    p = 2, or a vanishing quartic term, reduces to a symmetric eigenproblem.
-    Otherwise, dimension 2 uses a dense angular grid with parabolic
-    refinement; higher dimensions use projected gradient ascent/descent from
-    32 fixed random restarts (seed 2024), each stopping after 300 steps or
-    once no value moves by 1e-8.
+    p = 2 reduces to a symmetric eigenproblem, and so does a row whose own
+    quartic coefficients are all below 1e-12.  Otherwise, dimension 2 uses a
+    dense angular grid with parabolic refinement of the lo and hi directions;
+    higher dimensions use projected gradient ascent/descent from 32 fixed
+    random restarts (seed 2024), a row stopping once none of its restarts
+    moves by 1e-8, and every row after 300 steps.
     """
     if p == 2.0:
         evals = _g_frame_eigvalsh(moment_quadratic(pd), pd.g)
@@ -764,11 +754,11 @@ def moment_form_extremes(pd: PointData, p: float, *,
     B = moment_quadratic(pd)
     Linv = np.linalg.inv(np.linalg.cholesky(pd.g))
     Cit = np.einsum("...ab,...kbc,...dc->...kad", Linv, _moment_quartics(pd), Linv)
-    quart_scale = float(np.max(np.abs(Cit))) if Cit.size else 0.0
-    if quart_scale < 1e-12:
-        evals = _g_frame_eigvalsh(B, pd.g)
-        return evals[..., 0], evals[..., -1]
     Bt = Linv @ B @ np.swapaxes(Linv, -1, -2)
+    flat = np.max(np.abs(Cit), axis=(-3, -2, -1), initial=0.0) < 1e-12
+    if flat.all():
+        evals = np.linalg.eigvalsh(Bt)
+        return evals[..., 0], evals[..., -1]
     n = B.shape[-1]
 
     def objective(y: np.ndarray) -> np.ndarray:
@@ -780,52 +770,52 @@ def moment_form_extremes(pd: PointData, p: float, *,
     if n == 2:
         th = np.linspace(0.0, np.pi, grid, endpoint=False)
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)  # (grid, 2)
-        y = np.broadcast_to(dirs, B.shape[:-2] + dirs.shape)
-        f = objective(y)
-        dth = np.pi / grid
+        f = objective(np.broadcast_to(dirs, B.shape[:-2] + dirs.shape))
+        idx = np.stack([np.argmin(f, axis=-1), np.argmax(f, axis=-1)], axis=-1)
+        f0 = np.take_along_axis(f, (idx - 1) % grid, -1)
+        f1 = np.take_along_axis(f, idx, -1)
+        f2 = np.take_along_axis(f, (idx + 1) % grid, -1)
+        denom = f0 - 2.0 * f1 + f2
+        shift = np.where(np.abs(denom) > 1e-300, 0.5 * (f0 - f2) / np.where(denom == 0, 1.0, denom), 0.0)
+        t = th[idx] + np.clip(shift, -1.0, 1.0) * (np.pi / grid)
+        # lo and hi in one call: a one-direction call sums in an order that
+        # depends on the batch shape
+        vals = objective(np.stack([np.cos(t), np.sin(t)], axis=-1))
+        lo, hi = vals[..., 0], vals[..., 1]
+    else:
+        # generic: projected gradient from fixed restarts
+        rng = np.random.default_rng(2024)
+        starts = rng.normal(size=(32, n))
+        starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
+        y = np.broadcast_to(starts, B.shape[:-2] + starts.shape).copy()
 
-        def refine(idx):
-            f0 = np.take_along_axis(f, ((idx - 1) % grid)[..., None], -1)[..., 0]
-            f1 = np.take_along_axis(f, idx[..., None], -1)[..., 0]
-            f2 = np.take_along_axis(f, ((idx + 1) % grid)[..., None], -1)[..., 0]
-            denom = f0 - 2.0 * f1 + f2
-            shift = np.where(np.abs(denom) > 1e-300, 0.5 * (f0 - f2) / np.where(denom == 0, 1.0, denom), 0.0)
-            shift = np.clip(shift, -1.0, 1.0)
-            t = th[idx] + shift * dth
-            yref = np.stack([np.cos(t), np.sin(t)], axis=-1)[..., None, :]
-            return objective(yref)[..., 0]
+        def grad(yv: np.ndarray) -> np.ndarray:
+            gq = 2.0 * np.einsum("...ij,...kj->...ki", Bt, yv)
+            pair = np.einsum("...ki,...aij,...kj->...ka", yv, Cit, yv)
+            gquart = 4.0 * (p - 2.0) * np.einsum("...ka,...aij,...kj->...ki", pair, Cit, yv)
+            return gq + gquart
 
-        hi = refine(np.argmax(f, axis=-1))
-        lo = refine(np.argmin(f, axis=-1))
-        return lo, hi
-
-    # generic: projected gradient from fixed restarts
-    rng = np.random.default_rng(2024)
-    starts = rng.normal(size=(32, n))
-    starts /= np.linalg.norm(starts, axis=-1, keepdims=True)
-    y = np.broadcast_to(starts, B.shape[:-2] + starts.shape).copy()
-
-    def grad(yv: np.ndarray) -> np.ndarray:
-        gq = 2.0 * np.einsum("...ij,...kj->...ki", Bt, yv)
-        pair = np.einsum("...ki,...aij,...kj->...ka", yv, Cit, yv)
-        gquart = 4.0 * (p - 2.0) * np.einsum("...ka,...aij,...kj->...ki", pair, Cit, yv)
-        return gq + gquart
-
-    outs = []
-    for sign in (1.0, -1.0):
-        yv = y.copy()
-        step = 0.05
-        prev = objective(yv)
-        for _ in range(300):
-            yv = yv + sign * step * grad(yv)
-            yv /= np.linalg.norm(yv, axis=-1, keepdims=True)
-            cur = objective(yv)
-            if float(np.max(np.abs(cur - prev))) < 1e-8:
-                break
-            prev = cur
-        vals = objective(yv)
-        outs.append(np.max(vals, axis=-1) if sign > 0 else np.min(vals, axis=-1))
-    return outs[1], outs[0]
+        outs = []
+        for sign in (1.0, -1.0):
+            yv = y.copy()
+            moving = ~flat
+            prev = objective(yv)
+            for _ in range(300):
+                if not moving.any():
+                    break
+                step = yv + sign * 0.05 * grad(yv)
+                step /= np.linalg.norm(step, axis=-1, keepdims=True)
+                yv = np.where(moving[..., None, None], step, yv)
+                cur = objective(yv)
+                moving = moving & (np.max(np.abs(cur - prev), axis=-1) >= 1e-8)
+                prev = cur
+            vals = objective(yv)
+            outs.append(np.max(vals, axis=-1) if sign > 0 else np.min(vals, axis=-1))
+        lo, hi = outs[1], outs[0]
+    if flat.any():
+        evals = np.linalg.eigvalsh(Bt[flat])
+        lo[flat], hi[flat] = evals[:, 0], evals[:, -1]
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -931,8 +921,7 @@ def codifferential_1form(system: SdeSystem, cid: str, x: np.ndarray,
     """delta-bar phi = -sum_i (nab^_{X^i} phi)(X^i) = -g^{jk} S_{jk}, batched."""
     x = np.asarray(x, dtype=float)
     S = _hat_nabla_1form(system, cid, phi)(x)
-    X = system.coeff_x(cid, x)
-    ginv = X @ np.swapaxes(X, -1, -2)
+    ginv = _gram_matrix(system.coeff_x(cid, x))
     return -np.einsum("...jk,...jk->...", ginv, S)
 
 
@@ -1011,8 +1000,7 @@ def one_form_generator_hodge(pd: PointData, phi: Callable, v: np.ndarray) -> np.
     U = (dl
          - np.einsum("...plj,...pk->...ljk", gamma_adj, ps)
          - np.einsum("...plk,...jp->...ljk", gamma_adj, ps))
-    X = system.coeff_x(cid, x)
-    ginv = X @ np.swapaxes(X, -1, -2)
+    ginv = _gram_matrix(system.coeff_x(cid, x))
     dbar_dphi = -np.einsum("...lj,...ljk->...k", ginv, U)
     val = -0.5 * _dot(dbar_dphi + d_dbar, v)
     if system.has_drift:

@@ -82,8 +82,11 @@ out a one-row einsum or ufunc result by its inner axes alone, which loses
 the layout and with it einsum's summation order, so a lone path runs twice
 in its block and a lone switched row is evaluated twice.  So a path's
 values do not depend on how many paths share its block or its chart
-switch.  ``SimResult`` holds C-ordered arrays, as every caller
-outside the engine does.
+switch.  Nor do its ``hp_lo``/``hp_hi``: the moment-form extremes pick
+their route and stop row by row
+(``test_a_path_does_not_depend_on_its_block_for_the_moment_form``).
+``SimResult`` holds C-ordered arrays, as every caller outside the engine
+does.
 
 Conventions: "∘dB" equations step with Heun (predictor-corrector); explicit
 Ito sums (anti-developments, the covariant derivative-flow equation) use

@@ -404,6 +404,49 @@ def test_moment_form_extremes_deterministic(sphere):
     assert a == b
 
 
+# n = 2 takes the angular grid, n = 3 the restarts
+MOMENT_CUSTOM = {
+    2: {"n": 2, "m": 3,
+        "x_entries": [["cos(x1)", "sin(x1)*x2", "0.3"], ["0.2*x1", "cos(x2)", "sin(x2)"]],
+        "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]},
+    3: {"n": 3, "m": 4,
+        "x_entries": [["1 + 0.3*sin(x2)", "0.2*x3", "0", "0.4*x1"],
+                      ["0.1*x1", "1", "0.2*cos(x3)", "0.3*x3"],
+                      ["0", "0.3*x2", "1 + 0.1*x1*x1", "0.5*sin(x1)"]]},
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+def test_moment_form_extremes_of_a_batch_are_those_of_each_row(n, p):
+    # each row picks its route and stops on its own values, bit for bit
+    sys = system_of("custom", MOMENT_CUSTOM[n])
+    xs = np.array([x for _, x in sys.sample_points(np.random.default_rng(0), 8)])
+    lo, hi = moment_form_extremes(point_data(sys, "u", xs), p)
+    for row, x in enumerate(xs):
+        assert (lo[row], hi[row]) == moment_form_extremes(point_data(sys, "u", x), p)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_moment_form_extremes_take_the_eigen_route_row_by_row(n):
+    # X = (I | x1^2 e1) has DX = 0, and so nab X = 0, where x1 = 0: the
+    # quartic term vanishes on those rows alone, which read the p = 2
+    # extremes; the drift makes them nonzero
+    entries = [[str(int(i == j)) for j in range(n)] + ["x1*x1" if i == 0 else "0"]
+               for i in range(n)]
+    drift = ["-x1 - 0.5*x2", "0.3*x1 - x2", "0.2*x1 - x3"][:n]
+    sys = system_of("custom", {"n": n, "m": n + 1, "x_entries": entries, "a_entries": drift})
+    xs = np.array([[0.0, 0.3, 0.1], [0.5, -0.2, 0.4], [0.0, 1.0, -0.3]])[:, :n]
+    pd = point_data(sys, "u", xs)
+    lo, hi = moment_form_extremes(pd, 3.0)
+    lo2, hi2 = moment_form_extremes(pd, 2.0)
+    assert lo[[0, 2]].tolist() == lo2[[0, 2]].tolist()
+    assert hi[[0, 2]].tolist() == hi2[[0, 2]].tolist()
+    assert (lo[1], hi[1]) != (lo2[1], hi2[1])
+    for row, x in enumerate(xs):
+        assert (lo[row], hi[row]) == moment_form_extremes(point_data(sys, "u", x), 3.0)
+
+
 # ---------------------------------------------------------------- 1-forms
 
 

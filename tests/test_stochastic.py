@@ -154,6 +154,21 @@ def test_a_path_does_not_depend_on_its_block_length(name, params, cid, x0, need)
                                           err_msg=f"{field_name}, {n_paths} paths")
 
 
+@pytest.mark.parametrize("hp_p, seed", [(3.0, 5), (4.0, 1)])
+def test_a_path_does_not_depend_on_its_block_for_the_moment_form(hp_p, seed):
+    # the moment-form extremes decide their route and stop row by row, so
+    # paths 0-1 of a 2-path run equal those of an 8-path run bit for bit
+    sys = system_of("custom", {
+        "n": 3, "m": 4,
+        "x_entries": [["1 + 0.3*sin(x2)", "0.2*x3", "0", "0.4*x1"],
+                      ["0.1*x1", "1", "0.2*cos(x3)", "0.3*x3"],
+                      ["0", "0.3*x2", "1 + 0.1*x1*x1", "0.5*sin(x1)"]]})
+    run = dict(t=0.02, dt=0.01, seed=seed, hp_p=hp_p, need={"hp_lo", "hp_hi"})
+    short, long = (simulate(sys, n_paths=n, **run) for n in (2, 8))
+    for field_name in ("hp_lo", "hp_hi"):
+        assert np.array_equal(getattr(short, field_name), getattr(long, field_name)[:2])
+
+
 # ------------------------------------------------------------ determinism
 
 

@@ -21,9 +21,9 @@ of every check on sphere-gradient, ``filtered`` on so3-left-invariant and
 twisted-plane, ``generator`` and ``oneform`` on custom over three engine
 blocks (``oneform`` once more with a 1-form given by its components), CLI ``simulate`` plain and recorded, CLI ``verify`` and ``tensors``
 on sphere-gradient at configured points in charts n, s, n plus sampled
-points, CLI ``tensors`` at p = 3 on sphere-gradient n = 2 and n = 3 (the
-moment-form extremes solved point by point, by the angular grid and by the
-restarts), the sha256 and the numeric cells of the ``--dump-paths`` CSV of a
+points, CLI ``tensors`` at p = 3 on sphere-gradient n = 2 and n = 3 and on
+custom (the moment-form extremes decided row by row, by the angular grid and
+by the restarts), the sha256 and the numeric cells of the ``--dump-paths`` CSV of a
 recorded sphere-gradient run whose paths change chart, the API-only checks
 ``ito_pathwise_check``, ``weak_order_check`` and ``se_scaling_check``, the
 oracle's ``jacobian`` of ``coeff_x``, of the metric field and of the induced
@@ -38,7 +38,9 @@ on each scenario, every array of
 sphere-gradient runs (n = 2 and 3) started near the switching radius in
 either chart, where most paths change chart, and every array of a
 sphere-gradient (n = 2) run on the twice-coarsened stream
-(``simulate(..., coarsen=2)``) over two engine blocks.  The ``record``
+(``simulate(..., coarsen=2)``) over two engine blocks, and every array of
+a short custom n = 3 run with ``hp_p = 3`` (the moment-form restarts in the
+engine).  The ``record``
 labels run with a snapshot at every step
 (``simulate(..., at=range(steps + 1))``) and stack each series over the
 snapshots.
@@ -88,6 +90,12 @@ SCENARIOS = (
                 "a_entries": ["-0.5*x1", "-0.5*sin(x2)"]}),
 )
 
+# a custom system with n = 3, so the moment-form extremes take the restarts
+CUSTOM_N3 = {"n": 3, "m": 4,
+             "x_entries": [["1 + 0.3*sin(x2)", "0.2*x3", "0", "0.4*x1"],
+                           ["0.1*x1", "1", "0.2*cos(x3)", "0.3*x3"],
+                           ["0", "0.3*x2", "1 + 0.1*x1*x1", "0.5*sin(x1)"]]}
+
 
 def configs() -> list[tuple[str, dict]]:
     """(label, CLI config) for every config-driven report."""
@@ -130,13 +138,16 @@ def configs() -> list[tuple[str, dict]]:
         out.append((f"{command} sphere-gradient points in charts n, s, n",
                     {"command": command, "scenario": SPHERE, "points": MIXED_POINTS,
                      "n_probes": 4, "seed": 3}))
-    # p != 2: the per-point moment-form solves, angular grid (n = 2) and
-    # restarts (n = 3)
+    # p != 2: the moment-form extremes decided row by row, angular grid
+    # (n = 2) and restarts (n = 3)
     for n in (2, 3):
         out.append((f"tensors sphere-gradient n={n} p=3",
                     {"command": "tensors",
                      "scenario": {"name": "sphere-gradient", "params": {"n": n}},
                      "p": 3.0, "n_probes": 4, "seed": 3}))
+    out.append(("tensors custom n=2 p=3",
+                {"command": "tensors", "scenario": {"name": "custom", "params": SCENARIOS[-1][1]},
+                 "p": 3.0, "n_probes": 4, "seed": 3}))
     return out
 
 
@@ -330,6 +341,11 @@ def engine_arrays() -> list[tuple[str, dict]]:
                            threads=2, x0=x0, cid=cid)
             out.append((f"{label} hp_p=2.0", arrays(res)))
             out.append((f"{label} record", recorded(system, 0.2, x0=x0, cid=cid)))
+    # the moment-form restarts (n = 3) in the engine, each row stopping on its
+    # own; kept short, since on this system they run to their step cap
+    system = build_scenario("custom", CUSTOM_N3).system
+    res = simulate(system, t=0.02, dt=1e-2, n_paths=16, seed=9, hp_p=3.0)
+    out.append(("simulate arrays custom n=3 m=4 hp_p=3.0", arrays(res)))
     # the dt/4 stream summed in pairs twice, drawn per block of a 2100-path run
     system = build_scenario("sphere-gradient", {"n": 2}).system
     res = simulate(system, t=0.3, dt=1e-2, n_paths=2100, seed=9, threads=2, coarsen=2)
