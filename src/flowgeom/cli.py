@@ -45,6 +45,7 @@ from .estimators import (
     _FILTERED_NEEDS,
     McConfig,
     _resolve_v0,
+    _simulate,
     bismut_gradient,
     bochner_decay_check,
     decomposition_check,
@@ -76,7 +77,7 @@ from .geometry import (
 )
 from .model import _stack_points, build_scenario
 from .schema import Validator
-from .stochastic import BLOCK, _step_count, simulate
+from .stochastic import BLOCK, _step_count
 
 __all__ = ["main", "load_config", "run_config"]
 
@@ -366,7 +367,6 @@ def _mc_config(cfg: dict, check: str = "") -> McConfig:
 def cmd_simulate(cfg: dict):
     t0 = time.perf_counter()
     mc = _mc_config(cfg)
-    cid, x0 = mc.start()
     at = ()
     if cfg.get("record", False):
         # a recorded run keeps a copy of every field at every step
@@ -374,9 +374,7 @@ def cmd_simulate(cfg: dict):
             raise BadParams(f"record keeps every step of every path and supports at "
                             f"most {BLOCK} paths, got n_paths={mc.n_paths}")
         at = range(_step_count(mc.t, mc.dt) + 1)
-    res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
-                   x0=x0, cid=cid, threads=mc.threads, at=at,
-                   need=_FILTERED_NEEDS | {"recon_err"})  # what the report and the CSV read
+    res = _simulate(mc, _FILTERED_NEEDS | {"recon_err"}, at=at)  # what the report and CSV read
     alive = res.alive
     n_alive = int(alive.sum())
     if n_alive < 2:  # the terminal standard error needs two paths
@@ -597,10 +595,7 @@ def _run(args) -> int:
             report = run_config(cfg)
             if dump and cfg["command"] == "estimate":
                 mc = _mc_config(cfg, cfg["check"])
-                cid, x0 = mc.start()
-                res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths,
-                               seed=mc.seed, x0=x0, cid=cid, threads=mc.threads,
-                               need=_FILTERED_NEEDS)
+                res = _simulate(mc, _FILTERED_NEEDS)
                 _dump_paths_csv(dump, res, _resolve_v0(mc, res))
     except (ConfigError, BadParams, UnknownScenario, ExprError, DegenerateX) as exc:
         # DegenerateX: X loses rank at a point the config names or samples

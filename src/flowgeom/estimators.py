@@ -273,8 +273,8 @@ def _resolve_v0(cfg: McConfig, res: SimResult) -> np.ndarray:
     return _frame0(res)[:, 0]
 
 
-def _default_panel(d: int, max_coords: int = 3) -> list[str]:
-    names = [f"x{k + 1}" for k in range(min(d, max_coords))]
+def _default_panel(d: int) -> list[str]:
+    names = [f"x{k + 1}" for k in range(min(d, 3))]
     if d >= 2:
         names.append("x1*x2")
     return names
@@ -288,8 +288,7 @@ def _gradx_vanishes(system: SdeSystem, cfg: McConfig) -> bool:
 
 
 def _report(check: str, cfg: McConfig, rows: list[CheckRow], res: SimResult | None,
-            t0: float, notes: dict | None = None, *, t: float | None = None,
-            dt: float | None = None, n_paths: int | None = None) -> McReport:
+            t0: float, notes: dict | None = None, *, n_paths: int | None = None) -> McReport:
     return McReport(
         check=check,
         scenario=cfg.system.name,
@@ -297,8 +296,8 @@ def _report(check: str, cfg: McConfig, rows: list[CheckRow], res: SimResult | No
         n_paths=res.n_paths if res is not None else (n_paths or cfg.n_paths),
         n_dropped=res.n_dropped if res is not None else 0,
         seed=cfg.seed,
-        t=res.t if res is not None else (cfg.t if t is None else t),
-        dt=res.dt if res is not None else (cfg.dt if dt is None else dt),
+        t=res.t if res is not None else cfg.t,
+        dt=res.dt if res is not None else cfg.dt,
         wall_time=time.perf_counter() - t0,
         notes=notes or {},
     )
@@ -399,15 +398,15 @@ def filtered_expectation_check(cfg: McConfig,
 
 
 def _circle_ptf_derivative(theta0: float, t: float,
-                           f: Callable[[np.ndarray], np.ndarray], n_terms: int = 7,
-                           grid: int = 4096) -> float:
+                           f: Callable[[np.ndarray], np.ndarray]) -> float:
     """d/dtheta0 of P_t f on the circle via the wrapped Gaussian kernel.
 
-    f is a field of the embedded coordinates (cos theta, sin theta);
-    the kernel derivative keeps ``n_terms`` images of the Gaussian.
+    f is a field of the embedded coordinates (cos theta, sin theta) on a
+    4096-point grid; the kernel derivative keeps 7 images of the Gaussian.
     """
+    grid = 4096
     th = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
-    ks = np.arange(-(n_terms // 2), n_terms // 2 + 1)
+    ks = np.arange(-3, 4)
     z = theta0 - th[None, :] + 2.0 * np.pi * ks[:, None]
     dkernel = np.sum(-z / t * np.exp(-z * z / (2.0 * t)), axis=0) / sqrt(2.0 * np.pi * t)
     fvals = f(np.stack([np.cos(th), np.sin(th)]).T)  # (grid, 2), each column contiguous

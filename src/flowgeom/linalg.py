@@ -11,7 +11,8 @@ extrapolation::
     D(h)   = (f(x + h v) - f(x - h v)) / (2 h)            error O(h^2)
     level 1: (4 D(h/2) - D(h)) / 3                        error O(h^4)
 
-Steps are relative: the base step is ``h0 * max(1, |x|)``.
+Steps are relative: the base step is ``h = h0 * max(1, |x|)`` with
+``DerivOracle.h0 = 1e-4``, and the one level takes ``D(h)`` and ``D(h/2)``.
 
 Memory layout: a batch of points ``(P, n)`` is either C-ordered (the
 pointwise geometry, the checks' point sets) or in engine layout, where the
@@ -21,9 +22,9 @@ keeps every array it holds.  ``path_fastest`` tells them apart and
 keep the layout they are given; ``as_engine`` lays a batch out that way
 and ``in_layout_of`` copies a result back into its points' layout.
 
-Both derivatives make one field call on one stencil: the +/- pair at each of
-the ``L + 1`` Richardson levels is stacked along a new leading axis of length
-``2 (L + 1)``, ordered ``x + h d, x - h d, x + h/2 d, x - h/2 d, ...``.
+Both derivatives make one field call on one stencil: the +/- pairs at ``h``
+and ``h/2`` are stacked along a new leading axis of length 4, ordered
+``x + h d, x - h d, x + h/2 d, x - h/2 d``.
 ``DerivOracle.directional`` takes ``d = v / |v|`` over every point and
 direction of its batch; ``DerivOracle.jacobian`` is the same derivative along
 the coordinate axes ``d = e_j``, which sit on a second axis of length ``n``
@@ -40,7 +41,6 @@ extra leading axes and keep them in its output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -115,34 +115,13 @@ def _call(f: Callable, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _richardson(samples: list[np.ndarray]) -> np.ndarray:
-    """Collapse a list of O(h^2)-accurate samples at steps h/2^i.
-
-    Standard Neville table for expansions in even powers of h.
-    """
-    table = list(samples)
-    for k in range(1, len(table)):
-        fac = 4.0**k
-        for i in range(len(table) - 1, k - 1, -1):
-            table[i] = (fac * table[i] - table[i - 1]) / (fac - 1.0)
-    return table[-1]
-
-
-@dataclass(frozen=True)
 class DerivOracle:
-    """Finite-difference differentiation of black-box fields.
-
-    h0: relative base step; the effective step at ``x`` is
-        ``h0 * max(1, |x|)``.
-    richardson_levels: number of extrapolation levels (0 = plain central
-        difference).
-
-    Both derivatives evaluate the one stencil of the module docstring in one
-    field call, ``jacobian`` along every ``e_j`` at once.
+    """Finite-difference differentiation of black-box fields, with no
+    settings: both derivatives evaluate the one stencil of the module
+    docstring in one field call, ``jacobian`` along every ``e_j`` at once.
     """
 
-    h0: float = 1e-4
-    richardson_levels: int = 1
+    h0 = 1e-4  # relative base step: the step at ``x`` is ``h0 * max(1, |x|)``
 
     def _step(self, x: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
@@ -151,29 +130,28 @@ class DerivOracle:
     def _central(self, f: Callable, x: np.ndarray, d: np.ndarray) -> np.ndarray:
         """The extrapolated central difference of ``f`` at ``x`` along the
         unit direction(s) ``d``, which broadcast against ``x``: one call of
-        ``f`` on the stencil, written in place level by level."""
+        ``f`` on the 4-row stencil, written in place pair by pair."""
         h = self._step(x)
-        levels = self.richardson_levels + 1
         shape = np.broadcast_shapes(x.shape, d.shape)
-        stencil = np.empty((2 * levels,) + shape)
-        for lvl in range(levels):
-            step = (h / 2.0**lvl)[..., None] * d
-            np.add(x, step, out=stencil[2 * lvl])
-            np.subtract(x, step, out=stencil[2 * lvl + 1])
+        stencil = np.empty((4,) + shape)
+        for row, hl in ((0, h), (2, h / 2.0)):
+            step = hl[..., None] * d
+            np.add(x, step, out=stencil[row])
+            np.subtract(x, step, out=stencil[row + 1])
         del step
         out = _call(f, stencil, x)
         del stencil
         hdiv = np.reshape(h, np.shape(h) + (1,) * (out.ndim - len(shape)))
-        return _richardson([(out[2 * lvl] - out[2 * lvl + 1]) / (2.0 * hdiv / 2.0**lvl)
-                            for lvl in range(levels)])
+        d0 = (out[0] - out[1]) / (2.0 * hdiv)
+        d1 = (out[2] - out[3]) / hdiv
+        return (4.0 * d1 - d0) / 3.0
 
     def directional(self, f: Callable, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Directional derivative ``D f(x)(v)``; linear in ``v``, batched.
 
         ``x`` and ``v`` broadcast against each other over their leading axes;
         the result has shape ``(..., S)``.  The whole stencil is one call of
-        ``f`` on a ``(2 (L + 1), ..., n)`` array.  Rows with ``v = 0`` give
-        zeros.
+        ``f`` on a ``(4, ..., n)`` array.  Rows with ``v = 0`` give zeros.
         """
         x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
         vnorm = np.linalg.norm(v, axis=-1)
@@ -187,7 +165,7 @@ class DerivOracle:
         ``f`` maps ``(..., n)`` arrays to ``(..., S)`` arrays; the result is
         C-contiguous, of shape ``(..., S, n)`` with the differentiation axis
         last.  It is ``directional``'s stencil along every ``e_j`` at once:
-        one call of ``f`` on a ``(2 (L + 1), n) + x.shape`` array, written in
+        one call of ``f`` on a ``(4, n) + x.shape`` array, written in
         place so that a large batch does not also hold a stacked copy of it.
         """
         x = np.asarray(x, dtype=float)

@@ -23,9 +23,8 @@ Charts are plain names, listed in ``SdeSystem.charts``; the base class's
 ``embed`` is the identity on the coordinates.
 
 There is one derivative oracle, ``SdeSystem.oracle``: a class attribute
-holding a frozen ``DerivOracle`` that every system shares.  It serves only
-the second routes of the geometry, which read it from the system they are
-given; no function takes another.
+holding a ``DerivOracle``, which has no settings, so every system shares it.
+It serves only the second routes of the geometry; no function takes another.
 
 Built-in scenarios:
 
@@ -74,7 +73,7 @@ class SdeSystem:
     charts: tuple[str, ...] = ("u",)  # chart names; the first is the default start
     _drift: tuple[Callable, Callable] | None = None  # the fields of A and DA
     guard_radius: float | None = None  # kill paths beyond this coordinate norm
-    oracle: DerivOracle = DerivOracle()  # frozen, so every system shares it
+    oracle: DerivOracle = DerivOracle()  # no settings, so every system shares it
 
     @property
     def has_drift(self) -> bool:

@@ -677,16 +677,17 @@ def test_simulate_with_path_dump(tmp_path):
 
 
 def _record_simulate_calls(monkeypatch):
-    """Wrap the CLI's ``simulate``; returns the list of (kwargs, result)."""
+    """Wrap the engine's ``simulate``, which the CLI reaches through
+    ``estimators._simulate``; returns the list of (kwargs, result)."""
     calls = []
-    real = cli.simulate
+    real = estimators.simulate
 
     def recording(*args, **kwargs):
         res = real(*args, **kwargs)
         calls.append((kwargs, res))
         return res
 
-    monkeypatch.setattr(cli, "simulate", recording)
+    monkeypatch.setattr(estimators, "simulate", recording)
     return calls
 
 

@@ -57,7 +57,7 @@ from flowgeom.geometry import (
     tss_check,
 )
 from flowgeom.expr import evaluate, parse
-from flowgeom.linalg import DerivOracle, as_engine, path_fastest
+from flowgeom.linalg import as_engine, path_fastest
 from flowgeom.model import build_scenario
 
 rng = np.random.default_rng(7)
@@ -337,7 +337,7 @@ def test_covariant_derivative_of_defining_field(sphere):
 
     for _ in range(3):
         v = rng.normal(size=2)
-        dz = covariant_derivative(sphere, cid, x, z_field, v, kind="lw")
+        dz = covariant_derivative(sphere, cid, x, z_field, v)
         assert np.max(np.abs(dz)) < 1e-7
 
 
@@ -351,7 +351,7 @@ def test_lie_bracket_coordinate_fields():
         return np.stack([0.0 * y[..., 0], y[..., 0] * y[..., 1]], axis=-1)
 
     x = np.array([1.0, 2.0])
-    got = lie_bracket(z1, z2, x, DerivOracle())
+    got = lie_bracket(z1, z2, x)
     # [z1, z2] = Dz2 z1 - Dz1 z2
     want = np.array([-x[0] * x[1], x[1] ** 2])
     np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
@@ -366,7 +366,7 @@ def test_lie_bracket_of_linear_fields_batched_over_points_and_probes():
     x = r.normal(size=(5, 1, 3))                  # points, then the probe axis
     u = lambda y: np.einsum("...ij,...j->...i", A, y)
     v = lambda y: np.einsum("...ij,...j->...i", B, y)
-    got = lie_bracket(u, v, x, DerivOracle())
+    got = lie_bracket(u, v, x)
     want = np.einsum("...ij,...j->...i", B @ A - A @ B, x)
     assert got.shape == (5, 6, 3)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
@@ -516,7 +516,7 @@ def test_one_form_generators_are_batch_safe(name, params, spec):
 def test_exterior_derivative_of_exact_form_vanishes(sphere):
     cid, x = "n", np.array([0.5, 0.2])
     phi = one_form_from_spec(sphere, cid, {"d_of": "x2"})
-    d = exterior_derivative_1form(phi, x, DerivOracle())
+    d = exterior_derivative_1form(phi, x)
     assert np.max(np.abs(d)) < 1e-6
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from flowgeom.errors import EvalFailure
 from flowgeom.geometry import _metric_field, lw_christoffel
-from flowgeom.linalg import DerivOracle, _richardson, sym
+from flowgeom.linalg import DerivOracle, sym
 from flowgeom.model import build_scenario
 
 rng = np.random.default_rng(42)
@@ -70,40 +70,39 @@ def test_jacobian_shape_and_values():
     np.testing.assert_allclose(jac, want, rtol=1e-9, atol=1e-10)
 
 
-def test_richardson_levels_tighten_truncation():
+def test_extrapolation_beats_a_plain_central_difference_at_its_step():
+    # the O(h^2) truncation error of D(h) is what the Richardson level removes
     x = np.array([0.5])
-    v = np.array([1.0])
     f = lambda y: np.exp(3.0 * y)
     want = 3.0 * np.exp(1.5)
-    crude = DerivOracle(h0=1e-2, richardson_levels=0)
-    sharp = DerivOracle(h0=1e-2, richardson_levels=2)
-    err_crude = abs(crude.directional(f, x, v)[0] - want)
-    err_sharp = abs(sharp.directional(f, x, v)[0] - want)
-    assert err_sharp < err_crude / 100
+    oracle = DerivOracle()
+    h = oracle._step(x)
+    err_plain = abs((f(x + h) - f(x - h))[0] / (2.0 * h) - want)
+    err_oracle = abs(oracle.directional(f, x, np.array([1.0]))[0] - want)
+    assert err_oracle < err_plain / 100
 
 
 # ------------------------------------------------- stacked-stencil Jacobian
 
 
 def _jacobian_by_column(oracle, f, x):
-    """Reference Jacobian: one call of ``f`` per stencil point."""
+    """Reference Jacobian: one call of ``f`` per stencil point, then
+    ``(4 D(h/2) - D(h)) / 3``."""
     x = np.asarray(x, dtype=float)
     n = x.shape[-1]
     h = oracle._step(x)
-    hdiv = None
     cols = []
     for j in range(n):
         ej = np.zeros(n)
         ej[j] = 1.0
         samples = []
-        for lvl in range(oracle.richardson_levels + 1):
-            hl = h / 2.0**lvl
+        for hl in (h, h / 2.0):
             step = np.asarray(hl)[..., None] * ej
             diff = np.asarray(f(x + step), dtype=float) - np.asarray(f(x - step), dtype=float)
-            if hdiv is None:
-                hdiv = np.reshape(h, np.shape(h) + (1,) * (diff.ndim - np.ndim(h)))
-            samples.append(diff / (2.0 * hdiv / 2.0**lvl))
-        cols.append(_richardson(samples))
+            hdiv = np.reshape(hl, np.shape(hl) + (1,) * (diff.ndim - np.ndim(hl)))
+            samples.append(diff / (2.0 * hdiv))
+        d0, d1 = samples
+        cols.append((4.0 * d1 - d0) / 3.0)
     return np.stack(cols, axis=-1)
 
 
@@ -145,11 +144,11 @@ def test_jacobian_matches_column_at_a_time_reference(name, params, batched):
         assert np.array_equal(got, want), label
 
 
-@pytest.mark.parametrize("levels", [0, 1, 2])
 @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
-def test_jacobian_calls_field_once_per_column_on_its_stencil(levels, shape):
-    # one call in all: every column's +/- points sit once on the one stencil
-    oracle = DerivOracle(h0=1e-3, richardson_levels=levels)
+def test_jacobian_calls_field_once_per_column_on_its_stencil(shape):
+    # one call in all: every column's +/- points at h and h/2 sit once on
+    # the one 4-row stencil
+    oracle = DerivOracle()
     x = rng.normal(size=shape)
     seen = []
 
@@ -161,14 +160,13 @@ def test_jacobian_calls_field_once_per_column_on_its_stencil(levels, shape):
     n = shape[-1]
     assert len(seen) == 1
     y = seen[0]
-    assert y.shape == (2 * (levels + 1), n) + shape and y.flags["C_CONTIGUOUS"]
+    assert y.shape == (4, n) + shape and y.flags["C_CONTIGUOUS"]
     assert jac.shape == shape[:-1] + (2, n) and jac.flags["C_CONTIGUOUS"]
     h = oracle._step(x)[..., None]
     for j, ej in enumerate(np.eye(n)):
-        for lvl in range(levels + 1):
-            step = h / 2.0**lvl * ej
-            assert np.array_equal(y[2 * lvl, j], x + step)
-            assert np.array_equal(y[2 * lvl + 1, j], x - step)
+        for row, hl in ((0, h), (2, h / 2.0)):
+            assert np.array_equal(y[row, j], x + hl * ej)
+            assert np.array_equal(y[row + 1, j], x - hl * ej)
 
 
 def test_nested_jacobian_calls_inner_field_once():
@@ -235,7 +233,7 @@ def test_jacobian_error_on_a_batch_stays_short():
 
 def _directional_by_point(oracle, f, x, v):
     """Reference directional derivative: one call of ``f`` per stencil point
-    of each row of the broadcast ``(x, v)``."""
+    of each row of the broadcast ``(x, v)``, then ``(4 D(h/2) - D(h)) / 3``."""
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     xs, vs = x.reshape(-1, x.shape[-1]), v.reshape(-1, v.shape[-1])
     rows = []
@@ -244,12 +242,12 @@ def _directional_by_point(oracle, f, x, v):
         vhat = vr / vnorm if vnorm else vr
         h = oracle._step(xr)
         samples = []
-        for lvl in range(oracle.richardson_levels + 1):
-            hl = h / 2.0**lvl
+        for hl in (h, h / 2.0):
             fp = np.asarray(f(xr + hl * vhat), dtype=float)
             fm = np.asarray(f(xr - hl * vhat), dtype=float)
             samples.append((fp - fm) / (2.0 * hl))
-        rows.append(vnorm * _richardson(samples))
+        d0, d1 = samples
+        rows.append(vnorm * ((4.0 * d1 - d0) / 3.0))
     return np.stack(rows).reshape(x.shape[:-1] + rows[0].shape)
 
 
@@ -257,10 +255,9 @@ def _poly(y):
     return np.stack([np.sin(y[..., 0]) * y[..., 1], y[..., 2] ** 2], axis=-1)
 
 
-@pytest.mark.parametrize("levels", [0, 1, 2])
 @pytest.mark.parametrize("shape", [(3,), (5, 3), (2, 4, 3)])
-def test_directional_calls_field_once_on_its_stencil(levels, shape):
-    oracle = DerivOracle(h0=1e-3, richardson_levels=levels)
+def test_directional_calls_field_once_on_its_stencil(shape):
+    oracle = DerivOracle()
     x = rng.normal(size=shape)
     v = rng.normal(size=shape)
     seen = []
@@ -272,13 +269,12 @@ def test_directional_calls_field_once_on_its_stencil(levels, shape):
     got = oracle.directional(f, x, v)
     assert len(seen) == 1
     y = seen[0]
-    assert y.shape == (2 * (levels + 1),) + shape
+    assert y.shape == (4,) + shape
     vhat = v / np.linalg.norm(v, axis=-1, keepdims=True)
     h = oracle._step(x)[..., None]
-    for lvl in range(levels + 1):
-        step = h / 2.0**lvl * vhat
-        assert np.array_equal(y[2 * lvl], x + step)
-        assert np.array_equal(y[2 * lvl + 1], x - step)
+    for row, hl in ((0, h), (2, h / 2.0)):
+        assert np.array_equal(y[row], x + hl * vhat)
+        assert np.array_equal(y[row + 1], x - hl * vhat)
     assert got.shape == shape[:-1] + (2,)
     assert np.array_equal(got, _directional_by_point(oracle, _poly, x, v))
 
