@@ -57,13 +57,13 @@ from .estimators import (
 from .geometry import (
     TSS_TOL,
     _g_frame_eigvalsh,
+    _induced_gamma,
     _metricity_residuals,
     adjoint_christoffel,
     connection_routes_residual,
     curvature_from_christoffel,
     defining_property_residual,
     geometry_point,
-    lw_christoffel,
     moment_form_extremes,
     pairing_derivative_residual,
     ricci_bilinear,
@@ -216,9 +216,10 @@ def cmd_verify(cfg: dict) -> dict:
     one chart per point.  The identities take one ``PointData`` on that
     batch, so the op computes each of its fields, the Levi-Civita field
     among them, at most once there; the tss row takes a second one at the
-    start point.  The oracle's induced Christoffels (``lw_christoffel``) are
-    computed once on the batch too, for the curvature route and both
-    metricity rows, which also share their probe derivatives.
+    start point.  The oracle's Jacobian of X is taken once on the batch too:
+    the ``coeff_dx`` row reads it, and so do the induced Christoffels built
+    from it as ``lw_christoffel`` builds them, for the curvature route and
+    both metricity rows, which also share their probe derivatives.
     """
     t0 = time.perf_counter()
     system = _build_system(cfg)
@@ -241,7 +242,8 @@ def cmd_verify(cfg: dict) -> dict:
     T = pd.torsion
     v1, v2 = brackets[:, :, 0], brackets[:, :, 1]  # (P, 2, n)
     tb = torsion_via_bracket(system, cid[:, None], xs[:, None, :], v1, v2)
-    gamma_lw = lw_christoffel(system, cid, xs)
+    dx_fd = system.oracle.jacobian(lambda y: system.coeff_x(cid, y), xs)
+    gamma_lw = _induced_gamma(dx_fd, pd.Y)
     R = curvature_from_christoffel(system, cid, xs, kind="lw", gamma=gamma_lw)
     metricity_lw, metricity_adjoint = _metricity_residuals(
         pd, [gamma_lw, adjoint_christoffel(gamma_lw)])
@@ -250,8 +252,7 @@ def cmd_verify(cfg: dict) -> dict:
     # per identity, the largest residual over the probe points
     worst = {k: float(np.max(r)) for k, r in {
         # the engine's DX and DA (coeff_dx, coeff_da) against the oracle's
-        "coeff_dx": _rel_gap(
-            pd.DX, system.oracle.jacobian(lambda y: system.coeff_x(cid, y), xs)),
+        "coeff_dx": _rel_gap(pd.DX, dx_fd),
         "coeff_da": _rel_gap(
             system.coeff_da(cid, xs),
             system.oracle.jacobian(lambda y: system.coeff_a(cid, y), xs)),
@@ -426,7 +427,7 @@ def _dump_paths_csv(path: str, res, v0: np.ndarray) -> None:
             jn = np.sqrt(np.einsum("pi,pij,pj->p", jv, res.g_T, jv))
             wn = np.sqrt(np.einsum("pi,pij,pj->p", wv, res.g_T, wv))
             for i in range(res.n_paths):
-                wr.writerow([i, res.chart_names[res.cid_idx[i]], int(res.alive[i])]
+                wr.writerow([i, res.cid[i], int(res.alive[i])]
                             + [repr(float(c)) for c in res.x[i]]
                             + [repr(float(jn[i])), repr(float(wn[i]))])
         else:
@@ -437,7 +438,7 @@ def _dump_paths_csv(path: str, res, v0: np.ndarray) -> None:
                 for i in range(res.n_paths):
                     norm = float(np.sqrt(max(wk[i] @ snap.g_T[i] @ wk[i], 0.0)))
                     wr.writerow([i, snap.steps, repr(snap.t),
-                                 res.chart_names[snap.cid_idx[i]], int(snap.alive[i])]
+                                 snap.cid[i], int(snap.alive[i])]
                                 + [repr(float(c)) for c in snap.x[i]]
                                 + [repr(norm)])
 

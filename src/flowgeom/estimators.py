@@ -629,8 +629,7 @@ def one_form_semigroup_check(cfg: McConfig, phi_spec=None) -> McReport:
 
     def pairing(r: SimResult) -> np.ndarray:
         """phi_{x_T}(J v0) per path, evaluating phi in each terminal chart."""
-        return np.einsum("pi,pi->p", phi_at(np.asarray(r.chart_names)[r.cid_idx], r.x),
-                         r.J @ v0)
+        return np.einsum("pi,pi->p", phi_at(r.cid, r.x), r.J @ v0)
 
     est, se, bias_allow = _halving_quotient(res, alive, pairing, float(phi0(x0) @ v0))
 
@@ -798,8 +797,8 @@ def ito_pathwise_check(cfg: McConfig, p: float = 2.0, n_paths: int = 20) -> McRe
                              coarsen)
         # every snapshot, the start to the end, in one batch: (step, path, ...)
         snaps = res.snapshots
-        cids = np.asarray(res.chart_names)[np.stack([snap.cid_idx for snap in snaps])]
-        pd = point_data(system, cids, np.stack([snap.x for snap in snaps]))
+        pd = point_data(system, np.stack([snap.cid for snap in snaps]),
+                        np.stack([snap.x for snap in snaps]))
         v0 = _resolve_v0(cfg, res)
         v = np.stack([snap.J for snap in snaps]) @ v0
         vv = np.einsum("...i,...ij,...j->...", v, pd.g, v)

@@ -6,10 +6,11 @@ adjoint, the covariant Ito form of the derivative flow, the filtered
 (damped) flow, and the noise decomposition with its exact discrete
 reconstruction.  Paths are independent given (seed, path index); the index
 range is split into fixed blocks of ``BLOCK`` paths, run one after another on
-the calling thread and merged in block order.  The start data
-(``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``, ``F0``: the frames at ``x0``)
-is built once per run, from one ``PointData`` at ``x0``; a block
-integrates its paths and returns only their per-path fields.
+the calling thread and merged in block order.  The start data (``g0``,
+``ginv0``, ``X0``, ``Y0``, ``L0``, ``F0``: the frames at ``x0``) is built
+once per run, from one ``PointData`` at ``x0``; a block integrates its paths
+and returns only their per-path fields.  A result keeps the start data its
+readers read: ``cid0``, ``x0``, ``g0``, ``Y0`` and ``L0``.
 
 Demand-driven companions: ``simulate(..., need=...)`` names the result
 fields the caller reads, and the engine integrates only what they depend on.
@@ -86,7 +87,7 @@ switch.  Nor do its ``hp_lo``/``hp_hi``: the moment-form extremes pick
 their route and stop row by row
 (``test_a_path_does_not_depend_on_its_block_for_the_moment_form``).
 ``SimResult`` holds C-ordered arrays, as every caller outside the engine
-does.
+does, and each path's chart by name in ``cid``, the engine's own chart array.
 
 Conventions: "∘dB" equations step with Heun (predictor-corrector); explicit
 Ito sums (anti-developments, the covariant derivative-flow equation) use
@@ -177,16 +178,12 @@ class SimResult:
     steps: int
     seed: int
     n_paths: int
-    chart_names: tuple[str, ...]
     cid0: str
     x0: np.ndarray
     g0: np.ndarray
-    ginv0: np.ndarray
-    X0: np.ndarray
     Y0: np.ndarray
     L0: np.ndarray                    # cholesky factor of g0
-    F0: np.ndarray | None             # (m, m-n) normal frame at the start
-    cid_idx: np.ndarray               # (N,)
+    cid: np.ndarray                   # (N,) chart name per path
     x: np.ndarray                     # (N, n)
     centers: np.ndarray | None
     embedded: np.ndarray              # (N, embed_dim)
@@ -325,9 +322,8 @@ def _mwhere(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
 # Fields every run fills, whatever it requests: the state, the alive mask,
 # the charts, the group centres and the start data.
 _CORE = frozenset((
-    "t", "dt", "steps", "seed", "n_paths", "chart_names", "cid0", "x0", "g0",
-    "ginv0", "X0", "Y0", "L0", "F0", "cid_idx", "x", "centers", "embedded",
-    "alive", "n_dropped", "snapshots"))
+    "t", "dt", "steps", "seed", "n_paths", "cid0", "x0", "g0", "Y0", "L0",
+    "cid", "x", "centers", "embedded", "alive", "n_dropped", "snapshots"))
 _SIM_COMPANIONS = tuple(f.name for f in fields(SimResult) if f.name not in _CORE)
 _ALL = _CORE | frozenset(_SIM_COMPANIONS)
 
@@ -385,14 +381,14 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     """
     n, m = system.n, system.m
     P = len(indices)
-    chart_names, x0 = start["chart_names"], start["x0"]
-    g0, ginv0, X0, Y0, F0 = (start[k] for k in ("g0", "ginv0", "X0", "Y0", "F0"))
+    x0, g0, ginv0, X0, Y0, F0 = (start[k] for k in ("x0", "g0", "ginv0", "X0", "Y0", "F0"))
     noise = _block_noise(seed, indices, steps, dt, m, coarsen)
     decompose = not on.isdisjoint(_DECOMPOSITION)
     transport = "par_lw" in on or "par_adj" in on
 
     x = as_engine(np.broadcast_to(x0, (P, n)))
-    cid_idx = np.full(P, chart_names.index(start["cid0"]), dtype=np.int64)
+    # chart name per row, wide enough for every chart's name
+    cids = np.full(P, start["cid0"], dtype=np.asarray(system.charts).dtype)
     centers = None
     if system.is_group:
         centers = np.broadcast_to(system.group_identity(), (P, 4)).copy()
@@ -402,7 +398,6 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
     st = {name: as_engine(eye) for name in ("J", "par_lw", "par_adj", "What", "Vhat")
           if name in on}
 
-    cids = np.asarray(chart_names)[cid_idx]  # chart name per row
     bundle = point_data(system, cids, x)
     if system.is_group:  # every step after the first starts at u = 0
         origin_bundle = point_data(system, cids, as_engine(np.zeros((P, n))))
@@ -433,7 +428,7 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
 
     for k in range(steps + 1):
         if k in wanted:
-            now = dict(st, cid_idx=cid_idx, x=x, centers=centers, alive=alive, F=F)
+            now = dict(st, cid=cids, x=x, centers=centers, alive=alive, F=F)
             if decompose:
                 now["recon_err"] = np.max(np.abs(st["recon"] - st["b_raw"]), axis=-1)
             if "g_T" in on:
@@ -584,7 +579,6 @@ def _run_block(system: SdeSystem, seed: int, indices: np.ndarray, steps: int,
                 x_sw = in_layout_of(x_sw, system.transition(cids[rows], target, x_sw))
                 x[rows] = x_sw
                 cids[rows] = target
-                cid_idx[rows] = [chart_names.index(c) for c in target]
                 # only the switched rows are evaluated again; ``bundle`` shares
                 # ``x`` and ``cids``, so a field it has not computed yet is
                 # computed at the switched points when first read
@@ -607,18 +601,18 @@ def _assemble(system: SdeSystem, start: dict, blocks: list[dict], need: frozense
         return np.concatenate([np.ascontiguousarray(v) for v in vals])[:run["n_paths"]]
 
     alive = cat("alive")
-    cid_idx = cat("cid_idx")
+    cid = cat("cid")
     x = cat("x")
     centers = cat("centers")
-    cids = np.asarray(start["chart_names"])[cid_idx]
     if system.is_group:
-        emb = system.embed(cids, x, center=centers)
+        emb = system.embed(cid, x, center=centers)
     else:
-        emb = system.embed(cids, x)
+        emb = system.embed(cid, x)
 
     companions = {name: cat(name) if name in need else None for name in _SIM_COMPANIONS}
+    kept = {k: v for k, v in start.items() if k in _CORE}  # ginv0, X0, F0 stay behind
     return SimResult(
-        **start, **run, cid_idx=cid_idx, x=x, centers=centers, embedded=emb,
+        **kept, **run, cid=cid, x=x, centers=centers, embedded=emb,
         alive=alive, n_dropped=int(run["n_paths"] - alive.sum()), **companions,
     )
 
@@ -648,19 +642,20 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     A start point where X loses rank raises ``DegenerateX``.
 
     ``threads`` must be a positive integer and does not change the run: the
-    blocks run one after another on the calling thread.  A block's work is
-    mostly ``np.einsum`` calls over its paths, and einsum holds the
-    interpreter lock, so a thread pool made runs slower, not faster (two
-    threads took about 1.6 times as long as one).  The count is still
+    blocks run one after another on the calling thread.  A block makes
+    thousands of short numpy calls with Python code between them, which
+    holds the interpreter lock; two threads hand that lock back and forth at
+    every call, and at ``BLOCK`` paths this cost more than the kernels gain
+    (two threads ran at 0.7-0.96 times the serial speed).  The count is still
     checked, so that configs which set it keep working and it can later
     count worker processes.
 
     ``need`` names the ``SimResult`` fields the caller will read; ``None``
     means all of them.  The state, the alive mask, the charts, the group
-    centres and the start data (``g0``, ``ginv0``, ``X0``, ``Y0``, ``L0``,
-    ``F0``) are always filled; the start data is computed once per run, from
-    one ``PointData`` at ``x0``, and shared by every block, snapshot and
-    the terminal result.  Only the companion processes the requested
+    centres and the start data (``cid0``, ``x0``, ``g0``, ``Y0``, ``L0``) are
+    always filled; the start data is computed once per run, from one
+    ``PointData`` at ``x0``, and shared by every block, snapshot and the
+    terminal result.  Only the companion processes the requested
     fields depend on are integrated (see ``_NEEDS``), and every field not
     requested is ``None``; ``hp_lo`` and ``hp_hi`` also need ``hp_p``.  A
     requested field holds exactly the values a run with ``need=None`` gives.
@@ -699,7 +694,7 @@ def simulate(system: SdeSystem, *, t: float, dt: float, n_paths: int, seed: int,
     need = _requested(need, hp_p)
     on = _closure(need)
     pd0 = geometry_point(system, cid, x0)  # DegenerateX if X loses rank at x0
-    start = dict(chart_names=system.charts, cid0=cid, x0=pd0.x,
+    start = dict(cid0=cid, x0=pd0.x,
                  g0=pd0.g, ginv0=pd0.ginv, X0=pd0.X, Y0=pd0.Y,
                  L0=np.linalg.cholesky(pd0.g), F0=_null_frame(pd0.X))
     # the induced connection is always metric; its adjoint only under

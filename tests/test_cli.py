@@ -16,6 +16,7 @@ import flowgeom.estimators as estimators
 import flowgeom.geometry as geometry
 from flowgeom.cli import main
 from flowgeom.geometry import geometry_point, moment_form_extremes, point_data
+from flowgeom.linalg import DerivOracle
 from flowgeom.schema import Validator
 
 
@@ -637,6 +638,16 @@ def test_each_op_computes_its_point_data_and_levi_civita_field_once(name, params
         for module in (geometry, cli):
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, wrapped)
+    # the shape of x at every oracle Jacobian of X itself: a field whose
+    # code calls ``coeff_x`` and nothing else
+    x_jacobians = []
+
+    def jacobian(self, f, x, _real=DerivOracle.jacobian):
+        if getattr(getattr(f, "__code__", None), "co_names", None) == ("coeff_x",):
+            x_jacobians.append(np.shape(x))
+        return _real(self, f, x)
+
+    monkeypatch.setattr(DerivOracle, "jacobian", jacobian)
     scenario = {"name": name, "params": params}
     n = cli._build_system({"scenario": scenario}).n
     probes = (5, n)  # the start point and 4 sampled ones
@@ -645,15 +656,18 @@ def test_each_op_computes_its_point_data_and_levi_civita_field_once(name, params
     # the probe batch, then the start point for tss_check
     assert shapes["point_data"] == [probes, (n,)]
     # both curvature routes differentiate their own fields, but take their
-    # values at the batch from the op: each field is built there once
+    # values at the batch from the op: each field is built there once, the
+    # induced one from the Jacobian of X that the coeff_dx row reads too
     assert shapes["levi_civita_christoffel"].count(probes) == 1
-    assert shapes["lw_christoffel"].count(probes) == 1
+    assert shapes["lw_christoffel"].count(probes) == 0
+    assert x_jacobians.count(probes) == 1
 
-    for seen in shapes.values():
+    for seen in (*shapes.values(), x_jacobians):
         seen.clear()
     cli.run_config({"command": "tensors", "scenario": scenario, "n_probes": 4, "seed": 23})
     assert shapes == {"point_data": [probes], "levi_civita_christoffel": [probes],
                       "lw_christoffel": []}
+    assert x_jacobians == []
 
 
 # -------------------------------------------------------------- simulate
@@ -748,10 +762,10 @@ def test_recorded_dump_holds_the_run(tmp_path):
     cid, x0 = mc.start()
     res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
                    x0=x0, cid=cid)
-    assert set(res.cid_idx.tolist()) == {0, 1}  # some paths switched charts
+    assert set(res.cid.tolist()) == {"n", "s"}  # some paths switched charts
     last = [r for r in rows if r[1] == "20"]
     assert [int(r[0]) for r in last] == list(range(100))
-    assert [r[3] for r in last] == [res.chart_names[c] for c in res.cid_idx]
+    assert [r[3] for r in last] == res.cid.tolist()
     assert [int(r[4]) for r in last] == res.alive.astype(int).tolist()
     np.testing.assert_array_equal([[float(c) for c in r[5:7]] for r in last], res.x)
     v0 = np.array([0.3, -1.2])
@@ -819,7 +833,7 @@ def test_estimate_dump_matches_full_run(tmp_path):
     cid, x0 = mc.start()
     res = simulate(mc.system, t=mc.t, dt=mc.dt, n_paths=mc.n_paths, seed=mc.seed,
                    x0=x0, cid=cid)
-    assert set(res.cid_idx.tolist()) == {0, 1}  # some paths switched charts
+    assert set(res.cid.tolist()) == {"n", "s"}  # some paths switched charts
     full = tmp_path / "full.csv"
     _dump_paths_csv(str(full), res, np.linalg.inv(res.L0).T[:, 0])
     assert dump.read_bytes() == full.read_bytes()

@@ -145,10 +145,10 @@ def test_a_path_does_not_depend_on_its_block_length(name, params, cid, x0, need)
     run = dict(t=0.2, dt=1e-2, seed=17, cid=cid, x0=x0, need=need)
     block = simulate(sys, n_paths=BLOCK, **run)
     if name == "sphere-gradient":
-        assert np.any(block.cid_idx[:5] != list(sys.charts).index(cid))
+        assert np.any(block.cid[:5] != cid)
     for n_paths in (1, 5):
         short = simulate(sys, n_paths=n_paths, **run)
-        for field_name in ("x", "cid_idx", "alive") + need:
+        for field_name in ("x", "cid", "alive") + need:
             np.testing.assert_array_equal(getattr(short, field_name),
                                           getattr(block, field_name)[:n_paths],
                                           err_msg=f"{field_name}, {n_paths} paths")
@@ -291,9 +291,22 @@ def test_jacobian_is_exact_derivative_of_the_step_map():
         np.testing.assert_allclose(fd, base.J[:, :, j], atol=1e-7)
 
 
+def test_result_names_each_path_chart_by_name(sphere):
+    # started next to the chart boundary, the paths visit both charts; ``cid``
+    # names each path's chart, in the dtype of the chart names, so embedding
+    # the state in it gives the result's own embedding, at every snapshot too
+    r = simulate(sphere, t=0.3, dt=1e-2, n_paths=64, seed=21, x0=np.array([1.95, 0.1]),
+                 at=range(0, 31, 5), need=())
+    assert set(r.cid.tolist()) == set(sphere.charts)
+    for res in (r, *r.snapshots):
+        assert res.cid.shape == (64,) and res.cid.dtype == np.asarray(sphere.charts).dtype
+        assert set(res.cid.tolist()) <= set(sphere.charts)
+        np.testing.assert_array_equal(sphere.embed(res.cid, res.x), res.embedded)
+
+
 def test_sphere_chart_switching_preserves_the_point(sphere):
     r = simulate(sphere, t=4.0, dt=1e-2, n_paths=256, seed=13)
-    assert sorted(set(r.cid_idx.tolist())) == [0, 1]  # both charts visited
+    assert sorted(set(r.cid.tolist())) == ["n", "s"]  # both charts visited
     assert int(r.alive.sum()) == 256
     norms = np.linalg.norm(r.embedded, axis=-1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
@@ -370,7 +383,7 @@ def test_state_only_run_reads_no_derivatives_after_the_start(sphere, monkeypatch
     monkeypatch.setattr(sphere, "coeff_dx", counting)
     r = simulate(sphere, t=0.2, dt=1e-2, n_paths=64, seed=3, x0=np.array([1.9, 0.4]),
                  need=())
-    assert set(r.cid_idx.tolist()) == {0, 1}  # paths switched chart
+    assert set(r.cid.tolist()) == {"n", "s"}  # paths switched chart
     assert shapes == [(2,)]
 
 
@@ -467,10 +480,10 @@ def test_snapped_transports_are_isometries_to_rounding(name, params, x0):
     r = simulate(sys, t=0.3, dt=1e-2, n_paths=24, seed=21, at=range(31),
                  x0=None if x0 is None else np.asarray(x0))
     if name == "sphere-gradient":
-        assert set(r.cid_idx.tolist()) == {0, 1}
+        assert set(r.cid.tolist()) == {"n", "s"}
     ginv0 = np.linalg.inv(r.g0)
     for snap in r.snapshots:
-        g = _metric_field(sys, np.asarray(r.chart_names)[snap.cid_idx])(snap.x)
+        g = _metric_field(sys, snap.cid)(snap.x)
         for par in (snap.par_lw, snap.par_adj):  # both metric on these systems
             defect = np.einsum("pji,pjk,pkl->pil", par, g, par) - r.g0
             assert np.max(np.abs(defect)) <= 1e-13 * np.max(np.abs(r.g0))
@@ -621,9 +634,8 @@ REQUESTS = {
 }
 
 # filled by every run, whatever it requests
-SIM_CORE = {"t", "dt", "steps", "seed", "n_paths", "chart_names", "cid0", "x0",
-            "g0", "ginv0", "X0", "Y0", "L0", "F0", "cid_idx", "x", "centers",
-            "embedded", "alive", "n_dropped", "snapshots"}
+SIM_CORE = {"t", "dt", "steps", "seed", "n_paths", "cid0", "x0", "g0", "Y0", "L0",
+            "cid", "x", "centers", "embedded", "alive", "n_dropped", "snapshots"}
 
 SCENARIOS = {
     # started next to the chart boundary |u| = 2, so paths switch charts
@@ -668,7 +680,7 @@ def test_requested_fields_match_full_run(name, hp_p, threads, n_paths, t, record
               at=at, x0=None if x0 is None else np.asarray(x0))
     full = simulate(sys, **kw)
     if name == "sphere-gradient":
-        assert set(full.cid_idx.tolist()) == {0, 1}  # chart switches happened
+        assert set(full.cid.tolist()) == {"n", "s"}  # chart switches happened
     for label, need in REQUESTS.items():
         part = simulate(sys, need=need, **kw)
         where = f"{name}, {label}"
@@ -697,7 +709,7 @@ def test_the_engine_never_calls_the_oracle(name, monkeypatch):
     r = simulate(system_of(name, params), t=0.1, dt=1e-2, n_paths=24, seed=5, hp_p=2.0,
                  x0=None if x0 is None else np.asarray(x0))
     if name == "sphere-gradient":
-        assert set(r.cid_idx.tolist()) == {0, 1}
+        assert set(r.cid.tolist()) == {"n", "s"}
     assert r.hp_lo is not None and calls == []
 
 
@@ -718,7 +730,7 @@ def test_earlier_result_matches_a_separate_run(name, params, x0, need, hp_p):
     assert early.t == 3 * 1e-2 and early.steps == 3
     assert early.snapshots == []
     if name == "sphere-gradient":
-        assert set(early.cid_idx.tolist()) == {0, 1}
+        assert set(early.cid.tolist()) == {"n", "s"}
     for f in fields(SimResult):
         a, b = getattr(early, f.name), getattr(sep, f.name)
         if isinstance(b, np.ndarray):

@@ -8,7 +8,11 @@ Imports ``flowgeom`` from ``DIR/src`` (default: this checkout) and prints one
 line ``<sha256>  <label>`` per report.  A report's digest is
 ``flowbench/child.digest``: the sha256 of its JSON with every ``wall_time``
 removed.  Run it on two checkouts and diff the outputs; a change that keeps
-every result bit for bit gives an empty diff.
+every result bit for bit gives an empty diff.  A run's arrays hash each path's
+chart by name (``SimResult.cid``).  On a checkout whose results still name
+charts by index (``cid_idx`` into ``chart_names``), the names are taken from
+the index, and the start data only those results keep (``ginv0``, ``X0``,
+``F0``) is not hashed, so both forms print the same lines.
 
 ``--dump OUT`` also writes what each digest hashes into the directory OUT:
 ``<k>.json`` (the report without ``wall_time``) or ``<k>.npz`` (the arrays)
@@ -74,7 +78,7 @@ ESTIMATES = {
 }
 
 # the per-step series of a recorded run, stacked over its snapshots
-SERIES = ("cid_idx", "x", "alive", "J", "par_lw", "par_adj", "What", "Vhat",
+SERIES = ("cid", "x", "alive", "J", "par_lw", "par_adj", "What", "Vhat",
           "b_raw", "b_breve", "beta", "b_bar", "centers")
 
 SCENARIOS = (
@@ -304,9 +308,16 @@ def engine_arrays() -> list[tuple[str, dict]]:
     from flowgeom.model import build_scenario
     from flowgeom.stochastic import simulate
 
-    def arrays(obj) -> dict:
-        return {f.name: getattr(obj, f.name) for f in fields(obj)
-                if isinstance(getattr(obj, f.name), np.ndarray)}
+    def arrays(res) -> dict:
+        """Every array field of a ``SimResult``, each path's chart by name as
+        ``cid`` on either form of the result (see the module docstring)."""
+        out = {f.name: getattr(res, f.name) for f in fields(res)
+               if isinstance(getattr(res, f.name), np.ndarray)}
+        if "cid_idx" in out:
+            out["cid"] = np.asarray(res.chart_names)[out.pop("cid_idx")]
+            for name in ("ginv0", "X0", "F0"):
+                out.pop(name, None)
+        return out
 
     def recorded(system, t, **kw) -> dict:
         """A run with a snapshot at every step: its terminal arrays, plus
@@ -315,9 +326,10 @@ def engine_arrays() -> list[tuple[str, dict]]:
         res = simulate(system, t=t, dt=1e-2, n_paths=16, seed=9,
                        at=range(round(t / 1e-2) + 1), **kw)
         out = dict(arrays(res), **{"path.g0": res.g0, "path.x0": res.x0})
+        snaps = [arrays(s) for s in res.snapshots]
         for name in SERIES:
-            if getattr(res, name) is not None:
-                out[f"path.{name}"] = np.stack([getattr(s, name) for s in res.snapshots])
+            if name in out:
+                out[f"path.{name}"] = np.stack([s[name] for s in snaps])
         return out
 
     out = []
